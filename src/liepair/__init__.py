@@ -37,7 +37,7 @@ from .pairfile import parse_pair_file, parse_pair_text, serialize_pair
 from .polyhedral import (
     build_arrangement,
     decide_dominance,
-    enumerate_cones,
+    enumerate_lines,
     randomized_dominance_oracle,
 )
 from .weights import (

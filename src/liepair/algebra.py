@@ -299,9 +299,6 @@ class Subspace:
             raise ValidationError("ambient mismatch")
         return express_in_rows(list(self.rows), [list(v)])[0] is not None
 
-    def contains_space(self, other):
-        return all(self.contains_vector(r) for r in other.rows)
-
     def complement_rows(self):
         """Standard unit vectors at the non-pivot coordinates: a canonical
         complement of this subspace."""

@@ -186,6 +186,14 @@ class AdWord:
 
     steps: tuple  # tuple of (z_vector tuple, t Fraction)
 
+    def to_json(self):
+        return [{"z": list(z), "t": t} for z, t in self.steps]
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(steps=tuple((tuple(vec(s["z"])), Fraction(s["t"]))
+                               for s in data))
+
     def apply_to_rows(self, g: LieAlgebra, rows):
         out = [list(r) for r in rows]
         for z, t in reversed(self.steps):
@@ -324,7 +332,7 @@ def check_real_spherical(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Verdict
             "space": "g",
             "chamber": list(par.chamber),
             "parabolic_rows": [list(r) for r in par.subspace.rows],
-            "word": [{"z": list(z), "t": t} for z, t in word.steps],
+            "word": word.to_json(),
             "rank_achieved": pair.g.dim,
         }
         return Verdict(
@@ -388,7 +396,7 @@ def check_complex_spherical(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Verd
             "space": "complexification",
             "chamber": list(par.chamber),
             "parabolic_rows": [list(r) for r in par.subspace.rows],
-            "word": [{"z": list(z), "t": t} for z, t in word.steps],
+            "word": word.to_json(),
             "rank_achieved": comp.g.dim,
         }
         return Verdict(
@@ -454,9 +462,9 @@ def check_tempered(pair: Pair, cone_budget=DEFAULT_CONE_BUDGET) -> Verdict:
     if dom.holds:
         cert = {
             "kind": "dominance",
-            "rays": [list(r) for r in _dominance_rays(rho_h, rho_q, cone_budget)],
+            "lines": [list(line) for line in dom.lines],
             "margin": dom.margin,
-            "cone_count": dom.cone_count,
+            "line_count": len(dom.lines),
         }
         margin_txt = ("with equality somewhere (margin 0)"
                       if dom.margin == 0 else f"with margin {dom.margin}")
@@ -481,14 +489,6 @@ def check_tempered(pair: Pair, cone_budget=DEFAULT_CONE_BUDGET) -> Verdict:
             f"({cert['rho_h']} > {cert['rho_quotient']}): L²(G/H) is not "
             "tempered (Benoist-Kobayashi criterion).",),
         notes=notes)
-
-
-def _dominance_rays(rho_h, rho_q, cone_budget):
-    from .polyhedral import build_arrangement, enumerate_cones
-
-    arr = build_arrangement(rho_h, rho_q)
-    cones = enumerate_cones(arr, cone_budget)
-    return sorted({r for cone in cones for r in cone.generators})
 
 
 @dataclass(frozen=True)
@@ -550,7 +550,7 @@ def _is_abelian(g: LieAlgebra, sub: Subspace) -> bool:
 def stabilizer_verdict(pair: Pair, report: StabilizerReport) -> Verdict:
     cert = {
         "kind": "stabilizer",
-        "word": [{"z": list(z), "t": t} for z, t in report.word.steps],
+        "word": report.word.to_json(),
         "dimension": report.dimension,
         "rows": [list(r) for r in report.representative.rows],
         "abelian": report.abelian,
@@ -621,8 +621,9 @@ def verify_certificate(pair: Pair, verdict: Verdict):
     """Re-check a verdict's certificate from its serialized data alone.
 
     Returns (ok, detail).  Ranks are recomputed from scratch and rho values
-    re-evaluated at every stored ray; nothing from the original run is
-    trusted beyond the certificate payload.
+    re-evaluated at every stored line or ray; nothing from the original run
+    is trusted beyond the certificate payload.  A malformed dominance
+    certificate fails with a detail instead of raising.
     """
     cert = verdict.certificate
     if cert is None:
@@ -632,19 +633,26 @@ def verify_certificate(pair: Pair, verdict: Verdict):
         ok = pair.torus_h.rank == 0
         return ok, "torus_h rank is 0" if ok else "torus_h rank is nonzero"
     if kind == "dominance":
+        try:
+            lines = _stored_lines(cert, pair.torus_h.rank)
+            stored = Fraction(cert["margin"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+            return False, f"malformed dominance certificate: {e}"
+        if cert.get("line_count") != len(lines):
+            return False, (f"stored line_count {cert.get('line_count')!r} "
+                           f"!= {len(lines)} stored lines")
         rho_h, rho_q = rho_pair(pair)
         margin = None
-        for ray in cert["rays"]:
-            d = rho_eval(rho_q, vec(ray)) - rho_eval(rho_h, vec(ray))
+        for line in lines:
+            d = rho_eval(rho_q, line) - rho_eval(rho_h, line)
             if d < 0:
-                return False, f"stored ray {ray} violates dominance"
+                return False, f"stored line {line} violates dominance"
             margin = d if margin is None else min(margin, d)
         if margin is None:
             margin = ZERO
-        stored = cert["margin"]
-        if Fraction(stored) != margin:
+        if stored != margin:
             return False, f"stored margin {stored} != recomputed {margin}"
-        return True, f"all {len(cert['rays'])} rays re-evaluated, margin {margin}"
+        return True, f"all {len(lines)} lines re-evaluated, margin {margin}"
     if kind == "dominance-violation":
         rho_h, rho_q = rho_pair(pair)
         ray = vec(cert["ray"])
@@ -658,8 +666,7 @@ def verify_certificate(pair: Pair, verdict: Verdict):
         target = pair if cert.get("space") == "g" else pair.complexification
         if target is None:
             return False, "certificate refers to a missing complexification"
-        word = AdWord(steps=tuple((tuple(vec(s["z"])), Fraction(s["t"]))
-                                  for s in cert["word"]))
+        word = AdWord.from_json(cert["word"])
         par_rows = [vec(r) for r in cert["parabolic_rows"]]
         sub = Subspace.from_rows(target.g.dim, par_rows)
         # the stored rows must really be a parabolic for the stored chamber
@@ -672,8 +679,7 @@ def verify_certificate(pair: Pair, verdict: Verdict):
             return False, f"rank recomputation gives {got}, not {target.g.dim}"
         return True, f"open orbit re-verified at word of length {word.length}"
     if kind == "stabilizer":
-        word = AdWord(steps=tuple((tuple(vec(s["z"])), Fraction(s["t"]))
-                                  for s in cert["word"]))
+        word = AdWord.from_json(cert["word"])
         moved = word.apply_to_rows(pair.g, [list(r) for r in pair.h.rows])
         inter = _intersect(pair.h.subspace(), moved)
         if inter.dim != cert["dimension"]:
@@ -687,6 +693,24 @@ def verify_certificate(pair: Pair, verdict: Verdict):
             return False, "stored abelian flag does not match recomputation"
         return True, f"stabilizer re-verified at dimension {inter.dim}"
     return False, f"unknown certificate kind {kind!r}"
+
+
+def _stored_lines(cert, rank):
+    """A dominance certificate's lines as exact nonzero vectors of length
+    `rank`; raises KeyError, TypeError, ValueError or ZeroDivisionError
+    when they are missing or malformed."""
+    lines = cert["lines"]
+    if not isinstance(lines, list):
+        raise ValueError("lines is not a list")
+    out = []
+    for i, line in enumerate(lines):
+        if not isinstance(line, list) or len(line) != rank:
+            raise ValueError(f"line {i} is not a list of {rank} rationals")
+        v = vec(line)
+        if is_zero_vec(v):
+            raise ValueError(f"line {i} is zero")
+        out.append(v)
+    return out
 
 
 def run_question(pair: Pair, question: str, samples=DEFAULT_SAMPLES, seed=0,

@@ -2,7 +2,9 @@
 
 Exit codes: 0 = all requested questions answered (whatever the outcomes),
 2 = input error (bad family, bad file, unsupported question for the pair),
-3 = cone budget exceeded.
+3 = budget exceeded: the hyperplane arrangement of the tempered check has
+more flats than --cone-budget allows (the flat count never exceeds the
+number of cones of the arrangement).
 
 Every source of nondeterminism is a flag (--seed, --samples, --cone-budget);
 machine output is byte-deterministic for fixed inputs and flags.
@@ -21,6 +23,7 @@ from .linalg import frac
 from .pairfile import ParseError, parse_pair_file
 from .polyhedral import DEFAULT_CONE_BUDGET, ConeBudgetExceeded
 from .report import (
+    SUITE_SCHEMA,
     render_human,
     render_machine,
     report_for_pair,
@@ -141,12 +144,14 @@ def cmd_verify(args) -> int:
 
     with open(args.report, encoding="utf-8") as fh:
         report = json.load(fh)
-    reports = report["reports"] if report.get("schema", "").endswith("-suite/1") \
-        else [report]
+    is_suite = isinstance(report, dict) and report.get("schema") == SUITE_SCHEMA
+    reports = report["reports"] if is_suite else [report]
     all_ok = True
     for rep in reports:
+        # before any field is read, so a report of another schema exits 2
+        results = verify_report(rep)
         label = rep.get("fixture") or rep["pair"]["name"]
-        for question, ok, detail in verify_report(rep):
+        for question, ok, detail in results:
             status = "PASS" if ok else ("----" if ok is None else "FAIL")
             print(f"{status} {label} [{question}]: {detail}")
             if ok is False:
@@ -187,7 +192,9 @@ def build_parser():
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cone-budget", type=int, default=DEFAULT_CONE_BUDGET,
-                       dest="cone_budget")
+                       dest="cone_budget",
+                       help="most flats of the tempered check's hyperplane "
+                            "arrangement to enumerate (exit 3 beyond it)")
 
     pc = sub.add_parser("check", help="run decision procedures on a pair")
     add_pair_source(pc)

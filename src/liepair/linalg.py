@@ -106,20 +106,8 @@ def mat_mul(A, B):
     return [[vec_dot(row, col) for col in Bt] for row in A]
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(c, A):
-    return [[c * a for a in row] for row in A]
-
-
-def mat_eq(A, B):
-    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
 def is_zero_mat(A):
@@ -214,20 +202,6 @@ def express_in_rows(rows, targets):
                 break
         out.append(coords if ok else None)
     return out
-
-
-def solve(A, b):
-    """One solution x of A x = b, or None."""
-    return express_in_rows(transpose(A), [b])[0]
-
-
-def inverse(A):
-    n = len(A)
-    aug = [list(A[i]) + identity(n)[i] for i in range(n)]
-    red, piv = rref(aug, ncols=n)
-    if len(piv) < n:
-        return None
-    return [list(red[i][n:]) for i in range(n)]
 
 
 def mat_pow_until_zero(A, max_power):
@@ -390,16 +364,3 @@ def eigensplit(A):
     raise NotDiagonalizableError(
         "matrix has rational spectrum but is not diagonalizable; "
         f"characteristic polynomial {poly_str(coeffs)}", coeffs)
-
-
-def to_float_matrix(A):
-    return [[float(x) for x in row] for row in A]
-
-
-def lcm_of_denominators(values):
-    from math import lcm
-
-    out = 1
-    for v in values:
-        out = lcm(out, v.denominator)
-    return out

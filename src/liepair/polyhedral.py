@@ -7,14 +7,15 @@ exact evaluations: once the common kernel (lineality) is quotiented away, the
 cones are pointed, and a linear function is nonnegative on a pointed cone iff
 it is nonnegative on every extreme ray.
 
-Cone enumeration proceeds by picking a maximal independent subset of forms
-(whose sign choices cut simplicial base cones) and splitting by the remaining
-hyperplanes double-description style, keeping exact extreme rays throughout.
+The extreme rays of all the cones together are exactly the two half-lines of
+each 1-dimensional flat of the arrangement (Zaslavsky 1975, "Facing up to
+arrangements"), and both functions are even, so one exact evaluation per
+line decides the inequality.  The lines are found by growing the flats one
+rank at a time; no cone is ever built.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -23,9 +24,8 @@ from typing import Optional
 from .algebra import Subspace
 from .linalg import (
     ZERO,
-    inverse,
     kernel,
-    rank,
+    rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     rref,
     vec_dot,
 )
@@ -35,7 +35,8 @@ DEFAULT_CONE_BUDGET = 10 ** 6
 
 
 class ConeBudgetExceeded(RuntimeError):
-    """The arrangement has more full-dimensional cones than the budget."""
+    """The arrangement has more flats than the budget.  The number of flats
+    never exceeds the number of its full-dimensional cones."""
 
 
 class RankMismatch(ValueError):
@@ -55,16 +56,6 @@ def normalize_form(v):
     return tuple(w)
 
 
-def normalize_ray(v):
-    """Canonical representative modulo positive scaling only: first nonzero
-    coordinate becomes ±1."""
-    nz = next((x for x in v if x != 0), None)
-    if nz is None:
-        return None
-    s = abs(nz)
-    return tuple(x / s for x in v)
-
-
 @dataclass(frozen=True)
 class Arrangement:
     """Deduplicated union of the nonzero forms of two rho functions, with the
@@ -76,21 +67,11 @@ class Arrangement:
 
 
 @dataclass(frozen=True)
-class SignedCone:
-    """A closed full-dimensional cone of the arrangement, encoded by the sign
-    each form takes on its interior, with extreme rays modulo lineality."""
-
-    signs: tuple       # +1 / -1 per arrangement form
-    generators: tuple  # extreme rays, ambient coordinates, canonical scaling
-    dim: int
-
-
-@dataclass(frozen=True)
 class DominanceVerdict:
     holds: bool
     witness: Optional[tuple]
     margin: Optional[Fraction]
-    cone_count: int
+    lines: tuple  # the lines evaluated, as returned by enumerate_lines
 
 
 def build_arrangement(f: RhoFunction, g: RhoFunction) -> Arrangement:
@@ -110,140 +91,75 @@ def build_arrangement(f: RhoFunction, g: RhoFunction) -> Arrangement:
     return Arrangement(rank=r, forms=forms, lineality=lin)
 
 
-def _is_extreme(ray, signed_forms, d):
-    tight = [mu for mu, _ in signed_forms if vec_dot(mu, ray) == 0]
-    if d == 1:
-        return True  # a nonzero ray on the line is always extreme
-    if len(tight) < d - 1:
-        return False
-    return rank([list(t) for t in tight]) == d - 1
+def enumerate_lines(arr: Arrangement, budget=DEFAULT_CONE_BUDGET):
+    """The 1-dimensional flats of the arrangement in the quotient by the
+    lineality space, sorted, each as a direction in the span of the forms
+    (a canonical complement of the lineality) scaled by normalize_form.
 
-
-def _split_recursive(rays, signed_prefix, rest, d, emit, budget, counter):
-    if not rest:
-        counter[0] += 1
-        if counter[0] > budget:
-            raise ConeBudgetExceeded(
-                f"cone count exceeded the budget of {budget}")
-        emit(signed_prefix, rays)
-        return
-    lam = rest[0]
-    vals = [vec_dot(lam, r) for r in rays]
-    has_pos = any(v > 0 for v in vals)
-    has_neg = any(v < 0 for v in vals)
-    if not has_pos and not has_neg:
-        raise AssertionError("full-dimensional cone inside a hyperplane")
-    if not has_neg:
-        _split_recursive(rays, signed_prefix + ((lam, 1),), rest[1:],
-                         d, emit, budget, counter)
-        return
-    if not has_pos:
-        _split_recursive(rays, signed_prefix + ((lam, -1),), rest[1:],
-                         d, emit, budget, counter)
-        return
-    pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
-    neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
-    zero = [r for r, v in zip(rays, vals) if v == 0]
-    combos = []
-    for p, vp in pos:
-        for q, vq in neg:
-            c = tuple(vp * qq - vq * pp for pp, qq in zip(p, q))
-            combos.append(normalize_ray(c))
-    for side, keep in ((1, [r for r, _ in pos]), (-1, [r for r, _ in neg])):
-        signed = signed_prefix + ((lam, side),)
-        cand = []
-        for r in keep + zero + combos:
-            if r is not None and r not in cand:
-                cand.append(r)
-        ext = tuple(r for r in cand if _is_extreme(r, signed, d))
-        _split_recursive(ext, signed, rest[1:], d, emit, budget, counter)
-
-
-def enumerate_cones(arr: Arrangement, budget=DEFAULT_CONE_BUDGET):
-    """All closed full-dimensional cones of the arrangement in the quotient by
-    the lineality space, each with its extreme rays mapped back to ambient
-    coordinates.  The cones cover the quotient."""
+    A flat is the common zero set of a span of forms, and the RREF of that
+    span identifies it.  Adding one form outside the span of a rank-k flat
+    gives every flat of rank k + 1, so the flats are grown one rank at a
+    time up to rank d − 1, where d is the rank of the forms.  The budget
+    bounds the number of flats, the whole quotient included.
+    """
     if not arr.forms:
         return []
     span_rows, _ = rref([list(x) for x in arr.forms])
     d = len(span_rows)
-    # columns of the row-space basis give a canonical complement of the
-    # lineality (the dot product is definite over ℚ)
-    reduced = []
-    for lam in arr.forms:
-        reduced.append(tuple(vec_dot(lam, row) for row in span_rows))
-    order = []
-    rest = []
-    for idx, mu in enumerate(reduced):
-        if len(order) < d and rank([list(reduced[i]) for i in order] + [list(mu)]) > len(order):
-            order.append(idx)
-        else:
-            rest.append(idx)
-    perm = order + rest
-    basis = [list(reduced[i]) for i in order]
-    Binv = inverse(basis)
-    base_rays = [tuple(Binv[i][k] for i in range(d)) for k in range(d)]
-    cones = []
-    counter = [0]
-
-    def emit(signed, rays):
-        signs = [0] * len(arr.forms)
-        for pos_in_perm, (mu, s) in enumerate(signed):
-            signs[perm[pos_in_perm]] = s
-        ambient = []
-        for z in rays:
-            y = [ZERO] * arr.rank
-            for za, row in zip(z, span_rows):
-                if za != 0:
-                    for i, x in enumerate(row):
-                        y[i] += za * x
-            ambient.append(normalize_ray(y))
-        cones.append(SignedCone(signs=tuple(signs),
-                                generators=tuple(sorted(ambient)),
-                                dim=d))
-
-    for eps in itertools.product((1, -1), repeat=d):
-        rays = [normalize_ray(tuple(e * x for x in ray))
-                for e, ray in zip(eps, base_rays)]
-        signed = tuple((tuple(mu), e) for mu, e in zip(basis, eps))
-        _split_recursive(tuple(rays), signed,
-                         [reduced[i] for i in rest], d, emit, budget, counter)
-    return cones
-
-
-def cone_contains(cone: SignedCone, arr: Arrangement, y):
-    """Membership of y in the closed cone: sign compatibility with every
-    arrangement form (zero allowed on boundaries)."""
-    for lam, s in zip(arr.forms, cone.signs):
-        if s * vec_dot(lam, y) < 0:
-            return False
-    return True
+    # coordinates on the quotient: pairings with a basis of the span of forms
+    reduced = [tuple(vec_dot(lam, row) for row in span_rows)
+               for lam in arr.forms]
+    flats = {()}
+    count = 1
+    for k in range(d - 1):
+        grown = set()
+        for span in flats:
+            for mu in reduced:
+                rows = tuple(rref(list(span) + [mu])[0])
+                if len(rows) > k and rows not in grown:
+                    grown.add(rows)
+                    count += 1
+                    if count > budget:
+                        raise ConeBudgetExceeded(
+                            f"flat count exceeded the budget of {budget}")
+        flats = grown
+    lines = []
+    for span in flats:
+        (z,) = kernel(list(span), d)
+        y = [ZERO] * arr.rank
+        for za, row in zip(z, span_rows):
+            if za != 0:
+                for i, x in enumerate(row):
+                    y[i] += za * x
+        lines.append(normalize_form(y))
+    return sorted(lines)
 
 
 def decide_dominance(f: RhoFunction, g: RhoFunction,
                      budget=DEFAULT_CONE_BUDGET) -> DominanceVerdict:
     """Decide f(Y) ≤ g(Y) for all Y, exactly.
 
-    On each enumerated cone both functions are linear, so the difference is
-    checked on the extreme rays only; any strict violation there is an exact
-    counterexample.  With no forms at all both functions vanish identically
-    and the verdict holds with margin 0 by convention.
+    Both functions are even and linear on each cone, so the difference is
+    checked once per line of the arrangement; any strict violation there is
+    an exact counterexample.  The witness is the least violating half-line
+    in lexicographic order, the negative of the greatest violating line.
+    With no forms at all both functions vanish identically and the verdict
+    holds with margin 0 by convention.
     """
-    arr = build_arrangement(f, g)
-    cones = enumerate_cones(arr, budget)
-    rays = sorted({r for cone in cones for r in cone.generators})
+    lines = tuple(enumerate_lines(build_arrangement(f, g), budget))
     margin = None
-    for ray in rays:
-        diff = rho_eval(g, list(ray)) - rho_eval(f, list(ray))
+    for line in reversed(lines):
+        diff = rho_eval(g, list(line)) - rho_eval(f, list(line))
         if diff < 0:
-            return DominanceVerdict(holds=False, witness=ray, margin=None,
-                                    cone_count=len(cones))
+            return DominanceVerdict(holds=False,
+                                    witness=tuple(-x for x in line),
+                                    margin=None, lines=lines)
         if margin is None or diff < margin:
             margin = diff
     if margin is None:
         margin = ZERO
     return DominanceVerdict(holds=True, witness=None, margin=margin,
-                            cone_count=len(cones))
+                            lines=lines)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 
 from . import __version__
+from .algebra import ValidationError
 from .checks import (
     DEFAULT_SAMPLES,
     Interpretation,
@@ -24,8 +25,8 @@ from .checks import (
 )
 from .polyhedral import DEFAULT_CONE_BUDGET
 
-SCHEMA = "liepair.report/1"
-SUITE_SCHEMA = "liepair.report-suite/1"
+SCHEMA = "liepair.report/2"
+SUITE_SCHEMA = "liepair.report-suite/2"
 
 
 def _jsonable(x):
@@ -113,8 +114,7 @@ def render_human(report: dict, elapsed=None) -> str:
             kind = cert.get("kind")
             if kind == "dominance":
                 lines.append(f"    margin {cert['margin']} over "
-                             f"{len(cert['rays'])} rays, "
-                             f"{cert['cone_count']} cones")
+                             f"{cert['line_count']} lines")
             elif kind == "dominance-violation":
                 lines.append(f"    violating ray {cert['ray']}: "
                              f"rho_h = {cert['rho_h']} > "
@@ -220,14 +220,23 @@ def run_fixture_suite(seed=0, samples=DEFAULT_SAMPLES,
 
 def verify_report(report: dict):
     """Re-check every certificate embedded in a machine report, from the
-    serialized pair source alone.  Yields (question, ok, detail)."""
+    serialized pair source alone.  Returns a list of (question, ok, detail).
+    A report of another schema raises ValidationError."""
     from .pairfile import parse_pair_text
 
+    schema = report.get("schema") if isinstance(report, dict) else None
+    if schema != SCHEMA:
+        raise ValidationError(
+            f"unsupported report schema {schema!r}: this liepair reads "
+            f"{SCHEMA!r} and {SUITE_SCHEMA!r}; run liepair again to "
+            "regenerate the report")
     pair = parse_pair_text(report["pair"]["source"])
+    out = []
     for vd in report["verdicts"]:
         v = verdict_from_json(vd)
         if v.certificate is None:
-            yield v.question, None, "no certificate (nothing to verify)"
+            out.append((v.question, None, "no certificate (nothing to verify)"))
             continue
         ok, detail = verify_certificate(pair, v)
-        yield v.question, ok, detail
+        out.append((v.question, ok, detail))
+    return out

@@ -278,6 +278,47 @@ def test_tampered_certificates_fail_verification():
     assert not ok
 
 
+def _tampered_dominance(mutate):
+    pair = build_fixture("triple_sl3")
+    blob = verdict_to_json(check_tempered(pair))
+    assert blob["certificate"]["kind"] == "dominance"
+    mutate(blob["certificate"])
+    return verify_certificate(pair, verdict_from_json(blob))
+
+
+def test_dominance_certificate_without_lines_fails():
+    ok, detail = _tampered_dominance(lambda c: c.pop("lines"))
+    assert not ok and "lines" in detail
+
+
+@pytest.mark.parametrize("lines", [
+    "1", None, [["1"]], [["x", "0"]], [["0", "0"]], [1, 2], [["1", "1/0"]],
+    [["1", 0.5]], ["10"]])
+def test_dominance_certificate_with_malformed_lines_fails(lines):
+    ok, detail = _tampered_dominance(lambda c: c.update(lines=lines))
+    assert not ok and "malformed" in detail
+
+
+@pytest.mark.parametrize("count", [None, 0, 4, "3"])
+def test_dominance_certificate_with_wrong_line_count_fails(count):
+    def mutate(cert):
+        assert cert["line_count"] == 3
+        if count is None:
+            cert.pop("line_count")
+        else:
+            cert["line_count"] = count
+    ok, detail = _tampered_dominance(mutate)
+    assert not ok and "line_count" in detail
+
+
+def test_ad_word_json_round_trip():
+    pair = build_fixture("sl2_point")
+    word = AdWord(steps=((tuple(unit(pair.g, "E12")), F(-3, 2)),
+                         (tuple(unit(pair.g, "E21")), F(2))))
+    text = json.dumps(word.to_json(), default=str)
+    assert AdWord.from_json(json.loads(text)) == word
+
+
 def test_word_application_is_exact():
     pair = build_fixture("sl2_point")
     g = pair.g

@@ -33,7 +33,7 @@ def test_check_machine_output_is_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     report = json.loads(out1)
-    assert report["schema"] == "liepair.report/1"
+    assert report["schema"] == "liepair.report/2"
     assert report["settings"]["seed"] == 7
 
 
@@ -77,8 +77,9 @@ def test_default_questions_degrade_gracefully(capsys):
 
 
 def test_cone_budget_exit_3(capsys):
-    code, _, err = run(capsys, "check", "--family", "torus_pair:sl2",
-                       "--questions", "tempered", "--cone-budget", "1")
+    # the roots of sl3 cut the plane along 3 lines: 4 flats with the plane
+    code, _, err = run(capsys, "check", "--family", "torus_pair:sl3",
+                       "--questions", "tempered", "--cone-budget", "2")
     assert code == 3 and "budget" in err
 
 
@@ -131,6 +132,23 @@ def test_verify_detects_tampering(tmp_path, capsys):
     rep_path.write_text(json.dumps(rep))
     code, out, _ = run(capsys, "verify", str(rep_path))
     assert code == 1 and "FAIL" in out
+
+
+def test_verify_rejects_an_old_schema(tmp_path, capsys):
+    rep_path = tmp_path / "report.json"
+    run(capsys, "check", "--family", "diagonal_pair:sl2", "--format",
+        "machine", "--output", str(rep_path), "--questions", "tempered")
+    rep = json.loads(rep_path.read_text())
+    rep["schema"] = "liepair.report/1"
+    rep_path.write_text(json.dumps(rep))
+    code, out, err = run(capsys, "verify", str(rep_path))
+    assert code == 2 and out == ""
+    assert "liepair.report/1" in err and "schema" in err
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(json.dumps({"schema": "liepair.report-suite/1",
+                                      "reports": [rep]}))
+    code, out, err = run(capsys, "verify", str(suite_path))
+    assert code == 2 and out == "" and "liepair.report-suite/1" in err
 
 
 def test_fixtures_subcommand_human(capsys):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liepair.linalg import kernel, rank
 from liepair.polyhedral import (
     ConeBudgetExceeded,
     build_arrangement,
-    cone_contains,
     decide_dominance,
-    enumerate_cones,
+    enumerate_lines,
     normalize_form,
     randomized_dominance_oracle,
 )
@@ -48,7 +48,7 @@ def test_arrangement_empty():
     arr = build_arrangement(rf(2, []), rf(2, []))
     assert arr.forms == ()
     assert arr.lineality.dim == 2
-    assert enumerate_cones(arr) == []
+    assert enumerate_lines(arr) == []
 
 
 def test_arrangement_three_forms_rank2():
@@ -58,22 +58,26 @@ def test_arrangement_three_forms_rank2():
     assert arr.lineality.dim == 0
 
 
-# --- cone enumeration ------------------------------------------------------
+# --- line enumeration ------------------------------------------------------
 
 def test_rank1_two_cones():
+    # the two cones of a rank-1 arrangement are the half-lines of its line
     arr = build_arrangement(rf(1, [((2,), 1)]), rf(1, []))
-    cones = enumerate_cones(arr)
-    assert len(cones) == 2
-    rays = sorted(r for c in cones for r in c.generators)
-    assert rays == [(F(-1),), (F(1),)]
+    assert enumerate_lines(arr) == [(F(1),)]
 
 
 def test_quadrants():
     arr = build_arrangement(rf(2, [((1, 0), 1), ((0, 1), 1)]), rf(2, []))
-    cones = enumerate_cones(arr)
-    assert len(cones) == 4
-    rays = {r for c in cones for r in c.generators}
-    assert rays == {(F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1))}
+    assert enumerate_lines(arr) == [(F(0), F(1)), (F(1), F(0))]
+
+
+def test_quotient_of_rank_one_is_its_span_of_forms():
+    # d = 1 inside rank 3: the one line is the span of the forms, not the
+    # lineality plane
+    f = rf(3, [((2, 4, 0), 1), ((-1, -2, 0), 2)])
+    arr = build_arrangement(f, rf(3, []))
+    assert arr.lineality.dim == 2
+    assert enumerate_lines(arr) == [(F(1), F(2), F(0))]
 
 
 def brute_force_region_count(forms, rank, grid=12):
@@ -97,9 +101,10 @@ def brute_force_region_count(forms, rank, grid=12):
 def test_six_cones_for_x_y_xplusy():
     f = rf(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)])
     arr = build_arrangement(f, rf(2, []))
-    cones = enumerate_cones(arr)
-    assert len(cones) == 6
-    assert brute_force_region_count(arr.forms, 2) == 6
+    lines = enumerate_lines(arr)
+    assert len(lines) == 3
+    # in rank 2 every line bounds two of the cones and each cone has two
+    assert brute_force_region_count(arr.forms, 2) == 2 * len(lines) == 6
 
 
 def test_cone_count_matches_brute_force_random_rank2():
@@ -110,40 +115,46 @@ def test_cone_count_matches_brute_force_random_rank2():
         arr = build_arrangement(f, g)
         if not arr.forms:
             continue
-        cones = enumerate_cones(arr)
-        assert len(cones) == brute_force_region_count(arr.forms, 2)
-        # distinct sign vectors
-        assert len({c.signs for c in cones}) == len(cones)
+        cones = brute_force_region_count(arr.forms, 2)
+        # a budget the cones fit in is never exceeded by the flats
+        assert cones == 2 * len(enumerate_lines(arr, budget=cones))
 
 
-def test_cone_cover_and_ray_sign_compatibility():
-    rng = Random(29)
-    for _ in range(10):
-        f = random_rho(rng, 3)
-        g = random_rho(rng, 3)
-        arr = build_arrangement(f, g)
-        cones = enumerate_cones(arr)
+def brute_force_lines(arr):
+    """Oracle: the kernel, inside the orthogonal complement of the
+    lineality, of every (d-1)-subset of forms that has rank d-1."""
+    d = rank([list(x) for x in arr.forms])
+    lin = [list(r) for r in arr.lineality.rows]
+    out = set()
+    for subset in itertools.combinations(arr.forms, d - 1):
+        if rank([list(x) for x in subset]) != d - 1:
+            continue
+        (line,) = kernel([list(x) for x in subset] + lin, arr.rank)
+        out.add(normalize_form(line))
+    return sorted(out)
+
+
+def test_lines_match_brute_force_oracle_rank_le3():
+    rng = Random(47)
+    checked = 0
+    for _ in range(60):
+        r = rng.randint(1, 3)
+        arr = build_arrangement(random_rho(rng, r, max_forms=5),
+                                random_rho(rng, r, max_forms=5))
         if not arr.forms:
             continue
-        for c in cones:
-            for ray in c.generators:
-                for lam, s in zip(arr.forms, c.signs):
-                    val = sum(a * b for a, b in zip(lam, ray))
-                    assert s * val >= 0
-        for _ in range(10):
-            y = [F(rng.randint(-9, 9)) for _ in range(3)]
-            hits = sum(cone_contains(c, arr, y) for c in cones)
-            assert hits >= 1
-            if all(sum(a * b for a, b in zip(lam, y)) != 0
-                   for lam in arr.forms):
-                # points off every hyperplane lie in exactly one region
-                assert hits == 1
+        assert enumerate_lines(arr) == brute_force_lines(arr)
+        checked += 1
+    assert checked > 40
 
 
 def test_cone_budget_exceeded():
     f = rf(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)])
+    arr = build_arrangement(f, rf(2, []))
     with pytest.raises(ConeBudgetExceeded):
-        enumerate_cones(build_arrangement(f, rf(2, [])), budget=3)
+        enumerate_lines(arr, budget=2)
+    # the whole plane and three lines: four flats, fewer than the six cones
+    assert len(enumerate_lines(arr, budget=4)) == 3
 
 
 # --- dominance -------------------------------------------------------------
@@ -157,7 +168,7 @@ def test_dominance_zero_vs_anything():
 def test_dominance_equal_functions_margin_zero():
     f = rf(1, [((2,), 1), ((-2,), 1)])
     v = decide_dominance(f, f)
-    assert v.holds and v.margin == 0 and v.cone_count == 2
+    assert v.holds and v.margin == 0 and v.lines == ((F(1),),)
 
 
 def test_dominance_fails_with_exact_witness():
@@ -171,7 +182,7 @@ def test_dominance_fails_with_exact_witness():
 
 def test_dominance_empty_case():
     v = decide_dominance(rf(3, []), rf(3, []))
-    assert v.holds and v.margin == 0 and v.cone_count == 0
+    assert v.holds and v.margin == 0 and v.lines == ()
 
 
 def brute_force_dominates(f, g, N=25):
@@ -241,27 +252,12 @@ def test_dominance_scaling_invariance(seed, q):
     scaled = decide_dominance(fq, gq)
     assert scaled.holds == base.holds
     assert scaled.witness == base.witness
-    assert scaled.cone_count == base.cone_count
+    assert scaled.lines == base.lines
 
 
 def test_normalize_form_canonical():
     assert normalize_form([F(-2), F(4)]) == (F(1), F(-2))
     assert normalize_form([F(0), F(0)]) is None
-
-
-def test_every_cone_has_a_strict_interior_point():
-    # the sum of the extreme rays must realize every sign strictly, which
-    # witnesses full-dimensionality of each enumerated cone
-    rng = Random(43)
-    for _ in range(12):
-        rank = rng.randint(1, 3)
-        f, g = random_rho(rng, rank), random_rho(rng, rank)
-        arr = build_arrangement(f, g)
-        for c in enumerate_cones(arr):
-            interior = [sum(col) for col in zip(*c.generators)]
-            for lam, s in zip(arr.forms, c.signs):
-                val = sum(a * b for a, b in zip(lam, interior))
-                assert s * val > 0
 
 
 @settings(max_examples=60, deadline=None)
