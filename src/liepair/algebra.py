@@ -183,10 +183,6 @@ def killing_form_matrix(L: LieAlgebra):
     return K
 
 
-def _bracket_basis(L, i, j):
-    return L.structure[i][j]
-
-
 def _jacobi_defect(L, i, j, k):
     n = L.dim
     out = [ZERO] * n

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 from typing import Optional
 
@@ -30,14 +31,16 @@ from .algebra import (
     SubalgebraEmbedding,
     Subspace,
     ValidationError,
-    ad_matrix,
     bracket,
+    subspace_intersect,
     validate,
 )
 from .linalg import (
     ZERO,
     ONE,
-    exp_nilpotent,
+    express_in_rows,
+    frac,
+    integer_row,
     is_zero_vec,
     mat_vec,
     rank,
@@ -50,6 +53,7 @@ from .polyhedral import (
 )
 from .weights import (
     SplitTorus,
+    WeightSystem,
     rho_eval,
     rho_from_weights,
     validate_torus,
@@ -83,6 +87,11 @@ class InconsistentVerdicts(RuntimeError):
 
 class UnsupportedQuery(ValidationError):
     """The pair's recorded assertions do not license this question."""
+
+
+class NonTerminatingSeries(ValidationError):
+    """A word step's series Σ tᵏ/k!·(ad Z)ᵏ v has a nonzero term after
+    dim g terms, so ad Z is not nilpotent on v and the sum is not exact."""
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -182,7 +191,12 @@ class ParabolicSubalgebra:
 @dataclass(frozen=True)
 class AdWord:
     """A product of exp(t_i · ad Z_i) with each ad Z_i nilpotent.  The empty
-    word is the identity."""
+    word is the identity.
+
+    A step acts on a row v as the series Σ tᵏ/k!·(ad Z)ᵏ v, which stops at
+    its first zero term; a series that has not stopped after dim g terms
+    raises NonTerminatingSeries.  So every applied step is a finite exact
+    sum, equal to exp(t·ad Z)v."""
 
     steps: tuple  # tuple of (z_vector tuple, t Fraction)
 
@@ -191,19 +205,71 @@ class AdWord:
 
     @classmethod
     def from_json(cls, data):
-        return cls(steps=tuple((tuple(vec(s["z"])), Fraction(s["t"]))
+        return cls(steps=tuple((tuple(vec(s["z"])), frac(s["t"]))
                                for s in data))
 
     def apply_to_rows(self, g: LieAlgebra, rows):
-        out = [list(r) for r in rows]
-        for z, t in reversed(self.steps):
-            M = exp_nilpotent(ad_matrix(g, list(z)), t)
-            out = [mat_vec(M, r) for r in out]
-        return out
+        out = [integer_row(r) for r in rows]
+        for index, (z, t) in reversed(list(enumerate(self.steps, start=1))):
+            cols, den = _ad_columns(g, z)
+            a, b = frac(t).as_integer_ratio()
+            if a == 0:
+                continue
+            try:
+                out = [_exp_ad_row(cols, den, a, b, row) for row in out]
+            except NonTerminatingSeries as e:
+                raise NonTerminatingSeries(f"word step {index}: {e}") from None
+        return [[Fraction(x, d) if x else ZERO for x in nums] for nums, d in out]
 
     @property
     def length(self):
         return len(self.steps)
+
+
+def _ad_columns(g: LieAlgebra, z):
+    """ad Z as integer columns over a common denominator den: column i is a
+    list of (k, c), c != 0, with [Z, e_i] = Σ c·e_k / den."""
+    if len(z) != g.dim:
+        raise ValidationError(
+            f"dimension mismatch: algebra has dim {g.dim}, got a word step "
+            f"of length {len(z)}")
+    cols = [{} for _ in range(g.dim)]
+    for j, zj in enumerate(z):
+        if zj == 0:
+            continue
+        for i, entries in enumerate(g.sparse[j]):
+            col = cols[i]
+            for k, c in entries:
+                col[k] = col.get(k, ZERO) + zj * c
+    den = lcm(*[c.denominator for col in cols for c in col.values()])
+    return [[(k, c.numerator * (den // c.denominator))
+             for k, c in col.items() if c] for col in cols], den
+
+
+def _exp_ad_row(cols, den, a, b, row):
+    """exp(t·ad Z)v = Σ tᵏ/k!·(ad Z)ᵏ v for t = a/b, ad Z = cols/den and
+    v = nums/d given as row = (nums, d); returns the sum in the same form.
+    The k-th term is T_k/Q_k with T_k = a·cols·T_(k-1) and
+    Q_k = Q_(k-1)·b·k·den, so the sum stays over the denominator Q_k."""
+    nums, d = row
+    n = len(cols)
+    total, term = list(nums), nums
+    for k in range(1, n + 1):
+        image = [0] * n
+        for i, x in enumerate(term):
+            if x:
+                for j, c in cols[i]:
+                    image[j] += x * c
+        if not any(image):
+            common = gcd(d, *total)
+            return [x // common for x in total], d // common
+        scale = b * k * den
+        term = [a * x for x in image]
+        total = [scale * s + x for s, x in zip(total, term)]
+        d *= scale
+    raise NonTerminatingSeries(
+        f"exp(t·ad Z) has a nonzero term after {n} terms; ad Z is not "
+        "nilpotent on the row")
 
 
 @dataclass(frozen=True)
@@ -217,15 +283,16 @@ class Verdict:
     notes: tuple = ()
 
 
-def minimal_parabolic(pair: Pair, xi="generic", seed=0) -> ParabolicSubalgebra:
-    """Minimal parabolic subalgebra of g for a chamber functional on torus_g.
+def minimal_parabolic(ws: WeightSystem, xi="generic", seed=0) -> ParabolicSubalgebra:
+    """Minimal parabolic subalgebra of g for a chamber functional on torus_g,
+    from the restricted weights ws = weight_decomposition(torus_g, "g"),
+    which a question computes once and shares with nilpotent_pool.
 
     A generic functional is drawn by exact rejection sampling so that no
     nonzero restricted weight vanishes on it; a supplied functional that does
     raises DegenerateFunctional (a larger, non-minimal parabolic would result).
     """
-    ws = weight_decomposition(pair.torus_g, "g")
-    r = pair.torus_g.rank
+    r = ws.torus.rank
     nonzero = [lam for lam, _ in ws.weights if any(x != 0 for x in lam)]
     if xi == "generic":
         rng = Random(derive_seed(seed, "chamber"))
@@ -257,9 +324,10 @@ def minimal_parabolic(pair: Pair, xi="generic", seed=0) -> ParabolicSubalgebra:
             nil_rows.extend(list(v) for v in vecs_)
         if all(x == 0 for x in lam):
             zero_dim = len(vecs_)
-    sub = Subspace.from_rows(pair.g.dim, rows)
-    _assert_bracket_closed(pair.g, sub)
-    return ParabolicSubalgebra(torus=pair.torus_g, chamber=tuple(xi),
+    g = ws.torus.ambient
+    sub = Subspace.from_rows(g.dim, rows)
+    _assert_bracket_closed(g, sub)
+    return ParabolicSubalgebra(torus=ws.torus, chamber=tuple(xi),
                                subspace=sub,
                                nilradical_rows=tuple(tuple(v) for v in nil_rows),
                                zero_weight_dim=zero_dim)
@@ -267,18 +335,18 @@ def minimal_parabolic(pair: Pair, xi="generic", seed=0) -> ParabolicSubalgebra:
 
 def _assert_bracket_closed(g, sub: Subspace):
     rows = [list(r) for r in sub.rows]
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if not sub.contains_vector(bracket(g, rows[i], rows[j])):
-                raise ValidationError(
-                    "parabolic construction produced a non-closed subspace; "
-                    "this indicates an invalid torus designation")
+    brackets = [bracket(g, rows[i], rows[j])
+                for i in range(len(rows)) for j in range(i + 1, len(rows))]
+    if None in express_in_rows(rows, brackets):
+        raise ValidationError(
+            "parabolic construction produced a non-closed subspace; "
+            "this indicates an invalid torus designation")
 
 
-def nilpotent_pool(pair: Pair):
+def nilpotent_pool(ws: WeightSystem):
     """Root vectors of g: basis vectors of the nonzero restricted weight
-    spaces of torus_g.  Each is ad-nilpotent (verified exactly on use)."""
-    ws = weight_decomposition(pair.torus_g, "g")
+    spaces in ws = weight_decomposition(torus_g, "g").  Each is ad-nilpotent
+    (verified exactly on use)."""
     pool = []
     for lam, v in weight_vectors_in_ambient(ws):
         if any(x != 0 for x in lam):
@@ -298,10 +366,12 @@ def _random_word(pool, rng) -> AdWord:
 
 
 def _open_orbit_search(pair: Pair, samples: int, seed: int):
-    """Search for a word w with Ad(w)·p + h = g.  Returns (word, parabolic)
-    on success, (None, parabolic) after exhausting the sample budget."""
-    par = minimal_parabolic(pair, seed=seed)
-    pool = nilpotent_pool(pair)
+    """Search for a word w with Ad(w)·p + h = g.  Returns (word, parabolic,
+    words tried, root-vector pool); word is None after exhausting the
+    sample budget."""
+    ws = weight_decomposition(pair.torus_g, "g")
+    par = minimal_parabolic(ws, seed=seed)
+    pool = nilpotent_pool(ws)
     h_rows = [list(r) for r in pair.h.rows]
     need = pair.g.dim
     rng = Random(derive_seed(seed, "orbit-words"))
@@ -313,14 +383,14 @@ def _open_orbit_search(pair: Pair, samples: int, seed: int):
         tried += 1
         moved = word.apply_to_rows(pair.g, par.subspace.rows)
         if rank(moved + h_rows) == need:
-            return word, par, tried
-    return None, par, tried
+            return word, par, tried, pool
+    return None, par, tried, pool
 
 
 def check_real_spherical(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Verdict:
     """Certify real sphericity: an exact word witnessing an open orbit of the
     minimal parabolic, or probable_no after the sample budget."""
-    word, par, tried = _open_orbit_search(pair, samples, seed)
+    word, par, tried, pool = _open_orbit_search(pair, samples, seed)
     notes = []
     if pair.h.dim == 0:
         notes.append(
@@ -352,7 +422,7 @@ def check_real_spherical(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Verdict
             "dimension count dim p + dim h < dim g already precludes an open "
             "orbit at every point; the outcome class remains probable_no "
             "because the certified-no channel is reserved")
-    if not nilpotent_pool(pair):
+    if not pool:
         # no root vectors means no words beyond the base point, so a failure
         # there leaves the search with nothing to certify either way
         return Verdict(
@@ -382,7 +452,7 @@ def check_complex_spherical(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Verd
         raise MissingComplexData(
             f"pair {pair.name or '?'} carries no complexification data")
     comp = pair.complexification
-    word, par, tried = _open_orbit_search(comp, samples, seed)
+    word, par, tried, _ = _open_orbit_search(comp, samples, seed)
     notes = ["computed on the realified complexification "
              f"(dim {comp.g.dim})"]
     if pair.h.dim == 0:
@@ -509,7 +579,7 @@ def generic_stabilizer(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Stabilize
     the generic stabilizer dimension, certified at its witness word; that it
     is the generic value is Monte Carlo evidence.
     """
-    pool = nilpotent_pool(pair)
+    pool = nilpotent_pool(weight_decomposition(pair.torus_g, "g"))
     rng = Random(derive_seed(seed, "stabilizer-words"))
     h_rows = [list(r) for r in pair.h.rows]
     h_space = pair.h.subspace()
@@ -519,10 +589,11 @@ def generic_stabilizer(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Stabilize
     best = None
     for word in words:
         moved = word.apply_to_rows(pair.g, h_rows)
-        inter = _intersect(h_space, moved)
-        if best is None or inter.dim < best[1].dim:
-            best = (word, inter)
-            if inter.dim == 0:
+        # Ad(w) is invertible, so dim(h ∩ Ad(w)h) = 2 dim h - dim(h + Ad(w)h)
+        dim = 2 * len(h_rows) - rank(h_rows + moved)
+        if best is None or dim < best[1].dim:
+            best = (word, _intersect(h_space, moved))
+            if dim == 0:
                 break
     word, inter = best
     abelian = _is_abelian(pair.g, inter)
@@ -533,8 +604,6 @@ def generic_stabilizer(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Stabilize
 
 def _intersect(h_space: Subspace, moved_rows):
     other = Subspace.from_rows(h_space.ambient, moved_rows)
-    from .algebra import subspace_intersect
-
     return subspace_intersect(h_space, other)
 
 
@@ -620,24 +689,67 @@ def interpret(pair: Pair, verdicts) -> Interpretation:
 def verify_certificate(pair: Pair, verdict: Verdict):
     """Re-check a verdict's certificate from its serialized data alone.
 
-    Returns (ok, detail).  Ranks are recomputed from scratch and rho values
-    re-evaluated at every stored line or ray; nothing from the original run
-    is trusted beyond the certificate payload.  A malformed dominance
-    certificate fails with a detail instead of raising.
+    Returns (ok, detail).  The certificate's kind must support the verdict's
+    question and outcome (see _supported_claim).  Ranks are recomputed from
+    scratch and rho values re-evaluated at every stored line or ray; nothing
+    from the original run is trusted beyond the certificate payload.  A
+    malformed certificate fails with a detail instead of raising.
     """
     cert = verdict.certificate
     if cert is None:
         return False, "no certificate attached"
+    if not isinstance(cert, dict):
+        return False, "certificate is not an object"
     kind = cert.get("kind")
+    try:
+        claim = _supported_claim(cert)
+        if claim is None:
+            return False, f"unknown certificate kind {kind!r}"
+        if claim != (verdict.question, verdict.outcome):
+            return False, (f"a {kind} certificate supports {claim[1]} for "
+                           f"{claim[0]}, not {verdict.outcome} for "
+                           f"{verdict.question}")
+        return _recheck(pair, cert)
+    except KeyError as e:
+        return False, f"malformed {kind} certificate: missing key {e}"
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        return False, f"malformed {kind} certificate: {e}"
+
+
+def _supported_claim(cert):
+    """The (question, outcome) a certificate can support, or None for an
+    unknown kind.  A stabilizer certificate supports the outcome that its
+    abelian flag implies."""
+    kind = cert.get("kind")
+    if kind in ("rank-zero-torus", "dominance"):
+        return "tempered", "yes_certified"
+    if kind == "dominance-violation":
+        return "tempered", "no_certified"
+    if kind == "open-orbit":
+        questions = {"g": "real_spherical",
+                     "complexification": "complex_spherical"}
+        if cert.get("space") not in questions:
+            raise ValueError(f"unknown space {cert.get('space')!r}")
+        return questions[cert["space"]], "yes_certified"
+    if kind == "stabilizer":
+        if not isinstance(cert.get("abelian"), bool):
+            raise ValueError("abelian is not a boolean")
+        return ("generic_stabilizer_abelian",
+                "yes_certified" if cert["abelian"] else "probable_no")
+    return None
+
+
+def _recheck(pair: Pair, cert):
+    """verify_certificate's recomputation for a certificate of known kind;
+    raises KeyError, TypeError, ValueError or ZeroDivisionError on
+    malformed data."""
+    kind = cert["kind"]
     if kind == "rank-zero-torus":
         ok = pair.torus_h.rank == 0
         return ok, "torus_h rank is 0" if ok else "torus_h rank is nonzero"
     if kind == "dominance":
-        try:
-            lines = _stored_lines(cert, pair.torus_h.rank)
-            stored = Fraction(cert["margin"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-            return False, f"malformed dominance certificate: {e}"
+        lines = _stored_lines(cert, pair.torus_h.rank)
+        stored = Fraction(cert["margin"])
         if cert.get("line_count") != len(lines):
             return False, (f"stored line_count {cert.get('line_count')!r} "
                            f"!= {len(lines)} stored lines")
@@ -663,14 +775,15 @@ def verify_certificate(pair: Pair, verdict: Verdict):
             return False, "stored rho values do not match recomputation"
         return True, f"violation re-verified: {vh} > {vq}"
     if kind == "open-orbit":
-        target = pair if cert.get("space") == "g" else pair.complexification
+        target = pair if cert["space"] == "g" else pair.complexification
         if target is None:
             return False, "certificate refers to a missing complexification"
         word = AdWord.from_json(cert["word"])
         par_rows = [vec(r) for r in cert["parabolic_rows"]]
         sub = Subspace.from_rows(target.g.dim, par_rows)
         # the stored rows must really be a parabolic for the stored chamber
-        recomputed = minimal_parabolic(target, xi=cert["chamber"])
+        recomputed = minimal_parabolic(
+            weight_decomposition(target.torus_g, "g"), xi=cert["chamber"])
         if recomputed.subspace != sub:
             return False, "stored parabolic rows do not match the chamber"
         moved = word.apply_to_rows(target.g, sub.rows)
@@ -678,21 +791,20 @@ def verify_certificate(pair: Pair, verdict: Verdict):
         if got != cert["rank_achieved"] or got != target.g.dim:
             return False, f"rank recomputation gives {got}, not {target.g.dim}"
         return True, f"open orbit re-verified at word of length {word.length}"
-    if kind == "stabilizer":
-        word = AdWord.from_json(cert["word"])
-        moved = word.apply_to_rows(pair.g, [list(r) for r in pair.h.rows])
-        inter = _intersect(pair.h.subspace(), moved)
-        if inter.dim != cert["dimension"]:
-            return False, (f"intersection dimension {inter.dim} != stored "
-                           f"{cert['dimension']}")
-        stored_rows = Subspace.from_rows(pair.g.dim,
-                                         [vec(r) for r in cert["rows"]])
-        if stored_rows != inter:
-            return False, "stored representative does not match recomputation"
-        if _is_abelian(pair.g, inter) != cert["abelian"]:
-            return False, "stored abelian flag does not match recomputation"
-        return True, f"stabilizer re-verified at dimension {inter.dim}"
-    return False, f"unknown certificate kind {kind!r}"
+    # the one kind left is "stabilizer"
+    word = AdWord.from_json(cert["word"])
+    moved = word.apply_to_rows(pair.g, [list(r) for r in pair.h.rows])
+    inter = _intersect(pair.h.subspace(), moved)
+    if inter.dim != cert["dimension"]:
+        return False, (f"intersection dimension {inter.dim} != stored "
+                       f"{cert['dimension']}")
+    stored_rows = Subspace.from_rows(pair.g.dim,
+                                     [vec(r) for r in cert["rows"]])
+    if stored_rows != inter:
+        return False, "stored representative does not match recomputation"
+    if _is_abelian(pair.g, inter) != cert["abelian"]:
+        return False, "stored abelian flag does not match recomputation"
+    return True, f"stabilizer re-verified at dimension {inter.dim}"
 
 
 def _stored_lines(cert, rank):

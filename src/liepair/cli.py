@@ -143,7 +143,11 @@ def cmd_verify(args) -> int:
     import json
 
     with open(args.report, encoding="utf-8") as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh)
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise ValidationError(
+                f"{args.report} is not a JSON report: {e}") from e
     is_suite = isinstance(report, dict) and report.get("schema") == SUITE_SCHEMA
     reports = report["reports"] if is_suite else [report]
     all_ok = True

@@ -4,7 +4,10 @@ Matrices are lists of rows of Fraction; vectors are lists of Fraction.
 Functions never mutate their arguments.  Reduced row echelon form (pivot
 entries 1, pivot columns strictly increasing, zero rows dropped) is the
 canonical representative used everywhere, so equality of spans is literal
-equality of the reduced matrices.
+equality of the reduced matrices.  `rref` computes it by fraction-free
+elimination over the integers and builds a Fraction only for the nonzero
+entries of its result; the output is the same canonical form that
+Gauss-Jordan elimination over ℚ gives.
 
 Floating point appears in exactly one role: proposing eigenvalue candidates
 that are then certified exactly (kernel dimensions must sum to the ambient
@@ -14,7 +17,7 @@ dimension).  No verdict ever depends on a float.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -52,21 +55,6 @@ def vec(entries) -> list:
     return [frac(x) for x in entries]
 
 
-def mat(rows) -> list:
-    return [vec(r) for r in rows]
-
-
-def zeros(nrows, ncols):
-    return [[ZERO] * ncols for _ in range(nrows)]
-
-
-def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = ONE
-    return out
-
-
 def identity_rows(n):
     return [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
 
@@ -81,18 +69,6 @@ def mat_vec(A, v):
 
 def vec_dot(u, v):
     return sum((a * b for a, b in zip(u, v) if a != 0 and b != 0), ZERO)
-
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, u):
-    return [c * a for a in u]
 
 
 def is_zero_vec(u):
@@ -110,8 +86,15 @@ def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def is_zero_mat(A):
-    return all(is_zero_vec(row) for row in A)
+def integer_row(row):
+    """(ints, den) with row = ints / den, where den is the lcm of the
+    denominators of the row's entries."""
+    ratios = [(x if type(x) is Fraction else frac(x)).as_integer_ratio()
+              for x in row]
+    den = lcm(*[d for _, d in ratios])
+    if den == 1:
+        return [n for n, _ in ratios], 1
+    return [n * (den // d) for n, d in ratios], den
 
 
 def rref(rows, ncols=None):
@@ -120,33 +103,48 @@ def rref(rows, ncols=None):
     Returns (reduced_rows, pivot_columns) with rows as tuples.  Zero rows are
     dropped.  With `ncols` set, pivots are sought only in the first `ncols`
     columns and *all* rows are returned (used for augmented solves, where the
-    trailing rows carry consistency information).
+    trailing rows carry consistency information); of the trailing rows only
+    the zero pattern is meaningful, since each is scaled by a nonzero
+    factor.
+
+    Elimination is fraction-free: each row is scaled to integers by the lcm
+    of its denominators, a row update p·row − f·pivot_row is divided by the
+    gcd of its entries, and a row whose entry in the pivot column is already
+    zero is left alone.  Every row stays proportional to its Gauss-Jordan
+    counterpart over ℚ, so the pivots are the same, and dividing each pivot
+    row by its pivot entry at the end gives the canonical rows.
     """
-    m = [list(vec(r)) for r in rows]
+    m = [integer_row(r)[0] for r in rows]
     nrows = len(m)
     width = len(m[0]) if nrows else 0
     limit = width if ncols is None else ncols
     piv_cols = []
     r = 0
     for c in range(limit):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = ONE / m[r][c]
-        if inv != 1:
-            m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i == r or not f:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            new = [a * x - b * y for x, y in zip(m[i], prow)]
+            g = gcd(*new)
+            m[i] = [x // g for x in new] if g > 1 else new
         piv_cols.append(c)
         r += 1
         if r == nrows:
             break
-    if ncols is not None:
-        return [tuple(row) for row in m], piv_cols
-    return [tuple(row) for row in m[:r]], piv_cols
+    out = []
+    for i, row in enumerate(m if ncols is not None else m[:r]):
+        d = row[piv_cols[i]] if i < r else 1
+        out.append(tuple(Fraction(x, d) if x else ZERO for x in row))
+    return out, piv_cols
 
 
 def rank(rows) -> int:
@@ -202,38 +200,6 @@ def express_in_rows(rows, targets):
                 break
         out.append(coords if ok else None)
     return out
-
-
-def mat_pow_until_zero(A, max_power):
-    """Powers A, A², … until the zero matrix; returns the list of nonzero
-    powers, or None if A^max_power is still nonzero."""
-    powers = []
-    P = A
-    for _ in range(max_power):
-        if is_zero_mat(P):
-            return powers
-        powers.append(P)
-        P = mat_mul(P, A)
-    return None if not is_zero_mat(P) else powers
-
-
-def exp_nilpotent(A, t=ONE):
-    """exp(t·A) for nilpotent A, as an exact polynomial matrix."""
-    n = len(A)
-    powers = mat_pow_until_zero(A, n + 1)
-    if powers is None:
-        raise ValueError("matrix is not nilpotent; exact exponential unavailable")
-    M = identity(n)
-    tk = ONE
-    for k, P in enumerate(powers, start=1):
-        tk *= t
-        c = tk / factorial(k)
-        for i in range(n):
-            Mi, Pi = M[i], P[i]
-            for j in range(n):
-                if Pi[j] != 0:
-                    Mi[j] += c * Pi[j]
-    return M
 
 
 def charpoly(A):

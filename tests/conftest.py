@@ -2,10 +2,14 @@
 
 The builders here construct sl(2) and sl(3) directly from explicit matrices
 inside the test process, independent of the catalog module, so catalog
-output can be checked against them.
+output can be checked against them.  `rref_oracle` and
+`exp_nilpotent_oracle` are the plain Gauss-Jordan elimination over
+Fraction and the dense matrix exponential that the library replaced with
+integer elimination and sparse series on rows; the tests compare the two.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -77,3 +81,55 @@ def assert_rho_matches_numeric(torus, space, rho, y_coords, rtol=1e-9):
 
 def random_fraction(rng, num=9, den=9):
     return F(rng.randint(-num, num), rng.randint(1, den))
+
+
+def rref_oracle(rows, ncols=None):
+    """Gauss-Jordan elimination over Fraction, with the same contract as
+    `liepair.linalg.rref` (in `ncols` mode the trailing rows are the actual
+    residuals)."""
+    m = [[F(x) for x in r] for r in rows]
+    nrows = len(m)
+    width = len(m[0]) if nrows else 0
+    limit = width if ncols is None else ncols
+    piv_cols = []
+    r = 0
+    for c in range(limit):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    if ncols is not None:
+        return [tuple(row) for row in m], piv_cols
+    return [tuple(row) for row in m[:r]], piv_cols
+
+
+def _mat_mul(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), F(0)) for col in zip(*B)]
+            for row in A]
+
+
+def exp_nilpotent_oracle(A, t):
+    """exp(t·A) for a nilpotent matrix A, as the dense sum of its powers;
+    raises ValueError when A is not nilpotent."""
+    n = len(A)
+    M = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    P = A
+    for k in range(1, n + 1):
+        if all(x == 0 for row in P for x in row):
+            return M
+        c = F(t) ** k / factorial(k)
+        M = [[m + c * p for m, p in zip(mr, pr)] for mr, pr in zip(M, P)]
+        P = _mat_mul(P, A)
+    if any(x != 0 for row in P for x in row):
+        raise ValueError("matrix is not nilpotent")
+    return M

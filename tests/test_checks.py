@@ -1,17 +1,28 @@
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liepair.algebra import Subspace
-from liepair.catalog import build_fixture, pair_symmetric, pair_trivial_h
+from conftest import exp_nilpotent_oracle
+from liepair.algebra import Subspace, ValidationError, ad_matrix
+from liepair.catalog import (
+    build_fixture,
+    construct_from_spec,
+    pair_symmetric,
+    pair_trivial_h,
+)
 from liepair.checks import (
     AdWord,
     DegenerateFunctional,
     InconsistentVerdicts,
     MissingComplexData,
+    NonTerminatingSeries,
     UnsupportedQuery,
     Verdict,
+    _intersect,
     check_complex_spherical,
     check_generic_stabilizer,
     check_real_spherical,
@@ -19,12 +30,19 @@ from liepair.checks import (
     generic_stabilizer,
     interpret,
     minimal_parabolic,
+    nilpotent_pool,
     run_question,
     verify_certificate,
 )
+from liepair.linalg import mat_vec, rank
 from liepair.report import verdict_from_json, verdict_to_json
+from liepair.weights import weight_decomposition
 
 F = Fraction
+
+
+def g_weights(pair):
+    return weight_decomposition(pair.torus_g, "g")
 
 
 def unit(L, label):
@@ -37,7 +55,7 @@ def unit(L, label):
 
 def test_minimal_parabolic_sl2_explicit_chamber():
     pair = build_fixture("sl2_split_torus")
-    par = minimal_parabolic(pair, xi=[F(1)])
+    par = minimal_parabolic(g_weights(pair), xi=[F(1)])
     expected = Subspace.from_rows(3, [unit(pair.g, "H1"), unit(pair.g, "E12")])
     assert par.subspace == expected
     assert par.zero_weight_dim == 1
@@ -45,7 +63,7 @@ def test_minimal_parabolic_sl2_explicit_chamber():
 
 def test_minimal_parabolic_sl3_upper_triangular():
     pair = build_fixture("sl3_sl2_topleft")
-    par = minimal_parabolic(pair, xi=[F(1), F(1)])
+    par = minimal_parabolic(g_weights(pair), xi=[F(1), F(1)])
     expected = Subspace.from_rows(8, [
         unit(pair.g, "H1"), unit(pair.g, "H2"),
         unit(pair.g, "E12"), unit(pair.g, "E13"), unit(pair.g, "E23")])
@@ -56,7 +74,7 @@ def test_minimal_parabolic_sl3_upper_triangular():
 def test_minimal_parabolic_generic_is_closed_and_contains_zero_space():
     for name in ("group_sl2", "sl2c_cartan", "whittaker_sl3"):
         pair = build_fixture(name)
-        par = minimal_parabolic(pair, seed=0)
+        par = minimal_parabolic(g_weights(pair), seed=0)
         assert par.subspace.dim >= (pair.g.dim + pair.torus_g.rank) // 2
         for row in pair.torus_g.rows:
             assert par.subspace.contains_vector(list(row))
@@ -65,12 +83,12 @@ def test_minimal_parabolic_generic_is_closed_and_contains_zero_space():
 def test_minimal_parabolic_well_formed_for_every_catalog_base():
     # bracket-closed (asserted by construction) and contains the full
     # zero-weight space, i.e. the centralizer of torus_g
-    from liepair.weights import weight_decomposition, weight_vectors_in_ambient
+    from liepair.weights import weight_vectors_in_ambient
 
     for spec in ("sl2", "sl3", "sl4", "so_2_3", "su_1_2", "sp_4", "sl2C"):
         pair = pair_trivial_h(spec)
-        par = minimal_parabolic(pair, seed=0)
-        ws = weight_decomposition(pair.torus_g, "g")
+        ws = g_weights(pair)
+        par = minimal_parabolic(ws, seed=0)
         for lam, v in weight_vectors_in_ambient(ws):
             if all(x == 0 for x in lam):
                 assert par.subspace.contains_vector(v), spec
@@ -80,7 +98,7 @@ def test_minimal_parabolic_well_formed_for_every_catalog_base():
 
 def test_minimal_parabolic_compact_base_is_everything():
     pair = pair_trivial_h("so3")
-    par = minimal_parabolic(pair)
+    par = minimal_parabolic(g_weights(pair))
     assert par.subspace.dim == 3
 
 
@@ -88,7 +106,7 @@ def test_degenerate_functional_rejected():
     pair = build_fixture("sl3_sl2_topleft")
     # (2, 1) pairs to zero with the root (-1, 2)... check: -2 + 2 = 0
     with pytest.raises(DegenerateFunctional):
-        minimal_parabolic(pair, xi=[F(2), F(1)])
+        minimal_parabolic(g_weights(pair), xi=[F(2), F(1)])
 
 
 # --- real sphericity -------------------------------------------------------
@@ -326,3 +344,145 @@ def test_word_application_is_exact():
     moved = word.apply_to_rows(g, [unit(g, "H1")])
     # Ad(exp(t ad E))H = H - 2tE for sl2
     assert moved == [[F(1), F(-1), F(0)]]
+
+
+# --- word application against the dense exponential -------------------------
+
+WORD_PAIRS = ("sl2_split_torus", "group_sl2", "triple_sl2", "whittaker_sl3",
+              "so23_so22", "group_sl2c")
+
+
+@lru_cache(maxsize=None)
+def pair_and_pool(name):
+    pair = build_fixture(name)
+    return pair, nilpotent_pool(g_weights(pair))
+
+
+@st.composite
+def word_on_pair(draw):
+    """A catalog pair and a random word of 1-4 root-vector steps from its
+    nilpotent pool, as the searches sample them."""
+    pair, pool = pair_and_pool(draw(st.sampled_from(WORD_PAIRS)))
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from(pool),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=9)),
+        min_size=1, max_size=4))
+    return pair, AdWord(steps=tuple(steps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_on_pair())
+def test_word_application_matches_dense_exponential(case):
+    pair, word = case
+    g = pair.g
+    rows = [list(r) for r in minimal_parabolic(g_weights(pair)).subspace.rows]
+    want = [list(r) for r in rows]
+    for z, t in reversed(word.steps):
+        M = exp_nilpotent_oracle(ad_matrix(g, list(z)), t)
+        want = [mat_vec(M, r) for r in want]
+    assert word.apply_to_rows(g, rows) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_on_pair())
+def test_stabilizer_rank_shortcut_equals_intersection(case):
+    pair, word = case
+    h_rows = [list(r) for r in pair.h.rows]
+    moved = word.apply_to_rows(pair.g, h_rows)
+    assert 2 * len(h_rows) - rank(h_rows + moved) \
+        == _intersect(pair.h.subspace(), moved).dim
+
+
+def test_non_nilpotent_step_raises_a_validation_error():
+    pair = build_fixture("sl2_split_torus")
+    g = pair.g
+    word = AdWord(steps=((tuple(unit(g, "E12")), F(1)),
+                         (tuple(pair.torus_g.rows[0]), F(1, 3))))
+    with pytest.raises(NonTerminatingSeries, match="step 2") as err:
+        word.apply_to_rows(g, [unit(g, "E12")])
+    assert isinstance(err.value, ValidationError)
+    with pytest.raises(ValidationError, match="length 2"):
+        AdWord(steps=(((F(1), F(0)), F(1)),)).apply_to_rows(g, [unit(g, "H1")])
+
+
+# --- the verifier reads the claimed outcome and never raises ---------------
+
+def test_violation_relabelled_yes_fails():
+    pair = build_fixture("so23_so22")
+    blob = verdict_to_json(check_tempered(pair))
+    assert blob["certificate"]["kind"] == "dominance-violation"
+    assert verify_certificate(pair, verdict_from_json(blob))[0]
+    blob["outcome"] = "yes_certified"
+    ok, detail = verify_certificate(pair, verdict_from_json(blob))
+    assert not ok and "supports no_certified" in detail
+
+
+def test_every_certificate_fails_under_another_outcome_or_question():
+    from liepair.checks import OUTCOMES, QUESTIONS
+
+    for name, pair, v in all_fixture_verdicts():
+        if v.certificate is None:
+            continue
+        for question in QUESTIONS:
+            for outcome in OUTCOMES:
+                if (question, outcome) == (v.question, v.outcome):
+                    continue
+                blob = verdict_to_json(v)
+                blob.update(question=question, outcome=outcome)
+                ok, _ = verify_certificate(pair, verdict_from_json(blob))
+                assert not ok, (name, v.question, question, outcome)
+
+
+def _drop(key):
+    return lambda cert: cert["word"][0].pop(key)
+
+
+def _set_step(key, value):
+    return lambda cert: cert["word"][0].update({key: value})
+
+
+@lru_cache(maxsize=None)
+def triple_sl2_open_orbit():
+    pair = construct_from_spec("triple_diagonal:sl2")
+    v = check_real_spherical(pair, samples=64, seed=0)
+    assert v.outcome == "yes_certified" and v.certificate["word"]
+    return pair, json.dumps(verdict_to_json(v))
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop("t"), _drop("z"), _set_step("z", ["1", "0"]),
+    _set_step("z", None), _set_step("t", "1/0"), _set_step("t", 0.5),
+    lambda c: c.update(word="abc"), lambda c: c.update(word=[["1"]]),
+    lambda c: c.pop("chamber"), lambda c: c.update(chamber=["0"] * len(c["chamber"])),
+    lambda c: c.update(space="elsewhere"),
+], ids=["no-t", "no-z", "short-z", "null-z", "zero-denominator", "float-t",
+        "word-string", "step-list", "no-chamber", "degenerate-chamber",
+        "unknown-space"])
+def test_malformed_open_orbit_certificate_fails(mutate):
+    pair, text = triple_sl2_open_orbit()
+    blob = json.loads(text)
+    mutate(blob["certificate"])
+    ok, detail = verify_certificate(pair, verdict_from_json(blob))
+    assert not ok and "malformed open-orbit certificate" in detail
+
+
+def test_non_terminating_word_step_fails():
+    pair, text = triple_sl2_open_orbit()
+    blob = json.loads(text)
+    # a torus element: ad of it is semisimple with nonzero eigenvalues, so
+    # its series never stops on the root vectors among the parabolic rows
+    blob["certificate"]["word"][0]["z"] = [str(x) for x in pair.torus_g.rows[0]]
+    ok, detail = verify_certificate(pair, verdict_from_json(blob))
+    assert not ok and "nonzero term" in detail
+
+
+def test_malformed_stabilizer_certificate_fails():
+    pair = build_fixture("group_sl2")
+    blob = verdict_to_json(check_generic_stabilizer(pair, samples=64, seed=0))
+    assert blob["certificate"]["word"]
+    blob["certificate"]["word"][0].pop("t")
+    ok, detail = verify_certificate(pair, verdict_from_json(blob))
+    assert not ok and "malformed stabilizer" in detail
+    blob["certificate"]["abelian"] = "yes"
+    ok, detail = verify_certificate(pair, verdict_from_json(blob))
+    assert not ok and "abelian" in detail

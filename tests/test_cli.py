@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from liepair.catalog import fixtures_dir
 from liepair.cli import main
 
@@ -149,6 +151,29 @@ def test_verify_rejects_an_old_schema(tmp_path, capsys):
                                       "reports": [rep]}))
     code, out, err = run(capsys, "verify", str(suite_path))
     assert code == 2 and out == "" and "liepair.report-suite/1" in err
+
+
+def test_verify_fails_a_word_step_without_t(tmp_path, capsys):
+    rep_path = tmp_path / "report.json"
+    run(capsys, "check", "--family", "triple_diagonal:sl2", "--format",
+        "machine", "--output", str(rep_path), "--questions", "real-spherical")
+    rep = json.loads(rep_path.read_text())
+    cert = rep["verdicts"][0]["certificate"]
+    assert cert["kind"] == "open-orbit" and cert["word"]
+    del cert["word"][0]["t"]
+    rep_path.write_text(json.dumps(rep))
+    code, out, err = run(capsys, "verify", str(rep_path))
+    assert code == 1 and err == ""
+    assert out.startswith("FAIL") and "missing key 't'" in out
+
+
+@pytest.mark.parametrize("content", [b"not json {", b"\xff\xfe\x00", b""])
+def test_verify_rejects_a_file_that_is_not_json(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert "not a JSON report" in err
 
 
 def test_fixtures_subcommand_human(capsys):

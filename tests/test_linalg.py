@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rref_oracle
+from liepair.checks import AdWord, NonTerminatingSeries
 from liepair.linalg import (
     IrrationalSpectrumError,
     NotDiagonalizableError,
     charpoly,
     eigensplit,
-    exp_nilpotent,
     express_in_rows,
     frac,
     kernel,
@@ -92,12 +93,19 @@ def test_eigensplit_irrational_real_roots():
         eigensplit([[F(0), F(2)], [F(1), F(0)]])
 
 
-def test_exp_nilpotent_polynomial():
-    N = [[F(0), F(1), F(0)], [F(0), F(0), F(1)], [F(0), F(0), F(0)]]
-    M = exp_nilpotent(N, F(2))
-    assert M == [[F(1), F(2), F(2)], [F(0), F(1), F(2)], [F(0), F(0), F(1)]]
-    with pytest.raises(ValueError):
-        exp_nilpotent([[F(1)]], F(1))
+def test_exp_nilpotent_polynomial(sl2):
+    # basis H1, E12, E21: ad E12 sends E21 to H1 and H1 to -2 E12, so
+    # exp(t ad E12) E21 = E21 + t H1 - t² E12, a polynomial in t
+    E = [F(0), F(1), F(0)]
+    word = AdWord(steps=((tuple(E), F(2)),))
+    assert word.apply_to_rows(sl2, [[F(0), F(0), F(1)], [F(1), F(0), F(0)]]) \
+        == [[F(2), F(-4), F(1)], [F(1), F(-4), F(0)]]
+    # ad H1 is not nilpotent: its series on E12 never stops, but on H1 it
+    # stops at once, since the series only has to terminate on the rows moved
+    H = AdWord(steps=((tuple([F(1), F(0), F(0)]), F(1)),))
+    assert H.apply_to_rows(sl2, [[F(1), F(0), F(0)]]) == [[F(1), F(0), F(0)]]
+    with pytest.raises(NonTerminatingSeries, match="step 1"):
+        H.apply_to_rows(sl2, [E])
 
 
 @st.composite
@@ -120,3 +128,41 @@ def test_rref_idempotent(A):
     red, piv = rref(A)
     again, piv2 = rref([list(r) for r in red])
     assert again == red and piv2 == piv
+
+
+fractions_or_zero = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-6, max_value=6, max_denominator=6))
+
+
+@st.composite
+def rref_input(draw):
+    """Matrices of 0-7 rows and 0-7 columns, wide or tall, with many zero
+    entries, repeated rows and zero rows, and an optional `ncols`."""
+    nrows = draw(st.integers(min_value=0, max_value=7))
+    width = draw(st.integers(min_value=0, max_value=7))
+    rows = [[draw(fractions_or_zero) for _ in range(width)]
+            for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        rows.append([F(0)] * width)
+    if rows and draw(st.booleans()):
+        rows.append([2 * x for x in rows[0]])
+    ncols = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=width)))
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_input())
+def test_rref_matches_fraction_gauss_jordan(case):
+    rows, ncols = case
+    red, piv = rref(rows, ncols)
+    want, want_piv = rref_oracle(rows, ncols)
+    assert piv == want_piv
+    assert all(type(x) is F for row in red for x in row)
+    if ncols is None:
+        assert red == want
+        return
+    # pivot rows are exact; trailing rows keep only their zero pattern
+    k = len(piv)
+    assert red[:k] == want[:k]
+    assert [[x == 0 for x in row] for row in red[k:]] \
+        == [[x == 0 for x in row] for row in want[k:]]
