@@ -1,8 +1,9 @@
 """Finite-dimensional Lie algebras over ℚ.
 
-Structure constants are stored densely: structure[i][j] is the coordinate
-vector of [e_i, e_j].  All values are immutable after construction and every
-operation is pure, so everything here is safe to share between workers.
+Structure constants are stored sparsely: sparse[i][j] lists the nonzero
+coordinates of [e_i, e_j] as (k, c) pairs sorted by k.  All values are
+immutable after construction and every operation is pure, so everything here
+is safe to share between workers.
 
 Index conventions: internal indices are 0-based; human-facing messages and
 the pair-file format are 1-based.
@@ -10,7 +11,7 @@ the pair-file format are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
@@ -20,8 +21,6 @@ from .linalg import (
     frac,
     identity_rows,
     is_zero_vec,
-    mat_mul,
-    mat_sub,
     rank,
     rref,
     vec,
@@ -49,47 +48,39 @@ class ValidationReport:
         return self.problems[0] if self.problems else None
 
 
-def _commutator(A, B):
-    return mat_sub(mat_mul(A, B), mat_mul(B, A))
-
-
 @dataclass(frozen=True)
 class LieAlgebra:
     dim: int
     basis_labels: tuple
-    structure: tuple  # structure[i][j] = tuple of Fraction, length dim
+    # sparse[i][j] = tuple of (k, c), sorted by k, c != 0: [e_i, e_j] = Σ c·e_k
+    sparse: tuple
     matrix_realization: Optional[tuple] = None
     name: str = ""
-    # sparse[i][j] = tuple of (k, c) with c != 0; derived, not compared
-    sparse: tuple = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.sparse is None:
-            sp = tuple(
-                tuple(
-                    tuple((k, c) for k, c in enumerate(self.structure[i][j]) if c != 0)
-                    for j in range(self.dim))
-                for i in range(self.dim))
-            object.__setattr__(self, "sparse", sp)
 
     @staticmethod
     def from_structure(labels, table, realization=None, name=""):
         """Build from a sparse bracket table {(i, j): {k: c}} given for i < j;
         the antisymmetric part is filled in automatically."""
         n = len(labels)
-        structure = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        entries = [[{} for _ in range(n)] for _ in range(n)]
         for (i, j), entry in table.items():
             if not (0 <= i < j < n):
                 raise ValidationError(
                     f"bracket table entries must have i < j; got ({i + 1}, {j + 1})")
             for k, c in entry.items():
+                if not 0 <= k < n:
+                    raise ValidationError(
+                        f"[e_{i + 1}, e_{j + 1}] names basis vector {k + 1} "
+                        f"outside 1..{n}")
                 c = frac(c)
-                structure[i][j][k] = c
-                structure[j][i][k] = -c
+                if c != 0:
+                    entries[i][j][k] = c
+                    entries[j][i][k] = -c
         return LieAlgebra(
             dim=n,
             basis_labels=tuple(labels),
-            structure=tuple(tuple(tuple(v) for v in row) for row in structure),
+            sparse=tuple(tuple(tuple(sorted(e.items())) for e in row)
+                         for row in entries),
             matrix_realization=_freeze_mats(realization),
             name=name)
 
@@ -102,12 +93,16 @@ class LieAlgebra:
         flat = [tuple(x for row in M for x in row) for M in mats]
         if rank(flat) < n:
             raise ValidationError("realization matrices are linearly dependent")
+        size = len(mats[0]) if mats else 0
+        nonzero = [_nonzero_by_row(M) for M in mats]
         targets = []
         pairs = []
         for i in range(n):
             for j in range(i + 1, n):
-                C = _commutator(mats[i], mats[j])
-                targets.append([x for row in C for x in row])
+                target = [ZERO] * (size * size)
+                for (a, b), x in _matrix_bracket(nonzero[i], nonzero[j]).items():
+                    target[a * size + b] = x
+                targets.append(target)
                 pairs.append((i, j))
         coords = express_in_rows(flat, targets)
         table = {}
@@ -122,14 +117,28 @@ class LieAlgebra:
     def basis_vector(self, i):
         return [ONE if k == i else ZERO for k in range(self.dim)]
 
-    def label_of(self, i):
-        return self.basis_labels[i]
-
 
 def _freeze_mats(mats):
     if mats is None:
         return None
     return tuple(tuple(tuple(frac(x) for x in row) for row in M) for M in mats)
+
+
+def _nonzero_by_row(M):
+    """The nonzero entries of a matrix, row by row: out[a] = [(b, M[a][b])]."""
+    return [[(b, x) for b, x in enumerate(row) if x != 0] for row in M]
+
+
+def _matrix_bracket(A, B):
+    """AB − BA for matrices given by _nonzero_by_row, as {(a, b): entry}
+    over its nonzero entries."""
+    out = {}
+    for P, Q, sign in ((A, B, 1), (B, A, -1)):
+        for a, row in enumerate(P):
+            for k, x in row:
+                for b, y in Q[k]:
+                    out[(a, b)] = out.get((a, b), ZERO) + sign * x * y
+    return {e: x for e, x in out.items() if x != 0}
 
 
 def bracket(L: LieAlgebra, x, y):
@@ -169,20 +178,6 @@ def ad_matrix(L: LieAlgebra, y):
     return M
 
 
-def killing_form_matrix(L: LieAlgebra):
-    ads = [ad_matrix(L, L.basis_vector(i)) for i in range(L.dim)]
-    n = L.dim
-    K = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            t = sum((ads[i][a][b] * ads[j][b][a]
-                     for a in range(n) for b in range(n)
-                     if ads[i][a][b] != 0 and ads[j][b][a] != 0), ZERO)
-            K[i][j] = t
-            K[j][i] = t
-    return K
-
-
 def _jacobi_defect(L, i, j, k):
     n = L.dim
     out = [ZERO] * n
@@ -195,68 +190,61 @@ def _jacobi_defect(L, i, j, k):
     return out
 
 
-def validate(L: LieAlgebra, jacobi="auto") -> ValidationReport:
+def validate(L: LieAlgebra) -> ValidationReport:
     """Check all LieAlgebra invariants; returns a report, never raises.
 
-    jacobi: True forces the triple-by-triple Jacobi check; False skips it;
-    "auto" runs it up to JACOBI_AUTO_DIM, relying on a verified matrix
-    realization above that (matrix commutators satisfy Jacobi identically).
+    A matrix realization must be faithful (linearly independent matrices)
+    and satisfy [M_i, M_j] = Σ c_k M_k.  The Jacobi identity is checked
+    triple by triple up to JACOBI_AUTO_DIM; above it, a realization that
+    passes both checks implies it (matrix commutators satisfy Jacobi
+    identically), and without one the triple check runs.
     """
     problems = []
     n = L.dim
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                if L.structure[i][j][k] != -L.structure[j][i][k]:
-                    problems.append(
-                        f"antisymmetry violated at basis pair ({i + 1}, {j + 1})")
-                    break
-            else:
-                continue
-            break
-        if problems:
-            break
-    realization_ok = None
+    pair = next(((i, j) for i in range(n) for j in range(i, n)
+                 if L.sparse[i][j] != tuple((k, -c) for k, c in L.sparse[j][i])),
+                None)
+    if pair is not None:
+        problems.append(f"antisymmetry violated at basis pair {_one_based(pair)}")
+    realization_ok = False
     if L.matrix_realization is not None:
-        realization_ok = True
-        mats = [[list(row) for row in M] for M in L.matrix_realization]
-        for i in range(n):
-            for j in range(i + 1, n):
-                C = _commutator(mats[i], mats[j])
-                msize = len(mats[0])
-                exp = [[ZERO] * msize for _ in range(msize)]
-                for k, c in L.sparse[i][j]:
-                    Mk = mats[k]
-                    for a in range(msize):
-                        for b in range(msize):
-                            if Mk[a][b] != 0:
-                                exp[a][b] += c * Mk[a][b]
-                if C != exp:
-                    realization_ok = False
-                    problems.append(
-                        "matrix realization disagrees with structure constants "
-                        f"at basis pair ({i + 1}, {j + 1})")
-                    break
-            if realization_ok is False:
-                break
-    do_jacobi = jacobi is True or (
-        jacobi == "auto" and (n <= JACOBI_AUTO_DIM or not realization_ok))
-    if do_jacobi:
-        done = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    if not is_zero_vec(_jacobi_defect(L, i, j, k)):
-                        problems.append(
-                            f"Jacobi identity violated at basis triple "
-                            f"({i + 1}, {j + 1}, {k + 1})")
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
+        problem = _realization_problem(L)
+        if problem is not None:
+            problems.append(problem)
+        realization_ok = problem is None
+    if n <= JACOBI_AUTO_DIM or not realization_ok:
+        triple = next(((i, j, k) for i in range(n) for j in range(i + 1, n)
+                       for k in range(j + 1, n)
+                       if not is_zero_vec(_jacobi_defect(L, i, j, k))), None)
+        if triple is not None:
+            problems.append(
+                f"Jacobi identity violated at basis triple {_one_based(triple)}")
     return ValidationReport(ok=not problems, problems=tuple(problems))
+
+
+def _one_based(indices):
+    return "(" + ", ".join(str(i + 1) for i in indices) + ")"
+
+
+def _realization_problem(L: LieAlgebra):
+    """The first way L's matrix realization fails to be a faithful
+    representation with L's structure constants, or None."""
+    mats = L.matrix_realization
+    if rank([[x for row in M for x in row] for M in mats]) < L.dim:
+        return "matrix realization is not faithful"
+    nonzero = [_nonzero_by_row(M) for M in mats]
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            expected = {}
+            for k, c in L.sparse[i][j]:
+                for a, row in enumerate(nonzero[k]):
+                    for b, x in row:
+                        expected[(a, b)] = expected.get((a, b), ZERO) + c * x
+            if _matrix_bracket(nonzero[i], nonzero[j]) != {
+                    e: x for e, x in expected.items() if x != 0}:
+                return ("matrix realization disagrees with structure "
+                        f"constants at basis pair {_one_based((i, j))}")
+    return None
 
 
 @dataclass(frozen=True)

@@ -165,11 +165,6 @@ def su_p_q(p: int, q: int) -> AlgebraData:
     mats, labels = [], []
     index = {}
 
-    def emat(i, j):
-        M = _zmat(n)
-        M[i][j] = ONE
-        return M
-
     def add(key, label, re, im):
         index[key] = len(mats)
         mats.append(_realify(re, im))
@@ -529,7 +524,8 @@ def pair_symmetric(spec: str, involution="neg_transpose") -> Pair:
             Theta[i][j] = cv[i]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = mat_vec(Theta, list(alg.structure[i][j]))
+            lhs = mat_vec(Theta, bracket(alg, alg.basis_vector(i),
+                                         alg.basis_vector(j)))
             rhs = bracket(alg, [Theta[k][i] for k in range(n)],
                           [Theta[k][j] for k in range(n)])
             if lhs != rhs:

@@ -49,7 +49,10 @@ from .linalg import (
 )
 from .polyhedral import (
     DEFAULT_CONE_BUDGET,
+    ConeBudgetExceeded,
+    build_arrangement,
     decide_dominance,
+    enumerate_lines,
 )
 from .weights import (
     SplitTorus,
@@ -136,8 +139,8 @@ class Pair:
     def is_complex_pair(self) -> bool:
         return self.complex_structure is not None
 
-    def validate_pair(self, jacobi="auto"):
-        rep = validate(self.g, jacobi=jacobi)
+    def validate_pair(self):
+        rep = validate(self.g)
         if not rep.ok:
             raise ValidationError(
                 f"ambient algebra invalid: {rep.first_problem}")
@@ -148,7 +151,7 @@ class Pair:
         if self.complex_structure is not None:
             _check_complex_structure(self.g, self.complex_structure, self.h)
         if self.complexification is not None:
-            self.complexification.validate_pair(jacobi=jacobi)
+            self.complexification.validate_pair()
         return True
 
 
@@ -164,7 +167,7 @@ def _check_complex_structure(g: LieAlgebra, J, h: SubalgebraEmbedding):
         Jei = [J[k][i] for k in range(n)]
         for j in range(n):
             lhs = bracket(g, Jei, g.basis_vector(j))
-            rhs = mat_vec(J, list(g.structure[i][j]))
+            rhs = mat_vec(J, bracket(g, g.basis_vector(i), g.basis_vector(j)))
             if lhs != rhs:
                 raise ValidationError(
                     "bracket is not complex-linear for the stored complex "
@@ -691,9 +694,11 @@ def verify_certificate(pair: Pair, verdict: Verdict):
 
     Returns (ok, detail).  The certificate's kind must support the verdict's
     question and outcome (see _supported_claim).  Ranks are recomputed from
-    scratch and rho values re-evaluated at every stored line or ray; nothing
-    from the original run is trusted beyond the certificate payload.  A
-    malformed certificate fails with a detail instead of raising.
+    scratch, the stored lines of a dominance certificate must be all the
+    lines of the arrangement, and rho values are re-evaluated at every
+    stored line or ray; nothing from the original run is trusted beyond the
+    certificate payload.  A malformed certificate fails with a detail
+    instead of raising.
     """
     cert = verdict.certificate
     if cert is None:
@@ -754,6 +759,13 @@ def _recheck(pair: Pair, cert):
             return False, (f"stored line_count {cert.get('line_count')!r} "
                            f"!= {len(lines)} stored lines")
         rho_h, rho_q = rho_pair(pair)
+        try:
+            expected = enumerate_lines(build_arrangement(rho_h, rho_q))
+        except ConeBudgetExceeded as e:
+            return False, f"cannot re-enumerate the lines: {e}"
+        if [tuple(line) for line in lines] != expected:
+            return False, ("stored lines are not the lines of the "
+                           "arrangement")
         margin = None
         for line in lines:
             d = rho_eval(rho_q, line) - rho_eval(rho_h, line)

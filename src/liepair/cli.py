@@ -149,12 +149,15 @@ def cmd_verify(args) -> int:
             raise ValidationError(
                 f"{args.report} is not a JSON report: {e}") from e
     is_suite = isinstance(report, dict) and report.get("schema") == SUITE_SCHEMA
-    reports = report["reports"] if is_suite else [report]
+    reports = report.get("reports") if is_suite else [report]
+    if not isinstance(reports, list):
+        raise ValidationError(
+            f"malformed suite report: {args.report} has no list of reports")
     all_ok = True
     for rep in reports:
         # before any field is read, so a report of another schema exits 2
         results = verify_report(rep)
-        label = rep.get("fixture") or rep["pair"]["name"]
+        label = rep.get("fixture") or rep["pair"].get("name")
         for question, ok, detail in results:
             status = "PASS" if ok else ("----" if ok is None else "FAIL")
             print(f"{status} {label} [{question}]: {detail}")
@@ -246,7 +249,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (UnsupportedParams, ParseError, ValidationError,
-            FileNotFoundError) as e:
+            FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InconsistentVerdicts as e:

@@ -82,10 +82,6 @@ def mat_mul(A, B):
     return [[vec_dot(row, col) for col in Bt] for row in A]
 
 
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def integer_row(row):
     """(ints, den) with row = ints / den, where den is the lcm of the
     denominators of the row's entries."""

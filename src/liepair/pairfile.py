@@ -36,6 +36,13 @@ def _parse_fraction(tok, lineno):
         raise _err(lineno, f"bad fraction literal {tok!r}") from None
 
 
+def _parse_int(tok, lineno):
+    try:
+        return int(tok)
+    except ValueError:
+        raise _err(lineno, f"bad integer {tok!r}") from None
+
+
 def _parse_row(toks, lineno):
     return [_parse_fraction(t, lineno) for t in toks]
 
@@ -45,7 +52,7 @@ class _AlgebraBlock:
         self.name = "g"
         self.dim = None
         self.labels = None
-        self.constants = {}
+        self.constants = {}  # (i, j) -> (line number, {k: c})
         self.matsize = None
         self.matrices = {}
         self.complex_rows = {}
@@ -107,7 +114,7 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
     if alg_block is None:
         raise ParseError("no algebra block found")
     g = _build_algebra(alg_block)
-    rep = validate(g, jacobi="auto")
+    rep = validate(g)
     if not rep.ok:
         raise ValidationError(f"algebra invalid: {rep.first_problem}")
     h = SubalgebraEmbedding.create(g, h_rows)
@@ -210,7 +217,7 @@ def _parse_block(lines, start):
             continue
         head = toks[0]
         if head == "dim":
-            block.dim = int(toks[1])
+            block.dim = _parse_int(" ".join(toks[1:]), lineno)
         elif head == "name":
             block.name = line[len("name"):].strip()
         elif head == "labels":
@@ -218,26 +225,29 @@ def _parse_block(lines, start):
         elif head == "c":
             if len(toks) < 5 or toks[3] != "=":
                 raise _err(lineno, "expected 'c i j = k:val ...'")
-            ii, jj = int(toks[1]) - 1, int(toks[2]) - 1
+            ii = _parse_int(toks[1], lineno) - 1
+            jj = _parse_int(toks[2], lineno) - 1
             if not 0 <= ii < jj:
                 raise _err(lineno, "structure constants need 1 <= i < j")
             entry = {}
             for tok in toks[4:]:
                 k, _, v = tok.partition(":")
-                entry[int(k) - 1] = _parse_fraction(v, lineno)
-            block.constants[(ii, jj)] = entry
+                entry[_parse_int(k, lineno) - 1] = _parse_fraction(v, lineno)
+            block.constants[(ii, jj)] = (lineno, entry)
         elif head == "matsize":
-            block.matsize = int(toks[1])
+            block.matsize = _parse_int(" ".join(toks[1:]), lineno)
         elif head == "matrix":
             if len(toks) < 3 or toks[2] != "=":
                 raise _err(lineno, "expected 'matrix i = entries...'")
-            block.matrices[int(toks[1]) - 1] = _parse_row(toks[3:], lineno)
+            block.matrices[_parse_int(toks[1], lineno) - 1] = \
+                _parse_row(toks[3:], lineno)
         elif head == "complex":
             if len(toks) < 3 or toks[2] != "=":
                 raise _err(lineno, "expected 'complex i = entries...'")
-            block.complex_rows[int(toks[1]) - 1] = _parse_row(toks[3:], lineno)
+            block.complex_rows[_parse_int(toks[1], lineno) - 1] = \
+                _parse_row(toks[3:], lineno)
         elif head == "cartan-compact":
-            if toks[1] != "=":
+            if toks[1:2] != ["="]:
                 raise _err(lineno, "expected 'cartan-compact = v1 v2 ...'")
             block.cartan_compact.append(_parse_row(toks[2:], lineno))
         else:
@@ -263,6 +273,11 @@ def _build_algebra(block: _AlgebraBlock) -> LieAlgebra:
     labels = block.labels or [f"e{k + 1}" for k in range(n)]
     if len(labels) != n:
         raise ParseError(f"expected {n} labels, got {len(labels)}")
+    table = {}
+    for (i, j), (lineno, entry) in block.constants.items():
+        if j >= n or not all(0 <= k < n for k in entry):
+            raise _err(lineno, f"basis index outside 1..{n}")
+        table[(i, j)] = entry
     realization = None
     if block.matrices:
         if block.matsize is None:
@@ -277,8 +292,8 @@ def _build_algebra(block: _AlgebraBlock) -> LieAlgebra:
                 raise ParseError(
                     f"matrix {k + 1} has {len(flatv)} entries, expected {m * m}")
             realization.append([flatv[r * m:(r + 1) * m] for r in range(m)])
-    return LieAlgebra.from_structure(labels, block.constants,
-                                     realization=realization, name=block.name)
+    return LieAlgebra.from_structure(labels, table, realization=realization,
+                                     name=block.name)
 
 
 def _fr(x: Fraction) -> str:

@@ -221,7 +221,8 @@ def run_fixture_suite(seed=0, samples=DEFAULT_SAMPLES,
 def verify_report(report: dict):
     """Re-check every certificate embedded in a machine report, from the
     serialized pair source alone.  Returns a list of (question, ok, detail).
-    A report of another schema raises ValidationError."""
+    A report of another schema, or one without a pair source or verdicts,
+    raises ValidationError."""
     from .pairfile import parse_pair_text
 
     schema = report.get("schema") if isinstance(report, dict) else None
@@ -230,10 +231,17 @@ def verify_report(report: dict):
             f"unsupported report schema {schema!r}: this liepair reads "
             f"{SCHEMA!r} and {SUITE_SCHEMA!r}; run liepair again to "
             "regenerate the report")
-    pair = parse_pair_text(report["pair"]["source"])
+    try:
+        source = report["pair"]["source"]
+        verdicts = [verdict_from_json(vd) for vd in report["verdicts"]]
+    except (AttributeError, KeyError, TypeError) as e:
+        raise ValidationError(
+            f"malformed report: {type(e).__name__}: {e}") from None
+    if not isinstance(source, str):
+        raise ValidationError("malformed report: the pair source is not text")
+    pair = parse_pair_text(source)
     out = []
-    for vd in report["verdicts"]:
-        v = verdict_from_json(vd)
+    for v in verdicts:
         if v.certificate is None:
             out.append((v.question, None, "no certificate (nothing to verify)"))
             continue

@@ -139,12 +139,6 @@ class WeightSystem:
     def dim(self):
         return sum(m for _, m in self.weights)
 
-    def multiplicity_of(self, lam):
-        for w, m in self.weights:
-            if w == tuple(lam):
-                return m
-        return 0
-
 
 def action_operators(torus: SplitTorus, space: str, complement_rows=None):
     """Exact matrices of ad(Y_i) on the requested space, plus the frame.
@@ -182,25 +176,6 @@ def action_operators(torus: SplitTorus, space: str, complement_rows=None):
             ops.append(M)
         return ops, [tuple(c) for c in comp]
     raise ValueError(f"unknown space {space!r}; expected 'g', 'h' or 'g/h'")
-
-
-def action_matrix(ops, y_coords):
-    """Σ y_i · ops[i]: the action of the torus element with the given
-    coordinates.  Returns the zero map on a 0-dimensional space gracefully."""
-    if not ops:
-        return []
-    n = len(ops[0])
-    M = [[ZERO] * n for _ in range(n)]
-    for y, op in zip(y_coords, ops):
-        if y == 0:
-            continue
-        for i in range(n):
-            row = op[i]
-            Mi = M[i]
-            for j in range(n):
-                if row[j] != 0:
-                    Mi[j] += y * row[j]
-    return M
 
 
 def _restrict(M, basis_rows):
@@ -291,9 +266,6 @@ class RhoFunction:
 
     rank: int
     forms: tuple  # tuple of (λ tuple, multiplicity)
-
-    def __call__(self, y):
-        return rho_eval(self, y)
 
 
 def rho_from_weights(ws: WeightSystem) -> RhoFunction:

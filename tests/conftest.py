@@ -2,7 +2,8 @@
 
 The builders here construct sl(2) and sl(3) directly from explicit matrices
 inside the test process, independent of the catalog module, so catalog
-output can be checked against them.  `rref_oracle` and
+output can be checked against them.  `killing_form_matrix` is the
+Killing form, an oracle for semisimplicity.  `rref_oracle` and
 `exp_nilpotent_oracle` are the plain Gauss-Jordan elimination over
 Fraction and the dense matrix exponential that the library replaced with
 integer elimination and sparse series on rows; the tests compare the two.
@@ -14,8 +15,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from liepair.algebra import LieAlgebra
-from liepair.weights import action_matrix, action_operators, rho_eval
+from liepair.algebra import LieAlgebra, ad_matrix
+from liepair.weights import action_operators, rho_eval
 
 F = Fraction
 
@@ -49,6 +50,21 @@ def commutator(A, B):
     return out
 
 
+def killing_form_matrix(L):
+    """B(e_i, e_j) = tr(ad e_i · ad e_j)."""
+    ads = [ad_matrix(L, L.basis_vector(i)) for i in range(L.dim)]
+    n = L.dim
+    K = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            t = sum((ads[i][a][b] * ads[j][b][a]
+                     for a in range(n) for b in range(n)
+                     if ads[i][a][b] != 0 and ads[j][b][a] != 0), F(0))
+            K[i][j] = t
+            K[j][i] = t
+    return K
+
+
 @pytest.fixture(scope="session")
 def sl2():
     labels, mats = mat_sl(2)
@@ -65,9 +81,11 @@ def numeric_rho(torus, space, y_coords):
     """Independent numerical oracle: sum of |Re eigenvalue| of the exact
     action matrix, computed by numpy's eigensolver."""
     ops, _ = action_operators(torus, space)
-    M = action_matrix(ops, y_coords)
-    if not M:
+    if not ops or not ops[0]:
         return 0.0
+    n = len(ops[0])
+    M = [[sum((F(y) * op[i][j] for y, op in zip(y_coords, ops)), F(0))
+          for j in range(n)] for i in range(n)]
     A = np.array([[float(x) for x in row] for row in M], dtype=float)
     return float(np.abs(np.linalg.eigvals(A).real).sum())
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liepair.algebra import (
+    JACOBI_AUTO_DIM,
     LieAlgebra,
     SubalgebraEmbedding,
     Subspace,
@@ -18,7 +19,7 @@ from liepair.algebra import (
     subspace_sum,
     validate,
 )
-from liepair.linalg import is_zero_vec, mat_mul, mat_sub
+from liepair.linalg import is_zero_vec
 
 from conftest import commutator, mat_sl
 
@@ -74,7 +75,7 @@ def test_ad_is_homomorphism(sl3):
         y = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(sl3.dim)]
         lhs = ad_matrix(sl3, bracket(sl3, x, y))
         ax, ay = ad_matrix(sl3, x), ad_matrix(sl3, y)
-        rhs = mat_sub(mat_mul(ax, ay), mat_mul(ay, ax))
+        rhs = commutator(ax, ay)
         assert lhs == rhs
 
 
@@ -84,29 +85,52 @@ def test_bracket_dimension_mismatch(sl2):
 
 
 def test_validate_catalog_sl3_ok(sl3):
-    rep = validate(sl3, jacobi=True)
+    rep = validate(sl3)
     assert rep.ok and not rep.problems
 
 
 def test_validate_detects_antisymmetry_violation(sl2):
-    structure = [[list(v) for v in row] for row in sl2.structure]
-    structure[0][1][0] += 1  # now c[1][2] != -c[2][1]
+    sparse = [list(row) for row in sl2.sparse]
+    assert sparse[0][1] == ((1, 2),)  # [H, E] = 2E
+    sparse[0][1] = ((0, F(1)), (1, F(2)))  # now c[1][2] != -c[2][1]
     bad = LieAlgebra(dim=3, basis_labels=sl2.basis_labels,
-                     structure=tuple(tuple(tuple(v) for v in row)
-                                     for row in structure))
+                     sparse=tuple(tuple(row) for row in sparse))
     rep = validate(bad)
     assert not rep.ok
     assert "antisymmetry" in rep.first_problem and "(1, 2)" in rep.first_problem
 
 
 def test_validate_detects_perturbed_realization(sl2):
-    mats = [[list(r) for r in M] for M in sl2.matrix_realization]
-    mats[1][0][0] += 1
-    bad = replace(sl2, matrix_realization=tuple(
-        tuple(tuple(x for x in r) for r in M) for M in mats))
+    # sl6 (dim 35) is above JACOBI_AUTO_DIM, where the realization check is
+    # the only check that ties the structure constants to a Lie algebra
+    sl6 = LieAlgebra.from_matrices(*mat_sl(6))
+    assert sl6.dim > JACOBI_AUTO_DIM and validate(sl6).ok
+    for alg in (sl2, sl6):
+        mats = [[list(r) for r in M] for M in alg.matrix_realization]
+        mats[1][0][0] += 1
+        bad = replace(alg, matrix_realization=tuple(
+            tuple(tuple(x for x in r) for r in M) for M in mats))
+        rep = validate(bad)
+        assert not rep.ok
+        assert any("realization" in p for p in rep.problems)
+
+
+def test_validate_rejects_an_unfaithful_realization():
+    # zero matrices satisfy [M_i, M_j] = Σ c_k M_k for any constants, so
+    # above JACOBI_AUTO_DIM they would hide this Jacobi violation
+    n = JACOBI_AUTO_DIM + 1
+    table = {(0, 1): {2: F(1)}, (0, 2): {0: F(1)}}
+    bad = LieAlgebra.from_structure(
+        [f"e{k}" for k in range(n)], table, realization=[[[F(0)]]] * n)
     rep = validate(bad)
     assert not rep.ok
-    assert any("realization" in p for p in rep.problems)
+    assert rep.first_problem == "matrix realization is not faithful"
+    assert any("Jacobi" in p for p in rep.problems)
+
+
+def test_bracket_table_index_out_of_range():
+    with pytest.raises(ValidationError, match="outside 1..3"):
+        LieAlgebra.from_structure(["a", "b", "c"], {(0, 1): {3: F(1)}})
 
 
 def test_validate_detects_jacobi_violation():

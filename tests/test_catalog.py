@@ -18,11 +18,12 @@ from liepair.catalog import (
 )
 from liepair.weights import extend_torus_greedily, validate_torus
 
+from conftest import killing_form_matrix
+
 F = Fraction
 
 
 def killing_det_nonzero(alg):
-    from liepair.algebra import killing_form_matrix
     from liepair.linalg import rank as mrank
 
     K = killing_form_matrix(alg)
@@ -35,7 +36,7 @@ def killing_det_nonzero(alg):
 def test_sl_n_validates(n):
     data = base_algebra(f"sl{n}")
     assert data.algebra.dim == n * n - 1
-    assert validate(data.algebra, jacobi=True).ok
+    assert validate(data.algebra).ok
     assert killing_det_nonzero(data.algebra)
     validate_torus([list(r) for r in data.split_rows],
                    SubalgebraEmbedding.whole(data.algebra))
@@ -47,7 +48,7 @@ def test_so_p_q_validates_and_rank(p, q):
     data = so_p_q(p, q)
     n = p + q
     assert data.algebra.dim == n * (n - 1) // 2
-    assert validate(data.algebra, jacobi=True).ok
+    assert validate(data.algebra).ok
     # real rank is min(p, q)
     t = validate_torus([list(r) for r in data.split_rows],
                        SubalgebraEmbedding.whole(data.algebra))
@@ -64,9 +65,9 @@ def test_su_p_q_validates_and_rank(p, q):
     data = su_p_q(p, q)
     n = p + q
     assert data.algebra.dim == n * n - 1
-    # "auto" runs the full Jacobi check up to dim 24 and falls back to the
-    # exactly verified matrix realization above it
-    assert validate(data.algebra, jacobi="auto").ok
+    # validate runs the full Jacobi check up to dim 24 and falls back to
+    # the exactly verified matrix realization above it
+    assert validate(data.algebra).ok
     assert killing_det_nonzero(data.algebra)
     t = validate_torus([list(r) for r in data.split_rows],
                        SubalgebraEmbedding.whole(data.algebra))
@@ -78,7 +79,7 @@ def test_sp_validates(two_n):
     data = base_algebra(f"sp_{two_n}")
     n = two_n // 2
     assert data.algebra.dim == 2 * n * n + n
-    assert validate(data.algebra, jacobi=True).ok
+    assert validate(data.algebra).ok
     assert killing_det_nonzero(data.algebra)
     t = validate_torus([list(r) for r in data.split_rows],
                        SubalgebraEmbedding.whole(data.algebra))
@@ -88,7 +89,7 @@ def test_sp_validates(two_n):
 def test_complexified_sl2_validates():
     data = base_algebra("sl2C")
     assert data.algebra.dim == 6
-    assert validate(data.algebra, jacobi=True).ok
+    assert validate(data.algebra).ok
     assert killing_det_nonzero(data.algebra)
     assert data.complex_structure is not None
     t = validate_torus([list(r) for r in data.split_rows],

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -31,12 +32,18 @@ from liepair.checks import (
     interpret,
     minimal_parabolic,
     nilpotent_pool,
+    rho_pair,
     run_question,
     verify_certificate,
 )
 from liepair.linalg import mat_vec, rank
+from liepair.polyhedral import (
+    ConeBudgetExceeded,
+    build_arrangement,
+    enumerate_lines,
+)
 from liepair.report import verdict_from_json, verdict_to_json
-from liepair.weights import weight_decomposition
+from liepair.weights import rho_eval, weight_decomposition
 
 F = Fraction
 
@@ -415,6 +422,34 @@ def test_violation_relabelled_yes_fails():
     blob["outcome"] = "yes_certified"
     ok, detail = verify_certificate(pair, verdict_from_json(blob))
     assert not ok and "supports no_certified" in detail
+
+
+def test_forged_dominance_certificate_with_a_subset_of_lines_fails():
+    # so23_so22 is not tempered: of its 4 lines, 2 violate dominance; a
+    # "yes" certificate that keeps only the other 2 must not verify
+    pair = build_fixture("so23_so22")
+    rho_h, rho_q = rho_pair(pair)
+    kept = [line for line in enumerate_lines(build_arrangement(rho_h, rho_q))
+            if rho_eval(rho_q, list(line)) >= rho_eval(rho_h, list(line))]
+    assert len(kept) == 2
+    forged = Verdict(question="tempered", outcome="yes_certified",
+                     certificate={"kind": "dominance",
+                                  "lines": [[str(x) for x in line]
+                                            for line in kept],
+                                  "margin": "0", "line_count": 2})
+    ok, detail = verify_certificate(pair, verdict_from_json(
+        json.loads(json.dumps(verdict_to_json(forged)))))
+    assert not ok and "not the lines of the arrangement" in detail
+
+
+def test_dominance_recheck_over_the_budget_fails():
+    pair = build_fixture("triple_sl3")
+    v = check_tempered(pair)
+    assert v.certificate["kind"] == "dominance"
+    with patch("liepair.checks.enumerate_lines",
+               side_effect=ConeBudgetExceeded("over budget")):
+        ok, detail = verify_certificate(pair, v)
+    assert not ok and "over budget" in detail
 
 
 def test_every_certificate_fails_under_another_outcome_or_question():

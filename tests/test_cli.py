@@ -176,6 +176,29 @@ def test_verify_rejects_a_file_that_is_not_json(tmp_path, capsys, content):
     assert "not a JSON report" in err
 
 
+@pytest.mark.parametrize("report", [
+    {"schema": "liepair.report/2"},
+    {"schema": "liepair.report/2", "pair": {"source": "SL2"}},
+    {"schema": "liepair.report/2", "pair": "SL2", "verdicts": []},
+    {"schema": "liepair.report/2", "pair": {"source": 1}, "verdicts": []},
+    {"schema": "liepair.report/2", "pair": {"source": "SL2"},
+     "verdicts": [1]},
+    {"schema": "liepair.report-suite/2"},
+], ids=["no-pair", "no-verdicts", "pair-string", "source-number",
+        "verdict-number", "suite-without-reports"])
+def test_verify_rejects_a_report_without_its_fields(tmp_path, capsys, report):
+    sl2 = (fixtures_dir() / "sl2_split_torus.pair").read_text()
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report).replace('"SL2"', json.dumps(sl2)))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and err.startswith("error: malformed")
+
+
+def test_verify_rejects_a_directory(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", str(tmp_path))
+    assert code == 2 and out == "" and "directory" in err.lower()
+
+
 def test_fixtures_subcommand_human(capsys):
     code, out, _ = run(capsys, "fixtures", "--samples", "16")
     assert code == 0

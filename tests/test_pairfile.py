@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepair.algebra import ValidationError
+from liepair.algebra import JACOBI_AUTO_DIM, ValidationError, bracket
 from liepair.catalog import build_fixture, fixture_names, load_fixture_file
 from liepair.checks import check_tempered
 from liepair.pairfile import ParseError, parse_pair_text, serialize_pair
@@ -67,7 +67,8 @@ def test_shipped_fixture_files_match_catalog():
 def test_unicode_minus_accepted():
     text = SL2_TORUS_FILE.replace("c 1 3 = 3:-2", "c 1 3 = 3:−2")
     pair = parse_pair_text(text)
-    assert pair.g.structure[0][2][2] == -2
+    g = pair.g
+    assert bracket(g, g.basis_vector(0), g.basis_vector(2)) == [0, 0, -2]
 
 
 def test_parse_error_carries_line_number():
@@ -80,6 +81,37 @@ def test_structure_constants_require_upper_triangle():
     bad = SL2_TORUS_FILE.replace("c 1 2 = 2:2", "c 2 1 = 2:-2")
     with pytest.raises(ParseError, match="i < j"):
         parse_pair_text(bad)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("c 2 3 = 1:1", "c 2 3 = 9:1"),
+    ("c 2 3 = 1:1", "c 2 3 = 0:1"),
+    ("dim 3", "dim x"),
+    ("c 2 3 = 1:1", "c 2 x = 1:1"),
+    ("c 2 3 = 1:1", "c 2 3 = x:1"),
+    ("c 2 3 = 1:1", "c 2 3 = 1:1\nmatsize x"),
+    ("c 2 3 = 1:1", "c 2 3 = 1:1\nmatsize 2\nmatrix x = 1 0 0 -1"),
+], ids=["target-above-dim", "target-zero", "dim", "c-index", "c-target",
+        "matsize", "matrix-index"])
+def test_bad_index_or_integer_is_a_parse_error_with_line(old, new):
+    bad = SL2_TORUS_FILE.replace(old, new)
+    assert bad != SL2_TORUS_FILE
+    with pytest.raises(ParseError, match=r"^line \d+: "):
+        parse_pair_text(bad)
+
+
+def test_unfaithful_realization_rejected():
+    # [e1, e2] = e3 and [e1, e3] = e1 break Jacobi; 25 zero matrices of
+    # size 1 "realize" any structure constants, so faithfulness is checked
+    n = JACOBI_AUTO_DIM + 1
+    text = "\n".join(
+        ["begin algebra g", f"dim {n}", "c 1 2 = 3:1", "c 1 3 = 1:1",
+         "matsize 1"]
+        + [f"matrix {k} = 0" for k in range(1, n + 1)]
+        + ["end", "begin subalgebra h", "end",
+           "begin torus h", "end", "begin torus g", "end", ""])
+    with pytest.raises(ValidationError, match="not faithful"):
+        parse_pair_text(text)
 
 
 def test_jacobi_violation_reported_with_triple():
