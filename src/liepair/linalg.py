@@ -10,8 +10,10 @@ entries of its result; the output is the same canonical form that
 Gauss-Jordan elimination over ℚ gives.
 
 Floating point appears in exactly one role: proposing eigenvalue candidates
-that are then certified exactly (kernel dimensions must sum to the ambient
-dimension).  No verdict ever depends on a float.
+for a matrix that is not diagonal; the candidates are then certified exactly
+(kernel dimensions must sum to the ambient dimension).  A diagonal matrix,
+which is how a catalog torus acts in the root basis, splits into coordinate
+eigenspaces with no float at all.  No verdict ever depends on a float.
 """
 
 from __future__ import annotations
@@ -288,12 +290,33 @@ def _rational_roots_exact(coeffs):
     return roots, complete
 
 
+def is_diagonal(A):
+    return not any(x for i, row in enumerate(A)
+                   for j, x in enumerate(row) if j != i)
+
+
+def coordinate_split(keys):
+    """Group the coordinates of ℚ^n by keys[i].
+
+    Returns (key, unit rows) for each distinct key, sorted by key, with the
+    unit rows in coordinate order.  When keys[i] is the i-th diagonal entry
+    of a diagonal operator (or the tuple of them over a family of diagonal
+    operators) these are its (joint) eigenspaces, in canonical rows.
+    """
+    unit = identity_rows(len(keys))
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(unit[i])
+    return sorted(groups.items())
+
+
 def _kernels_for(A, candidates):
     n = len(A)
     found = []
     for lam in candidates:
-        shifted = [[A[i][j] - (lam if i == j else ZERO) for j in range(n)]
-                   for i in range(n)]
+        shifted = [list(row) for row in A]
+        for i in range(n):
+            shifted[i][i] -= lam
         K = kernel(shifted, n)
         if K:
             found.append((lam, K))
@@ -307,10 +330,17 @@ def eigensplit(A):
     (eigenvalue, basis_rows) sorted by eigenvalue; the basis rows are canonical.
     Raises IrrationalSpectrumError or NotDiagonalizableError otherwise, with
     the exact characteristic polynomial attached.
+
+    A diagonal A splits into the coordinate unit rows grouped by diagonal
+    entry.  Otherwise float eigenvalues propose candidates whose kernels are
+    computed exactly; when they miss part of the spectrum, the rational roots
+    of the exact characteristic polynomial are used instead.
     """
     n = len(A)
     if n == 0:
         return []
+    if is_diagonal(A):
+        return coordinate_split([A[i][i] for i in range(n)])
     found = _kernels_for(A, _float_eigen_candidates(A))
     if sum(len(b) for _, b in found) == n:
         return sorted(found)

@@ -54,8 +54,8 @@ class _AlgebraBlock:
         self.labels = None
         self.constants = {}  # (i, j) -> (line number, {k: c})
         self.matsize = None
-        self.matrices = {}
-        self.complex_rows = {}
+        self.matrices = {}  # k -> (line number, entries)
+        self.complex_rows = {}  # k -> (line number, entries)
         self.cartan_compact = []
 
 
@@ -232,20 +232,26 @@ def _parse_block(lines, start):
             entry = {}
             for tok in toks[4:]:
                 k, _, v = tok.partition(":")
-                entry[_parse_int(k, lineno) - 1] = _parse_fraction(v, lineno)
-            block.constants[(ii, jj)] = (lineno, entry)
+                k = _parse_int(k, lineno) - 1
+                if k in entry:
+                    raise _err(lineno, f"target {k + 1} given twice")
+                entry[k] = _parse_fraction(v, lineno)
+            _put_once(block.constants, (ii, jj), lineno, entry,
+                      f"c {ii + 1} {jj + 1}")
         elif head == "matsize":
             block.matsize = _parse_int(" ".join(toks[1:]), lineno)
         elif head == "matrix":
             if len(toks) < 3 or toks[2] != "=":
                 raise _err(lineno, "expected 'matrix i = entries...'")
-            block.matrices[_parse_int(toks[1], lineno) - 1] = \
-                _parse_row(toks[3:], lineno)
+            k = _parse_int(toks[1], lineno) - 1
+            _put_once(block.matrices, k, lineno, _parse_row(toks[3:], lineno),
+                      f"matrix {k + 1}")
         elif head == "complex":
             if len(toks) < 3 or toks[2] != "=":
                 raise _err(lineno, "expected 'complex i = entries...'")
-            block.complex_rows[_parse_int(toks[1], lineno) - 1] = \
-                _parse_row(toks[3:], lineno)
+            k = _parse_int(toks[1], lineno) - 1
+            _put_once(block.complex_rows, k, lineno,
+                      _parse_row(toks[3:], lineno), f"complex {k + 1}")
         elif head == "cartan-compact":
             if toks[1:2] != ["="]:
                 raise _err(lineno, "expected 'cartan-compact = v1 v2 ...'")
@@ -255,14 +261,28 @@ def _parse_block(lines, start):
     raise _err(len(lines), "unterminated block (missing 'end')")
 
 
+def _put_once(table, key, lineno, value, what):
+    if key in table:
+        raise _err(lineno, f"{what} repeats line {table[key][0]}")
+    table[key] = (lineno, value)
+
+
+def _check_indices(rows, dim, what):
+    for k, (lineno, _) in rows.items():
+        if not 0 <= k < dim:
+            raise _err(lineno, f"{what} index {k + 1} outside 1..{dim}")
+
+
 def _rows_dict_to_matrix(rows, dim, what):
+    _check_indices(rows, dim, what)
     M = []
     for i in range(dim):
         if i not in rows:
             raise ParseError(f"{what} row {i + 1} missing")
-        if len(rows[i]) != dim:
-            raise ParseError(f"{what} row {i + 1} has wrong length")
-        M.append(tuple(rows[i]))
+        lineno, row = rows[i]
+        if len(row) != dim:
+            raise _err(lineno, f"{what} row {i + 1} has wrong length")
+        M.append(tuple(row))
     return tuple(M)
 
 
@@ -283,14 +303,15 @@ def _build_algebra(block: _AlgebraBlock) -> LieAlgebra:
         if block.matsize is None:
             raise ParseError("matrix rows given without 'matsize'")
         m = block.matsize
+        _check_indices(block.matrices, n, "matrix")
         realization = []
         for k in range(n):
             if k not in block.matrices:
                 raise ParseError(f"matrix {k + 1} missing")
-            flatv = block.matrices[k]
+            lineno, flatv = block.matrices[k]
             if len(flatv) != m * m:
-                raise ParseError(
-                    f"matrix {k + 1} has {len(flatv)} entries, expected {m * m}")
+                raise _err(lineno, f"matrix {k + 1} has {len(flatv)} entries, "
+                           f"expected {m * m}")
             realization.append([flatv[r * m:(r + 1) * m] for r in range(m)])
     return LieAlgebra.from_structure(labels, table, realization=realization,
                                      name=block.name)

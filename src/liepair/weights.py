@@ -23,9 +23,11 @@ from .linalg import (
     ZERO,
     IrrationalSpectrumError,
     NotDiagonalizableError,
+    coordinate_split,
     eigensplit,
     express_in_rows,
     identity_rows,
+    is_diagonal,
     is_zero_vec,
     mat_mul,
     mat_vec,
@@ -192,6 +194,9 @@ def _restrict(M, basis_rows):
 
 
 def _joint_eigensplit(ops, dim, origin=""):
+    if all(is_diagonal(M) for M in ops):
+        return coordinate_split([tuple(M[i][i] for M in ops)
+                                 for i in range(dim)])
     blocks = [((), identity_rows(dim))]
     for idx, M in enumerate(ops):
         new = []
@@ -221,9 +226,12 @@ def weight_decomposition(torus: SplitTorus, space: str,
                          complement_rows=None) -> WeightSystem:
     """Joint weight-space decomposition of the torus action on the space.
 
-    Refines by one generator at a time via exact kernel computations; the
-    multiplicities always sum to dim V.  Raises IrrationalWeights if any
-    (restricted) action fails rational diagonalizability.
+    When every operator is diagonal (a catalog torus in the root basis) the
+    weight spaces are the coordinate lines grouped by their tuple of
+    diagonal entries.  Otherwise the split refines by one generator at a
+    time via exact kernel computations.  Either way the multiplicities sum
+    to dim V and the spaces are canonical rows.  Raises IrrationalWeights if
+    any (restricted) action fails rational diagonalizability.
     """
     ops, frame = action_operators(torus, space, complement_rows)
     dim_v = len(frame)

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rref_oracle
+from liepair import linalg
 from liepair.checks import AdWord, NonTerminatingSeries
 from liepair.linalg import (
     IrrationalSpectrumError,
     NotDiagonalizableError,
+    _kernels_for,
     charpoly,
     eigensplit,
     express_in_rows,
@@ -75,6 +77,23 @@ def test_eigensplit_diagonalizable():
     for lam, basis in parts:
         for v in basis:
             assert mat_vec(A, list(v)) == [lam * x for x in v]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                min_size=1, max_size=9))
+def test_diagonal_eigensplit_matches_kernels_and_uses_no_float(diag):
+    # nine possible entries, so most draws repeat an eigenvalue
+    n = len(diag)
+    D = [[diag[i] if j == i else F(0) for j in range(n)] for i in range(n)]
+    want = sorted(_kernels_for(D, sorted(set(diag))))
+
+    def no_float(A):
+        raise AssertionError("a diagonal matrix needs no float candidates")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_float_eigen_candidates", no_float)
+        assert eigensplit(D) == want
 
 
 def test_eigensplit_rejects_rotation():

@@ -2,9 +2,16 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liepair.algebra import JACOBI_AUTO_DIM, ValidationError, bracket
-from liepair.catalog import build_fixture, fixture_names, load_fixture_file
+from liepair.catalog import (
+    build_fixture,
+    fixture_names,
+    fixtures_dir,
+    load_fixture_file,
+)
 from liepair.checks import check_tempered
 from liepair.pairfile import ParseError, parse_pair_text, serialize_pair
 
@@ -98,6 +105,73 @@ def test_bad_index_or_integer_is_a_parse_error_with_line(old, new):
     assert bad != SL2_TORUS_FILE
     with pytest.raises(ParseError, match=r"^line \d+: "):
         parse_pair_text(bad)
+
+
+SL2_MATRICES = ("matsize 2\nmatrix 1 = 1 0 0 -1\nmatrix 2 = 0 1 0 0\n"
+                "matrix 3 = 0 0 1 0\n")
+SL2_COMPLEX = "".join(f"complex {k} = 0 0 0\n" for k in (1, 2, 3))
+
+
+def assert_parse_error_at(text, offending):
+    """The parser rejects `text` with the number of the last line that
+    reads `offending`."""
+    lineno = max(i for i, line in enumerate(text.splitlines())
+                 if line == offending) + 1
+    with pytest.raises(ParseError, match=rf"^line {lineno}: "):
+        parse_pair_text(text)
+
+
+@pytest.mark.parametrize("extra", [
+    SL2_MATRICES + "matrix 9 = 0 0 0 0",
+    SL2_MATRICES + "matrix 0 = 0 0 0 0",
+    SL2_COMPLEX + "complex 4 = 0 0 0",
+], ids=["matrix-above-dim", "matrix-zero", "complex-above-dim"])
+def test_matrix_or_complex_index_outside_dim_is_a_parse_error(extra):
+    text = SL2_TORUS_FILE.replace("c 2 3 = 1:1\n", f"c 2 3 = 1:1\n{extra}\n")
+    assert_parse_error_at(text, extra.splitlines()[-1])
+
+
+@pytest.mark.parametrize("repeated", [
+    "c 1 2 = 2:2",
+    "matrix 2 = 0 1 0 0",
+    "complex 1 = 0 0 0",
+], ids=["c", "matrix", "complex"])
+def test_repeated_line_is_a_parse_error(repeated):
+    text = SL2_TORUS_FILE.replace(
+        "c 2 3 = 1:1\n", f"c 2 3 = 1:1\n{SL2_MATRICES}{SL2_COMPLEX}{repeated}\n")
+    assert_parse_error_at(text, repeated)
+
+
+def test_repeated_target_in_one_c_line_is_a_parse_error():
+    text = SL2_TORUS_FILE.replace("c 1 2 = 2:2", "c 1 2 = 2:2 2:1")
+    assert_parse_error_at(text, "c 1 2 = 2:2 2:1")
+
+
+MUTANT_TOKENS = ("-", "x", "1/0", "3.5", "0", "1", "-1", "99", "=", ":",
+                 "1:", "2:3", "row", "end", "c", "matrix", "complex")
+
+
+@pytest.mark.parametrize("name", fixture_names())
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_fixture_parses_or_fails_cleanly(name, data):
+    # one token replaced or deleted: a Pair, a ParseError or a
+    # ValidationError, and never another exception
+    lines = (fixtures_dir() / f"{name}.pair").read_text().splitlines()
+    places = [(i, j) for i, line in enumerate(lines)
+              for j in range(len(line.split()))]
+    i, j = data.draw(st.sampled_from(places))
+    toks = lines[i].split()
+    new = data.draw(st.sampled_from((None,) + MUTANT_TOKENS))
+    if new is None:
+        del toks[j]
+    else:
+        toks[j] = new
+    lines[i] = " ".join(toks)
+    try:
+        parse_pair_text("\n".join(lines))
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_unfaithful_realization_rejected():

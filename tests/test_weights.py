@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from liepair.algebra import SubalgebraEmbedding
 from liepair.catalog import base_algebra, build_fixture
+from liepair.linalg import is_diagonal, mat_mul, mat_vec
 from liepair.weights import (
     IrrationalWeights,
     NotAbelian,
     NotInSubalgebra,
     NotSemisimpleElement,
     RhoFunction,
+    _joint_eigensplit,
+    action_operators,
     extend_torus_greedily,
     rho_eval,
     rho_from_weights,
@@ -201,6 +204,47 @@ def test_weight_completeness_across_fixtures():
                            ("g", pair.g.dim)):
             assert weight_decomposition(pair.torus_h, space).dim == dim, \
                 (name, space)
+
+
+def unimodular_pair(n, rng, steps=12):
+    """(P, P^-1) for a random product of integer elementary matrices."""
+    P = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        P[i] = [a + c * b for a, b in zip(P[i], P[j])]  # row i += c row j
+        for row in Pinv:  # column j -= c column i
+            row[j] -= c * row[i]
+    return P, Pinv
+
+
+@pytest.mark.parametrize("name,torus,space", [
+    ("triple_sl2", "torus_g", "g"),
+    ("triple_sl2", "torus_h", "g/h"),
+    ("sl3_sl2_topleft", "torus_g", "g"),
+    ("group_sl2c", "torus_h", "h"),
+    ("triple_sl3", "torus_h", "g/h"),
+])
+def test_refinement_split_agrees_with_coordinate_split(name, torus, space):
+    # conjugating the diagonal operators by a unimodular change of basis
+    # forces the refinement path; the weights and multiplicities must agree
+    ops, _ = action_operators(getattr(build_fixture(name), torus), space)
+    assert all(is_diagonal(M) for M in ops)
+    n = len(ops[0])
+    coordinate = _joint_eigensplit(ops, n)
+    P, Pinv = unimodular_pair(n, Random(f"{name}/{space}"))
+    assert mat_mul(P, Pinv) == [[int(i == j) for j in range(n)]
+                                for i in range(n)]
+    conj = [mat_mul(mat_mul(P, M), Pinv) for M in ops]
+    assert not all(is_diagonal(M) for M in conj)
+    refined = _joint_eigensplit(conj, n)
+    assert sorted((lam, len(rows)) for lam, rows in refined) \
+        == [(lam, len(rows)) for lam, rows in coordinate]
+    for lam, rows in refined:
+        for v in rows:
+            for M, x in zip(conj, lam):
+                assert mat_vec(M, list(v)) == [x * a for a in v]
 
 
 # --- rho -------------------------------------------------------------------
