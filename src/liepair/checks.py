@@ -50,9 +50,7 @@ from .linalg import (
 from .polyhedral import (
     DEFAULT_CONE_BUDGET,
     ConeBudgetExceeded,
-    build_arrangement,
     decide_dominance,
-    enumerate_lines,
 )
 from .weights import (
     SplitTorus,
@@ -758,25 +756,21 @@ def _recheck(pair: Pair, cert):
         if cert.get("line_count") != len(lines):
             return False, (f"stored line_count {cert.get('line_count')!r} "
                            f"!= {len(lines)} stored lines")
-        rho_h, rho_q = rho_pair(pair)
         try:
-            expected = enumerate_lines(build_arrangement(rho_h, rho_q))
+            dom = decide_dominance(*rho_pair(pair))
         except ConeBudgetExceeded as e:
             return False, f"cannot re-enumerate the lines: {e}"
-        if [tuple(line) for line in lines] != expected:
+        if [tuple(line) for line in lines] != list(dom.lines):
             return False, ("stored lines are not the lines of the "
                            "arrangement")
-        margin = None
-        for line in lines:
-            d = rho_eval(rho_q, line) - rho_eval(rho_h, line)
-            if d < 0:
-                return False, f"stored line {line} violates dominance"
-            margin = d if margin is None else min(margin, d)
-        if margin is None:
-            margin = ZERO
-        if stored != margin:
-            return False, f"stored margin {stored} != recomputed {margin}"
-        return True, f"all {len(lines)} lines re-evaluated, margin {margin}"
+        if not dom.holds:
+            line = [-x for x in dom.witness]
+            return False, f"stored line {line} violates dominance"
+        if stored != dom.margin:
+            return False, (f"stored margin {stored} != recomputed "
+                           f"{dom.margin}")
+        return True, (f"all {len(lines)} lines re-evaluated, margin "
+                      f"{dom.margin}")
     if kind == "dominance-violation":
         rho_h, rho_q = rho_pair(pair)
         ray = vec(cert["ray"])

@@ -10,21 +10,25 @@ it is nonnegative on every extreme ray.
 The extreme rays of all the cones together are exactly the two half-lines of
 each 1-dimensional flat of the arrangement (Zaslavsky 1975, "Facing up to
 arrangements"), and both functions are even, so one exact evaluation per
-line decides the inequality.  The lines are found by growing the flats one
-rank at a time; no cone is ever built.
+line decides the inequality.  The lines are found by growing the flats
+themselves, as subspaces with integer bases, one rank at a time; no cone is
+ever built.  The covers of a flat come from one pass over the forms, grouped
+by their restriction to it, and the functions are evaluated at each line in
+integers, so a line costs one Fraction.  Nothing here uses a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from random import Random
 from typing import Optional
 
-from .algebra import Subspace
 from .linalg import (
     ZERO,
-    kernel,
+    integer_row,
     rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     rref,
     vec_dot,
@@ -45,25 +49,21 @@ class RankMismatch(ValueError):
 
 def normalize_form(v):
     """Canonical representative modulo positive scaling and global sign:
-    first nonzero coordinate becomes +1.  Returns None for the zero form."""
+    v divided by its first nonzero coordinate, which becomes +1, as a tuple
+    of Fractions (v may hold ints or Fractions).  Returns None for the zero
+    form."""
     nz = next((x for x in v if x != 0), None)
     if nz is None:
         return None
-    s = abs(nz)
-    w = [x / s for x in v]
-    if nz < 0:
-        w = [-x for x in w]
-    return tuple(w)
+    return tuple(Fraction(x, nz) for x in v)
 
 
 @dataclass(frozen=True)
 class Arrangement:
-    """Deduplicated union of the nonzero forms of two rho functions, with the
-    common kernel of all forms (on which both functions vanish)."""
+    """Deduplicated union of the nonzero forms of two rho functions."""
 
     rank: int
     forms: tuple  # tuple of canonical form tuples
-    lineality: Subspace
 
 
 @dataclass(frozen=True)
@@ -77,62 +77,89 @@ class DominanceVerdict:
 def build_arrangement(f: RhoFunction, g: RhoFunction) -> Arrangement:
     if f.rank != g.rank:
         raise RankMismatch(f"rho ranks differ: {f.rank} vs {g.rank}")
-    r = f.rank
-    seen = []
-    for lam, _ in tuple(f.forms) + tuple(g.forms):
-        nf = normalize_form(lam)
-        if nf is not None and nf not in seen:
-            seen.append(nf)
-    forms = tuple(sorted(seen))
-    if forms:
-        lin = Subspace.from_rows(r, kernel([list(x) for x in forms], r))
-    else:
-        lin = Subspace.full(r)
-    return Arrangement(rank=r, forms=forms, lineality=lin)
+    seen = {normalize_form(lam) for lam, _ in tuple(f.forms) + tuple(g.forms)}
+    seen.discard(None)
+    return Arrangement(rank=f.rank, forms=tuple(sorted(seen)))
+
+
+def _primitive(v):
+    """A nonzero integer vector divided by the gcd of its entries and signed
+    so that its first nonzero entry is positive."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return v if g == 1 else [x // g for x in v]
+
+
+def _cut(basis, r):
+    """An integer basis of the hyperplane {Σ c_j basis[j] : r·c = 0} of the
+    span of `basis`, by one fraction-free elimination step against the
+    first basis vector that r does not annihilate."""
+    p = next(j for j, x in enumerate(r) if x)
+    rp, pivot = r[p], basis[p]
+    return [_primitive([rp * a - rj * b for a, b in zip(v, pivot)])
+            for j, (v, rj) in enumerate(zip(basis, r)) if j != p]
 
 
 def enumerate_lines(arr: Arrangement, budget=DEFAULT_CONE_BUDGET):
     """The 1-dimensional flats of the arrangement in the quotient by the
-    lineality space, sorted, each as a direction in the span of the forms
-    (a canonical complement of the lineality) scaled by normalize_form.
+    common kernel of the forms, sorted, each as a direction in the span of
+    the forms (a canonical complement of that kernel) scaled by
+    normalize_form.
 
-    A flat is the common zero set of a span of forms, and the RREF of that
-    span identifies it.  Adding one form outside the span of a rank-k flat
-    gives every flat of rank k + 1, so the flats are grown one rank at a
-    time up to rank d − 1, where d is the rank of the forms.  The budget
-    bounds the number of flats, the whole quotient included.
+    The quotient has coordinates z ∈ ℚ^d, the pairings with the RREF rows
+    of the span of forms, where each form is a primitive integer vector.  A
+    flat is kept as its closure, the set of forms that vanish on it, with an
+    integer basis of its subspace; the whole quotient has the empty closure
+    and the identity basis.  The flats one dimension down from a flat F come
+    from one pass over the forms outside its closure: a form restricted to
+    F (its values on F's basis), reduced by gcd and sign, names a hyperplane
+    of F, and the forms with the same restriction vanish on the same cover
+    G, whose closure is closure(F) with them added.  A cover not seen before
+    gets its basis from _cut.  The flats are grown down to dimension 1, all
+    over ℤ; the budget bounds the number of flats, the whole quotient
+    included.
     """
     if not arr.forms:
         return []
     span_rows, _ = rref([list(x) for x in arr.forms])
     d = len(span_rows)
-    # coordinates on the quotient: pairings with a basis of the span of forms
-    reduced = [tuple(vec_dot(lam, row) for row in span_rows)
-               for lam in arr.forms]
-    flats = {()}
+    forms = [_primitive(integer_row([vec_dot(lam, r) for r in span_rows])[0])
+             for lam in arr.forms]
+    flats = {frozenset(): [[int(i == j) for j in range(d)] for i in range(d)]}
     count = 1
-    for k in range(d - 1):
-        grown = set()
-        for span in flats:
-            for mu in reduced:
-                rows = tuple(rref(list(span) + [mu])[0])
-                if len(rows) > k and rows not in grown:
-                    grown.add(rows)
+    for _ in range(d - 1):
+        grown = {}
+        for closure, basis in flats.items():
+            covers = {}
+            for i, mu in enumerate(forms):
+                if i not in closure:
+                    r = _primitive([sum(map(mul, mu, v)) for v in basis])
+                    covers.setdefault(tuple(r), []).append(i)
+            for r, group in covers.items():
+                key = closure.union(group)
+                if key not in grown:
                     count += 1
                     if count > budget:
                         raise ConeBudgetExceeded(
                             f"flat count exceeded the budget of {budget}")
+                    grown[key] = _cut(basis, r)
         flats = grown
-    lines = []
-    for span in flats:
-        (z,) = kernel(list(span), d)
-        y = [ZERO] * arr.rank
-        for za, row in zip(z, span_rows):
-            if za != 0:
-                for i, x in enumerate(row):
-                    y[i] += za * x
-        lines.append(normalize_form(y))
-    return sorted(lines)
+    # back to the ambient coordinates, over the common denominator of the
+    # span rows, which normalize_form cancels
+    scaled = [integer_row(row) for row in span_rows]
+    den = lcm(*(e for _, e in scaled))
+    rows = [[x * (den // e) for x in ints] for ints, e in scaled]
+    return sorted(normalize_form([sum(map(mul, z, col)) for col in zip(*rows)])
+                  for (z,) in flats.values())
+
+
+def _integer_forms(f: RhoFunction):
+    """(forms, den) with f(Y) = Σ m |λ·Y| / den over the returned integer
+    forms λ, den being the lcm of the denominators of all of f's entries."""
+    den = lcm(*(x.denominator for lam, _ in f.forms for x in lam))
+    return [([x.numerator * (den // x.denominator) for x in lam], m)
+            for lam, m in f.forms], den
 
 
 def decide_dominance(f: RhoFunction, g: RhoFunction,
@@ -141,15 +168,22 @@ def decide_dominance(f: RhoFunction, g: RhoFunction,
 
     Both functions are even and linear on each cone, so the difference is
     checked once per line of the arrangement; any strict violation there is
-    an exact counterexample.  The witness is the least violating half-line
-    in lexicographic order, the negative of the greatest violating line.
-    With no forms at all both functions vanish identically and the verdict
-    holds with margin 0 by convention.
+    an exact counterexample.  Each function's forms are scaled to integers
+    once and each line is scaled to integers by integer_row, so a line
+    costs integer arithmetic and one Fraction, the difference g − f there.
+    The witness is the least violating half-line in lexicographic order,
+    the negative of the greatest violating line.  With no forms at all both
+    functions vanish identically and the verdict holds with margin 0 by
+    convention.
     """
     lines = tuple(enumerate_lines(build_arrangement(f, g), budget))
+    (fi, fden), (gi, gden) = _integer_forms(f), _integer_forms(g)
     margin = None
     for line in reversed(lines):
-        diff = rho_eval(g, list(line)) - rho_eval(f, list(line))
+        y, yden = integer_row(line)
+        sf = sum(m * abs(sum(map(mul, lam, y))) for lam, m in fi)
+        sg = sum(m * abs(sum(map(mul, lam, y))) for lam, m in gi)
+        diff = Fraction(sg * fden - sf * gden, fden * gden * yden)
         if diff < 0:
             return DominanceVerdict(holds=False,
                                     witness=tuple(-x for x in line),
@@ -189,7 +223,6 @@ def randomized_dominance_oracle(f: RhoFunction, g: RhoFunction,
         return OracleOutcome(True, None, None, None, samples)
     scale = 1
     for lam, _ in tuple(f.forms) + tuple(g.forms):
-        from math import lcm
         for x in lam:
             scale = lcm(scale, x.denominator)
     def int_forms(fn):

@@ -3,10 +3,12 @@
 The builders here construct sl(2) and sl(3) directly from explicit matrices
 inside the test process, independent of the catalog module, so catalog
 output can be checked against them.  `killing_form_matrix` is the
-Killing form, an oracle for semisimplicity.  `rref_oracle` and
-`exp_nilpotent_oracle` are the plain Gauss-Jordan elimination over
-Fraction and the dense matrix exponential that the library replaced with
-integer elimination and sparse series on rows; the tests compare the two.
+Killing form, an oracle for semisimplicity.  `rref_oracle`,
+`exp_nilpotent_oracle` and `enumerate_lines_oracle` are the plain
+Gauss-Jordan elimination over Fraction, the dense matrix exponential and
+the flat grower by RREF of spans of forms that the library replaced with
+integer elimination, sparse series on rows and integer flats grown by
+closure; the tests compare the two.
 """
 
 from fractions import Fraction
@@ -16,6 +18,8 @@ import numpy as np
 import pytest
 
 from liepair.algebra import LieAlgebra, ad_matrix
+from liepair.linalg import kernel
+from liepair.polyhedral import ConeBudgetExceeded
 from liepair.weights import action_operators, rho_eval
 
 F = Fraction
@@ -151,3 +155,39 @@ def exp_nilpotent_oracle(A, t):
     if any(x != 0 for row in P for x in row):
         raise ValueError("matrix is not nilpotent")
     return M
+
+
+def enumerate_lines_oracle(arr, budget=10 ** 6):
+    """`liepair.polyhedral.enumerate_lines` by spans of forms: a flat is
+    the RREF of the span of the forms vanishing on it, in the coordinates
+    given by the RREF rows of the span of all forms, and each flat of rank
+    k + 1 is the span of a rank-k flat and one more form.  Same output and
+    same ConeBudgetExceeded as the library."""
+    if not arr.forms:
+        return []
+    span_rows, _ = rref_oracle([list(x) for x in arr.forms])
+    d = len(span_rows)
+    reduced = [tuple(sum((a * b for a, b in zip(lam, row)), F(0))
+                     for row in span_rows) for lam in arr.forms]
+    flats = {()}
+    count = 1
+    for k in range(d - 1):
+        grown = set()
+        for span in flats:
+            for mu in reduced:
+                rows = tuple(rref_oracle(list(span) + [mu])[0])
+                if len(rows) > k and rows not in grown:
+                    grown.add(rows)
+                    count += 1
+                    if count > budget:
+                        raise ConeBudgetExceeded(
+                            f"flat count exceeded the budget of {budget}")
+        flats = grown
+    lines = []
+    for span in flats:
+        (z,) = kernel(list(span), d)
+        y = [sum((za * row[i] for za, row in zip(z, span_rows)), F(0))
+             for i in range(arr.rank)]
+        nz = next(x for x in y if x != 0)
+        lines.append(tuple(x / nz for x in y))
+    return sorted(lines)

@@ -446,10 +446,94 @@ def test_dominance_recheck_over_the_budget_fails():
     pair = build_fixture("triple_sl3")
     v = check_tempered(pair)
     assert v.certificate["kind"] == "dominance"
-    with patch("liepair.checks.enumerate_lines",
+    with patch("liepair.polyhedral.enumerate_lines",
                side_effect=ConeBudgetExceeded("over budget")):
         ok, detail = verify_certificate(pair, v)
     assert not ok and "over budget" in detail
+
+
+# --- mutated tempered certificates ------------------------------------------
+
+TEMPERED_PAIRS = {
+    "triple_sl3": lambda: build_fixture("triple_sl3"),
+    "so23_so22": lambda: build_fixture("so23_so22"),
+    "torus_pair:sl4": lambda: construct_from_spec("torus_pair:sl4"),
+}
+DELTAS = (1, -1, F(1, 7), F(-1, 7))
+
+
+@lru_cache(maxsize=None)
+def tempered_certificate(name):
+    """The pair and the JSON text of its tempered verdict."""
+    pair = TEMPERED_PAIRS[name]()
+    return pair, json.dumps(verdict_to_json(check_tempered(pair)))
+
+
+def _shifted(x, delta):
+    return str(F(x) + delta)
+
+
+@st.composite
+def mutated_tempered_verdict(draw):
+    """A tempered verdict of a TEMPERED_PAIRS pair, as JSON, with one
+    mutation of its dominance or dominance-violation certificate."""
+    name = draw(st.sampled_from(sorted(TEMPERED_PAIRS)))
+    pair, text = tempered_certificate(name)
+    blob = json.loads(text)
+    cert = blob["certificate"]
+    delta = draw(st.sampled_from(DELTAS))
+    if cert["kind"] == "dominance-violation":
+        key = draw(st.sampled_from(("ray", "rho_h", "rho_quotient")))
+        if key == "ray":
+            k = draw(st.integers(0, len(cert["ray"]) - 1))
+            cert["ray"][k] = _shifted(cert["ray"][k], delta)
+        else:
+            cert[key] = _shifted(cert[key], delta)
+        return name, pair, blob
+    lines = cert["lines"]
+    i = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(("drop", "duplicate", "swap", "negate",
+                                "double", "add 1/7", "margin",
+                                "line_count")))
+    if how == "drop":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(i, list(lines[i]))
+    elif how == "swap":
+        j = draw(st.integers(0, len(lines) - 1).filter(lambda j: j != i))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif how == "negate":
+        lines[i] = [str(-F(x)) for x in lines[i]]
+    elif how == "double":
+        lines[i] = [str(2 * F(x)) for x in lines[i]]
+    elif how == "add 1/7":
+        k = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i][k] = _shifted(lines[i][k], F(1, 7))
+    elif how == "margin":
+        cert["margin"] = _shifted(cert["margin"], delta)
+    else:
+        count = cert["line_count"] + delta
+        cert["line_count"] = count if isinstance(delta, int) else str(count)
+    return name, pair, blob
+
+
+def test_tempered_certificates_of_the_mutation_pairs_verify():
+    kinds = set()
+    for name in TEMPERED_PAIRS:
+        pair, text = tempered_certificate(name)
+        v = verdict_from_json(json.loads(text))
+        kinds.add(v.certificate["kind"])
+        assert verify_certificate(pair, v)[0], name
+    assert kinds == {"dominance", "dominance-violation"}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mutated_tempered_verdict())
+def test_every_mutated_tempered_certificate_fails(case):
+    name, pair, blob = case
+    ok, detail = verify_certificate(pair, verdict_from_json(blob))
+    assert not ok, f"{name}: a mutated certificate verified: {detail}"
+    assert isinstance(detail, str) and detail
 
 
 def test_every_certificate_fails_under_another_outcome_or_question():

@@ -3,9 +3,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import enumerate_lines_oracle
 from liepair.linalg import kernel, rank
 from liepair.polyhedral import (
     ConeBudgetExceeded,
@@ -34,6 +35,11 @@ def random_rho(rng, rank, max_forms=4, entry=3, max_mult=3):
     return RhoFunction(rank=rank, forms=tuple(forms))
 
 
+def common_kernel(arr):
+    """Canonical rows of the common kernel of the arrangement's forms."""
+    return kernel([list(x) for x in arr.forms], arr.rank)
+
+
 # --- arrangement -----------------------------------------------------------
 
 def test_arrangement_dedup_modulo_scaling_and_sign():
@@ -41,13 +47,13 @@ def test_arrangement_dedup_modulo_scaling_and_sign():
     g = rf(1, [((2,), 1), ((-2,), 1)])
     arr = build_arrangement(f, g)
     assert arr.forms == ((F(1),),)
-    assert arr.lineality.dim == 0
+    assert len(common_kernel(arr)) == 0
 
 
 def test_arrangement_empty():
     arr = build_arrangement(rf(2, []), rf(2, []))
     assert arr.forms == ()
-    assert arr.lineality.dim == 2
+    assert len(common_kernel(arr)) == 2
     assert enumerate_lines(arr) == []
 
 
@@ -55,7 +61,7 @@ def test_arrangement_three_forms_rank2():
     arr = build_arrangement(rf(2, [((1, 0), 1), ((0, 1), 1)]),
                             rf(2, [((1, 1), 2)]))
     assert len(arr.forms) == 3
-    assert arr.lineality.dim == 0
+    assert len(common_kernel(arr)) == 0
 
 
 # --- line enumeration ------------------------------------------------------
@@ -76,7 +82,7 @@ def test_quotient_of_rank_one_is_its_span_of_forms():
     # lineality plane
     f = rf(3, [((2, 4, 0), 1), ((-1, -2, 0), 2)])
     arr = build_arrangement(f, rf(3, []))
-    assert arr.lineality.dim == 2
+    assert len(common_kernel(arr)) == 2
     assert enumerate_lines(arr) == [(F(1), F(2), F(0))]
 
 
@@ -122,9 +128,10 @@ def test_cone_count_matches_brute_force_random_rank2():
 
 def brute_force_lines(arr):
     """Oracle: the kernel, inside the orthogonal complement of the
-    lineality, of every (d-1)-subset of forms that has rank d-1."""
+    common kernel of the forms, of every (d-1)-subset of forms that has
+    rank d-1."""
     d = rank([list(x) for x in arr.forms])
-    lin = [list(r) for r in arr.lineality.rows]
+    lin = [list(r) for r in common_kernel(arr)]
     out = set()
     for subset in itertools.combinations(arr.forms, d - 1):
         if rank([list(x) for x in subset]) != d - 1:
@@ -134,11 +141,11 @@ def brute_force_lines(arr):
     return sorted(out)
 
 
-def test_lines_match_brute_force_oracle_rank_le3():
+def test_lines_match_brute_force_oracle_rank_le4():
     rng = Random(47)
     checked = 0
     for _ in range(60):
-        r = rng.randint(1, 3)
+        r = rng.randint(1, 4)
         arr = build_arrangement(random_rho(rng, r, max_forms=5),
                                 random_rho(rng, r, max_forms=5))
         if not arr.forms:
@@ -146,6 +153,53 @@ def test_lines_match_brute_force_oracle_rank_le3():
         assert enumerate_lines(arr) == brute_force_lines(arr)
         checked += 1
     assert checked > 40
+
+
+@st.composite
+def arrangements(draw):
+    """Arrangements of rank 1 to 5 from integer and rational forms, with
+    repeated and parallel copies, split between two rho functions; some
+    draws keep a single base form, so that the forms span d = 1."""
+    r = draw(st.sampled_from(range(1, 6)))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    n = draw(st.sampled_from((1,) + tuple(range(2, r + 3)) * 4))
+    base = [draw(st.lists(entry, min_size=r, max_size=r)) for _ in range(n)]
+    scale = st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(
+        lambda q: q != 0)
+    copies = draw(st.lists(st.tuples(st.integers(0, n - 1), scale),
+                           max_size=3))
+    forms = base + [[q * x for x in base[i]] for i, q in copies]
+    sides = draw(st.lists(st.booleans(), min_size=len(forms),
+                          max_size=len(forms)))
+    f = RhoFunction(rank=r, forms=tuple(
+        (tuple(lam), 1) for lam, s in zip(forms, sides) if s))
+    g = RhoFunction(rank=r, forms=tuple(
+        (tuple(lam), 2) for lam, s in zip(forms, sides) if not s))
+    return build_arrangement(f, g)
+
+
+def lines_or_budget(enumerate_, arr, budget):
+    try:
+        return enumerate_(arr, budget=budget)
+    except ConeBudgetExceeded as e:
+        return str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrangements())
+@example(build_arrangement(rf(3, [((1, 2, 0), 1), ((-2, -4, 0), 1)]),
+                           rf(3, [((F(1, 2), 1, 0), 3)])))
+def test_lines_match_the_span_oracle_at_every_budget(arr):
+    # the library at every budget from 1 up to the flat count, the first
+    # budget it fits in; the oracle's count only grows, so it raises at
+    # every budget below the count iff it raises one below it
+    flats = 1
+    while isinstance(lines_or_budget(enumerate_lines, arr, flats), str):
+        flats += 1
+    for budget in {max(flats - 1, 1), flats}:
+        assert lines_or_budget(enumerate_lines, arr, budget) == \
+            lines_or_budget(enumerate_lines_oracle, arr, budget)
+    assert enumerate_lines(arr, budget=flats) == enumerate_lines_oracle(arr)
 
 
 def test_cone_budget_exceeded():
@@ -183,6 +237,31 @@ def test_dominance_fails_with_exact_witness():
 def test_dominance_empty_case():
     v = decide_dominance(rf(3, []), rf(3, []))
     assert v.holds and v.margin == 0 and v.lines == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=4))
+def test_margin_and_witness_match_rho_eval(seed, rank):
+    rng = Random(seed)
+    def rational_rho():
+        return RhoFunction(rank=rank, forms=tuple(
+            (tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                   for _ in range(rank)), rng.randint(1, 3))
+            for _ in range(rng.randint(0, 4))))
+    f, g = rational_rho(), rational_rho()
+    v = decide_dominance(f, g)
+    assert v.lines == tuple(enumerate_lines(build_arrangement(f, g)))
+    diffs = [rho_eval(g, list(line)) - rho_eval(f, list(line))
+             for line in v.lines]
+    violating = [line for line, d in zip(v.lines, diffs) if d < 0]
+    if violating:
+        assert not v.holds and v.margin is None
+        assert v.witness == tuple(-x for x in max(violating))
+    else:
+        assert v.holds and v.witness is None
+        assert v.margin == min(diffs, default=F(0))
+        assert type(v.margin) is Fraction
 
 
 def brute_force_dominates(f, g, N=25):
