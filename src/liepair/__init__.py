@@ -17,7 +17,6 @@ from .algebra import (
     ad_matrix,
     bracket,
     subspace_intersect,
-    subspace_rank,
     subspace_sum,
     validate,
 )

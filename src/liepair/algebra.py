@@ -26,11 +26,6 @@ from .linalg import (
     vec,
 )
 
-# validate() checks the Jacobi identity triple-by-triple up to this dimension;
-# above it a verified matrix realization implies Jacobi and is used instead.
-JACOBI_AUTO_DIM = 24
-
-
 class ValidationError(ValueError):
     """An algebraic invariant failed; the message carries 1-based indices."""
 
@@ -195,9 +190,10 @@ def validate(L: LieAlgebra) -> ValidationReport:
 
     A matrix realization must be faithful (linearly independent matrices)
     and satisfy [M_i, M_j] = Σ c_k M_k.  The Jacobi identity is checked
-    triple by triple up to JACOBI_AUTO_DIM; above it, a realization that
-    passes both checks implies it (matrix commutators satisfy Jacobi
-    identically), and without one the triple check runs.
+    triple by triple unless the structure constants are antisymmetric and
+    a realization passes both checks: the bracket is then the commutator
+    of gl(n) pulled back along an injective linear map, where Jacobi holds
+    identically.
     """
     problems = []
     n = L.dim
@@ -212,7 +208,7 @@ def validate(L: LieAlgebra) -> ValidationReport:
         if problem is not None:
             problems.append(problem)
         realization_ok = problem is None
-    if n <= JACOBI_AUTO_DIM or not realization_ok:
+    if pair is not None or not realization_ok:
         triple = next(((i, j, k) for i in range(n) for j in range(i + 1, n)
                        for k in range(j + 1, n)
                        if not is_zero_vec(_jacobi_defect(L, i, j, k))), None)
@@ -270,10 +266,6 @@ class Subspace:
     def zero(ambient):
         return Subspace(ambient=ambient, rows=(), pivots=())
 
-    @staticmethod
-    def full(ambient):
-        return Subspace.from_rows(ambient, identity_rows(ambient))
-
     @property
     def dim(self):
         return len(self.rows)
@@ -308,11 +300,6 @@ def subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
     red, _ = rref(block)
     inter = [row[n:] for row in red if is_zero_vec(row[:n])]
     return Subspace.from_rows(n, inter)
-
-
-def subspace_rank(A: Subspace, B: Subspace) -> int:
-    """dim(A + B)."""
-    return subspace_sum(A, B).dim
 
 
 @dataclass(frozen=True)

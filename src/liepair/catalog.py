@@ -363,10 +363,6 @@ def direct_sum(datas) -> AlgebraData:
                        spec="+".join(d.spec for d in datas))
 
 
-BASE_SPECS = ("sl<n>", "sl<n>C", "so_<p>_<q>", "so<n>", "su_<p>_<q>",
-              "sp_<2n>", "sp_<2n>C", "so_<p>_<q>C")
-
-
 def base_algebra(spec: str) -> AlgebraData:
     """Parse a base algebra spec like sl2, sl3C, so_2_3, so3, su_1_1, sp_4."""
     spec = spec.strip()

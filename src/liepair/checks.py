@@ -10,11 +10,13 @@ negative certificates are exact and independently re-checkable:
                         where the minimal parabolic is a Borel
 * generic_stabilizer_abelian - the minimal sampled intersection h ∩ Ad(w)h
 
-Group elements appear only through Ad-words: products of exp(ad Z) with Z
-ad-nilpotent, so every matrix involved is an exact polynomial in rational
-parameters.  Openness of the orbit condition is Zariski-open, hence a single
-full-rank witness is a proof; failure at finitely many samples is evidence
-only, and is reported as probable_no, never as a certified no.
+Both sphericity questions run one routine, _check_open_orbit, on the space
+that OPEN_ORBIT_SPACES maps to the question.  Group elements appear only
+through Ad-words from one stream, _sampled_words: products of exp(ad Z)
+with Z ad-nilpotent, so every matrix involved is an exact polynomial in
+rational parameters.  Openness of the orbit condition is Zariski-open, hence
+a single full-rank witness is a proof; failure at finitely many samples is
+evidence only, and is reported as probable_no, never as a certified no.
 """
 
 from __future__ import annotations
@@ -355,145 +357,141 @@ def nilpotent_pool(ws: WeightSystem):
     return pool
 
 
-def _random_word(pool, rng) -> AdWord:
-    length = rng.randint(1, MAX_WORD_LENGTH)
-    steps = []
-    for _ in range(length):
-        z = pool[rng.randrange(len(pool))]
-        t = Fraction(rng.randint(-PARAM_BOUND, PARAM_BOUND),
-                     rng.randint(1, PARAM_BOUND))
-        steps.append((z, t))
-    return AdWord(steps=tuple(steps))
+def _sampled_words(pool, seed, label, samples):
+    """The words a search applies: the identity, then (for a nonempty pool)
+    up to samples - 1 words of 1 to MAX_WORD_LENGTH steps (Z from the pool,
+    t with |numerator|, denominator ≤ PARAM_BOUND), drawn lazily from
+    Random(derive_seed(seed, label))."""
+    yield AdWord(steps=())
+    if not pool:
+        return
+    rng = Random(derive_seed(seed, label))
+    for _ in range(samples - 1):
+        steps = []
+        for _ in range(rng.randint(1, MAX_WORD_LENGTH)):
+            z = pool[rng.randrange(len(pool))]
+            t = Fraction(rng.randint(-PARAM_BOUND, PARAM_BOUND),
+                         rng.randint(1, PARAM_BOUND))
+            steps.append((z, t))
+        yield AdWord(steps=tuple(steps))
 
 
-def _open_orbit_search(pair: Pair, samples: int, seed: int):
-    """Search for a word w with Ad(w)·p + h = g.  Returns (word, parabolic,
-    words tried, root-vector pool); word is None after exhausting the
-    sample budget."""
-    ws = weight_decomposition(pair.torus_g, "g")
+# The open-orbit test Ad(w)·p + h = g answers two questions, one per space it
+# runs on; an open-orbit certificate's "space" is a key of this table.
+OPEN_ORBIT_SPACES = {
+    "g": {
+        "question": "real_spherical",
+        "note": "",
+        "trivial_h": (
+            "h is trivial: the open-orbit test is applied to X = G literally; "
+            "for the group case encode (g ⊕ g, diagonal) instead"),
+        "yes": (
+            "X = G/H is real spherical: a minimal parabolic subgroup has "
+            "an open orbit (exact witness word; the condition is "
+            "Zariski-open).",
+            "Every irreducible admissible representation has finite "
+            "multiplicity in C^inf(X) (Kobayashi-Oshima finiteness "
+            "criterion).",
+        ),
+        "dimension_count": (
+            "dimension count dim p + dim h < dim g already precludes an open "
+            "orbit at every point; the outcome class remains probable_no "
+            "because the certified-no channel is reserved"),
+        "no": (
+            "No open minimal-parabolic orbit was found after {tried} sampled "
+            "words; if none exists, some irreducible representation has "
+            "infinite multiplicity (Kobayashi-Oshima criterion, "
+            "contrapositive)."),
+    },
+    "complexification": {
+        "question": "complex_spherical",
+        "note": "computed on the realified complexification (dim {dim})",
+        "trivial_h": (
+            "h is trivial: the Borel orbit test on X_C = G_C is answered "
+            "literally; encode group cases diagonally to ask the usual "
+            "question"),
+        "yes": (
+            "X_C is a spherical variety: a Borel subgroup of G_C has an "
+            "open orbit (exact witness word on the realified "
+            "complexification).",
+            "Multiplicities in C^inf(X) are uniformly bounded over all "
+            "irreducible representations (Kobayashi-Oshima boundedness "
+            "criterion).",
+        ),
+        "dimension_count": (
+            "dimension count dim b + dim h_C < dim g_C already precludes an "
+            "open orbit; outcome class remains probable_no"),
+        "no": (
+            "No open Borel orbit was found on X_C after {tried} sampled "
+            "words; if none exists, multiplicities are not uniformly bounded "
+            "(Kobayashi-Oshima boundedness criterion, contrapositive)."),
+    },
+}
+
+
+def _orbit_target(pair: Pair, space: str) -> Optional[Pair]:
+    """The pair whose g the open-orbit test of `space` runs on: the pair
+    itself, or its realified complexification (None when it has none)."""
+    return pair if space == "g" else pair.complexification
+
+
+def _orbit_rank(target: Pair, word: AdWord, parabolic_rows) -> int:
+    """dim(Ad(w)·p + h) in target.g; the orbit through w is open exactly
+    when this is dim g."""
+    moved = word.apply_to_rows(target.g, parabolic_rows)
+    return rank(moved + [list(r) for r in target.h.rows])
+
+
+def _check_open_orbit(pair: Pair, space: str, samples: int, seed: int) -> Verdict:
+    """The open-orbit question of `space` (a key of OPEN_ORBIT_SPACES):
+    yes_certified at the first sampled word w with Ad(w)·p + h = g, p the
+    minimal parabolic of a generic chamber (a Borel on the complexification),
+    else probable_no.  When torus_g has no nonzero weight, p = g and the
+    identity word, which comes first, decides."""
+    target = _orbit_target(pair, space)
+    if target is None:
+        raise MissingComplexData(
+            f"pair {pair.name or '?'} carries no complexification data")
+    texts = OPEN_ORBIT_SPACES[space]
+    ws = weight_decomposition(target.torus_g, "g")
     par = minimal_parabolic(ws, seed=seed)
-    pool = nilpotent_pool(ws)
-    h_rows = [list(r) for r in pair.h.rows]
-    need = pair.g.dim
-    rng = Random(derive_seed(seed, "orbit-words"))
-    words = [AdWord(steps=())]
-    if pool:
-        words += [_random_word(pool, rng) for _ in range(max(0, samples - 1))]
-    tried = 0
-    for word in words:
-        tried += 1
-        moved = word.apply_to_rows(pair.g, par.subspace.rows)
-        if rank(moved + h_rows) == need:
-            return word, par, tried, pool
-    return None, par, tried, pool
+    words = _sampled_words(nilpotent_pool(ws), seed, "orbit-words", samples)
+    notes = [texts["note"].format(dim=target.g.dim)] if texts["note"] else []
+    if pair.h.dim == 0:
+        notes.append(texts["trivial_h"])
+    for tried, word in enumerate(words, start=1):
+        if _orbit_rank(target, word, par.subspace.rows) == target.g.dim:
+            cert = {
+                "kind": "open-orbit",
+                "space": space,
+                "chamber": list(par.chamber),
+                "parabolic_rows": [list(r) for r in par.subspace.rows],
+                "word": word.to_json(),
+                "rank_achieved": target.g.dim,
+            }
+            return Verdict(
+                question=texts["question"], outcome="yes_certified",
+                certificate=cert, samples_used=tried, seed=seed,
+                conclusions=texts["yes"], notes=tuple(notes))
+    if par.subspace.dim + target.h.dim < target.g.dim:
+        notes.append(texts["dimension_count"])
+    return Verdict(
+        question=texts["question"], outcome="probable_no",
+        certificate=None, samples_used=tried, seed=seed,
+        conclusions=(texts["no"].format(tried=tried),), notes=tuple(notes))
 
 
 def check_real_spherical(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Verdict:
     """Certify real sphericity: an exact word witnessing an open orbit of the
     minimal parabolic, or probable_no after the sample budget."""
-    word, par, tried, pool = _open_orbit_search(pair, samples, seed)
-    notes = []
-    if pair.h.dim == 0:
-        notes.append(
-            "h is trivial: the open-orbit test is applied to X = G literally; "
-            "for the group case encode (g ⊕ g, diagonal) instead")
-    if word is not None:
-        cert = {
-            "kind": "open-orbit",
-            "space": "g",
-            "chamber": list(par.chamber),
-            "parabolic_rows": [list(r) for r in par.subspace.rows],
-            "word": word.to_json(),
-            "rank_achieved": pair.g.dim,
-        }
-        return Verdict(
-            question="real_spherical", outcome="yes_certified",
-            certificate=cert, samples_used=tried, seed=seed,
-            conclusions=(
-                "X = G/H is real spherical: a minimal parabolic subgroup has "
-                "an open orbit (exact witness word; the condition is "
-                "Zariski-open).",
-                "Every irreducible admissible representation has finite "
-                "multiplicity in C^inf(X) (Kobayashi-Oshima finiteness "
-                "criterion).",
-            ),
-            notes=tuple(notes))
-    if par.subspace.dim + pair.h.dim < pair.g.dim:
-        notes.append(
-            "dimension count dim p + dim h < dim g already precludes an open "
-            "orbit at every point; the outcome class remains probable_no "
-            "because the certified-no channel is reserved")
-    if not pool:
-        # no root vectors means no words beyond the base point, so a failure
-        # there leaves the search with nothing to certify either way
-        return Verdict(
-            question="real_spherical", outcome="unknown",
-            certificate=None, samples_used=tried, seed=seed,
-            conclusions=(),
-            notes=tuple(notes) + (
-                "no nilpotent root vectors exist and the base point is "
-                "rank-deficient; no group elements were available to move "
-                "the parabolic",))
-    return Verdict(
-        question="real_spherical", outcome="probable_no",
-        certificate=None, samples_used=tried, seed=seed,
-        conclusions=(
-            f"No open minimal-parabolic orbit was found after {tried} sampled "
-            "words; if none exists, some irreducible representation has "
-            "infinite multiplicity (Kobayashi-Oshima criterion, "
-            "contrapositive).",),
-        notes=tuple(notes))
+    return _check_open_orbit(pair, "g", samples, seed)
 
 
 def check_complex_spherical(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Verdict:
     """Certify sphericity of the complexification: the minimal parabolic of
     the realified complex algebra is a Borel, so the same open-orbit
     certification applies."""
-    if pair.complexification is None:
-        raise MissingComplexData(
-            f"pair {pair.name or '?'} carries no complexification data")
-    comp = pair.complexification
-    word, par, tried, _ = _open_orbit_search(comp, samples, seed)
-    notes = ["computed on the realified complexification "
-             f"(dim {comp.g.dim})"]
-    if pair.h.dim == 0:
-        notes.append(
-            "h is trivial: the Borel orbit test on X_C = G_C is answered "
-            "literally; encode group cases diagonally to ask the usual "
-            "question")
-    if word is not None:
-        cert = {
-            "kind": "open-orbit",
-            "space": "complexification",
-            "chamber": list(par.chamber),
-            "parabolic_rows": [list(r) for r in par.subspace.rows],
-            "word": word.to_json(),
-            "rank_achieved": comp.g.dim,
-        }
-        return Verdict(
-            question="complex_spherical", outcome="yes_certified",
-            certificate=cert, samples_used=tried, seed=seed,
-            conclusions=(
-                "X_C is a spherical variety: a Borel subgroup of G_C has an "
-                "open orbit (exact witness word on the realified "
-                "complexification).",
-                "Multiplicities in C^inf(X) are uniformly bounded over all "
-                "irreducible representations (Kobayashi-Oshima boundedness "
-                "criterion).",
-            ),
-            notes=tuple(notes))
-    if par.subspace.dim + comp.h.dim < comp.g.dim:
-        notes.append(
-            "dimension count dim b + dim h_C < dim g_C already precludes an "
-            "open orbit; outcome class remains probable_no")
-    return Verdict(
-        question="complex_spherical", outcome="probable_no",
-        certificate=None, samples_used=tried, seed=seed,
-        conclusions=(
-            f"No open Borel orbit was found on X_C after {tried} sampled "
-            "words; if none exists, multiplicities are not uniformly bounded "
-            "(Kobayashi-Oshima boundedness criterion, contrapositive).",),
-        notes=tuple(notes))
+    return _check_open_orbit(pair, "complexification", samples, seed)
 
 
 def rho_pair(pair: Pair):
@@ -564,6 +562,9 @@ def check_tempered(pair: Pair, cone_budget=DEFAULT_CONE_BUDGET) -> Verdict:
 
 @dataclass(frozen=True)
 class StabilizerReport:
+    """The scan's least stabilizer h ∩ Ad(w)h, at its word; samples_used is
+    the number of words applied before the scan stopped."""
+
     dimension: int
     representative: Subspace
     abelian: bool
@@ -581,14 +582,11 @@ def generic_stabilizer(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Stabilize
     is the generic value is Monte Carlo evidence.
     """
     pool = nilpotent_pool(weight_decomposition(pair.torus_g, "g"))
-    rng = Random(derive_seed(seed, "stabilizer-words"))
     h_rows = [list(r) for r in pair.h.rows]
     h_space = pair.h.subspace()
-    words = [AdWord(steps=())]
-    if pool:
-        words += [_random_word(pool, rng) for _ in range(max(0, samples - 1))]
     best = None
-    for word in words:
+    words = _sampled_words(pool, seed, "stabilizer-words", samples)
+    for used, word in enumerate(words, start=1):
         moved = word.apply_to_rows(pair.g, h_rows)
         # Ad(w) is invertible, so dim(h ∩ Ad(w)h) = 2 dim h - dim(h + Ad(w)h)
         dim = 2 * len(h_rows) - rank(h_rows + moved)
@@ -600,7 +598,7 @@ def generic_stabilizer(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Stabilize
     abelian = _is_abelian(pair.g, inter)
     return StabilizerReport(dimension=inter.dim, representative=inter,
                             abelian=abelian, word=word,
-                            samples_used=len(words), seed=seed)
+                            samples_used=used, seed=seed)
 
 
 def _intersect(h_space: Subspace, moved_rows):
@@ -729,11 +727,9 @@ def _supported_claim(cert):
     if kind == "dominance-violation":
         return "tempered", "no_certified"
     if kind == "open-orbit":
-        questions = {"g": "real_spherical",
-                     "complexification": "complex_spherical"}
-        if cert.get("space") not in questions:
+        if cert.get("space") not in OPEN_ORBIT_SPACES:
             raise ValueError(f"unknown space {cert.get('space')!r}")
-        return questions[cert["space"]], "yes_certified"
+        return OPEN_ORBIT_SPACES[cert["space"]]["question"], "yes_certified"
     if kind == "stabilizer":
         if not isinstance(cert.get("abelian"), bool):
             raise ValueError("abelian is not a boolean")
@@ -781,19 +777,15 @@ def _recheck(pair: Pair, cert):
             return False, "stored rho values do not match recomputation"
         return True, f"violation re-verified: {vh} > {vq}"
     if kind == "open-orbit":
-        target = pair if cert["space"] == "g" else pair.complexification
+        target = _orbit_target(pair, cert["space"])
         if target is None:
             return False, "certificate refers to a missing complexification"
         word = AdWord.from_json(cert["word"])
-        par_rows = [vec(r) for r in cert["parabolic_rows"]]
-        sub = Subspace.from_rows(target.g.dim, par_rows)
-        # the stored rows must really be a parabolic for the stored chamber
-        recomputed = minimal_parabolic(
+        par = minimal_parabolic(
             weight_decomposition(target.torus_g, "g"), xi=cert["chamber"])
-        if recomputed.subspace != sub:
+        if not _is_canonical_basis(cert["parabolic_rows"], par.subspace):
             return False, "stored parabolic rows do not match the chamber"
-        moved = word.apply_to_rows(target.g, sub.rows)
-        got = rank(moved + [list(r) for r in target.h.rows])
+        got = _orbit_rank(target, word, par.subspace.rows)
         if got != cert["rank_achieved"] or got != target.g.dim:
             return False, f"rank recomputation gives {got}, not {target.g.dim}"
         return True, f"open orbit re-verified at word of length {word.length}"
@@ -804,13 +796,17 @@ def _recheck(pair: Pair, cert):
     if inter.dim != cert["dimension"]:
         return False, (f"intersection dimension {inter.dim} != stored "
                        f"{cert['dimension']}")
-    stored_rows = Subspace.from_rows(pair.g.dim,
-                                     [vec(r) for r in cert["rows"]])
-    if stored_rows != inter:
+    if not _is_canonical_basis(cert["rows"], inter):
         return False, "stored representative does not match recomputation"
     if _is_abelian(pair.g, inter) != cert["abelian"]:
         return False, "stored abelian flag does not match recomputation"
     return True, f"stabilizer re-verified at dimension {inter.dim}"
+
+
+def _is_canonical_basis(stored_rows, sub: Subspace) -> bool:
+    """Whether stored rows are exactly sub's reduced row echelon basis, as
+    the decider writes them; no other basis of sub is accepted."""
+    return [tuple(vec(r)) for r in stored_rows] == [tuple(r) for r in sub.rows]
 
 
 def _stored_lines(cert, rank):

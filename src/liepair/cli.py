@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Exit codes: 0 = all requested questions answered (whatever the outcomes),
-2 = input error (bad family, bad file, unsupported question for the pair),
+2 = input error (bad family, bad file, unsupported question for the pair,
+--samples or --cone-budget below 1),
 3 = budget exceeded: the hyperplane arrangement of the tempered check has
 more flats than --cone-budget allows (the flat count never exceeds the
 number of cones of the arrangement).
@@ -184,6 +185,17 @@ def cmd_fixtures(args) -> int:
     return 0 if not suite["expectation_mismatches"] else 1
 
 
+def _at_least_one(text):
+    """argparse type of a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="liepair",
@@ -196,9 +208,10 @@ def build_parser():
         p.add_argument("--file", help="pair file path")
 
     def add_run_flags(p):
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+        p.add_argument("--samples", type=_at_least_one, default=DEFAULT_SAMPLES)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cone-budget", type=int, default=DEFAULT_CONE_BUDGET,
+        p.add_argument("--cone-budget", type=_at_least_one,
+                       default=DEFAULT_CONE_BUDGET,
                        dest="cone_budget",
                        help="most flats of the tempered check's hyperplane "
                             "arrangement to enumerate (exit 3 beyond it)")

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liepair.algebra import (
-    JACOBI_AUTO_DIM,
     LieAlgebra,
     SubalgebraEmbedding,
     Subspace,
@@ -15,7 +14,6 @@ from liepair.algebra import (
     ad_matrix,
     bracket,
     subspace_intersect,
-    subspace_rank,
     subspace_sum,
     validate,
 )
@@ -100,11 +98,26 @@ def test_validate_detects_antisymmetry_violation(sl2):
     assert "antisymmetry" in rep.first_problem and "(1, 2)" in rep.first_problem
 
 
+def test_validate_checks_jacobi_when_only_antisymmetry_fails(sl2):
+    # the realization check reads only i < j, so it still passes once the
+    # lower-triangle [F, H] is dropped; that entry breaks antisymmetry and
+    # the Jacobi triple (H, E, F) by -2H, and the triples must still run
+    sparse = [list(row) for row in sl2.sparse]
+    sparse[2][0] = ()
+    bad = replace(sl2, sparse=tuple(tuple(row) for row in sparse))
+    rep = validate(bad)
+    assert sl2.matrix_realization is not None and not rep.ok
+    assert not any("realization" in p for p in rep.problems)
+    assert any("antisymmetry" in p and "(1, 3)" in p for p in rep.problems)
+    assert any("Jacobi" in p and "(1, 2, 3)" in p for p in rep.problems)
+
+
 def test_validate_detects_perturbed_realization(sl2):
-    # sl6 (dim 35) is above JACOBI_AUTO_DIM, where the realization check is
-    # the only check that ties the structure constants to a Lie algebra
+    # a passing realization of antisymmetric constants skips the Jacobi
+    # triples, so for sl6 (dim 35) as for sl2 the realization check is the
+    # only check that ties the structure constants to a Lie algebra
     sl6 = LieAlgebra.from_matrices(*mat_sl(6))
-    assert sl6.dim > JACOBI_AUTO_DIM and validate(sl6).ok
+    assert sl6.dim > 24 and validate(sl6).ok
     for alg in (sl2, sl6):
         mats = [[list(r) for r in M] for M in alg.matrix_realization]
         mats[1][0][0] += 1
@@ -117,8 +130,8 @@ def test_validate_detects_perturbed_realization(sl2):
 
 def test_validate_rejects_an_unfaithful_realization():
     # zero matrices satisfy [M_i, M_j] = Σ c_k M_k for any constants, so
-    # above JACOBI_AUTO_DIM they would hide this Jacobi violation
-    n = JACOBI_AUTO_DIM + 1
+    # without the faithfulness check they would hide this Jacobi violation
+    n = 25
     table = {(0, 1): {2: F(1)}, (0, 2): {0: F(1)}}
     bad = LieAlgebra.from_structure(
         [f"e{k}" for k in range(n)], table, realization=[[[F(0)]]] * n)
@@ -147,7 +160,6 @@ def test_subspace_trivial_sum_and_intersection():
     B = Subspace.from_rows(2, [[F(0), F(1)]])
     assert subspace_sum(A, B).dim == 2
     assert subspace_intersect(A, B).dim == 0
-    assert subspace_rank(A, B) == 2
 
 
 def test_subspace_equal_operands():

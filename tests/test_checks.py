@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exp_nilpotent_oracle
+from conftest import exp_nilpotent_oracle, rref_oracle
 from liepair.algebra import Subspace, ValidationError, ad_matrix
 from liepair.catalog import (
     build_fixture,
@@ -534,6 +534,152 @@ def test_every_mutated_tempered_certificate_fails(case):
     ok, detail = verify_certificate(pair, verdict_from_json(blob))
     assert not ok, f"{name}: a mutated certificate verified: {detail}"
     assert isinstance(detail, str) and detail
+
+
+# --- mutated open-orbit and stabilizer certificates -------------------------
+
+WORD_CERTIFICATES = {
+    "triple_diagonal:sl2": (lambda: construct_from_spec("triple_diagonal:sl2"),
+                            check_real_spherical),
+    "so23_so22": (lambda: build_fixture("so23_so22"), check_complex_spherical),
+    "group_sl2": (lambda: build_fixture("group_sl2"), check_generic_stabilizer),
+    "sl2c_cartan": (lambda: build_fixture("sl2c_cartan"),
+                    check_generic_stabilizer),
+}
+# a word or chamber is one point of a Zariski-open condition, so its mutation
+# may still be a witness; every other field is pinned by the verifier
+MAY_STAY_VALID = ("chamber", "t", "z", "drop step")
+
+
+@lru_cache(maxsize=None)
+def word_certificate(name):
+    """The pair, the root vectors of the space its certificate lives on and
+    the JSON text of the verdict."""
+    build, check = WORD_CERTIFICATES[name]
+    pair = build()
+    v = check(pair)
+    on_complexification = v.certificate.get("space") == "complexification"
+    target = pair.complexification if on_complexification else pair
+    return pair, nilpotent_pool(g_weights(target)), json.dumps(verdict_to_json(v))
+
+
+@st.composite
+def mutated_word_verdict(draw):
+    """A verdict of a WORD_CERTIFICATES pair, as JSON, with one mutation of
+    its open-orbit or stabilizer certificate, and the mutation's name."""
+    name = draw(st.sampled_from(sorted(WORD_CERTIFICATES)))
+    pair, pool, text = word_certificate(name)
+    blob = json.loads(text)
+    cert = blob["certificate"]
+    word = cert["word"]
+    hows = ["t", "z", "drop step"] if word else []
+    if cert["kind"] == "open-orbit":
+        hows += ["rank_achieved", "space", "drop parabolic row",
+                 "parabolic entry", "chamber"]
+    else:
+        hows += ["dimension", "abelian"]
+        if cert["rows"]:
+            hows += ["rows entry", "drop row"]
+    how = draw(st.sampled_from(hows))
+    if how in ("t", "z", "drop step"):
+        i = draw(st.integers(0, len(word) - 1))
+        if how == "t":
+            word[i]["t"] = _shifted(word[i]["t"], draw(st.sampled_from(
+                (F(1, 7), F(-1, 7)))))
+        elif how == "z":
+            z = draw(st.sampled_from(pool).filter(
+                lambda z: [str(x) for x in z] != word[i]["z"]))
+            word[i]["z"] = [str(x) for x in z]
+        else:
+            del word[i]
+    elif how in ("rank_achieved", "dimension"):
+        cert[how] += draw(st.sampled_from((1, -1)))
+    elif how == "space":
+        cert["space"] = {"g": "complexification",
+                         "complexification": "g"}[cert["space"]]
+    elif how in ("drop parabolic row", "drop row"):
+        rows = cert["parabolic_rows" if how == "drop parabolic row" else "rows"]
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    elif how in ("parabolic entry", "rows entry"):
+        rows = cert["parabolic_rows" if how == "parabolic entry" else "rows"]
+        i = draw(st.integers(0, len(rows) - 1))
+        k = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][k] = _shifted(rows[i][k], F(1, 7))
+    elif how == "chamber":
+        k = draw(st.integers(0, len(cert["chamber"]) - 1))
+        cert["chamber"][k] = _shifted(cert["chamber"][k],
+                                      draw(st.sampled_from(DELTAS)))
+    else:
+        cert["abelian"] = not cert["abelian"]
+    return name, how, pair, blob
+
+
+@lru_cache(maxsize=None)
+def _oracle_exp(g, z, t):
+    """The dense matrix exp(t·ad Z), from JSON strings z and t."""
+    return exp_nilpotent_oracle(ad_matrix(g, [F(x) for x in z]), F(t))
+
+
+def _oracle_moved(g, word, rows):
+    """Ad(w) applied to rows through dense exp(t·ad Z) matrices."""
+    rows = [list(r) for r in rows]
+    for step in reversed(word):
+        M = _oracle_exp(g, tuple(step["z"]), step["t"])
+        rows = [mat_vec(M, r) for r in rows]
+    return rows
+
+
+def _oracle_span(rows, n):
+    return [r for r in rref_oracle(rows, n)[0] if any(r)] if rows else []
+
+
+def _oracle_confirms(pair, cert):
+    """Whether a mutated word or chamber is, independently of the verifier,
+    still a valid certificate of the same claim."""
+    if cert["kind"] == "open-orbit":
+        target = pair if cert["space"] == "g" else pair.complexification
+        n = target.g.dim
+        par = minimal_parabolic(g_weights(target), xi=cert["chamber"])
+        stored = [[F(x) for x in r] for r in cert["parabolic_rows"]]
+        if par.subspace != Subspace.from_rows(n, stored):
+            return False
+        moved = _oracle_moved(target.g, cert["word"], stored)
+        return len(_oracle_span(moved + [list(r) for r in target.h.rows],
+                                n)) == n
+    n = pair.g.dim
+    h_rows = [list(r) for r in pair.h.rows]
+    moved = _oracle_moved(pair.g, cert["word"], h_rows)
+    # Zassenhaus: rows of the reduced [[h, h], [Ad(w)h, 0]] whose left half
+    # is zero span h ∩ Ad(w)h in their right half
+    block = [r + r for r in h_rows] + [r + [F(0)] * n for r in moved]
+    inter = [r[n:] for r in _oracle_span(block, 2 * n) if not any(r[:n])]
+    stored = [[F(x) for x in r] for r in cert["rows"]]
+    return _oracle_span(inter, n) == _oracle_span(stored, n)
+
+
+def test_word_certificates_of_the_mutation_pairs_verify():
+    kinds = set()
+    for name in WORD_CERTIFICATES:
+        pair, _, text = word_certificate(name)
+        v = verdict_from_json(json.loads(text))
+        kinds.add((v.certificate["kind"], v.certificate.get("space")))
+        assert v.certificate["word"], name
+        assert verify_certificate(pair, v)[0], name
+        assert _oracle_confirms(pair, v.certificate), name
+    assert kinds == {("open-orbit", "g"), ("open-orbit", "complexification"),
+                     ("stabilizer", None)}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mutated_word_verdict())
+def test_every_mutated_word_certificate_fails(case):
+    name, how, pair, blob = case
+    ok, detail = verify_certificate(pair, verdict_from_json(blob))
+    assert isinstance(detail, str) and detail
+    if ok:
+        assert how in MAY_STAY_VALID and \
+            _oracle_confirms(pair, blob["certificate"]), \
+            f"{name}: a mutated certificate ({how}) verified: {detail}"
 
 
 def test_every_certificate_fails_under_another_outcome_or_question():

@@ -85,6 +85,24 @@ def test_cone_budget_exit_3(capsys):
     assert code == 3 and "budget" in err
 
 
+@pytest.mark.parametrize("command", ["check", "fixtures"])
+@pytest.mark.parametrize("flag, value, why", [
+    ("--samples", "-3", "at least 1"), ("--samples", "0", "at least 1"),
+    ("--samples", "2.5", "invalid integer"),
+    ("--cone-budget", "-1", "at least 1"), ("--cone-budget", "0", "at least 1"),
+])
+def test_run_flags_below_one_exit_2(capsys, command, flag, value, why):
+    argv = [command, flag, value, "--format", "machine"]
+    if command == "check":
+        argv += ["--family", "triple_diagonal:sl3",
+                 "--questions", "real-spherical"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert flag in out.err and why in out.err
+
+
 def test_rho_values(capsys):
     code, out, _ = run(capsys, "rho", "--family", "torus_pair:sl2",
                        "--space", "g", "--points", "1;3;0")

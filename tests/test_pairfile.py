@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liepair.algebra import JACOBI_AUTO_DIM, ValidationError, bracket
+from liepair.algebra import ValidationError, bracket
 from liepair.catalog import (
     build_fixture,
     fixture_names,
@@ -177,7 +177,7 @@ def test_mutated_fixture_parses_or_fails_cleanly(name, data):
 def test_unfaithful_realization_rejected():
     # [e1, e2] = e3 and [e1, e3] = e1 break Jacobi; 25 zero matrices of
     # size 1 "realize" any structure constants, so faithfulness is checked
-    n = JACOBI_AUTO_DIM + 1
+    n = 25
     text = "\n".join(
         ["begin algebra g", f"dim {n}", "c 1 2 = 3:1", "c 1 3 = 1:1",
          "matsize 1"]
