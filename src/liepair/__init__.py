@@ -43,6 +43,7 @@ from .weights import (
     RhoFunction,
     SplitTorus,
     extend_torus_greedily,
+    quotient_weights,
     rho_eval,
     rho_from_weights,
     validate_torus,

@@ -275,13 +275,6 @@ class Subspace:
             raise ValidationError("ambient mismatch")
         return express_in_rows(list(self.rows), [list(v)])[0] is not None
 
-    def complement_rows(self):
-        """Standard unit vectors at the non-pivot coordinates: a canonical
-        complement of this subspace."""
-        pivset = set(self.pivots)
-        return [tuple(ONE if j == i else ZERO for j in range(self.ambient))
-                for i in range(self.ambient) if i not in pivset]
-
 
 def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
     if A.ambient != B.ambient:

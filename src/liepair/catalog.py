@@ -394,10 +394,6 @@ def base_algebra(spec: str) -> AlgebraData:
 # pair construction
 # ---------------------------------------------------------------------------
 
-def _whole(alg: LieAlgebra) -> SubalgebraEmbedding:
-    return SubalgebraEmbedding.whole(alg)
-
-
 def _generic_chamber(weights, r):
     """Deterministic generic functional: (1, q, q², …) for the first prime
     power q that kills no nonzero weight."""
@@ -424,7 +420,8 @@ def _make_pair(gdata: AlgebraData, h_rows, torus_h_rows, name, provenance,
     alg = gdata.algebra
     h = SubalgebraEmbedding.create(alg, [list(r) for r in h_rows])
     torus_h = validate_torus([list(r) for r in torus_h_rows], h)
-    torus_g = validate_torus([list(r) for r in gdata.split_rows], _whole(alg))
+    torus_g = validate_torus([list(r) for r in gdata.split_rows],
+                             SubalgebraEmbedding.whole(alg))
     J = gdata.complex_structure
     if J is not None and not _stable_under(J, h.rows):
         J = None
@@ -541,7 +538,8 @@ def pair_whittaker(spec: str) -> Pair:
     ad-nilpotent."""
     gdata = base_algebra(spec)
     alg = gdata.algebra
-    torus_g = validate_torus([list(r) for r in gdata.split_rows], _whole(alg))
+    torus_g = validate_torus([list(r) for r in gdata.split_rows],
+                             SubalgebraEmbedding.whole(alg))
     if torus_g.rank == 0:
         raise UnsupportedParams(
             "whittaker_nilradical needs a noncompact base (positive rank)")
@@ -658,7 +656,6 @@ class FixtureDef:
     name: str
     description: str
     build: Callable[[], Pair]
-    expectations: tuple
 
 
 def _exp(question, outcome, margin=None, dimension=None, source=""):
@@ -682,8 +679,7 @@ FIXTURES = (
                  source="compact h acts properly"),
             _exp("complex_spherical", "yes_certified",
                  source="complexified symmetric spaces are spherical"),
-        )),
-        ()),
+        ))),
     FixtureDef(
         "symmetric_sl3_so3",
         "symmetric pair (sl3, so(3))",
@@ -694,8 +690,7 @@ FIXTURES = (
                  source="compact h acts properly"),
             _exp("complex_spherical", "yes_certified",
                  source="complexified symmetric spaces are spherical"),
-        )),
-        ()),
+        ))),
     FixtureDef(
         "group_sl2",
         "group case (sl2+sl2, diag): L2(G) itself",
@@ -709,8 +704,7 @@ FIXTURES = (
                  source="open Bruhat cell"),
             _exp("generic_stabilizer_abelian", "yes_certified", dimension=1,
                  source="centralizer of a regular element is a Cartan"),
-        )),
-        ()),
+        ))),
     FixtureDef(
         "triple_sl2",
         "triple space over sl2: real spherical (SO(2,1) factors)",
@@ -718,8 +712,7 @@ FIXTURES = (
             _exp("real_spherical", "yes_certified",
                  source="triple spaces are real spherical exactly for local "
                         "products of compact factors and SO(n,1)"),
-        )),
-        ()),
+        ))),
     FixtureDef(
         "triple_sl3",
         "triple space over sl3: not real spherical",
@@ -727,8 +720,7 @@ FIXTURES = (
             _exp("real_spherical", "probable_no",
                  source="sl3 is not locally compact x SO(n,1); a dimension "
                         "count already blocks an open orbit"),
-        )),
-        ()),
+        ))),
     FixtureDef(
         "whittaker_sl3",
         "Whittaker pair (sl3, maximal unipotent)",
@@ -739,8 +731,7 @@ FIXTURES = (
                  source="sl(3,R) is quasi-split, so G_C/N_C is spherical"),
             _exp("tempered", "yes_certified",
                  source="nilpotent h has zero split torus"),
-        )),
-        ()),
+        ))),
     FixtureDef(
         "sl2_split_torus",
         "(sl2, Cartan): hyperboloid-like quotient",
@@ -751,8 +742,7 @@ FIXTURES = (
                  source="finitely many Borel orbits on the flag variety"),
             _exp("complex_spherical", "yes_certified",
                  source="open Bruhat cell in SL(2,C)/T_C"),
-        )),
-        ()),
+        ))),
     FixtureDef(
         "sl2c_cartan",
         "complex pair SL(2,C)/T_C, realified",
@@ -761,8 +751,7 @@ FIXTURES = (
                  source="abelian h has rho_h = 0"),
             _exp("generic_stabilizer_abelian", "yes_certified", dimension=0,
                  source="two generic Cartans of sl(2,C) meet at 0"),
-        )),
-        ()),
+        ))),
     FixtureDef(
         "group_sl2c",
         "complex group case (sl2C + sl2C, diag), realified",
@@ -773,8 +762,7 @@ FIXTURES = (
             _exp("generic_stabilizer_abelian", "yes_certified", dimension=2,
                  source="centralizer of a regular element is the complex "
                         "Cartan (real dim 2)"),
-        )),
-        ()),
+        ))),
     FixtureDef(
         "sl2c_full",
         "complex pair (sl2C, sl2C): X is a point, not tempered",
@@ -785,16 +773,14 @@ FIXTURES = (
                         "tempered"),
             _exp("generic_stabilizer_abelian", "probable_no", dimension=6,
                  source="the stabilizer is all of h, which is not abelian"),
-        )),
-        ()),
+        ))),
     FixtureDef(
         "sl3_sl2_topleft",
         "(sl3, top-left sl2): rho_h = rho_{g/h} = 4|t|",
         lambda: _with_expect(pair_sl3_sl2_topleft(), (
             _exp("tempered", "yes_certified", margin=0,
                  source="quotient = two standard modules + trivial line"),
-        )),
-        ()),
+        ))),
     FixtureDef(
         "product_sl2_sl2_first",
         "((sl2+sl2), first factor): h acts trivially on g/h",
@@ -804,8 +790,7 @@ FIXTURES = (
             _exp("real_spherical", "probable_no",
                  source="the minimal parabolic of the second factor has no "
                         "open orbit on it"),
-        )),
-        ()),
+        ))),
     FixtureDef(
         "sl2_point",
         "(sl2, trivial h): the group manifold",
@@ -814,8 +799,7 @@ FIXTURES = (
                  source="L2(G) is tempered by definition"),
             _exp("generic_stabilizer_abelian", "yes_certified", dimension=0,
                  source="trivial stabilizer"),
-        )),
-        ()),
+        ))),
     FixtureDef(
         "so23_so22",
         "symmetric pair (so(2,3), so(2,2)): rank 2, not tempered",
@@ -827,8 +811,7 @@ FIXTURES = (
                  source="symmetric spaces are real spherical"),
             _exp("complex_spherical", "yes_certified",
                  source="complexified symmetric spaces are spherical"),
-        )),
-        ()),
+        ))),
 )
 
 

@@ -57,11 +57,11 @@ from .polyhedral import (
 from .weights import (
     SplitTorus,
     WeightSystem,
+    quotient_weights,
     rho_eval,
     rho_from_weights,
     validate_torus,
     weight_decomposition,
-    weight_vectors_in_ambient,
 )
 
 QUESTIONS = ("tempered", "real_spherical", "complex_spherical",
@@ -350,11 +350,8 @@ def nilpotent_pool(ws: WeightSystem):
     """Root vectors of g: basis vectors of the nonzero restricted weight
     spaces in ws = weight_decomposition(torus_g, "g").  Each is ad-nilpotent
     (verified exactly on use)."""
-    pool = []
-    for lam, v in weight_vectors_in_ambient(ws):
-        if any(x != 0 for x in lam):
-            pool.append(tuple(v))
-    return pool
+    return [v for (lam, _), rows in zip(ws.weights, ws.spaces)
+            if any(x != 0 for x in lam) for v in rows]
 
 
 def _sampled_words(pool, seed, label, samples):
@@ -496,9 +493,11 @@ def check_complex_spherical(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Verd
 
 def rho_pair(pair: Pair):
     """(rho_h, rho_{g/h}) over torus_h."""
-    ws_h = weight_decomposition(pair.torus_h, "h")
-    ws_q = weight_decomposition(pair.torus_h, "g/h")
-    return rho_from_weights(ws_h), rho_from_weights(ws_q)
+    torus = pair.torus_h
+    ws_h = weight_decomposition(torus, "h")
+    q = quotient_weights(weight_decomposition(torus, "g"), ws_h)
+    return (rho_from_weights(torus.rank, ws_h.weights),
+            rho_from_weights(torus.rank, q))
 
 
 def check_tempered(pair: Pair, cone_budget=DEFAULT_CONE_BUDGET) -> Verdict:

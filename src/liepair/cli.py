@@ -31,7 +31,12 @@ from .report import (
     run_fixture_suite,
     verify_report,
 )
-from .weights import rho_eval, rho_from_weights, weight_decomposition
+from .weights import (
+    quotient_weights,
+    rho_eval,
+    rho_from_weights,
+    weight_decomposition,
+)
 
 _QUESTION_ALIASES = {
     "tempered": "tempered",
@@ -87,14 +92,19 @@ def cmd_check(args) -> int:
 
 def cmd_rho(args) -> int:
     pair = _load_pair(args)
-    ws = weight_decomposition(pair.torus_h, args.space)
-    rho = rho_from_weights(ws)
+    torus = pair.torus_h
+    if args.space == "g/h":
+        weights = quotient_weights(weight_decomposition(torus, "g"),
+                                   weight_decomposition(torus, "h"))
+    else:
+        weights = weight_decomposition(torus, args.space).weights
+    rho = rho_from_weights(torus.rank, weights)
     out = []
     out.append(f"pair: {pair.name}")
-    out.append(f"space: {args.space} (dim {ws.dim}), torus rank "
-               f"{pair.torus_h.rank}")
+    out.append(f"space: {args.space} (dim {sum(m for _, m in weights)}), "
+               f"torus rank {torus.rank}")
     out.append("weights (value on torus basis : multiplicity):")
-    for lam, m in ws.weights:
+    for lam, m in weights:
         out.append(f"  ({', '.join(str(x) for x in lam)}) : {m}")
     out.append("rho forms (nonzero weights):")
     for lam, m in rho.forms:

@@ -61,10 +61,6 @@ def identity_rows(n):
     return [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
-
-
 def mat_vec(A, v):
     return [sum((a * x for a, x in zip(row, v) if x != 0), ZERO) for row in A]
 
@@ -75,13 +71,6 @@ def vec_dot(u, v):
 
 def is_zero_vec(u):
     return all(a == 0 for a in u)
-
-
-def mat_mul(A, B):
-    if not A or not B:
-        return []
-    Bt = transpose(B)
-    return [[vec_dot(row, col) for col in Bt] for row in A]
 
 
 def integer_row(row):

@@ -12,8 +12,6 @@ as the catalog does, so serialization round-trips.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import LieAlgebra, SubalgebraEmbedding, ValidationError, validate
 from .catalog import AlgebraData, _complexify_pair
 from .checks import Expectation, Pair
@@ -105,10 +103,8 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
                 alg_block = block["algebra"]
             elif kind == "subalgebra":
                 h_rows = block["rows"]
-            elif kind == "torus":
-                torus_rows[block["which"]] = block["rows"]
             else:
-                raise _err(lineno, f"unknown block {kind!r}")
+                torus_rows[block["which"]] = block["rows"]
         else:
             raise _err(lineno, f"unknown directive {head!r}")
     if alg_block is None:
@@ -317,10 +313,6 @@ def _build_algebra(block: _AlgebraBlock) -> LieAlgebra:
                                      name=block.name)
 
 
-def _fr(x: Fraction) -> str:
-    return str(x)
-
-
 def serialize_pair(pair: Pair) -> str:
     """Canonical text for a pair; parse_pair_text inverts it exactly."""
     g = pair.g
@@ -340,34 +332,34 @@ def serialize_pair(pair: Pair) -> str:
         for j in range(i + 1, g.dim):
             entries = [(k, c) for k, c in g.sparse[i][j]]
             if entries:
-                body = " ".join(f"{k + 1}:{_fr(c)}" for k, c in entries)
+                body = " ".join(f"{k + 1}:{c}" for k, c in entries)
                 out.append(f"c {i + 1} {j + 1} = {body}")
     if g.matrix_realization is not None:
         m = len(g.matrix_realization[0])
         out.append(f"matsize {m}")
         for k, M in enumerate(g.matrix_realization):
-            flatv = " ".join(_fr(x) for row in M for x in row)
+            flatv = " ".join(str(x) for row in M for x in row)
             out.append(f"matrix {k + 1} = {flatv}")
     if pair.complex_structure is not None:
         for i, row in enumerate(pair.complex_structure):
-            out.append(f"complex {i + 1} = {' '.join(_fr(x) for x in row)}")
+            out.append(f"complex {i + 1} = {' '.join(str(x) for x in row)}")
     for row in _compact_cartan_rows_of(pair):
-        out.append(f"cartan-compact = {' '.join(_fr(x) for x in row)}")
+        out.append(f"cartan-compact = {' '.join(str(x) for x in row)}")
     out.append("end")
     out.append("")
     out.append("begin subalgebra h")
     for row in pair.h.rows:
-        out.append(f"row = {' '.join(_fr(x) for x in row)}")
+        out.append(f"row = {' '.join(str(x) for x in row)}")
     out.append("end")
     out.append("")
     out.append("begin torus h")
     for row in pair.torus_h.rows:
-        out.append(f"row = {' '.join(_fr(x) for x in row)}")
+        out.append(f"row = {' '.join(str(x) for x in row)}")
     out.append("end")
     out.append("")
     out.append("begin torus g")
     for row in pair.torus_g.rows:
-        out.append(f"row = {' '.join(_fr(x) for x in row)}")
+        out.append(f"row = {' '.join(str(x) for x in row)}")
     out.append("end")
     out.append("")
     if pair.complexification is not None:
@@ -375,7 +367,7 @@ def serialize_pair(pair: Pair) -> str:
     for e in pair.expectations:
         line = f"expect {e.question} {e.outcome}"
         if e.margin is not None:
-            line += f" margin={_fr(e.margin)}"
+            line += f" margin={e.margin}"
         if e.dimension is not None:
             line += f" dim={e.dimension}"
         if e.source:

@@ -5,6 +5,11 @@ eigenvalues of a torus action: for a module V and Y in the torus,
 rho(Y) = Σ m_i |λ_i(Y)| summed over the weights λ_i of V with multiplicity.
 All weights are required to be rational; irrational spectra are a hard error,
 never a silent approximation.
+
+Weights are computed on g and on h only.  The weights on g/h are the
+difference m_{g/h}(λ) = m_g(λ) − m_h(λ): the split torus acts semisimply on
+g, so by complete reducibility h has a torus-stable complement and
+g ≅ h ⊕ g/h as torus modules.  No complement or induced action is built.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ from .linalg import (
     identity_rows,
     is_diagonal,
     is_zero_vec,
-    mat_mul,
-    mat_vec,
     poly_str,
     rank,
     rref,
@@ -97,10 +100,10 @@ def validate_torus(rows, h: SubalgebraEmbedding) -> SplitTorus:
         if len(r) != g.dim:
             raise TorusValidationError(
                 f"torus row {i + 1} has length {len(r)}, ambient dim {g.dim}")
-    hspace = h.subspace()
-    for i, r in enumerate(rows):
-        if not hspace.contains_vector(r):
-            raise NotInSubalgebra(f"torus row {i + 1} is not inside the subalgebra")
+    coords = express_in_rows([list(r) for r in h.rows], rows)
+    if None in coords:
+        raise NotInSubalgebra(f"torus row {coords.index(None) + 1} is not "
+                              "inside the subalgebra")
     if rows and rank(rows) < len(rows):
         raise TorusValidationError("torus rows are linearly dependent")
     for i in range(len(rows)):
@@ -123,74 +126,40 @@ def validate_torus(rows, h: SubalgebraEmbedding) -> SplitTorus:
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """Simultaneous eigenspace data of a torus acting on a space V.
+    """Simultaneous eigenspace data of a torus acting on g or on h.
 
     weights: sorted tuple of (λ, multiplicity) with λ a tuple of Fractions of
     length rank (values on the torus basis).  spaces[i] holds basis rows of
-    the λ_i weight space in V-coordinates; frame_rows maps V-coordinates back
-    to g-coordinates (identity for V = g).
+    the λ_i weight space in g-coordinates (V = g) or in coordinates on the
+    basis rows of h (V = h).
     """
 
     torus: SplitTorus
-    space_label: str
     weights: tuple
     spaces: tuple
-    frame_rows: tuple
-
-    @property
-    def dim(self):
-        return sum(m for _, m in self.weights)
 
 
-def action_operators(torus: SplitTorus, space: str, complement_rows=None):
-    """Exact matrices of ad(Y_i) on the requested space, plus the frame.
-
-    space is one of "g" (adjoint on the ambient algebra), "h" (adjoint on the
-    parent subalgebra) or "g/h" (induced action on a chosen complement).  The
-    operators act on column coordinate vectors in the frame's row basis.
-    """
+def action_operators(torus: SplitTorus, space: str):
+    """Exact matrices of ad(Y_i) on the requested space: "g" (adjoint on the
+    ambient algebra) or "h" (adjoint on the parent subalgebra, in coordinates
+    on its basis rows).  The operators act on column coordinate vectors."""
     h = torus.parent
-    g = h.ambient
     if space == "g":
-        frame = identity_rows(g.dim)
-        ops = [ad_matrix(g, list(Y)) for Y in torus.rows]
-        return ops, frame
+        return [ad_matrix(h.ambient, list(Y)) for Y in torus.rows]
     if space == "h":
-        frame = [list(r) for r in h.rows]
-        ops = [h.restricted_ad(Y) for Y in torus.rows]
-        return ops, frame
-    if space == "g/h":
-        if complement_rows is None:
-            complement_rows = h.subspace().complement_rows()
-        comp = [vec(r) for r in complement_rows]
-        full = [list(r) for r in h.rows] + comp
-        if rank(full) != g.dim:
-            raise ValidationError("complement rows do not complete h to a basis of g")
-        k = h.dim
-        ops = []
-        for Y in torus.rows:
-            images = [bracket(g, list(Y), c) for c in comp]
-            coords = express_in_rows(full, images)
-            M = [[ZERO] * len(comp) for _ in range(len(comp))]
-            for j, cv in enumerate(coords):
-                for i in range(len(comp)):
-                    M[i][j] = cv[k + i]
-            ops.append(M)
-        return ops, [tuple(c) for c in comp]
-    raise ValueError(f"unknown space {space!r}; expected 'g', 'h' or 'g/h'")
+        return [h.restricted_ad(Y) for Y in torus.rows]
+    raise ValueError(f"unknown space {space!r}; expected 'g' or 'h'")
 
 
-def _restrict(M, basis_rows):
-    images = [mat_vec(M, list(b)) for b in basis_rows]
-    coords = express_in_rows([list(b) for b in basis_rows], images)
-    k = len(basis_rows)
-    R = [[ZERO] * k for _ in range(k)]
-    for j, cv in enumerate(coords):
-        if cv is None:
-            raise ValidationError("subspace is not invariant under the operator")
-        for i in range(k):
-            R[i][j] = cv[i]
-    return R
+def _combine(coeffs, rows):
+    """Σ coeffs[k]·rows[k] over the nonzero coefficients."""
+    out = [ZERO] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, x in enumerate(row):
+                if x:
+                    out[i] += c * x
+    return out
 
 
 def _joint_eigensplit(ops, dim, origin=""):
@@ -199,11 +168,17 @@ def _joint_eigensplit(ops, dim, origin=""):
                                  for i in range(dim)])
     blocks = [((), identity_rows(dim))]
     for idx, M in enumerate(ops):
+        columns = list(zip(*M))
         new = []
         for lam_prefix, basis in blocks:
-            R = _restrict(M, basis)
+            # M·b is the combination of the columns of M by the entries of b
+            images = [_combine(b, columns) for b in basis]
+            coords = express_in_rows(basis, images)
+            if None in coords:
+                raise ValidationError(
+                    "subspace is not invariant under the operator")
             try:
-                parts = eigensplit(R)
+                parts = eigensplit([list(r) for r in zip(*coords)])
             except IrrationalSpectrumError as e:
                 raise IrrationalWeights(
                     f"torus generator {idx + 1} acts with non-rational weights"
@@ -215,16 +190,14 @@ def _joint_eigensplit(ops, dim, origin=""):
                     f"torus generator {idx + 1} does not act semisimply"
                     f"{' on ' + origin if origin else ''}: {e}") from e
             for lam, krows in parts:
-                rows = mat_mul([list(r) for r in krows],
-                               [list(b) for b in basis])
-                new.append((lam_prefix + (lam,), rows))
+                new.append((lam_prefix + (lam,),
+                            [_combine(k, basis) for k in krows]))
         blocks = new
     return blocks
 
 
-def weight_decomposition(torus: SplitTorus, space: str,
-                         complement_rows=None) -> WeightSystem:
-    """Joint weight-space decomposition of the torus action on the space.
+def weight_decomposition(torus: SplitTorus, space: str) -> WeightSystem:
+    """Joint weight-space decomposition of the torus action on g or on h.
 
     When every operator is diagonal (a catalog torus in the root basis) the
     weight spaces are the coordinate lines grouped by their tuple of
@@ -233,35 +206,33 @@ def weight_decomposition(torus: SplitTorus, space: str,
     to dim V and the spaces are canonical rows.  Raises IrrationalWeights if
     any (restricted) action fails rational diagonalizability.
     """
-    ops, frame = action_operators(torus, space, complement_rows)
-    dim_v = len(frame)
+    ops = action_operators(torus, space)
+    dim_v = torus.ambient.dim if space == "g" else torus.parent.dim
     if torus.rank == 0:
         weights = ((tuple(), dim_v),) if dim_v else ()
         spaces = (tuple(identity_rows(dim_v)),) if dim_v else ()
-        return WeightSystem(torus=torus, space_label=space,
-                            weights=weights, spaces=spaces,
-                            frame_rows=tuple(tuple(r) for r in frame))
+        return WeightSystem(torus=torus, weights=weights, spaces=spaces)
     blocks = _joint_eigensplit(ops, dim_v, origin=space)
     blocks.sort(key=lambda b: b[0])
     weights = tuple((lam, len(rows)) for lam, rows in blocks)
     spaces = tuple(tuple(tuple(r) for r in rref(rows)[0]) for _, rows in blocks)
-    return WeightSystem(torus=torus, space_label=space, weights=weights,
-                        spaces=spaces, frame_rows=tuple(tuple(r) for r in frame))
+    return WeightSystem(torus=torus, weights=weights, spaces=spaces)
 
 
-def weight_vectors_in_ambient(ws: WeightSystem):
-    """Pairs (λ, vector in g-coordinates) for every weight-space basis row."""
-    out = []
-    frame = [list(r) for r in ws.frame_rows]
-    for (lam, _), rows in zip(ws.weights, ws.spaces):
-        for r in rows:
-            v = [ZERO] * len(frame[0])
-            for c, fr in zip(r, frame):
-                if c != 0:
-                    for i, x in enumerate(fr):
-                        v[i] += c * x
-            out.append((lam, v))
-    return out
+def quotient_weights(ws_g: WeightSystem, ws_h: WeightSystem):
+    """Weights of the torus on g/h, m_g(λ) − m_h(λ), from its weight systems
+    on g and on h: the sorted (λ, multiplicity) pairs with positive
+    multiplicity.  Raises ValidationError when a weight has a larger
+    multiplicity on h than on g, which no subalgebra of g can have."""
+    m_g = dict(ws_g.weights)
+    for lam, m in ws_h.weights:
+        if m > m_g.get(lam, 0):
+            raise ValidationError(
+                f"weight ({', '.join(str(x) for x in lam)}) has multiplicity "
+                f"{m} on h but {m_g.get(lam, 0)} on g")
+    m_h = dict(ws_h.weights)
+    return tuple((lam, m - m_h.get(lam, 0)) for lam, m in ws_g.weights
+                 if m > m_h.get(lam, 0))
 
 
 @dataclass(frozen=True)
@@ -276,10 +247,11 @@ class RhoFunction:
     forms: tuple  # tuple of (λ tuple, multiplicity)
 
 
-def rho_from_weights(ws: WeightSystem) -> RhoFunction:
-    forms = tuple((lam, m) for lam, m in ws.weights
-                  if any(x != 0 for x in lam))
-    return RhoFunction(rank=ws.torus.rank, forms=forms)
+def rho_from_weights(rank, weights) -> RhoFunction:
+    """rho of the module with these (λ, multiplicity) weights over a torus
+    of this rank."""
+    forms = tuple((lam, m) for lam, m in weights if any(x != 0 for x in lam))
+    return RhoFunction(rank=rank, forms=forms)
 
 
 def rho_eval(f: RhoFunction, y) -> Fraction:

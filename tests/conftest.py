@@ -3,7 +3,9 @@
 The builders here construct sl(2) and sl(3) directly from explicit matrices
 inside the test process, independent of the catalog module, so catalog
 output can be checked against them.  `killing_form_matrix` is the
-Killing form, an oracle for semisimplicity.  `rref_oracle`,
+Killing form, an oracle for semisimplicity.  `quotient_operators` is the
+induced action of a torus of h on g/h, which the library replaced with
+subtracting the weights on h from the weights on g.  `rref_oracle`,
 `exp_nilpotent_oracle` and `enumerate_lines_oracle` are the plain
 Gauss-Jordan elimination over Fraction, the dense matrix exponential and
 the flat grower by RREF of spans of forms that the library replaced with
@@ -17,10 +19,15 @@ from math import factorial
 import numpy as np
 import pytest
 
-from liepair.algebra import LieAlgebra, ad_matrix
-from liepair.linalg import kernel
+from liepair.algebra import LieAlgebra, ad_matrix, bracket
+from liepair.linalg import express_in_rows, kernel
 from liepair.polyhedral import ConeBudgetExceeded
-from liepair.weights import action_operators, rho_eval
+from liepair.weights import (
+    action_operators,
+    quotient_weights,
+    rho_eval,
+    weight_decomposition,
+)
 
 F = Fraction
 
@@ -81,10 +88,37 @@ def sl3():
     return LieAlgebra.from_matrices(labels, mats, name="sl3")
 
 
+def quotient_operators(torus):
+    """Matrices of the induced action of the torus rows on g/h, in the
+    complement of h spanned by the unit vectors at the non-pivot coordinates
+    of its reduced rows."""
+    h = torus.parent
+    g = h.ambient
+    pivots = set(h.subspace().pivots)
+    comp = [g.basis_vector(i) for i in range(g.dim) if i not in pivots]
+    full = [list(r) for r in h.rows] + comp
+    ops = []
+    for Y in torus.rows:
+        coords = express_in_rows(full, [bracket(g, list(Y), c) for c in comp])
+        ops.append([[cv[h.dim + i] for cv in coords]
+                    for i in range(len(comp))])
+    return ops
+
+
+def module_weights(torus, space):
+    """Weights of the torus on g, h or g/h, as `liepair rho` computes them."""
+    if space == "g/h":
+        return quotient_weights(weight_decomposition(torus, "g"),
+                                weight_decomposition(torus, "h"))
+    return weight_decomposition(torus, space).weights
+
+
 def numeric_rho(torus, space, y_coords):
     """Independent numerical oracle: sum of |Re eigenvalue| of the exact
-    action matrix, computed by numpy's eigensolver."""
-    ops, _ = action_operators(torus, space)
+    action matrix (the induced quotient action for g/h), computed by numpy's
+    eigensolver."""
+    ops = quotient_operators(torus) if space == "g/h" \
+        else action_operators(torus, space)
     if not ops or not ops[0]:
         return 0.0
     n = len(ops[0])
@@ -135,7 +169,7 @@ def rref_oracle(rows, ncols=None):
     return [tuple(row) for row in m[:r]], piv_cols
 
 
-def _mat_mul(A, B):
+def mat_mul(A, B):
     return [[sum((a * b for a, b in zip(row, col)), F(0)) for col in zip(*B)]
             for row in A]
 
@@ -151,7 +185,7 @@ def exp_nilpotent_oracle(A, t):
             return M
         c = F(t) ** k / factorial(k)
         M = [[m + c * p for m, p in zip(mr, pr)] for mr, pr in zip(M, P)]
-        P = _mat_mul(P, A)
+        P = mat_mul(P, A)
     if any(x != 0 for row in P for x in row):
         raise ValueError("matrix is not nilpotent")
     return M

@@ -32,10 +32,9 @@ from liepair.weights import (
     RhoFunction,
     rho_eval,
     rho_from_weights,
-    weight_decomposition,
 )
 
-from conftest import numeric_rho, random_fraction
+from conftest import module_weights, numeric_rho, random_fraction
 
 F = Fraction
 
@@ -57,7 +56,8 @@ def test_criterion_1_rho_definition_oracle():
     for name in RHO_ORACLE_PAIRS:
         pair = build_fixture(name)
         r = pair.torus_h.rank
-        rhos = {space: rho_from_weights(weight_decomposition(pair.torus_h, space))
+        rhos = {space: rho_from_weights(
+                    r, module_weights(pair.torus_h, space))
                 for space in ("h", "g/h")}
         for _ in range(20):
             y = [random_fraction(rng) for _ in range(r)]

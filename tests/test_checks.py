@@ -90,15 +90,14 @@ def test_minimal_parabolic_generic_is_closed_and_contains_zero_space():
 def test_minimal_parabolic_well_formed_for_every_catalog_base():
     # bracket-closed (asserted by construction) and contains the full
     # zero-weight space, i.e. the centralizer of torus_g
-    from liepair.weights import weight_vectors_in_ambient
-
     for spec in ("sl2", "sl3", "sl4", "so_2_3", "su_1_2", "sp_4", "sl2C"):
         pair = pair_trivial_h(spec)
         ws = g_weights(pair)
         par = minimal_parabolic(ws, seed=0)
-        for lam, v in weight_vectors_in_ambient(ws):
+        for (lam, _), rows in zip(ws.weights, ws.spaces):
             if all(x == 0 for x in lam):
-                assert par.subspace.contains_vector(v), spec
+                for v in rows:
+                    assert par.subspace.contains_vector(v), spec
         assert par.subspace.dim == par.zero_weight_dim + \
             (pair.g.dim - par.zero_weight_dim) // 2, spec
 

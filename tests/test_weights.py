@@ -5,25 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liepair.algebra import SubalgebraEmbedding
-from liepair.catalog import base_algebra, build_fixture
-from liepair.linalg import is_diagonal, mat_mul, mat_vec
+from liepair.algebra import SubalgebraEmbedding, ValidationError
+from liepair.catalog import (
+    base_algebra,
+    build_fixture,
+    construct_from_spec,
+    fixture_names,
+)
+from liepair.linalg import is_diagonal, mat_vec
 from liepair.weights import (
     IrrationalWeights,
     NotAbelian,
     NotInSubalgebra,
     NotSemisimpleElement,
     RhoFunction,
+    WeightSystem,
     _joint_eigensplit,
     action_operators,
     extend_torus_greedily,
+    quotient_weights,
     rho_eval,
     rho_from_weights,
     validate_torus,
     weight_decomposition,
 )
 
-from conftest import assert_rho_matches_numeric, random_fraction
+from conftest import (
+    assert_rho_matches_numeric,
+    mat_mul,
+    module_weights,
+    quotient_operators,
+    random_fraction,
+)
 
 F = Fraction
 
@@ -67,6 +80,10 @@ def test_validate_torus_rejects_outsider(sl2):
     h = SubalgebraEmbedding.create(sl2, [unit(sl2, "H1")])
     with pytest.raises(NotInSubalgebra):
         validate_torus([unit(sl2, "E12")], h)
+    # the message names the first row outside h
+    with pytest.raises(NotInSubalgebra, match="torus row 2 is not inside"):
+        validate_torus([unit(sl2, "H1"), unit(sl2, "E12"), unit(sl2, "E21")],
+                       h)
 
 
 def test_validate_torus_empty_is_rank_zero(sl2):
@@ -139,26 +156,39 @@ def test_sl3_mod_sl2_quotient_weights(sl3):
     # sl3 = sl2 + standard + dual standard + trivial line under top-left sl2;
     # the standard modules contribute weights +-1 twice
     h, t = sl3_sl2_pair(sl3)
-    ws = weight_decomposition(t, "g/h")
-    assert ws.weights == (((F(-1),), 2), ((F(0),), 1), ((F(1),), 2))
+    assert module_weights(t, "g/h") \
+        == (((F(-1),), 2), ((F(0),), 1), ((F(1),), 2))
 
 
 def test_weight_multiplicities_sum_to_dim(sl3):
     h, t = sl3_sl2_pair(sl3)
     for space, expected in (("h", 3), ("g/h", 5), ("g", 8)):
-        ws = weight_decomposition(t, space)
-        assert ws.dim == expected
+        assert sum(m for _, m in module_weights(t, space)) == expected
 
 
-def test_quotient_weights_independent_of_complement(sl3):
+@pytest.mark.parametrize("name", fixture_names() + ["torus_pair:so_4_4"])
+def test_quotient_weights_match_induced_action(name):
+    # subtraction against the exact joint split of the induced action on a
+    # complement of h; the so(4,4) torus is not diagonal in its basis
+    pair = construct_from_spec(name) if ":" in name else build_fixture(name)
+    n = pair.g.dim - pair.h.dim
+    blocks = _joint_eigensplit(quotient_operators(pair.torus_h), n)
+    assert module_weights(pair.torus_h, "g/h") \
+        == tuple(sorted((lam, len(rows)) for lam, rows in blocks))
+
+
+def test_weight_decomposition_takes_g_and_h_only(sl3):
     h, t = sl3_sl2_pair(sl3)
-    default = h.subspace().complement_rows()
-    ws1 = weight_decomposition(t, "g/h", complement_rows=default)
-    # a different complement: add an h-row to the first complement vector
-    alt = [list(r) for r in default]
-    alt[0] = [a + b for a, b in zip(alt[0], h.rows[0])]
-    ws2 = weight_decomposition(t, "g/h", complement_rows=alt)
-    assert ws1.weights == ws2.weights
+    with pytest.raises(ValueError, match="expected 'g' or 'h'"):
+        weight_decomposition(t, "g/h")
+
+
+def test_quotient_weights_reject_excess_on_h():
+    ws_g = WeightSystem(torus=None, weights=(((F(0),), 1), ((F(2),), 1)),
+                        spaces=())
+    ws_h = WeightSystem(torus=None, weights=(((F(2),), 2),), spaces=())
+    with pytest.raises(ValidationError, match=r"\(2\) has multiplicity 2"):
+        quotient_weights(ws_g, ws_h)
 
 
 def test_irrational_weights_error_in_decomposition():
@@ -184,26 +214,24 @@ def test_weight_spaces_partition_the_module(sl3):
     from liepair.algebra import Subspace, subspace_intersect, subspace_sum
 
     h, t = sl3_sl2_pair(sl3)
-    ws = weight_decomposition(t, "g/h")
-    spaces = [Subspace.from_rows(ws.dim, [list(r) for r in rows])
+    ws = weight_decomposition(t, "g")
+    spaces = [Subspace.from_rows(sl3.dim, [list(r) for r in rows])
               for rows in ws.spaces]
-    total = Subspace.zero(ws.dim)
+    total = Subspace.zero(sl3.dim)
     for i, s in enumerate(spaces):
         for s2 in spaces[i + 1:]:
             assert subspace_intersect(s, s2).dim == 0
         total = subspace_sum(total, s)
-    assert total.dim == ws.dim
+    assert total.dim == sl3.dim
 
 
 def test_weight_completeness_across_fixtures():
-    from liepair.catalog import fixture_names
-
     for name in fixture_names():
         pair = build_fixture(name)
         for space, dim in (("h", pair.h.dim), ("g/h", pair.g.dim - pair.h.dim),
                            ("g", pair.g.dim)):
-            assert weight_decomposition(pair.torus_h, space).dim == dim, \
-                (name, space)
+            assert sum(m for _, m in module_weights(pair.torus_h, space)) \
+                == dim, (name, space)
 
 
 def unimodular_pair(n, rng, steps=12):
@@ -221,15 +249,15 @@ def unimodular_pair(n, rng, steps=12):
 
 @pytest.mark.parametrize("name,torus,space", [
     ("triple_sl2", "torus_g", "g"),
-    ("triple_sl2", "torus_h", "g/h"),
+    ("triple_sl2", "torus_h", "g"),
     ("sl3_sl2_topleft", "torus_g", "g"),
     ("group_sl2c", "torus_h", "h"),
-    ("triple_sl3", "torus_h", "g/h"),
+    ("triple_sl3", "torus_h", "g"),
 ])
 def test_refinement_split_agrees_with_coordinate_split(name, torus, space):
     # conjugating the diagonal operators by a unimodular change of basis
     # forces the refinement path; the weights and multiplicities must agree
-    ops, _ = action_operators(getattr(build_fixture(name), torus), space)
+    ops = action_operators(getattr(build_fixture(name), torus), space)
     assert all(is_diagonal(M) for M in ops)
     n = len(ops[0])
     coordinate = _joint_eigensplit(ops, n)
@@ -251,7 +279,7 @@ def test_refinement_split_agrees_with_coordinate_split(name, torus, space):
 
 def test_rho_sl2_adjoint_evaluation(sl2):
     t = validate_torus([unit(sl2, "H1")], whole(sl2))
-    rho = rho_from_weights(weight_decomposition(t, "g"))
+    rho = rho_from_weights(t.rank, weight_decomposition(t, "g").weights)
     assert rho_eval(rho, [F(3)]) == 12
     assert rho_eval(rho, [F(0)]) == 0
 
@@ -259,14 +287,14 @@ def test_rho_sl2_adjoint_evaluation(sl2):
 def test_rho_zero_for_rank_zero(sl2):
     h = SubalgebraEmbedding.create(sl2, [])
     t = validate_torus([], h)
-    rho = rho_from_weights(weight_decomposition(t, "g"))
+    rho = rho_from_weights(t.rank, weight_decomposition(t, "g").weights)
     assert rho.forms == ()
     assert rho_eval(rho, []) == 0
 
 
 def test_rho_drops_zero_forms(sl3):
     h, t = sl3_sl2_pair(sl3)
-    rho = rho_from_weights(weight_decomposition(t, "g/h"))
+    rho = rho_from_weights(t.rank, module_weights(t, "g/h"))
     assert all(any(x != 0 for x in lam) for lam, _ in rho.forms)
     # two standard modules: rho_{g/h}(t) = 4|t|
     assert rho_eval(rho, [F(1)]) == 4
@@ -277,7 +305,7 @@ def test_rho_positive_root_consistency_sl3(sl3):
     # are (2,-1), (-1,2), (1,1); rho_ad = 2 * sum over positive roots in the
     # dominant chamber (evenness pairs each +-lambda)
     t = validate_torus([unit(sl3, "H1"), unit(sl3, "H2")], whole(sl3))
-    rho = rho_from_weights(weight_decomposition(t, "g"))
+    rho = rho_from_weights(t.rank, weight_decomposition(t, "g").weights)
     positive = [(F(2), F(-1)), (F(-1), F(2)), (F(1), F(1))]
     for y in ([F(1), F(1)], [F(2), F(1)], [F(1), F(3)]):
         if all(a * y[0] + b * y[1] >= 0 for a, b in positive):
@@ -292,7 +320,7 @@ def test_rho_numeric_eigensolver_cross_check():
         pair = build_fixture(name)
         r = pair.torus_h.rank
         for space in ("h", "g/h"):
-            rho = rho_from_weights(weight_decomposition(pair.torus_h, space))
+            rho = rho_from_weights(r, module_weights(pair.torus_h, space))
             for _ in range(20):
                 y = [random_fraction(rng) for _ in range(r)]
                 assert_rho_matches_numeric(pair.torus_h, space, rho, y)
