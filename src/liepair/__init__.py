@@ -37,12 +37,10 @@ from .polyhedral import (
     build_arrangement,
     decide_dominance,
     enumerate_lines,
-    randomized_dominance_oracle,
 )
 from .weights import (
     RhoFunction,
     SplitTorus,
-    extend_torus_greedily,
     quotient_weights,
     rho_eval,
     rho_from_weights,

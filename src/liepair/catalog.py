@@ -32,7 +32,9 @@ from .weights import (
 )
 
 MAX_ALGEBRA_DIM = 64
-COMPLEXIFY_DIM_CAP = 40  # eager complexification only up to this realified dim
+# pairs carry complexification data only up to this realified dim; the
+# complexification is built on first use
+COMPLEXIFY_DIM_CAP = 40
 
 
 class UnsupportedParams(ValidationError):
@@ -416,7 +418,7 @@ def _stable_under(J, rows):
 
 
 def _make_pair(gdata: AlgebraData, h_rows, torus_h_rows, name, provenance,
-               attach_complexification=True, expectations=(), notes=()):
+               expectations=(), notes=()):
     alg = gdata.algebra
     h = SubalgebraEmbedding.create(alg, [list(r) for r in h_rows])
     torus_h = validate_torus([list(r) for r in torus_h_rows], h)
@@ -425,13 +427,12 @@ def _make_pair(gdata: AlgebraData, h_rows, torus_h_rows, name, provenance,
     J = gdata.complex_structure
     if J is not None and not _stable_under(J, h.rows):
         J = None
-    comp = None
-    if attach_complexification and gdata.complexifiable \
-            and 2 * alg.dim <= COMPLEXIFY_DIM_CAP:
-        comp = _complexify_pair(gdata, h.rows, torus_h.rows, name)
+    compact = None
+    if gdata.complexifiable and 2 * alg.dim <= COMPLEXIFY_DIM_CAP:
+        compact = gdata.compact_rows
     return Pair(g=alg, h=h, torus_h=torus_h, torus_g=torus_g, name=name,
                 provenance=provenance, complex_structure=J,
-                complexification=comp, notes=tuple(notes),
+                compact_cartan_rows=compact, notes=tuple(notes),
                 expectations=tuple(expectations))
 
 
@@ -443,10 +444,10 @@ def _complexify_pair(gdata: AlgebraData, h_rows, torus_h_rows, name):
     thc = [tuple(r) + tuple([ZERO] * d) for r in torus_h_rows]
     comp = _make_pair(cdata, hc, thc, name=f"{name} (x)C",
                       provenance="mechanical complexification",
-                      attach_complexification=False,
                       notes=("torus_h is the real split part only and may be "
                              "non-maximal in h_C",))
-    return replace(comp, torus_h_asserted_maximal=False)
+    return replace(comp, compact_cartan_rows=None,
+                   torus_h_asserted_maximal=False)
 
 
 def pair_trivial_h(spec: str) -> Pair:

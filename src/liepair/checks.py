@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from random import Random
 from typing import Optional
@@ -121,6 +122,8 @@ class Pair:
     torus_h must be a maximal split torus of h and torus_g one of g; both
     maximality assertions come from the catalog or the pair file and are
     recorded, not proven (torus_h_asserted_maximal gates the tempered check).
+    compact_cartan_rows complete torus_g to a maximally split Cartan of g;
+    they are None when the pair carries no complexification data.
     """
 
     g: LieAlgebra
@@ -130,7 +133,7 @@ class Pair:
     name: str = ""
     provenance: str = ""
     complex_structure: Optional[tuple] = None
-    complexification: Optional["Pair"] = None
+    compact_cartan_rows: Optional[tuple] = None
     torus_h_asserted_maximal: bool = True
     notes: tuple = ()
     expectations: tuple = ()
@@ -138,6 +141,25 @@ class Pair:
     @property
     def is_complex_pair(self) -> bool:
         return self.complex_structure is not None
+
+    @cached_property
+    def complexification(self) -> Optional["Pair"]:
+        """The realified complexification, built and validated on first
+        read from torus_g and compact_cartan_rows; None when the pair
+        carries no complexification data."""
+        if self.compact_cartan_rows is None:
+            return None
+        from .catalog import AlgebraData, _complexify_pair
+
+        gdata = AlgebraData(algebra=self.g, split_rows=self.torus_g.rows,
+                            compact_rows=self.compact_cartan_rows,
+                            complexifiable=True)
+        try:
+            return _complexify_pair(gdata, self.h.rows, self.torus_h.rows,
+                                    self.name)
+        except ValidationError as e:
+            raise ValidationError(
+                f"cannot build the complexification: {e}") from e
 
     def validate_pair(self):
         rep = validate(self.g)
@@ -150,7 +172,8 @@ class Pair:
                        SubalgebraEmbedding.whole(self.g))
         if self.complex_structure is not None:
             _check_complex_structure(self.g, self.complex_structure, self.h)
-        if self.complexification is not None:
+        # an unbuilt complexification is validated when it is first read
+        if self.__dict__.get("complexification") is not None:
             self.complexification.validate_pair()
         return True
 
@@ -776,7 +799,10 @@ def _recheck(pair: Pair, cert):
             return False, "stored rho values do not match recomputation"
         return True, f"violation re-verified: {vh} > {vq}"
     if kind == "open-orbit":
-        target = _orbit_target(pair, cert["space"])
+        try:
+            target = _orbit_target(pair, cert["space"])
+        except ValidationError as e:
+            return False, str(e)
         if target is None:
             return False, "certificate refers to a missing complexification"
         word = AdWord.from_json(cert["word"])

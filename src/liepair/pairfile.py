@@ -5,15 +5,18 @@ literal ("-3/2"; a U+2212 minus is accepted), all indices are 1-based.  The
 formal grammar lives in docs/pair_format.md; parse errors and validation
 failures carry the offending line number.
 
-A `complexify auto` directive rebuilds the mechanical complexification from
-the torus-g rows (the split Cartan part) and any cartan-compact rows, exactly
-as the catalog does, so serialization round-trips.
+A `complexify auto` directive keeps the cartan-compact rows on the pair; the
+mechanical complexification is built from them and the torus-g rows (the
+split Cartan part) on first use, exactly as the catalog does, so
+serialization round-trips.
 """
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+
 from .algebra import LieAlgebra, SubalgebraEmbedding, ValidationError, validate
-from .catalog import AlgebraData, _complexify_pair
 from .checks import Expectation, Pair
 from .linalg import frac
 from .weights import validate_torus
@@ -27,7 +30,14 @@ def _err(lineno, msg):
     return ParseError(f"line {lineno}: {msg}")
 
 
+_ASCII_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _parse_fraction(tok, lineno):
+    # nearly every token is an integer, which int() parses without the
+    # regular expression that Fraction(str) matches
+    if _ASCII_INTEGER.fullmatch(tok):
+        return Fraction(int(tok))
     try:
         return frac(tok)
     except (ValueError, ZeroDivisionError, TypeError):
@@ -54,7 +64,7 @@ class _AlgebraBlock:
         self.matsize = None
         self.matrices = {}  # k -> (line number, entries)
         self.complex_rows = {}  # k -> (line number, entries)
-        self.cartan_compact = []
+        self.cartan_compact = []  # (line number, entries)
 
 
 def parse_pair_text(text: str, origin="<string>") -> Pair:
@@ -122,19 +132,16 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
         J = _rows_dict_to_matrix(alg_block.complex_rows, g.dim, "complex")
         from .checks import _check_complex_structure
         _check_complex_structure(g, J, h)
-    comp = None
+    compact = None
     if complexify_auto:
-        gdata = AlgebraData(
-            algebra=g,
-            split_rows=tuple(tuple(r) for r in torus_rows["g"]),
-            compact_rows=tuple(tuple(r) for r in alg_block.cartan_compact),
-            complexifiable=True,
-            complex_structure=J,
-            spec="")
-        comp = _complexify_pair(gdata, h.rows, torus_h.rows, name)
+        for lineno, row in alg_block.cartan_compact:
+            if len(row) != g.dim:
+                raise _err(lineno, f"cartan-compact row has length {len(row)}"
+                           f", algebra dim {g.dim}")
+        compact = tuple(tuple(row) for _, row in alg_block.cartan_compact)
     return Pair(g=g, h=h, torus_h=torus_h, torus_g=torus_g, name=name,
                 provenance=provenance, complex_structure=J,
-                complexification=comp,
+                compact_cartan_rows=compact,
                 torus_h_asserted_maximal=torus_h_maximal,
                 notes=tuple(notes), expectations=tuple(expectations))
 
@@ -251,7 +258,8 @@ def _parse_block(lines, start):
         elif head == "cartan-compact":
             if toks[1:2] != ["="]:
                 raise _err(lineno, "expected 'cartan-compact = v1 v2 ...'")
-            block.cartan_compact.append(_parse_row(toks[2:], lineno))
+            block.cartan_compact.append(
+                (lineno, _parse_row(toks[2:], lineno)))
         else:
             raise _err(lineno, f"unknown algebra directive {head!r}")
     raise _err(len(lines), "unterminated block (missing 'end')")
@@ -343,7 +351,7 @@ def serialize_pair(pair: Pair) -> str:
     if pair.complex_structure is not None:
         for i, row in enumerate(pair.complex_structure):
             out.append(f"complex {i + 1} = {' '.join(str(x) for x in row)}")
-    for row in _compact_cartan_rows_of(pair):
+    for row in pair.compact_cartan_rows or ():
         out.append(f"cartan-compact = {' '.join(str(x) for x in row)}")
     out.append("end")
     out.append("")
@@ -362,7 +370,7 @@ def serialize_pair(pair: Pair) -> str:
         out.append(f"row = {' '.join(str(x) for x in row)}")
     out.append("end")
     out.append("")
-    if pair.complexification is not None:
+    if pair.compact_cartan_rows is not None:
         out.append("complexify auto")
     for e in pair.expectations:
         line = f"expect {e.question} {e.outcome}"
@@ -375,16 +383,3 @@ def serialize_pair(pair: Pair) -> str:
         out.append(line)
     return "\n".join(out).rstrip() + "\n"
 
-
-def _compact_cartan_rows_of(pair: Pair):
-    """Recover the compact Cartan rows from an attached complexification:
-    its torus rows with vanishing left half are i·t for compact t."""
-    comp = pair.complexification
-    if comp is None:
-        return []
-    d = pair.g.dim
-    rows = []
-    for r in comp.torus_g.rows:
-        if all(x == 0 for x in r[:d]):
-            rows.append(tuple(r[d:]))
-    return rows

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from random import Random
 from typing import Optional
 
 from .linalg import (
@@ -33,7 +32,7 @@ from .linalg import (
     rref,
     vec_dot,
 )
-from .weights import RhoFunction, rho_eval
+from .weights import RhoFunction
 
 DEFAULT_CONE_BUDGET = 10 ** 6
 
@@ -194,62 +193,3 @@ def decide_dominance(f: RhoFunction, g: RhoFunction,
         margin = ZERO
     return DominanceVerdict(holds=True, witness=None, margin=margin,
                             lines=lines)
-
-
-@dataclass(frozen=True)
-class OracleOutcome:
-    agrees: bool              # True when no violation of f ≤ g was sampled
-    counterexample: Optional[tuple]
-    f_value: Optional[Fraction]
-    g_value: Optional[Fraction]
-    samples: int
-
-
-def randomized_dominance_oracle(f: RhoFunction, g: RhoFunction,
-                                samples: int, seed: int) -> OracleOutcome:
-    """Independent Monte Carlo cross-check of decide_dominance.
-
-    Samples integer points (exact rationals) and evaluates both functions
-    exactly; a strict violation is a certified counterexample to dominance.
-    The bulk evaluation runs in int64 when a conservative overflow bound
-    allows it, otherwise in Fractions; both paths are exact.
-    """
-    if f.rank != g.rank:
-        raise RankMismatch(f"rho ranks differ: {f.rank} vs {g.rank}")
-    r = f.rank
-    rng = Random(seed)
-    pts = [tuple(rng.randint(-9, 9) for _ in range(r)) for _ in range(samples)]
-    if r == 0 or (not f.forms and not g.forms):
-        return OracleOutcome(True, None, None, None, samples)
-    scale = 1
-    for lam, _ in tuple(f.forms) + tuple(g.forms):
-        for x in lam:
-            scale = lcm(scale, x.denominator)
-    def int_forms(fn):
-        return [([int(x * scale) for x in lam], m) for lam, m in fn.forms]
-    fi, gi = int_forms(f), int_forms(g)
-    max_coef = max((abs(c) for lam, _ in fi + gi for c in lam), default=0)
-    mult_sum = sum(m for _, m in fi + gi)
-    bound = max_coef * 9 * r * max(mult_sum, 1)
-    idx = None
-    if bound < 2 ** 62:
-        import numpy as np
-        P = np.array(pts, dtype=np.int64).T  # r x samples
-        def eval_all(forms):
-            total = np.zeros(samples, dtype=np.int64)
-            for lam, m in forms:
-                total += m * np.abs(np.array(lam, dtype=np.int64) @ P)
-            return total
-        diff = eval_all(gi) - eval_all(fi)
-        where = np.nonzero(diff < 0)[0]
-        idx = int(where[0]) if len(where) else None
-    else:
-        for i, p in enumerate(pts):
-            if rho_eval(f, list(p)) > rho_eval(g, list(p)):
-                idx = i
-                break
-    if idx is None:
-        return OracleOutcome(True, None, None, None, samples)
-    p = [Fraction(x) for x in pts[idx]]
-    return OracleOutcome(False, tuple(p), rho_eval(f, p), rho_eval(g, p),
-                         samples)

@@ -75,7 +75,7 @@ def build_report(pair: Pair, verdicts, interpretation: Interpretation,
             "rank_torus_h": pair.torus_h.rank,
             "rank_torus_g": pair.torus_g.rank,
             "is_complex_pair": pair.is_complex_pair,
-            "has_complexification": pair.complexification is not None,
+            "has_complexification": pair.compact_cartan_rows is not None,
             "source": serialize_pair(pair),
         },
         "settings": {

@@ -14,7 +14,7 @@ g ≅ h ⊕ g/h as torus modules.  No complement or induced action is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -73,11 +73,14 @@ class SplitTorus:
     """A validated abelian, rationally ad-diagonalizable subalgebra a ⊂ h.
 
     rows are the chosen basis vectors of a in ambient g-coordinates; every
-    linear functional on a is expressed in this basis.
+    linear functional on a is expressed in this basis.  g_split is the
+    (weights, spaces) pair of its weight system on g, kept from the joint
+    split that validated it.
     """
 
     parent: SubalgebraEmbedding
     rows: tuple
+    g_split: tuple = field(compare=False, repr=False)
 
     @property
     def rank(self):
@@ -92,7 +95,11 @@ def validate_torus(rows, h: SubalgebraEmbedding) -> SplitTorus:
     """Validate a candidate torus basis inside h.
 
     Checks, in order: containment in h, linear independence, commutativity,
-    and rational diagonalizability of each ad(Y_i) on the ambient algebra.
+    and rational diagonalizability of ad(Y_1), …, ad(Y_r) on the ambient
+    algebra.  The last is one joint split: a commuting family is jointly
+    diagonalizable exactly when each member is, and ad(Y_i) is
+    diagonalizable exactly when it is so on each joint eigenspace of
+    ad(Y_1), …, ad(Y_{i-1}), which it preserves.
     """
     g = h.ambient
     rows = [vec(r) for r in rows]
@@ -111,17 +118,9 @@ def validate_torus(rows, h: SubalgebraEmbedding) -> SplitTorus:
             if not is_zero_vec(bracket(g, rows[i], rows[j])):
                 raise NotAbelian(
                     f"torus rows {i + 1} and {j + 1} do not commute")
-    for i, r in enumerate(rows):
-        try:
-            eigensplit(ad_matrix(g, r))
-        except IrrationalSpectrumError as e:
-            raise IrrationalWeights(
-                f"ad of torus row {i + 1} is not rationally diagonalizable: {e}",
-                e.charpoly_coeffs) from e
-        except NotDiagonalizableError as e:
-            raise NotSemisimpleElement(
-                f"ad of torus row {i + 1} is not semisimple: {e}") from e
-    return SplitTorus(parent=h, rows=tuple(tuple(r) for r in rows))
+    blocks = _joint_eigensplit([ad_matrix(g, r) for r in rows], g.dim)
+    return SplitTorus(parent=h, rows=tuple(tuple(r) for r in rows),
+                      g_split=_weights_and_spaces(blocks))
 
 
 @dataclass(frozen=True)
@@ -162,60 +161,74 @@ def _combine(coeffs, rows):
     return out
 
 
-def _joint_eigensplit(ops, dim, origin=""):
+def _joint_eigensplit(ops, dim, origin="g"):
+    """Joint eigenspaces of commuting operators on ℚ^dim: a list of
+    (λ, canonical rows) with λ the tuple of eigenvalues, one per operator.
+    Raises IrrationalWeights or NotSemisimpleElement naming the first
+    operator that is not rationally diagonalizable.
+
+    The operators must commute (validate_torus checks this first), so every
+    joint eigenspace of the first i operators is invariant under the next.
+    Its rows are kept in reduced echelon form, so the coordinates of a
+    vector of the block are its entries at the block's pivot columns, and
+    the next operator's restriction is read off there."""
     if all(is_diagonal(M) for M in ops):
         return coordinate_split([tuple(M[i][i] for M in ops)
                                  for i in range(dim)])
-    blocks = [((), identity_rows(dim))]
+    blocks = [((), identity_rows(dim), range(dim))]
     for idx, M in enumerate(ops):
-        columns = list(zip(*M))
         new = []
-        for lam_prefix, basis in blocks:
-            # M·b is the combination of the columns of M by the entries of b
-            images = [_combine(b, columns) for b in basis]
-            coords = express_in_rows(basis, images)
-            if None in coords:
-                raise ValidationError(
-                    "subspace is not invariant under the operator")
+        for lam_prefix, basis, pivots in blocks:
+            support = [[(c, x) for c, x in enumerate(b) if x] for b in basis]
+            # entry (i, j): coordinate i of M·b_j, its entry at pivot i
+            restricted = [[sum((row[c] * x for c, x in s if row[c]), ZERO)
+                           for s in support]
+                          for row in (M[p] for p in pivots)]
             try:
-                parts = eigensplit([list(r) for r in zip(*coords)])
+                parts = eigensplit(restricted)
             except IrrationalSpectrumError as e:
                 raise IrrationalWeights(
-                    f"torus generator {idx + 1} acts with non-rational weights"
-                    f"{' on ' + origin if origin else ''}; characteristic "
-                    f"polynomial {poly_str(e.charpoly_coeffs)}",
+                    f"ad of torus row {idx + 1} is not rationally "
+                    f"diagonalizable on {origin}: on an invariant subspace "
+                    "its characteristic polynomial is "
+                    f"{poly_str(e.charpoly_coeffs)}",
                     e.charpoly_coeffs) from e
             except NotDiagonalizableError as e:
                 raise NotSemisimpleElement(
-                    f"torus generator {idx + 1} does not act semisimply"
-                    f"{' on ' + origin if origin else ''}: {e}") from e
+                    f"ad of torus row {idx + 1} is not semisimple on "
+                    f"{origin}: {e}") from e
             for lam, krows in parts:
-                new.append((lam_prefix + (lam,),
-                            [_combine(k, basis) for k in krows]))
+                rows, piv = rref([_combine(k, basis) for k in krows])
+                new.append((lam_prefix + (lam,), rows, piv))
         blocks = new
-    return blocks
+    return [(lam, rows) for lam, rows, _ in blocks]
+
+
+def _weights_and_spaces(blocks):
+    """The sorted weights with multiplicity and the rows of their spaces,
+    from the blocks of a joint split."""
+    blocks = sorted(blocks, key=lambda b: b[0])
+    return (tuple((lam, len(rows)) for lam, rows in blocks),
+            tuple(tuple(rows) for _, rows in blocks))
 
 
 def weight_decomposition(torus: SplitTorus, space: str) -> WeightSystem:
     """Joint weight-space decomposition of the torus action on g or on h.
 
-    When every operator is diagonal (a catalog torus in the root basis) the
-    weight spaces are the coordinate lines grouped by their tuple of
-    diagonal entries.  Otherwise the split refines by one generator at a
-    time via exact kernel computations.  Either way the multiplicities sum
-    to dim V and the spaces are canonical rows.  Raises IrrationalWeights if
-    any (restricted) action fails rational diagonalizability.
+    On g it is the split that validate_torus made.  When every operator is
+    diagonal (a catalog torus in the root basis) the weight spaces are the
+    coordinate lines grouped by their tuple of diagonal entries.  Otherwise
+    the split refines by one generator at a time via exact kernel
+    computations.  Either way the multiplicities sum to dim V and the spaces
+    are canonical rows.  Raises IrrationalWeights if the action on h fails
+    rational diagonalizability.
     """
-    ops = action_operators(torus, space)
-    dim_v = torus.ambient.dim if space == "g" else torus.parent.dim
-    if torus.rank == 0:
-        weights = ((tuple(), dim_v),) if dim_v else ()
-        spaces = (tuple(identity_rows(dim_v)),) if dim_v else ()
-        return WeightSystem(torus=torus, weights=weights, spaces=spaces)
-    blocks = _joint_eigensplit(ops, dim_v, origin=space)
-    blocks.sort(key=lambda b: b[0])
-    weights = tuple((lam, len(rows)) for lam, rows in blocks)
-    spaces = tuple(tuple(tuple(r) for r in rref(rows)[0]) for _, rows in blocks)
+    if space == "g":
+        weights, spaces = torus.g_split
+    else:
+        ops = action_operators(torus, space)
+        weights, spaces = _weights_and_spaces(
+            _joint_eigensplit(ops, torus.parent.dim, origin=space))
     return WeightSystem(torus=torus, weights=weights, spaces=spaces)
 
 
@@ -263,72 +276,3 @@ def rho_eval(f: RhoFunction, y) -> Fraction:
     for lam, m in f.forms:
         total += m * abs(vec_dot(lam, y))
     return total
-
-
-def _zero_weight_component(torus: SplitTorus, v):
-    """Component of v (in g-coordinates, v ∈ h) in the zero-weight space of
-    the torus acting on h."""
-    h = torus.parent
-    ws = weight_decomposition(torus, "h")
-    coords = express_in_rows([list(r) for r in h.rows], [vec(v)])[0]
-    if coords is None:
-        return None
-    all_rows = []
-    zero_range = None
-    offset = 0
-    for (lam, _), rows in zip(ws.weights, ws.spaces):
-        size = len(rows)
-        if all(x == 0 for x in lam):
-            zero_range = (offset, offset + size)
-        all_rows.extend(list(r) for r in rows)
-        offset += size
-    if zero_range is None:
-        return None
-    in_blocks = express_in_rows(all_rows, [coords])[0]
-    lo, hi = zero_range
-    comp_h = [ZERO] * h.dim
-    for idx in range(lo, hi):
-        c = in_blocks[idx]
-        if c != 0:
-            for i, x in enumerate(all_rows[idx]):
-                comp_h[i] += c * x
-    out = [ZERO] * h.ambient.dim
-    for c, hr in zip(comp_h, h.rows):
-        if c != 0:
-            for i, x in enumerate(hr):
-                out[i] += c * x
-    return out
-
-
-def extend_torus_greedily(seed: SplitTorus, h: SubalgebraEmbedding,
-                          candidate_pool) -> SplitTorus:
-    """Grow the torus by adjoining pool vectors (or their centralizer
-    components) while all invariants survive.  Maximality is relative to the
-    pool, not proven in general."""
-    current = seed
-    pool = [vec(p) for p in candidate_pool]
-    changed = True
-    while changed:
-        changed = False
-        for v in pool:
-            candidates = [v]
-            if current.rank > 0:
-                proj = _zero_weight_component(current, v)
-                if proj is not None and not is_zero_vec(proj):
-                    candidates.append(proj)
-            for cand in candidates:
-                if is_zero_vec(cand):
-                    continue
-                if rank([list(r) for r in current.rows] + [cand]) == current.rank:
-                    continue
-                try:
-                    extended = validate_torus(
-                        [list(r) for r in current.rows] + [cand], h)
-                except TorusValidationError:
-                    continue
-                current = extended
-                changed = True
-                break
-            if changed:
-                break
-    return current

@@ -10,22 +10,30 @@ subtracting the weights on h from the weights on g.  `rref_oracle`,
 Gauss-Jordan elimination over Fraction, the dense matrix exponential and
 the flat grower by RREF of spans of forms that the library replaced with
 integer elimination, sparse series on rows and integer flats grown by
-closure; the tests compare the two.
+closure; the tests compare the two.  `randomized_dominance_oracle` is a
+Monte Carlo cross-check of `decide_dominance`, and `extend_torus_greedily`
+grows a torus from a pool of vectors, the oracle for the maximality of the
+designated tori.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from random import Random
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from liepair.algebra import LieAlgebra, ad_matrix, bracket
-from liepair.linalg import express_in_rows, kernel
-from liepair.polyhedral import ConeBudgetExceeded
+from liepair.linalg import express_in_rows, is_zero_vec, kernel, rank, vec
+from liepair.polyhedral import ConeBudgetExceeded, RankMismatch
 from liepair.weights import (
+    TorusValidationError,
     action_operators,
     quotient_weights,
     rho_eval,
+    validate_torus,
     weight_decomposition,
 )
 
@@ -225,3 +233,128 @@ def enumerate_lines_oracle(arr, budget=10 ** 6):
         nz = next(x for x in y if x != 0)
         lines.append(tuple(x / nz for x in y))
     return sorted(lines)
+
+
+@dataclass(frozen=True)
+class OracleOutcome:
+    agrees: bool              # True when no violation of f ≤ g was sampled
+    counterexample: Optional[tuple]
+    f_value: Optional[Fraction]
+    g_value: Optional[Fraction]
+    samples: int
+
+
+def randomized_dominance_oracle(f, g, samples, seed):
+    """Independent Monte Carlo cross-check of decide_dominance.
+
+    Samples integer points (exact rationals) and evaluates both functions
+    exactly; a strict violation is a certified counterexample to dominance.
+    The bulk evaluation runs in int64 when a conservative overflow bound
+    allows it, otherwise in Fractions; both paths are exact.
+    """
+    if f.rank != g.rank:
+        raise RankMismatch(f"rho ranks differ: {f.rank} vs {g.rank}")
+    r = f.rank
+    rng = Random(seed)
+    pts = [tuple(rng.randint(-9, 9) for _ in range(r)) for _ in range(samples)]
+    if r == 0 or (not f.forms and not g.forms):
+        return OracleOutcome(True, None, None, None, samples)
+    scale = 1
+    for lam, _ in tuple(f.forms) + tuple(g.forms):
+        for x in lam:
+            scale = lcm(scale, x.denominator)
+    def int_forms(fn):
+        return [([int(x * scale) for x in lam], m) for lam, m in fn.forms]
+    fi, gi = int_forms(f), int_forms(g)
+    max_coef = max((abs(c) for lam, _ in fi + gi for c in lam), default=0)
+    mult_sum = sum(m for _, m in fi + gi)
+    bound = max_coef * 9 * r * max(mult_sum, 1)
+    idx = None
+    if bound < 2 ** 62:
+        P = np.array(pts, dtype=np.int64).T  # r x samples
+        def eval_all(forms):
+            total = np.zeros(samples, dtype=np.int64)
+            for lam, m in forms:
+                total += m * np.abs(np.array(lam, dtype=np.int64) @ P)
+            return total
+        diff = eval_all(gi) - eval_all(fi)
+        where = np.nonzero(diff < 0)[0]
+        idx = int(where[0]) if len(where) else None
+    else:
+        for i, p in enumerate(pts):
+            if rho_eval(f, list(p)) > rho_eval(g, list(p)):
+                idx = i
+                break
+    if idx is None:
+        return OracleOutcome(True, None, None, None, samples)
+    p = [Fraction(x) for x in pts[idx]]
+    return OracleOutcome(False, tuple(p), rho_eval(f, p), rho_eval(g, p),
+                         samples)
+
+
+def _zero_weight_component(torus, v):
+    """Component of v (in g-coordinates, v ∈ h) in the zero-weight space of
+    the torus acting on h."""
+    h = torus.parent
+    ws = weight_decomposition(torus, "h")
+    coords = express_in_rows([list(r) for r in h.rows], [vec(v)])[0]
+    if coords is None:
+        return None
+    all_rows = []
+    zero_range = None
+    offset = 0
+    for (lam, _), rows in zip(ws.weights, ws.spaces):
+        size = len(rows)
+        if all(x == 0 for x in lam):
+            zero_range = (offset, offset + size)
+        all_rows.extend(list(r) for r in rows)
+        offset += size
+    if zero_range is None:
+        return None
+    in_blocks = express_in_rows(all_rows, [coords])[0]
+    lo, hi = zero_range
+    comp_h = [F(0)] * h.dim
+    for idx in range(lo, hi):
+        c = in_blocks[idx]
+        if c != 0:
+            for i, x in enumerate(all_rows[idx]):
+                comp_h[i] += c * x
+    out = [F(0)] * h.ambient.dim
+    for c, hr in zip(comp_h, h.rows):
+        if c != 0:
+            for i, x in enumerate(hr):
+                out[i] += c * x
+    return out
+
+
+def extend_torus_greedily(seed, h, candidate_pool):
+    """Grow the torus by adjoining pool vectors (or their centralizer
+    components) while all invariants survive.  Maximality is relative to the
+    pool, not proven in general."""
+    current = seed
+    pool = [vec(p) for p in candidate_pool]
+    changed = True
+    while changed:
+        changed = False
+        for v in pool:
+            candidates = [v]
+            if current.rank > 0:
+                proj = _zero_weight_component(current, v)
+                if proj is not None and not is_zero_vec(proj):
+                    candidates.append(proj)
+            for cand in candidates:
+                if is_zero_vec(cand):
+                    continue
+                if rank([list(r) for r in current.rows] + [cand]) == current.rank:
+                    continue
+                try:
+                    extended = validate_torus(
+                        [list(r) for r in current.rows] + [cand], h)
+                except TorusValidationError:
+                    continue
+                current = extended
+                changed = True
+                break
+            if changed:
+                break
+    return current

@@ -21,7 +21,7 @@ from liepair.checks import (
     verify_certificate,
 )
 from liepair.pairfile import parse_pair_text, serialize_pair
-from liepair.polyhedral import decide_dominance, randomized_dominance_oracle
+from liepair.polyhedral import decide_dominance
 from liepair.report import (
     render_machine,
     run_fixture_suite,
@@ -34,7 +34,12 @@ from liepair.weights import (
     rho_from_weights,
 )
 
-from conftest import module_weights, numeric_rho, random_fraction
+from conftest import (
+    module_weights,
+    numeric_rho,
+    random_fraction,
+    randomized_dominance_oracle,
+)
 
 F = Fraction
 

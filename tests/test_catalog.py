@@ -16,9 +16,9 @@ from liepair.catalog import (
     so_p_q,
     su_p_q,
 )
-from liepair.weights import extend_torus_greedily, validate_torus
+from liepair.weights import validate_torus
 
-from conftest import killing_form_matrix
+from conftest import extend_torus_greedily, killing_form_matrix
 
 F = Fraction
 

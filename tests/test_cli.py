@@ -233,3 +233,45 @@ def test_verify_accepts_suite_reports(tmp_path, capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 20
+
+
+def _break_cartan_compact(text):
+    # iE in place of iH: it does not commute with the split torus H of the
+    # complexification, so the complexification fails torus validation
+    assert "cartan-compact = 0 0 0 1 0 0" in text
+    return text.replace("cartan-compact = 0 0 0 1 0 0",
+                        "cartan-compact = 0 0 0 0 1 0")
+
+
+def test_invalid_cartan_compact_row_fails_only_the_complex_question(
+        tmp_path, capsys):
+    path = tmp_path / "broken.pair"
+    path.write_text(_break_cartan_compact(
+        (fixtures_dir() / "sl2c_cartan.pair").read_text()))
+    code, out, _ = run(capsys, "check", "--file", str(path),
+                       "--questions", "tempered")
+    assert code == 0 and "tempered] -> yes_certified" in out
+    code, out, err = run(capsys, "check", "--file", str(path),
+                         "--questions", "complex-spherical")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot build the complexification")
+
+
+def test_verify_fails_a_complex_certificate_whose_complexification_breaks(
+        tmp_path, capsys):
+    rep_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "check", "--file",
+                     str(fixtures_dir() / "sl2c_cartan.pair"), "--format",
+                     "machine", "--output", str(rep_path), "--questions",
+                     "tempered,complex-spherical", "--samples", "16")
+    assert code == 0
+    rep = json.loads(rep_path.read_text())
+    assert [v["outcome"] for v in rep["verdicts"]] == ["yes_certified"] * 2
+    rep["pair"]["source"] = _break_cartan_compact(rep["pair"]["source"])
+    rep_path.write_text(json.dumps(rep))
+    code, out, err = run(capsys, "verify", str(rep_path))
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("PASS") and "[tempered]" in lines[0]
+    assert lines[1].startswith("FAIL") and "[complex_spherical]" in lines[1]
+    assert "cannot build the complexification" in lines[1]

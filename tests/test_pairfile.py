@@ -2,18 +2,25 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liepair.algebra import ValidationError, bracket
+from liepair import catalog, checks
+from liepair.algebra import ValidationError, bracket, validate
 from liepair.catalog import (
     build_fixture,
     fixture_names,
     fixtures_dir,
     load_fixture_file,
 )
-from liepair.checks import check_tempered
-from liepair.pairfile import ParseError, parse_pair_text, serialize_pair
+from liepair.checks import check_complex_spherical, check_tempered
+from liepair.linalg import frac
+from liepair.pairfile import (
+    ParseError,
+    _parse_fraction,
+    parse_pair_text,
+    serialize_pair,
+)
 
 F = Fraction
 
@@ -236,3 +243,101 @@ def test_expectation_attributes_round_trip():
     pair2 = replace(pair, expectations=(e,))
     text = serialize_pair(pair2)
     assert parse_pair_text(text, origin=pair2.provenance) == pair2
+
+
+# --- integer tokens --------------------------------------------------------
+
+def _outcome(parse, tok):
+    """(True, value) when parse accepts tok, (False, None) when it rejects."""
+    try:
+        return True, parse(tok)
+    except (ValueError, ZeroDivisionError):
+        return False, None
+
+
+# ASCII and Unicode digits (Arabic-Indic, fullwidth, superscript) and the
+# characters a fraction literal may or may not contain
+TOKEN_ALPHABET = "0123456789٣５²+-−/.e_ "
+
+
+@given(st.text(alphabet=TOKEN_ALPHABET, max_size=8))
+@settings(max_examples=1500, deadline=None)
+@example("-0")
+@example("007")
+@example("-")
+@example("")
+@example("+5")
+@example("1_0")
+@example("−3")
+@example("٣")
+@example(" 5")
+@example("3/0")
+def test_integer_fast_path_agrees_with_fraction_literals(tok):
+    # the old path of every token was frac, i.e. Fraction(str) after
+    # mapping U+2212 to '-'; accept/reject and value must not change
+    got = _outcome(lambda t: _parse_fraction(t, 1), tok)
+    assert got == _outcome(frac, tok)
+    if got[0]:
+        assert type(got[1]) is Fraction
+
+
+# --- deferred complexification ---------------------------------------------
+
+def _sl2c_cartan_text(compact_row):
+    text = (fixtures_dir() / "sl2c_cartan.pair").read_text()
+    return text.replace("cartan-compact = 0 0 0 1 0 0",
+                        f"cartan-compact = {compact_row}")
+
+
+def test_cartan_compact_row_of_wrong_length_fails_at_parse():
+    text = _sl2c_cartan_text("0 0 0 1 0")
+    lineno = text.splitlines().index("cartan-compact = 0 0 0 1 0") + 1
+    with pytest.raises(ParseError, match=rf"line {lineno}: cartan-compact "
+                       "row has length 5"):
+        parse_pair_text(text)
+
+
+def test_invalid_cartan_compact_row_fails_on_first_use(monkeypatch):
+    # iE does not commute with the split torus H of the complexification
+    pair = parse_pair_text(_sl2c_cartan_text("0 0 0 0 1 0"))
+    assert check_tempered(pair).outcome == "yes_certified"
+    with pytest.raises(ValidationError,
+                       match="cannot build the complexification: torus rows "
+                       "1 and 2 do not commute"):
+        pair.complexification
+    with pytest.raises(ValidationError, match="complexification"):
+        check_complex_spherical(pair, samples=4)
+
+
+def test_validate_pair_validates_a_complexification_once_built(monkeypatch):
+    pair = parse_pair_text(SL2_TORUS_FILE + "complexify auto\n")
+    validated = []
+
+    def counting_validate(L):
+        validated.append(L.dim)
+        return validate(L)
+
+    monkeypatch.setattr(checks, "validate", counting_validate)
+    built = []
+    complexify_pair = catalog._complexify_pair
+    monkeypatch.setattr(catalog, "_complexify_pair",
+                        lambda *a: built.append(1) or complexify_pair(*a))
+    assert pair.validate_pair()
+    assert validated == [3] and built == []
+    assert pair.complexification.g.dim == 6
+    assert pair.complexification is pair.complexification
+    assert built == [1]
+    validated.clear()
+    assert pair.validate_pair()
+    assert validated == [3, 6] and built == [1]
+
+
+def test_has_complexification_does_not_build():
+    from liepair.report import report_for_pair
+
+    pair = parse_pair_text(SL2_TORUS_FILE + "complexify auto\n")
+    rep = report_for_pair(pair, ["tempered"])
+    assert rep["pair"]["has_complexification"] is True
+    assert "complexification" not in pair.__dict__
+    assert "complexify auto" in serialize_pair(pair)
+    assert "complexification" not in pair.__dict__

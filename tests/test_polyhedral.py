@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_lines_oracle
+from conftest import enumerate_lines_oracle, randomized_dominance_oracle
 from liepair.linalg import kernel, rank
 from liepair.polyhedral import (
     ConeBudgetExceeded,
@@ -14,7 +14,6 @@ from liepair.polyhedral import (
     decide_dominance,
     enumerate_lines,
     normalize_form,
-    randomized_dominance_oracle,
 )
 from liepair.weights import RhoFunction, rho_eval
 

@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liepair import catalog, weights
 from liepair.algebra import SubalgebraEmbedding, ValidationError
 from liepair.catalog import (
     base_algebra,
     build_fixture,
     construct_from_spec,
+    direct_sum,
     fixture_names,
+    sl_n_R,
+    so_p_q,
 )
-from liepair.linalg import is_diagonal, mat_vec
+from liepair.linalg import is_diagonal, mat_vec, rref
+from liepair.pairfile import parse_pair_text
+from liepair.report import report_for_pair, verify_report
 from liepair.weights import (
     IrrationalWeights,
     NotAbelian,
@@ -22,7 +28,6 @@ from liepair.weights import (
     WeightSystem,
     _joint_eigensplit,
     action_operators,
-    extend_torus_greedily,
     quotient_weights,
     rho_eval,
     rho_from_weights,
@@ -32,6 +37,7 @@ from liepair.weights import (
 
 from conftest import (
     assert_rho_matches_numeric,
+    extend_torus_greedily,
     mat_mul,
     module_weights,
     quotient_operators,
@@ -69,6 +75,19 @@ def test_validate_torus_rejects_compact_rotation():
 def test_validate_torus_rejects_nilpotent(sl2):
     with pytest.raises(NotSemisimpleElement):
         validate_torus([unit(sl2, "E12")], whole(sl2))
+
+
+def test_validate_torus_names_the_first_row_that_fails():
+    # one joint split proves all rows; the message still names the row
+    g = direct_sum([sl_n_R(2), sl_n_R(2)]).algebra
+    with pytest.raises(NotSemisimpleElement,
+                       match="torus row 2 is not semisimple"):
+        validate_torus([unit(g, "H1.1"), unit(g, "E12.2")], whole(g))
+    g = direct_sum([sl_n_R(2), so_p_q(0, 3)]).algebra
+    rotation = [F(0)] * 3 + [F(1), F(0), F(0)]  # eigenvalues 0, ±i
+    with pytest.raises(IrrationalWeights,
+                       match="torus row 2 is not rationally diagonalizable"):
+        validate_torus([unit(g, "H1.1"), rotation], whole(g))
 
 
 def test_validate_torus_rejects_noncommuting(sl2):
@@ -175,6 +194,52 @@ def test_quotient_weights_match_induced_action(name):
     blocks = _joint_eigensplit(quotient_operators(pair.torus_h), n)
     assert module_weights(pair.torus_h, "g/h") \
         == tuple(sorted((lam, len(rows)) for lam, rows in blocks))
+
+
+@pytest.mark.parametrize("name", fixture_names() + ["torus_pair:so_4_4"])
+def test_cached_g_weights_equal_a_fresh_joint_split(name):
+    # validate_torus keeps its joint split as the weight system on g; the
+    # so(4,4) torus is not diagonal in its basis
+    pair = construct_from_spec(name) if ":" in name else build_fixture(name)
+    for torus in (pair.torus_h, pair.torus_g):
+        fresh = sorted((lam, tuple(tuple(r) for r in rref(rows)[0]))
+                       for lam, rows in _joint_eigensplit(
+                           action_operators(torus, "g"), pair.g.dim))
+        ws = weight_decomposition(torus, "g")
+        assert ws.weights == tuple((lam, len(rows)) for lam, rows in fresh)
+        assert ws.spaces == tuple(rows for _, rows in fresh)
+
+
+TEMPERED_LADDER = ("torus_pair:sl6", "torus_pair:sp_8", "torus_pair:so_4_4",
+                   "torus_pair:sl5", "diagonal_pair:sl5", "direct_sum:sl4:sl2")
+
+
+def test_parse_and_verify_split_each_torus_on_g_once(monkeypatch):
+    # machine-independent count of the saving: re-verifying a tempered
+    # report builds no complexification and splits each torus on g once
+    reports = [report_for_pair(construct_from_spec(spec), ["tempered"])
+               for spec in TEMPERED_LADDER]
+    calls = {"complexify": 0, "g": 0, "h": 0}
+    split = weights._joint_eigensplit
+    complexify_pair = catalog._complexify_pair
+
+    def counting_split(ops, dim, origin="g"):
+        calls[origin] += 1
+        return split(ops, dim, origin)
+
+    def counting_complexify(*args):
+        calls["complexify"] += 1
+        return complexify_pair(*args)
+
+    monkeypatch.setattr(weights, "_joint_eigensplit", counting_split)
+    monkeypatch.setattr(catalog, "_complexify_pair", counting_complexify)
+    for rep in reports:
+        parse_pair_text(rep["pair"]["source"])
+        assert [ok for _, ok, _ in verify_report(rep)] == [True]
+    # two parses of each report, two tori per pair; one split on h per
+    # dominance re-check
+    assert calls == {"complexify": 0, "g": 4 * len(reports),
+                     "h": len(reports)}
 
 
 def test_weight_decomposition_takes_g_and_h_only(sl3):
