@@ -350,6 +350,7 @@ class SubalgebraEmbedding:
                 M[i][j] = cv[i]
         return M
 
+    @staticmethod
     def whole(ambient: LieAlgebra):
         """The improper embedding g ⊂ g."""
         return SubalgebraEmbedding(

@@ -20,7 +20,6 @@ from typing import Callable, Optional
 from .algebra import (
     LieAlgebra,
     SubalgebraEmbedding,
-    Subspace,
     ValidationError,
     bracket,
 )
@@ -46,15 +45,14 @@ class AlgebraData:
     """A base algebra plus its designated torus data.
 
     split_rows span a maximal split torus; compact_rows complete it to a
-    maximally split Cartan when that data is known (required for mechanical
-    complexification).  complex_structure is the J tensor for realified
-    complex algebras.
+    maximally split Cartan, and are None when that data is not known
+    (mechanical complexification needs it).  complex_structure is the J
+    tensor for realified complex algebras.
     """
 
     algebra: LieAlgebra
     split_rows: tuple
-    compact_rows: tuple
-    complexifiable: bool
+    compact_rows: Optional[tuple]
     complex_structure: Optional[tuple] = None
     spec: str = ""
 
@@ -93,7 +91,7 @@ def sl_n_R(n: int) -> AlgebraData:
     alg = LieAlgebra.from_matrices(labels, mats, name=f"sl{n}")
     split = tuple(_unit_row(alg.dim, i) for i in range(n - 1))
     return AlgebraData(algebra=alg, split_rows=split, compact_rows=(),
-                       complexifiable=True, spec=f"sl{n}")
+                       spec=f"sl{n}")
 
 
 def so_p_q(p: int, q: int) -> AlgebraData:
@@ -141,7 +139,7 @@ def so_p_q(p: int, q: int) -> AlgebraData:
         _unit_row(alg.dim, index[("R", leftover[2 * t], leftover[2 * t + 1])])
         for t in range(len(leftover) // 2))
     return AlgebraData(algebra=alg, split_rows=split, compact_rows=compact,
-                       complexifiable=True, spec=f"so_{p}_{q}")
+                       spec=f"so_{p}_{q}")
 
 
 def _realify(re, im):
@@ -203,8 +201,8 @@ def su_p_q(p: int, q: int) -> AlgebraData:
     alg = LieAlgebra.from_matrices(labels, mats, name=f"su({p},{q})")
     m = min(p, q)
     split = tuple(_unit_row(alg.dim, index[("S", k, p + k)]) for k in range(m))
-    return AlgebraData(algebra=alg, split_rows=split, compact_rows=(),
-                       complexifiable=False, spec=f"su_{p}_{q}")
+    return AlgebraData(algebra=alg, split_rows=split, compact_rows=None,
+                       spec=f"su_{p}_{q}")
 
 
 def sp_2n_R(two_n: int) -> AlgebraData:
@@ -242,17 +240,22 @@ def sp_2n_R(two_n: int) -> AlgebraData:
     alg = LieAlgebra.from_matrices(labels, mats, name=f"sp({N})")
     split = tuple(_unit_row(alg.dim, index[("A", k, k)]) for k in range(n))
     return AlgebraData(algebra=alg, split_rows=split, compact_rows=(),
-                       complexifiable=True, spec=f"sp_{N}")
+                       spec=f"sp_{N}")
 
 
 def complexify(data: AlgebraData) -> AlgebraData:
     """Realified g ⊗ ℂ with basis (e_k, i·e_k) and the complex structure J.
 
     The maximally split Cartan a ⊕ t of g yields the one of the realification:
-    split part a ⊕ i·t, compact part i·a ⊕ t.
+    split part a ⊕ i·t, compact part i·a ⊕ t.  Without t there is no split
+    torus to build, so data whose compact_rows are None is refused.
     """
     g = data.algebra
     d = g.dim
+    if data.compact_rows is None:
+        raise UnsupportedParams(
+            f"{g.name} has no compact Cartan data, so it has no "
+            "mechanical complexification")
     if 2 * d > MAX_ALGEBRA_DIM:
         raise UnsupportedParams(
             f"complexification would have dim {2 * d} > {MAX_ALGEBRA_DIM}")
@@ -291,14 +294,13 @@ def complexify(data: AlgebraData) -> AlgebraData:
     compact = tuple(right(r) for r in data.split_rows) + \
         tuple(left(r) for r in data.compact_rows)
     return AlgebraData(algebra=alg, split_rows=split, compact_rows=compact,
-                       complexifiable=True,
                        complex_structure=tuple(tuple(r) for r in J),
                        spec=f"{data.spec}C")
 
 
 def direct_sum(datas) -> AlgebraData:
-    """Block direct sum; tori concatenate, the complex structure survives only
-    if every summand carries one."""
+    """Block direct sum; tori concatenate, and the compact Cartan data and
+    the complex structure survive only if every summand carries them."""
     dims = [d.algebra.dim for d in datas]
     total = sum(dims)
     if total > MAX_ALGEBRA_DIM:
@@ -348,8 +350,10 @@ def direct_sum(datas) -> AlgebraData:
         return tuple(out)
 
     split = tuple(embed(k, r) for k, d in enumerate(datas) for r in d.split_rows)
-    compact = tuple(embed(k, r) for k, d in enumerate(datas)
-                    for r in d.compact_rows)
+    compact = None
+    if all(d.compact_rows is not None for d in datas):
+        compact = tuple(embed(k, r) for k, d in enumerate(datas)
+                        for r in d.compact_rows)
     J = None
     if all(d.complex_structure is not None for d in datas):
         J = _zmat(total)
@@ -360,7 +364,6 @@ def direct_sum(datas) -> AlgebraData:
                     J[o + a][o + b] = data.complex_structure[a][b]
         J = tuple(tuple(r) for r in J)
     return AlgebraData(algebra=alg, split_rows=split, compact_rows=compact,
-                       complexifiable=all(d.complexifiable for d in datas),
                        complex_structure=J,
                        spec="+".join(d.spec for d in datas))
 
@@ -409,45 +412,35 @@ def _generic_chamber(weights, r):
     raise ValidationError("no generic chamber functional found")
 
 
-def _stable_under(J, rows):
-    space = Subspace.from_rows(len(J), [list(r) for r in rows]) if rows else None
-    if space is None:
-        return True
-    return all(space.contains_vector(mat_vec([list(r) for r in J], list(v)))
-               for v in rows)
-
-
 def _make_pair(gdata: AlgebraData, h_rows, torus_h_rows, name, provenance,
-               expectations=(), notes=()):
-    alg = gdata.algebra
-    h = SubalgebraEmbedding.create(alg, [list(r) for r in h_rows])
-    torus_h = validate_torus([list(r) for r in torus_h_rows], h)
-    torus_g = validate_torus([list(r) for r in gdata.split_rows],
-                             SubalgebraEmbedding.whole(alg))
-    J = gdata.complex_structure
-    if J is not None and not _stable_under(J, h.rows):
-        J = None
+               notes=()):
     compact = None
-    if gdata.complexifiable and 2 * alg.dim <= COMPLEXIFY_DIM_CAP:
+    if (gdata.compact_rows is not None
+            and 2 * gdata.algebra.dim <= COMPLEXIFY_DIM_CAP):
         compact = gdata.compact_rows
-    return Pair(g=alg, h=h, torus_h=torus_h, torus_g=torus_g, name=name,
-                provenance=provenance, complex_structure=J,
-                compact_cartan_rows=compact, notes=tuple(notes),
-                expectations=tuple(expectations))
+    return Pair.create(gdata.algebra, h_rows, torus_h_rows, gdata.split_rows,
+                       complex_structure=gdata.complex_structure,
+                       compact_cartan_rows=compact, name=name,
+                       provenance=provenance, notes=tuple(notes))
 
 
-def _complexify_pair(gdata: AlgebraData, h_rows, torus_h_rows, name):
-    cdata = complexify(gdata)
-    d = gdata.algebra.dim
-    hc = [tuple(r) + tuple([ZERO] * d) for r in h_rows]
-    hc += [tuple([ZERO] * d) + tuple(r) for r in h_rows]
-    thc = [tuple(r) + tuple([ZERO] * d) for r in torus_h_rows]
-    comp = _make_pair(cdata, hc, thc, name=f"{name} (x)C",
-                      provenance="mechanical complexification",
-                      notes=("torus_h is the real split part only and may be "
-                             "non-maximal in h_C",))
-    return replace(comp, compact_cartan_rows=None,
-                   torus_h_asserted_maximal=False)
+def complexify_pair(pair: Pair) -> Pair:
+    """The realified complexification of a pair with compact_cartan_rows:
+    g ⊗ ℂ with h ⊗ ℂ, torus_h as its real split part and the split torus
+    torus_g ⊕ i·(compact Cartan rows)."""
+    d = pair.g.dim
+    cdata = complexify(AlgebraData(algebra=pair.g,
+                                   split_rows=pair.torus_g.rows,
+                                   compact_rows=pair.compact_cartan_rows))
+    zero = (ZERO,) * d
+    hc = [r + zero for r in pair.h.rows] + [zero + r for r in pair.h.rows]
+    return Pair.create(
+        cdata.algebra, hc, [r + zero for r in pair.torus_h.rows],
+        cdata.split_rows, complex_structure=cdata.complex_structure,
+        name=f"{pair.name} (x)C", provenance="mechanical complexification",
+        torus_h_asserted_maximal=False,
+        notes=("torus_h is the real split part only and may be "
+               "non-maximal in h_C",))
 
 
 def pair_trivial_h(spec: str) -> Pair:
@@ -528,8 +521,10 @@ def pair_symmetric(spec: str, involution="neg_transpose") -> Pair:
                for i in range(n)]
     h_rows = kernel(shifted, n)
     name = f"{alg.name} / fix({involution})"
-    # fixed points of neg_transpose are compact: split torus rank 0
-    return _make_pair(gdata, h_rows, [], name=name,
+    # fixed points of neg_transpose are compact: split torus rank 0, and
+    # never a complex subalgebra, so the pair drops J
+    return _make_pair(replace(gdata, complex_structure=None), h_rows, [],
+                      name=name,
                       provenance=f"catalog:symmetric_pair_fixed_points:{spec}:{involution}")
 
 
@@ -562,6 +557,10 @@ def pair_torus(spec: str) -> Pair:
     """h = a maximally split Cartan subalgebra (for a split base this is the
     split torus itself; for a realified complex base, the complex Cartan)."""
     gdata = base_algebra(spec)
+    if gdata.compact_rows is None:
+        raise UnsupportedParams(
+            f"torus_pair needs the compact Cartan data of {spec}, "
+            "which is not known")
     h_rows = list(gdata.split_rows) + list(gdata.compact_rows)
     if not h_rows:
         raise UnsupportedParams("torus_pair needs a nonzero Cartan")

@@ -36,11 +36,9 @@ from .algebra import (
     ValidationError,
     bracket,
     subspace_intersect,
-    validate,
 )
 from .linalg import (
     ZERO,
-    ONE,
     express_in_rows,
     frac,
     integer_row,
@@ -142,6 +140,35 @@ class Pair:
     def is_complex_pair(self) -> bool:
         return self.complex_structure is not None
 
+    @classmethod
+    def create(cls, g: LieAlgebra, h_rows, torus_h_rows, torus_g_rows, *,
+               complex_structure=None, **fields) -> "Pair":
+        """The validating constructor: h must be a subalgebra of g, torus_h
+        and torus_g rationally split tori in h and in g, and h stable under
+        the complex structure J when one is given.  The other fields are
+        stored as given.
+
+        A torus_g with the rows of torus_h is not split again: containment
+        in g, independence, commutativity and the joint split on g are what
+        validating torus_h already proved."""
+        h = SubalgebraEmbedding.create(g, h_rows)
+        torus_h = validate_torus(torus_h_rows, h)
+        whole = SubalgebraEmbedding.whole(g)
+        if [tuple(r) for r in torus_g_rows] == list(torus_h.rows):
+            torus_g = SplitTorus(parent=whole, rows=torus_h.rows,
+                                 g_split=torus_h.g_split)
+        else:
+            torus_g = validate_torus(torus_g_rows, whole)
+        if complex_structure is not None:
+            hspace = h.subspace()
+            if not all(hspace.contains_vector(mat_vec(complex_structure,
+                                                      list(r)))
+                       for r in h.rows):
+                raise ValidationError("subalgebra is not stable under the "
+                                      "complex structure")
+        return cls(g=g, h=h, torus_h=torus_h, torus_g=torus_g,
+                   complex_structure=complex_structure, **fields)
+
     @cached_property
     def complexification(self) -> Optional["Pair"]:
         """The realified complexification, built and validated on first
@@ -149,57 +176,13 @@ class Pair:
         carries no complexification data."""
         if self.compact_cartan_rows is None:
             return None
-        from .catalog import AlgebraData, _complexify_pair
+        from .catalog import complexify_pair
 
-        gdata = AlgebraData(algebra=self.g, split_rows=self.torus_g.rows,
-                            compact_rows=self.compact_cartan_rows,
-                            complexifiable=True)
         try:
-            return _complexify_pair(gdata, self.h.rows, self.torus_h.rows,
-                                    self.name)
+            return complexify_pair(self)
         except ValidationError as e:
             raise ValidationError(
                 f"cannot build the complexification: {e}") from e
-
-    def validate_pair(self):
-        rep = validate(self.g)
-        if not rep.ok:
-            raise ValidationError(
-                f"ambient algebra invalid: {rep.first_problem}")
-        SubalgebraEmbedding.create(self.g, [list(r) for r in self.h.rows])
-        validate_torus([list(r) for r in self.torus_h.rows], self.h)
-        validate_torus([list(r) for r in self.torus_g.rows],
-                       SubalgebraEmbedding.whole(self.g))
-        if self.complex_structure is not None:
-            _check_complex_structure(self.g, self.complex_structure, self.h)
-        # an unbuilt complexification is validated when it is first read
-        if self.__dict__.get("complexification") is not None:
-            self.complexification.validate_pair()
-        return True
-
-
-def _check_complex_structure(g: LieAlgebra, J, h: SubalgebraEmbedding):
-    n = g.dim
-    JJ = [[sum((J[i][k] * J[k][j] for k in range(n) if J[i][k] != 0), ZERO)
-           for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if JJ[i][j] != (-ONE if i == j else ZERO):
-                raise ValidationError("complex structure does not square to -1")
-    for i in range(n):
-        Jei = [J[k][i] for k in range(n)]
-        for j in range(n):
-            lhs = bracket(g, Jei, g.basis_vector(j))
-            rhs = mat_vec(J, bracket(g, g.basis_vector(i), g.basis_vector(j)))
-            if lhs != rhs:
-                raise ValidationError(
-                    "bracket is not complex-linear for the stored complex "
-                    f"structure at basis pair ({i + 1}, {j + 1})")
-    hspace = h.subspace()
-    for r in h.rows:
-        if not hspace.contains_vector(mat_vec(J, list(r))):
-            raise ValidationError("subalgebra is not stable under the "
-                                  "complex structure")
 
 
 @dataclass(frozen=True)

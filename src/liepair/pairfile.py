@@ -16,10 +16,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import LieAlgebra, SubalgebraEmbedding, ValidationError, validate
+from .algebra import LieAlgebra, ValidationError, bracket, validate
 from .checks import Expectation, Pair
-from .linalg import frac
-from .weights import validate_torus
+from .linalg import ZERO, ONE, frac, mat_vec
 
 
 class ParseError(ValueError):
@@ -123,15 +122,10 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
     rep = validate(g)
     if not rep.ok:
         raise ValidationError(f"algebra invalid: {rep.first_problem}")
-    h = SubalgebraEmbedding.create(g, h_rows)
-    torus_h = validate_torus(torus_rows["h"], h)
-    torus_g = validate_torus(torus_rows["g"],
-                             SubalgebraEmbedding.whole(g))
     J = None
     if alg_block.complex_rows:
         J = _rows_dict_to_matrix(alg_block.complex_rows, g.dim, "complex")
-        from .checks import _check_complex_structure
-        _check_complex_structure(g, J, h)
+        _check_complex_structure(g, J)
     compact = None
     if complexify_auto:
         for lineno, row in alg_block.cartan_compact:
@@ -139,11 +133,32 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
                 raise _err(lineno, f"cartan-compact row has length {len(row)}"
                            f", algebra dim {g.dim}")
         compact = tuple(tuple(row) for _, row in alg_block.cartan_compact)
-    return Pair(g=g, h=h, torus_h=torus_h, torus_g=torus_g, name=name,
-                provenance=provenance, complex_structure=J,
-                compact_cartan_rows=compact,
-                torus_h_asserted_maximal=torus_h_maximal,
-                notes=tuple(notes), expectations=tuple(expectations))
+    return Pair.create(g, h_rows, torus_rows["h"], torus_rows["g"],
+                       complex_structure=J, name=name, provenance=provenance,
+                       compact_cartan_rows=compact,
+                       torus_h_asserted_maximal=torus_h_maximal,
+                       notes=tuple(notes), expectations=tuple(expectations))
+
+
+def _check_complex_structure(g: LieAlgebra, J):
+    """J² = −1 and the bracket is complex-linear; Pair.create checks that
+    h is J-stable."""
+    n = g.dim
+    JJ = [[sum((J[i][k] * J[k][j] for k in range(n) if J[i][k] != 0), ZERO)
+           for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if JJ[i][j] != (-ONE if i == j else ZERO):
+                raise ValidationError("complex structure does not square to -1")
+    for i in range(n):
+        Jei = [J[k][i] for k in range(n)]
+        for j in range(n):
+            lhs = bracket(g, Jei, g.basis_vector(j))
+            rhs = mat_vec(J, bracket(g, g.basis_vector(i), g.basis_vector(j)))
+            if lhs != rhs:
+                raise ValidationError(
+                    "bracket is not complex-linear for the stored complex "
+                    f"structure at basis pair ({i + 1}, {j + 1})")
 
 
 def parse_pair_file(path) -> Pair:

@@ -208,6 +208,10 @@ def test_subalgebra_dependent_rows(sl2):
                                          [F(2), F(0), F(0)]])
 
 
+def test_whole_called_on_an_instance_embeds_its_argument(sl2, sl3):
+    assert SubalgebraEmbedding.whole(sl2).whole(sl3).ambient is sl3
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2),
                 min_size=3, max_size=3))

@@ -16,6 +16,7 @@ from liepair.catalog import (
     so_p_q,
     su_p_q,
 )
+from liepair.pairfile import parse_pair_text, serialize_pair
 from liepair.weights import validate_torus
 
 from conftest import extend_torus_greedily, killing_form_matrix
@@ -158,17 +159,37 @@ def test_unsupported_params():
         base_algebra("so_5_5")
 
 
-def test_every_fixture_pair_fully_validates():
-    for name in fixture_names():
-        pair = build_fixture(name)
-        assert pair.validate_pair(), name
-
-
 def test_complexification_attached_where_promised():
     pair = build_fixture("sl2_split_torus")
     comp = pair.complexification
     assert comp is not None
     assert comp.g.dim == 2 * pair.g.dim
     assert comp.h.dim == 2 * pair.h.dim
-    # the complexified pair itself validates
-    assert comp.validate_pair()
+    # each complexification passes the parser's checks on the algebra and J
+    # as well as the constructor's
+    built = 0
+    for name in fixture_names():
+        comp = build_fixture(name).complexification
+        if comp is not None:
+            assert parse_pair_text(serialize_pair(comp)) == comp, name
+            built += 1
+    assert built == 13
+
+
+def test_symmetric_pair_on_a_complex_base_is_not_complex():
+    # su(2) in sl(2, C) is not J-stable, so the pair carries no J, yet its
+    # complexification is built from sl(2, C)'s Cartan data
+    pair = construct_from_spec("symmetric_pair_fixed_points:sl2C:neg_transpose")
+    assert not pair.is_complex_pair
+    comp = pair.complexification
+    assert comp.is_complex_pair and comp.g.dim == 12 and comp.h.dim == 6
+
+
+def test_su_p_q_has_no_compact_cartan_data():
+    # without it su_1_2C, which is sl(3, C) realified, would get a split
+    # torus of rank 1 instead of 2; tests/test_cli.py checks its refusal
+    assert su_p_q(1, 2).compact_rows is None
+    with pytest.raises(UnsupportedParams, match="compact Cartan data"):
+        construct_from_spec("torus_pair:su_1_2")
+    assert construct_from_spec("direct_sum:sl2:su_1_1").complexification \
+        is None

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from liepair.catalog import fixtures_dir
+from liepair.catalog import construct_from_spec, fixtures_dir
 from liepair.cli import main
+from liepair.pairfile import serialize_pair
 
 
 def run(capsys, *argv):
@@ -76,6 +77,29 @@ def test_default_questions_degrade_gracefully(capsys):
                        "--samples", "8")
     assert code == 0
     assert "complex_spherical] -> unknown" in out
+
+
+def test_complexifying_su_p_q_exits_2(capsys):
+    code, _, err = run(capsys, "check", "--family",
+                       "complex_simple_realified:su_1_2")
+    assert code == 2 and "no compact Cartan data" in err
+    code, out, _ = run(capsys, "check", "--family", "su_p_q:1:2",
+                       "--questions", "tempered", "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["pair"]["has_complexification"] is False
+
+
+def test_complex_rows_that_do_not_preserve_h_exit_2(tmp_path, capsys):
+    # h = ℝ·H inside sl(2, C) realified: J·H = iH lies outside h
+    text = serialize_pair(construct_from_spec("complex_simple_realified:sl2"))
+    assert "complex 1 =" in text
+    src = tmp_path / "real_line.pair"
+    src.write_text(text.replace("begin subalgebra h\nend",
+                                "begin subalgebra h\nrow = 1 0 0 0 0 0\nend"))
+    code, _, err = run(capsys, "check", "--file", str(src),
+                       "--questions", "tempered")
+    assert code == 2
+    assert "not stable under the complex structure" in err
 
 
 def test_cone_budget_exit_3(capsys):

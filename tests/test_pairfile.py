@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liepair import catalog, checks
-from liepair.algebra import ValidationError, bracket, validate
+from liepair import catalog
+from liepair.algebra import ValidationError, bracket
 from liepair.catalog import (
     build_fixture,
     fixture_names,
@@ -309,27 +309,16 @@ def test_invalid_cartan_compact_row_fails_on_first_use(monkeypatch):
         check_complex_spherical(pair, samples=4)
 
 
-def test_validate_pair_validates_a_complexification_once_built(monkeypatch):
+def test_complexification_is_built_once_on_first_read(monkeypatch):
     pair = parse_pair_text(SL2_TORUS_FILE + "complexify auto\n")
-    validated = []
-
-    def counting_validate(L):
-        validated.append(L.dim)
-        return validate(L)
-
-    monkeypatch.setattr(checks, "validate", counting_validate)
     built = []
-    complexify_pair = catalog._complexify_pair
-    monkeypatch.setattr(catalog, "_complexify_pair",
-                        lambda *a: built.append(1) or complexify_pair(*a))
-    assert pair.validate_pair()
-    assert validated == [3] and built == []
-    assert pair.complexification.g.dim == 6
-    assert pair.complexification is pair.complexification
-    assert built == [1]
-    validated.clear()
-    assert pair.validate_pair()
-    assert validated == [3, 6] and built == [1]
+    complexify_pair = catalog.complexify_pair
+    monkeypatch.setattr(catalog, "complexify_pair",
+                        lambda p: built.append(p) or complexify_pair(p))
+    assert built == []
+    comp = pair.complexification
+    assert comp.g.dim == 6 and built == [pair]
+    assert pair.complexification is comp and built == [pair]
 
 
 def test_has_complexification_does_not_build():

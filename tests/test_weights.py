@@ -16,6 +16,7 @@ from liepair.catalog import (
     sl_n_R,
     so_p_q,
 )
+from liepair.checks import Pair
 from liepair.linalg import is_diagonal, mat_vec, rref
 from liepair.pairfile import parse_pair_text
 from liepair.report import report_for_pair, verify_report
@@ -216,30 +217,55 @@ TEMPERED_LADDER = ("torus_pair:sl6", "torus_pair:sp_8", "torus_pair:so_4_4",
 
 def test_parse_and_verify_split_each_torus_on_g_once(monkeypatch):
     # machine-independent count of the saving: re-verifying a tempered
-    # report builds no complexification and splits each torus on g once
+    # report builds no complexification and splits each distinct torus on g
+    # once
     reports = [report_for_pair(construct_from_spec(spec), ["tempered"])
                for spec in TEMPERED_LADDER]
     calls = {"complexify": 0, "g": 0, "h": 0}
     split = weights._joint_eigensplit
-    complexify_pair = catalog._complexify_pair
+    complexify_pair = catalog.complexify_pair
 
     def counting_split(ops, dim, origin="g"):
         calls[origin] += 1
         return split(ops, dim, origin)
 
-    def counting_complexify(*args):
+    def counting_complexify(pair):
         calls["complexify"] += 1
-        return complexify_pair(*args)
+        return complexify_pair(pair)
 
     monkeypatch.setattr(weights, "_joint_eigensplit", counting_split)
-    monkeypatch.setattr(catalog, "_complexify_pair", counting_complexify)
+    monkeypatch.setattr(catalog, "complexify_pair", counting_complexify)
     for rep in reports:
         parse_pair_text(rep["pair"]["source"])
         assert [ok for _, ok, _ in verify_report(rep)] == [True]
-    # two parses of each report, two tori per pair; one split on h per
-    # dominance re-check
-    assert calls == {"complexify": 0, "g": 4 * len(reports),
+    # two parses of each report; the four torus pairs have torus_g = torus_h,
+    # the other two have two tori; one split on h per dominance re-check
+    assert calls == {"complexify": 0, "g": 2 * (4 * 1 + 2 * 2),
                      "h": len(reports)}
+
+
+def test_create_splits_a_torus_g_equal_to_torus_h_once(monkeypatch):
+    pair = construct_from_spec("torus_pair:so_4_4")
+    rows = [list(r) for r in pair.torus_h.rows]
+    assert pair.torus_g.rows == pair.torus_h.rows
+    calls = []
+    split = weights._joint_eigensplit
+    monkeypatch.setattr(weights, "_joint_eigensplit",
+                        lambda ops, dim, origin="g": calls.append(origin)
+                        or split(ops, dim, origin))
+    created = Pair.create(pair.g, [list(r) for r in pair.h.rows], rows, rows)
+    assert calls == ["g"]
+    fresh = validate_torus(rows, whole(pair.g))
+    assert created.torus_g == fresh  # parent g and rows
+    assert created.torus_g.g_split == fresh.g_split  # weights and spaces
+
+
+def test_create_validates_a_torus_g_that_differs():
+    g = sl_n_R(2).algebra
+    H, E = g.basis_vector(0), g.basis_vector(1)
+    Pair.create(g, [H], [H], [H])
+    with pytest.raises(NotSemisimpleElement, match="torus row 1"):
+        Pair.create(g, [H], [H], [E])
 
 
 def test_weight_decomposition_takes_g_and_h_only(sl3):
