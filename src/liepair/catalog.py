@@ -413,12 +413,15 @@ def _generic_chamber(weights, r):
 
 
 def _make_pair(gdata: AlgebraData, h_rows, torus_h_rows, name, provenance,
-               notes=()):
+               notes=(), torus_g=None):
+    """The pair through Pair.create, with torus_g the split rows of gdata,
+    or `torus_g` when the caller has already validated them on g."""
     compact = None
     if (gdata.compact_rows is not None
             and 2 * gdata.algebra.dim <= COMPLEXIFY_DIM_CAP):
         compact = gdata.compact_rows
-    return Pair.create(gdata.algebra, h_rows, torus_h_rows, gdata.split_rows,
+    return Pair.create(gdata.algebra, h_rows, torus_h_rows,
+                       gdata.split_rows if torus_g is None else torus_g,
                        complex_structure=gdata.complex_structure,
                        compact_cartan_rows=compact, name=name,
                        provenance=provenance, notes=tuple(notes))
@@ -550,7 +553,8 @@ def pair_whittaker(spec: str) -> Pair:
         gdata, h_rows, [], name=name,
         provenance=f"catalog:whittaker_nilradical:{spec}",
         notes=("h is ad-nilpotent, so its maximal split torus is zero and "
-               "the tempered criterion holds trivially",))
+               "the tempered criterion holds trivially",),
+        torus_g=torus_g)
 
 
 def pair_torus(spec: str) -> Pair:

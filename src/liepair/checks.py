@@ -41,10 +41,11 @@ from .linalg import (
     ZERO,
     express_in_rows,
     frac,
+    integer_rank,
     integer_row,
     is_zero_vec,
     mat_vec,
-    rank,
+    rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     vec,
     vec_dot,
 )
@@ -150,11 +151,19 @@ class Pair:
 
         A torus_g with the rows of torus_h is not split again: containment
         in g, independence, commutativity and the joint split on g are what
-        validating torus_h already proved."""
+        validating torus_h already proved.  Nor is a torus_g_rows that is a
+        SplitTorus already validated on the whole of g; only its ambient
+        algebra is checked to be g."""
         h = SubalgebraEmbedding.create(g, h_rows)
         torus_h = validate_torus(torus_h_rows, h)
         whole = SubalgebraEmbedding.whole(g)
-        if [tuple(r) for r in torus_g_rows] == list(torus_h.rows):
+        if isinstance(torus_g_rows, SplitTorus):
+            parent = torus_g_rows.parent
+            if parent.ambient is not g or parent.dim != g.dim:
+                raise ValidationError("torus_g was not validated on the "
+                                      "whole of this algebra")
+            torus_g = torus_g_rows
+        elif [tuple(r) for r in torus_g_rows] == list(torus_h.rows):
             torus_g = SplitTorus(parent=whole, rows=torus_h.rows,
                                  g_split=torus_h.g_split)
         else:
@@ -205,7 +214,12 @@ class AdWord:
     A step acts on a row v as the series Σ tᵏ/k!·(ad Z)ᵏ v, which stops at
     its first zero term; a series that has not stopped after dim g terms
     raises NonTerminatingSeries.  So every applied step is a finite exact
-    sum, equal to exp(t·ad Z)v."""
+    sum, equal to exp(t·ad Z)v.
+
+    apply_to_rows(g, rows) returns Ad(w) of each row as an exact pair
+    (nums, den): a list of ints and a positive int with the moved row equal
+    to nums/den, the form of linalg.integer_row, in lowest terms.  The
+    searches use nums as they are, since scaling a row changes no span."""
 
     steps: tuple  # tuple of (z_vector tuple, t Fraction)
 
@@ -217,10 +231,14 @@ class AdWord:
         return cls(steps=tuple((tuple(vec(s["z"])), frac(s["t"]))
                                for s in data))
 
-    def apply_to_rows(self, g: LieAlgebra, rows):
+    def apply_to_rows(self, g: LieAlgebra, rows, ad=None):
+        """Ad(w)·row as (nums, den) for each row.  `ad` is the question's
+        _AdColumns on g, shared by all the words it applies; without one
+        the word expands each of its distinct Z once."""
+        ad = _AdColumns(g) if ad is None else ad
         out = [integer_row(r) for r in rows]
         for index, (z, t) in reversed(list(enumerate(self.steps, start=1))):
-            cols, den = _ad_columns(g, z)
+            cols, den = ad(z)
             a, b = frac(t).as_integer_ratio()
             if a == 0:
                 continue
@@ -228,7 +246,7 @@ class AdWord:
                 out = [_exp_ad_row(cols, den, a, b, row) for row in out]
             except NonTerminatingSeries as e:
                 raise NonTerminatingSeries(f"word step {index}: {e}") from None
-        return [[Fraction(x, d) if x else ZERO for x in nums] for nums, d in out]
+        return out
 
     @property
     def length(self):
@@ -253,6 +271,34 @@ def _ad_columns(g: LieAlgebra, z):
     den = lcm(*[c.denominator for col in cols for c in col.values()])
     return [[(k, c.numerator * (den // c.denominator))
              for k, c in col.items() if c] for col in cols], den
+
+
+class _AdColumns:
+    """ad Z on g, as _ad_columns gives it, for the Z of one question's
+    words: each distinct Z is expanded once, and nothing outlives the
+    question that made the object.  Lookup is by identity first, since a
+    search's words share its pool's vectors, and then by value, so equal
+    steps of a replayed word share one expansion too."""
+
+    def __init__(self, g: LieAlgebra):
+        self.g = g
+        self._by_id = {}
+        self._by_value = {}
+
+    def __call__(self, z):
+        hit = self._by_id.get(id(z))
+        if hit is None:
+            cols = self._by_value.get(z)
+            if cols is None:
+                cols = self._by_value[z] = _ad_columns(self.g, z)
+            # z stays referenced, so its id is not reused while cached
+            hit = self._by_id[id(z)] = (z, cols)
+        return hit[1]
+
+
+def _integer_rows(rows):
+    """Each row scaled to ints (integer_row without the denominator)."""
+    return [integer_row(r)[0] for r in rows]
 
 
 def _exp_ad_row(cols, den, a, b, row):
@@ -438,11 +484,11 @@ def _orbit_target(pair: Pair, space: str) -> Optional[Pair]:
     return pair if space == "g" else pair.complexification
 
 
-def _orbit_rank(target: Pair, word: AdWord, parabolic_rows) -> int:
-    """dim(Ad(w)·p + h) in target.g; the orbit through w is open exactly
-    when this is dim g."""
-    moved = word.apply_to_rows(target.g, parabolic_rows)
-    return rank(moved + [list(r) for r in target.h.rows])
+def _orbit_rank(word: AdWord, parabolic_rows, h_ints, ad: _AdColumns) -> int:
+    """dim(Ad(w)·p + h) in ad.g, with h_ints h's rows as ints; the orbit
+    through w is open exactly when this is dim g."""
+    moved = word.apply_to_rows(ad.g, parabolic_rows, ad=ad)
+    return integer_rank(h_ints + [nums for nums, _ in moved])
 
 
 def _check_open_orbit(pair: Pair, space: str, samples: int, seed: int) -> Verdict:
@@ -462,8 +508,10 @@ def _check_open_orbit(pair: Pair, space: str, samples: int, seed: int) -> Verdic
     notes = [texts["note"].format(dim=target.g.dim)] if texts["note"] else []
     if pair.h.dim == 0:
         notes.append(texts["trivial_h"])
+    h_ints = _integer_rows(target.h.rows)
+    ad = _AdColumns(target.g)
     for tried, word in enumerate(words, start=1):
-        if _orbit_rank(target, word, par.subspace.rows) == target.g.dim:
+        if _orbit_rank(word, par.subspace.rows, h_ints, ad) == target.g.dim:
             cert = {
                 "kind": "open-orbit",
                 "space": space,
@@ -588,13 +636,15 @@ def generic_stabilizer(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Stabilize
     """
     pool = nilpotent_pool(weight_decomposition(pair.torus_g, "g"))
     h_rows = [list(r) for r in pair.h.rows]
+    h_ints = _integer_rows(h_rows)
     h_space = pair.h.subspace()
+    ad = _AdColumns(pair.g)
     best = None
     words = _sampled_words(pool, seed, "stabilizer-words", samples)
     for used, word in enumerate(words, start=1):
-        moved = word.apply_to_rows(pair.g, h_rows)
+        moved = word.apply_to_rows(pair.g, h_rows, ad=ad)
         # Ad(w) is invertible, so dim(h ∩ Ad(w)h) = 2 dim h - dim(h + Ad(w)h)
-        dim = 2 * len(h_rows) - rank(h_rows + moved)
+        dim = 2 * len(h_rows) - integer_rank(h_ints + [n for n, _ in moved])
         if best is None or dim < best[1].dim:
             best = (word, _intersect(h_space, moved))
             if dim == 0:
@@ -606,8 +656,10 @@ def generic_stabilizer(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Stabilize
                             samples_used=used, seed=seed)
 
 
-def _intersect(h_space: Subspace, moved_rows):
-    other = Subspace.from_rows(h_space.ambient, moved_rows)
+def _intersect(h_space: Subspace, moved):
+    """h ∩ Ad(w)h from apply_to_rows's (nums, den) pairs, whose span is
+    that of the nums."""
+    other = Subspace.from_rows(h_space.ambient, [nums for nums, _ in moved])
     return subspace_intersect(h_space, other)
 
 
@@ -793,7 +845,8 @@ def _recheck(pair: Pair, cert):
             weight_decomposition(target.torus_g, "g"), xi=cert["chamber"])
         if not _is_canonical_basis(cert["parabolic_rows"], par.subspace):
             return False, "stored parabolic rows do not match the chamber"
-        got = _orbit_rank(target, word, par.subspace.rows)
+        got = _orbit_rank(word, par.subspace.rows,
+                          _integer_rows(target.h.rows), _AdColumns(target.g))
         if got != cert["rank_achieved"] or got != target.g.dim:
             return False, f"rank recomputation gives {got}, not {target.g.dim}"
         return True, f"open orbit re-verified at word of length {word.length}"

@@ -9,6 +9,12 @@ elimination over the integers and builds a Fraction only for the nonzero
 entries of its result; the output is the same canonical form that
 Gauss-Jordan elimination over ℚ gives.
 
+`integer_rank` counts the pivots of integer rows by the same elimination
+loop run forward only: it clears no row above a pivot and builds no
+Fraction.  The word searches, whose rows are already integers, use it.
+`rank` stays `len(rref(rows)[0])`, a thin wrapper over the one traced
+reduction, so a benchmark trace of it still shows its rref child span.
+
 Floating point appears in exactly one role: proposing eigenvalue candidates
 for a matrix that is not diagonal; the candidates are then certified exactly
 (kernel dimensions must sum to the ambient dimension).  A diagonal matrix,
@@ -84,27 +90,16 @@ def integer_row(row):
     return [n * (den // d) for n, d in ratios], den
 
 
-def rref(rows, ncols=None):
-    """Reduced row echelon form.
+def _eliminate(m, limit, clear_above):
+    """Fraction-free elimination of the integer rows m, in place, over the
+    first `limit` columns; returns the pivot columns, whose rows are the
+    first len(pivots) rows of m.
 
-    Returns (reduced_rows, pivot_columns) with rows as tuples.  Zero rows are
-    dropped.  With `ncols` set, pivots are sought only in the first `ncols`
-    columns and *all* rows are returned (used for augmented solves, where the
-    trailing rows carry consistency information); of the trailing rows only
-    the zero pattern is meaningful, since each is scaled by a nonzero
-    factor.
-
-    Elimination is fraction-free: each row is scaled to integers by the lcm
-    of its denominators, a row update p·row − f·pivot_row is divided by the
-    gcd of its entries, and a row whose entry in the pivot column is already
-    zero is left alone.  Every row stays proportional to its Gauss-Jordan
-    counterpart over ℚ, so the pivots are the same, and dividing each pivot
-    row by its pivot entry at the end gives the canonical rows.
-    """
-    m = [integer_row(r)[0] for r in rows]
+    A row update p·row − f·pivot_row is divided by the gcd of its entries,
+    and a row whose entry in the pivot column is already zero is left
+    alone.  Rows below each pivot are cleared, and with `clear_above` the
+    rows above it too (Gauss-Jordan); rows are replaced, never mutated."""
     nrows = len(m)
-    width = len(m[0]) if nrows else 0
-    limit = width if ncols is None else ncols
     piv_cols = []
     r = 0
     for c in range(limit):
@@ -114,7 +109,7 @@ def rref(rows, ncols=None):
         m[r], m[pr] = m[pr], m[r]
         prow = m[r]
         p = prow[c]
-        for i in range(nrows):
+        for i in range(0 if clear_above else r + 1, nrows):
             f = m[i][c]
             if i == r or not f:
                 continue
@@ -127,6 +122,29 @@ def rref(rows, ncols=None):
         r += 1
         if r == nrows:
             break
+    return piv_cols
+
+
+def rref(rows, ncols=None):
+    """Reduced row echelon form.
+
+    Returns (reduced_rows, pivot_columns) with rows as tuples.  Zero rows are
+    dropped.  With `ncols` set, pivots are sought only in the first `ncols`
+    columns and *all* rows are returned (used for augmented solves, where the
+    trailing rows carry consistency information); of the trailing rows only
+    the zero pattern is meaningful, since each is scaled by a nonzero
+    factor.
+
+    Elimination is fraction-free (`_eliminate`): each row is scaled to
+    integers by the lcm of its denominators.  Every row stays proportional
+    to its Gauss-Jordan counterpart over ℚ, so the pivots are the same, and
+    dividing each pivot row by its pivot entry at the end gives the
+    canonical rows.
+    """
+    m = [integer_row(r)[0] for r in rows]
+    width = len(m[0]) if m else 0
+    piv_cols = _eliminate(m, width if ncols is None else ncols, True)
+    r = len(piv_cols)
     out = []
     for i, row in enumerate(m if ncols is not None else m[:r]):
         d = row[piv_cols[i]] if i < r else 1
@@ -136,6 +154,13 @@ def rref(rows, ncols=None):
 
 def rank(rows) -> int:
     return len(rref(rows)[0])
+
+
+def integer_rank(int_rows) -> int:
+    """Rank over ℚ of rows of ints, by forward elimination only; equal to
+    rank(int_rows)."""
+    m = list(int_rows)
+    return len(_eliminate(m, len(m[0]) if m else 0, False))
 
 
 def kernel(A, n=None):

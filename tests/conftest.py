@@ -18,7 +18,7 @@ designated tori.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from random import Random
 from typing import Optional
 
@@ -175,6 +175,18 @@ def rref_oracle(rows, ncols=None):
     if ncols is not None:
         return [tuple(row) for row in m], piv_cols
     return [tuple(row) for row in m[:r]], piv_cols
+
+
+def moved_fractions(moved):
+    """AdWord.apply_to_rows's (nums, den) pairs as Fraction rows, after
+    checking the pair form: ints over a positive int, in lowest terms."""
+    out = []
+    for nums, den in moved:
+        assert type(den) is int and den > 0
+        assert all(type(x) is int for x in nums)
+        assert gcd(den, *nums) == 1
+        out.append([F(x, den) for x in nums])
+    return out
 
 
 def mat_mul(A, B):

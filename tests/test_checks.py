@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exp_nilpotent_oracle, rref_oracle
+from conftest import exp_nilpotent_oracle, moved_fractions, rref_oracle
 from liepair.algebra import Subspace, ValidationError, ad_matrix
 from liepair.catalog import (
     build_fixture,
@@ -15,6 +15,7 @@ from liepair.catalog import (
     pair_symmetric,
     pair_trivial_h,
 )
+from liepair import checks
 from liepair.checks import (
     AdWord,
     DegenerateFunctional,
@@ -36,7 +37,7 @@ from liepair.checks import (
     run_question,
     verify_certificate,
 )
-from liepair.linalg import mat_vec, rank
+from liepair.linalg import integer_rank, integer_row, mat_vec, rank
 from liepair.polyhedral import (
     ConeBudgetExceeded,
     build_arrangement,
@@ -349,7 +350,8 @@ def test_word_application_is_exact():
     word = AdWord(steps=((tuple(unit(g, "E12")), F(1, 2)),))
     moved = word.apply_to_rows(g, [unit(g, "H1")])
     # Ad(exp(t ad E))H = H - 2tE for sl2
-    assert moved == [[F(1), F(-1), F(0)]]
+    assert moved_fractions(moved) == [[F(1), F(-1), F(0)]]
+    assert moved == [([1, -1, 0], 1)]
 
 
 # --- word application against the dense exponential -------------------------
@@ -386,7 +388,7 @@ def test_word_application_matches_dense_exponential(case):
     for z, t in reversed(word.steps):
         M = exp_nilpotent_oracle(ad_matrix(g, list(z)), t)
         want = [mat_vec(M, r) for r in want]
-    assert word.apply_to_rows(g, rows) == want
+    assert moved_fractions(word.apply_to_rows(g, rows)) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,7 +397,10 @@ def test_stabilizer_rank_shortcut_equals_intersection(case):
     pair, word = case
     h_rows = [list(r) for r in pair.h.rows]
     moved = word.apply_to_rows(pair.g, h_rows)
-    assert 2 * len(h_rows) - rank(h_rows + moved) \
+    shortcut = integer_rank([integer_row(r)[0] for r in h_rows]
+                            + [nums for nums, _ in moved])
+    assert shortcut == rank(h_rows + moved_fractions(moved))
+    assert 2 * len(h_rows) - shortcut \
         == _intersect(pair.h.subspace(), moved).dim
 
 
@@ -409,6 +414,75 @@ def test_non_nilpotent_step_raises_a_validation_error():
     assert isinstance(err.value, ValidationError)
     with pytest.raises(ValidationError, match="length 2"):
         AdWord(steps=(((F(1), F(0)), F(1)),)).apply_to_rows(g, [unit(g, "H1")])
+
+
+def test_shared_columns_still_name_the_failing_step():
+    pair = build_fixture("sl2_split_torus")
+    g = pair.g
+    H = tuple(pair.torus_g.rows[0])
+    ad = checks._AdColumns(g)
+    # ad H is expanded here, on a row where its series stops at once ...
+    AdWord(steps=((H, F(1)),)).apply_to_rows(g, [list(H)], ad=ad)
+    word = AdWord(steps=((tuple(unit(g, "E12")), F(1)), (H, F(1, 3))))
+    # ... and read back from the shared columns at step 2, where it does not
+    with pytest.raises(NonTerminatingSeries, match="word step 2"):
+        word.apply_to_rows(g, [unit(g, "E12")], ad=ad)
+
+
+# --- ad(Z) is expanded once per distinct Z of a question ---------------------
+
+def count_ad_columns(monkeypatch):
+    """Patch checks._ad_columns to record the Z of each expansion."""
+    seen = []
+    expand = checks._ad_columns
+
+    def counting(g, z):
+        seen.append(tuple(z))
+        return expand(g, z)
+
+    monkeypatch.setattr(checks, "_ad_columns", counting)
+    return seen
+
+
+@pytest.mark.parametrize("name, search", (
+    ("product_sl2_sl2_first", check_real_spherical),
+    ("group_sl2", generic_stabilizer)))
+def test_a_search_expands_each_step_once(monkeypatch, name, search):
+    pair = build_fixture(name)
+    seen = count_ad_columns(monkeypatch)
+    applied = []
+    apply = AdWord.apply_to_rows
+
+    def recording(word, g, rows, ad=None):
+        applied.append(word)
+        return apply(word, g, rows, ad=ad)
+
+    monkeypatch.setattr(AdWord, "apply_to_rows", recording)
+    first = search(pair, samples=64, seed=0)
+    steps = [z for word in applied for z, _ in word.steps]
+    # all 64 words ran, and their steps repeat root vectors of the pool
+    assert len(applied) == first.samples_used == 64
+    assert len(seen) == len(set(seen)) == len(set(steps)) < len(steps)
+    # nothing outlives the question: a second run expands as much again
+    count = len(seen)
+    second = search(pair, samples=64, seed=0)
+    assert len(seen) == 2 * count and seen[count:] == seen[:count]
+    assert second == first
+
+
+@pytest.mark.parametrize("name, check, seed", (
+    ("group_sl2", check_real_spherical, 2),
+    ("symmetric_sl2_so2", check_generic_stabilizer, 0)))
+def test_a_replayed_certificate_expands_each_distinct_step_once(
+        monkeypatch, name, check, seed):
+    pair = build_fixture(name)
+    blob = json.loads(json.dumps(verdict_to_json(check(pair, seed=seed)),
+                                 default=str))
+    steps = [tuple(step["z"]) for step in blob["certificate"]["word"]]
+    assert len(set(steps)) < len(steps)  # the stored word repeats a step
+    seen = count_ad_columns(monkeypatch)
+    assert verify_certificate(pair, verdict_from_json(blob))[0]
+    assert len(seen) == len(set(seen)) == len(set(steps))
 
 
 # --- the verifier reads the claimed outcome and never raises ---------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rref_oracle
+from conftest import moved_fractions, rref_oracle
 from liepair import linalg
 from liepair.checks import AdWord, NonTerminatingSeries
 from liepair.linalg import (
@@ -17,6 +17,8 @@ from liepair.linalg import (
     eigensplit,
     express_in_rows,
     frac,
+    integer_rank,
+    integer_row,
     kernel,
     mat_vec,
     rank,
@@ -117,12 +119,13 @@ def test_exp_nilpotent_polynomial(sl2):
     # exp(t ad E12) E21 = E21 + t H1 - t² E12, a polynomial in t
     E = [F(0), F(1), F(0)]
     word = AdWord(steps=((tuple(E), F(2)),))
-    assert word.apply_to_rows(sl2, [[F(0), F(0), F(1)], [F(1), F(0), F(0)]]) \
-        == [[F(2), F(-4), F(1)], [F(1), F(-4), F(0)]]
+    moved = word.apply_to_rows(sl2, [[F(0), F(0), F(1)], [F(1), F(0), F(0)]])
+    assert moved_fractions(moved) == [[F(2), F(-4), F(1)], [F(1), F(-4), F(0)]]
     # ad H1 is not nilpotent: its series on E12 never stops, but on H1 it
     # stops at once, since the series only has to terminate on the rows moved
     H = AdWord(steps=((tuple([F(1), F(0), F(0)]), F(1)),))
-    assert H.apply_to_rows(sl2, [[F(1), F(0), F(0)]]) == [[F(1), F(0), F(0)]]
+    assert moved_fractions(H.apply_to_rows(sl2, [[F(1), F(0), F(0)]])) \
+        == [[F(1), F(0), F(0)]]
     with pytest.raises(NonTerminatingSeries, match="step 1"):
         H.apply_to_rows(sl2, [E])
 
@@ -185,3 +188,47 @@ def test_rref_matches_fraction_gauss_jordan(case):
     assert red[:k] == want[:k]
     assert [[x == 0 for x in row] for row in red[k:]] \
         == [[x == 0 for x in row] for row in want[k:]]
+
+
+@st.composite
+def integer_rank_input(draw):
+    """Integer rows, or rational rows scaled to integers, of 0-7 rows and
+    0-7 columns (wide or tall), with zero rows, an exact repeat and a
+    multiple of a row mixed in."""
+    nrows = draw(st.integers(min_value=0, max_value=7))
+    width = draw(st.integers(min_value=0, max_value=7))
+    if draw(st.booleans()):
+        ent = st.one_of(st.just(0), st.integers(min_value=-10 ** 6,
+                                                max_value=10 ** 6))
+        rows = [[draw(ent) for _ in range(width)] for _ in range(nrows)]
+    else:
+        rows = [integer_row([draw(fractions_or_zero) for _ in range(width)])[0]
+                for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        rows.append([0] * width)
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(min_value=-5, max_value=5))
+        rows.insert(0, [k * x for x in rows[-1]])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rank_input())
+def test_integer_rank_equals_rref_rank(rows):
+    before = [list(r) for r in rows]
+    got = integer_rank(rows)
+    assert got == len(rref(rows)[0]) == rank(rows)
+    assert got == len(rref_oracle(rows)[1])
+    assert rows == before  # the argument is not mutated
+
+
+def test_integer_rank_edge_shapes():
+    assert integer_rank([]) == 0
+    assert integer_rank([[], []]) == 0
+    assert integer_rank([[0, 0, 0]] * 3) == 0
+    assert integer_rank([[2, 4, 6], [1, 2, 3], [3, 6, 9]]) == 1
+    assert integer_rank([[1], [2], [0], [5]]) == 1  # tall
+    assert integer_rank([[0, 0, 1, 0, 7], [3, 0, 0, 0, 1]]) == 2  # wide
+    assert integer_rank([(1, 0), (0, 1)]) == 2  # tuple rows

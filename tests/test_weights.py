@@ -268,6 +268,37 @@ def test_create_validates_a_torus_g_that_differs():
         Pair.create(g, [H], [H], [E])
 
 
+def test_whittaker_build_splits_its_torus_on_g_once(monkeypatch):
+    # pair_whittaker validates the split rows on g to find the nilradical
+    # and hands that torus to Pair.create, which does not split it again;
+    # the other split on g is the empty torus_h's, of no operator
+    calls = []
+    split = weights._joint_eigensplit
+    monkeypatch.setattr(weights, "_joint_eigensplit",
+                        lambda ops, dim, origin="g": calls.append(
+                            (origin, len(ops))) or split(ops, dim, origin))
+    pair = construct_from_spec("whittaker_nilradical:so_4_4")
+    assert pair.torus_h.rank == 0 and pair.torus_g.rank > 0
+    assert calls == [("g", pair.torus_g.rank), ("g", 0)]
+    fresh = validate_torus([list(r) for r in pair.torus_g.rows],
+                           whole(pair.g))
+    assert pair.torus_g == fresh
+    assert pair.torus_g.g_split == fresh.g_split
+
+
+def test_create_takes_a_split_torus_of_g_only():
+    g = sl_n_R(2).algebra
+    H = g.basis_vector(0)
+    torus = validate_torus([H], whole(g))
+    assert Pair.create(g, [H], [H], torus).torus_g is torus
+    other = sl_n_R(2).algebra
+    with pytest.raises(ValidationError, match="whole of this algebra"):
+        Pair.create(other, [H], [H], torus)
+    on_h = validate_torus([H], SubalgebraEmbedding.create(g, [H]))
+    with pytest.raises(ValidationError, match="whole of this algebra"):
+        Pair.create(g, [H], [H], on_h)
+
+
 def test_weight_decomposition_takes_g_and_h_only(sl3):
     h, t = sl3_sl2_pair(sl3)
     with pytest.raises(ValueError, match="expected 'g' or 'h'"):
