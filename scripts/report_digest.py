@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 digest per benchmark workload, and one for the fixture
+suite, so that two checkouts can be compared for byte-identical output.
+
+A workload's digest covers, for every job of the workload (as listed in
+`perfbench/workloads.py`) at the first three pass seeds of benchmark run
+seed 0, the machine report that `liepair check --format machine` writes and
+the (question, ok, detail) results of `report.verify_report` on it.  The last
+digest covers the output and exit code of `liepair fixtures --format
+machine` at seeds 0, 1 and 2.
+
+Run from the repository root of each checkout and compare the lines:
+    python scripts/report_digest.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from liepair import report  # noqa: E402
+from liepair.cli import main as liepair_main  # noqa: E402
+from worker import check_pass, pass_seed  # noqa: E402
+from workloads import WORKLOADS, setup  # noqa: E402
+
+PASSES = 3
+
+
+def _verify_detail(text):
+    """The (question, ok, detail) results of re-checking one machine text,
+    or the error the re-check raised; None for a job that failed to run."""
+    if text is None:
+        return None
+    try:
+        return [list(r) for r in report.verify_report(json.loads(text))]
+    except Exception as e:  # a verifier crash is part of the output
+        return {"error": f"{type(e).__name__}: {e}"}
+
+
+def workload_digest(name):
+    jobs = setup(name)
+    h = hashlib.sha256()
+    for index in range(PASSES):
+        s = pass_seed(0, index)
+        texts, _, errors = check_pass(jobs, s)
+        for (job, _), text in zip(jobs, texts):
+            h.update(json.dumps([job.spec, s, text, _verify_detail(text)],
+                                sort_keys=True).encode())
+        h.update(json.dumps(errors).encode())
+    return h.hexdigest()
+
+
+def fixture_suite_digest():
+    h = hashlib.sha256()
+    for s in range(PASSES):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = liepair_main(["fixtures", "--format", "machine",
+                                 "--seed", str(s)])
+        h.update(json.dumps([s, code, buf.getvalue()]).encode())
+    return h.hexdigest()
+
+
+def main():
+    for name in WORKLOADS:
+        print(f"{name:24s} {workload_digest(name)}")
+    print(f"{'liepair fixtures':24s} {fixture_suite_digest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -143,13 +143,12 @@ def bracket(L: LieAlgebra, x, y):
             f"dimension mismatch: algebra has dim {L.dim}, "
             f"got vectors of length {len(x)} and {len(y)}")
     out = [ZERO] * L.dim
+    y_nonzero = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
-        if xi == 0:
+        if not xi:
             continue
         sp_i = L.sparse[i]
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
+        for j, yj in y_nonzero:
             s = xi * yj
             for k, c in sp_i[j]:
                 out[k] += s * c
@@ -312,12 +311,15 @@ class SubalgebraEmbedding:
                     f"subalgebra row has length {len(r)}, ambient dim {ambient.dim}")
         if rank(rows) < len(rows):
             raise ValidationError("subalgebra basis rows are linearly dependent")
+        # a zero bracket lies in every span, so only the others are solved
         targets = []
         pairs = []
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
-                targets.append(bracket(ambient, rows[i], rows[j]))
-                pairs.append((i, j))
+                b = bracket(ambient, rows[i], rows[j])
+                if not is_zero_vec(b):
+                    targets.append(b)
+                    pairs.append((i, j))
         if targets:
             coords = express_in_rows(rows, targets)
             for (i, j), cv in zip(pairs, coords):

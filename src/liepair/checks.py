@@ -41,6 +41,7 @@ from .linalg import (
     ZERO,
     express_in_rows,
     frac,
+    integer_echelon,
     integer_rank,
     integer_row,
     is_zero_vec,
@@ -169,10 +170,8 @@ class Pair:
         else:
             torus_g = validate_torus(torus_g_rows, whole)
         if complex_structure is not None:
-            hspace = h.subspace()
-            if not all(hspace.contains_vector(mat_vec(complex_structure,
-                                                      list(r)))
-                       for r in h.rows):
+            images = [mat_vec(complex_structure, r) for r in h.rows]
+            if None in express_in_rows(list(h.rows), images):
                 raise ValidationError("subalgebra is not stable under the "
                                       "complex structure")
         return cls(g=g, h=h, torus_h=torus_h, torus_g=torus_g,
@@ -216,12 +215,21 @@ class AdWord:
     raises NonTerminatingSeries.  So every applied step is a finite exact
     sum, equal to exp(t·ad Z)v.
 
-    apply_to_rows(g, rows) returns Ad(w) of each row as an exact pair
-    (nums, den): a list of ints and a positive int with the moved row equal
-    to nums/den, the form of linalg.integer_row, in lowest terms.  The
-    searches use nums as they are, since scaling a row changes no span."""
+    apply_to_rows(g, rows) takes and returns rows as exact pairs (nums,
+    den): a list of ints and a positive int with the row equal to nums/den,
+    the form of linalg.integer_row, in lowest terms.  So words compose, and
+    a search converts its fixed rows to this form once per question.  The
+    searches use the moved nums as they are, since scaling a row changes no
+    span, and rank them with the linalg.integer_echelon basis of the rows
+    they do not move, reduced once per question.
+
+    inverse() is the word of Ad(w)⁻¹ = Ad(w⁻¹): the steps in reverse order,
+    each t negated, since exp(t·ad Z)⁻¹ = exp(−t·ad Z).  It keeps the same
+    z objects, and an error names a step of it by the step's index in the
+    word it inverts (the `inverted` flag)."""
 
     steps: tuple  # tuple of (z_vector tuple, t Fraction)
+    inverted: bool = False
 
     def to_json(self):
         return [{"z": list(z), "t": t} for z, t in self.steps]
@@ -232,11 +240,12 @@ class AdWord:
                                for s in data))
 
     def apply_to_rows(self, g: LieAlgebra, rows, ad=None):
-        """Ad(w)·row as (nums, den) for each row.  `ad` is the question's
-        _AdColumns on g, shared by all the words it applies; without one
-        the word expands each of its distinct Z once."""
+        """Ad(w)·row for each row, rows and result as (nums, den) pairs.
+        `ad` is the question's _AdColumns on g, shared by all the words it
+        applies; without one the word expands each of its distinct Z once."""
         ad = _AdColumns(g) if ad is None else ad
-        out = [integer_row(r) for r in rows]
+        out = list(rows)
+        n = len(self.steps)
         for index, (z, t) in reversed(list(enumerate(self.steps, start=1))):
             cols, den = ad(z)
             a, b = frac(t).as_integer_ratio()
@@ -245,8 +254,13 @@ class AdWord:
             try:
                 out = [_exp_ad_row(cols, den, a, b, row) for row in out]
             except NonTerminatingSeries as e:
-                raise NonTerminatingSeries(f"word step {index}: {e}") from None
+                named = n + 1 - index if self.inverted else index
+                raise NonTerminatingSeries(f"word step {named}: {e}") from None
         return out
+
+    def inverse(self) -> "AdWord":
+        steps = tuple((z, -frac(t)) for z, t in reversed(self.steps))
+        return AdWord(steps=steps, inverted=not self.inverted)
 
     @property
     def length(self):
@@ -294,11 +308,6 @@ class _AdColumns:
             # z stays referenced, so its id is not reused while cached
             hit = self._by_id[id(z)] = (z, cols)
         return hit[1]
-
-
-def _integer_rows(rows):
-    """Each row scaled to ints (integer_row without the denominator)."""
-    return [integer_row(r)[0] for r in rows]
 
 
 def _exp_ad_row(cols, den, a, b, row):
@@ -484,11 +493,28 @@ def _orbit_target(pair: Pair, space: str) -> Optional[Pair]:
     return pair if space == "g" else pair.complexification
 
 
-def _orbit_rank(word: AdWord, parabolic_rows, h_ints, ad: _AdColumns) -> int:
-    """dim(Ad(w)·p + h) in ad.g, with h_ints h's rows as ints; the orbit
-    through w is open exactly when this is dim g."""
-    moved = word.apply_to_rows(ad.g, parabolic_rows, ad=ad)
-    return integer_rank(h_ints + [nums for nums, _ in moved])
+def _orbit_sides(parabolic_rows, h_rows):
+    """The open-orbit rank test's work that is the same for every word of a
+    question: (moving, fixed, inverted), with `moving` the rows of the side
+    that words move as (nums, den) pairs, `fixed` an integer echelon basis
+    of the other side, and `inverted` set when h is the moving side.  h
+    moves when it has fewer rows than p; on a tie p moves."""
+    p = [integer_row(r) for r in parabolic_rows]
+    h = [integer_row(r) for r in h_rows]
+    inverted = len(h) < len(p)
+    moving, fixed = (h, p) if inverted else (p, h)
+    return moving, integer_echelon([nums for nums, _ in fixed]), inverted
+
+
+def _orbit_rank(word: AdWord, sides, ad: _AdColumns) -> int:
+    """dim(Ad(w)·p + h) in ad.g for the _orbit_sides of a question; the
+    orbit through w is open exactly when this is dim g.  Ad(w) is a linear
+    automorphism of g, so the sum has the dimension of p + Ad(w)⁻¹·h, which
+    is computed instead when h moves."""
+    moving, fixed, inverted = sides
+    applied = word.inverse() if inverted else word
+    moved = applied.apply_to_rows(ad.g, moving, ad=ad)
+    return integer_rank(fixed + [nums for nums, _ in moved])
 
 
 def _check_open_orbit(pair: Pair, space: str, samples: int, seed: int) -> Verdict:
@@ -508,10 +534,10 @@ def _check_open_orbit(pair: Pair, space: str, samples: int, seed: int) -> Verdic
     notes = [texts["note"].format(dim=target.g.dim)] if texts["note"] else []
     if pair.h.dim == 0:
         notes.append(texts["trivial_h"])
-    h_ints = _integer_rows(target.h.rows)
+    sides = _orbit_sides(par.subspace.rows, target.h.rows)
     ad = _AdColumns(target.g)
     for tried, word in enumerate(words, start=1):
-        if _orbit_rank(word, par.subspace.rows, h_ints, ad) == target.g.dim:
+        if _orbit_rank(word, sides, ad) == target.g.dim:
             cert = {
                 "kind": "open-orbit",
                 "space": space,
@@ -635,8 +661,8 @@ def generic_stabilizer(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Stabilize
     is the generic value is Monte Carlo evidence.
     """
     pool = nilpotent_pool(weight_decomposition(pair.torus_g, "g"))
-    h_rows = [list(r) for r in pair.h.rows]
-    h_ints = _integer_rows(h_rows)
+    h_rows = [integer_row(r) for r in pair.h.rows]
+    h_echelon = integer_echelon([nums for nums, _ in h_rows])
     h_space = pair.h.subspace()
     ad = _AdColumns(pair.g)
     best = None
@@ -644,7 +670,7 @@ def generic_stabilizer(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Stabilize
     for used, word in enumerate(words, start=1):
         moved = word.apply_to_rows(pair.g, h_rows, ad=ad)
         # Ad(w) is invertible, so dim(h ∩ Ad(w)h) = 2 dim h - dim(h + Ad(w)h)
-        dim = 2 * len(h_rows) - integer_rank(h_ints + [n for n, _ in moved])
+        dim = 2 * len(h_rows) - integer_rank(h_echelon + [n for n, _ in moved])
         if best is None or dim < best[1].dim:
             best = (word, _intersect(h_space, moved))
             if dim == 0:
@@ -845,14 +871,14 @@ def _recheck(pair: Pair, cert):
             weight_decomposition(target.torus_g, "g"), xi=cert["chamber"])
         if not _is_canonical_basis(cert["parabolic_rows"], par.subspace):
             return False, "stored parabolic rows do not match the chamber"
-        got = _orbit_rank(word, par.subspace.rows,
-                          _integer_rows(target.h.rows), _AdColumns(target.g))
+        sides = _orbit_sides(par.subspace.rows, target.h.rows)
+        got = _orbit_rank(word, sides, _AdColumns(target.g))
         if got != cert["rank_achieved"] or got != target.g.dim:
             return False, f"rank recomputation gives {got}, not {target.g.dim}"
         return True, f"open orbit re-verified at word of length {word.length}"
     # the one kind left is "stabilizer"
     word = AdWord.from_json(cert["word"])
-    moved = word.apply_to_rows(pair.g, [list(r) for r in pair.h.rows])
+    moved = word.apply_to_rows(pair.g, [integer_row(r) for r in pair.h.rows])
     inter = _intersect(pair.h.subspace(), moved)
     if inter.dim != cert["dimension"]:
         return False, (f"intersection dimension {inter.dim} != stored "

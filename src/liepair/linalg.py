@@ -9,9 +9,11 @@ elimination over the integers and builds a Fraction only for the nonzero
 entries of its result; the output is the same canonical form that
 Gauss-Jordan elimination over ℚ gives.
 
-`integer_rank` counts the pivots of integer rows by the same elimination
-loop run forward only: it clears no row above a pivot and builds no
-Fraction.  The word searches, whose rows are already integers, use it.
+`integer_echelon` runs the same elimination loop forward only: it clears no
+row above a pivot, builds no Fraction, and returns the pivot rows, an
+echelon basis of the span; `integer_rank` counts them.  The word searches,
+whose rows are already integers, use both: a question reduces its fixed
+rows to an echelon basis once, and ranks each word's moved rows with it.
 `rank` stays `len(rref(rows)[0])`, a thin wrapper over the one traced
 reduction, so a benchmark trace of it still shows its rref child span.
 
@@ -68,7 +70,11 @@ def identity_rows(n):
 
 
 def mat_vec(A, v):
-    return [sum((a * x for a, x in zip(row, v) if x != 0), ZERO) for row in A]
+    """A·v, summed over the nonzero entries of v that meet a nonzero entry
+    of the row, so a sparse A or v costs only its nonzero products."""
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((row[j] * x for j, x in nonzero if row[j]), ZERO)
+            for row in A]
 
 
 def vec_dot(u, v):
@@ -156,11 +162,20 @@ def rank(rows) -> int:
     return len(rref(rows)[0])
 
 
-def integer_rank(int_rows) -> int:
-    """Rank over ℚ of rows of ints, by forward elimination only; equal to
-    rank(int_rows)."""
+def integer_echelon(int_rows) -> list:
+    """An echelon basis of the span over ℚ of rows of ints, by forward
+    elimination only: integer rows with strictly increasing leading
+    columns.  Since rank(F + M) = rank(E + M) when E is an echelon basis of
+    F's span, a search ranks each word's rows against the echelon basis of
+    its fixed rows, reduced once."""
     m = list(int_rows)
-    return len(_eliminate(m, len(m[0]) if m else 0, False))
+    return m[:len(_eliminate(m, len(m[0]) if m else 0, False))]
+
+
+def integer_rank(int_rows) -> int:
+    """Rank over ℚ of rows of ints, the length of their integer_echelon;
+    equal to rank(int_rows)."""
+    return len(integer_echelon(int_rows))
 
 
 def kernel(A, n=None):

@@ -202,6 +202,18 @@ def test_subalgebra_closure_error_names_rows(sl2):
                                          [F(0), F(1), F(1)]])
 
 
+def test_closure_error_names_rows_after_zero_brackets(sl3):
+    # [H1, H2] = 0 is not solved for; [H1, E12 + E23] = 2E12 - E23 is the
+    # first bracket outside the span
+    def unit(label):
+        return [F(int(b == label)) for b in sl3.basis_labels]
+
+    rows = [unit("H1"), unit("H2"),
+            [a + b for a, b in zip(unit("E12"), unit("E23"))]]
+    with pytest.raises(ValidationError, match=r"\[row 1, row 3\]"):
+        SubalgebraEmbedding.create(sl3, rows)
+
+
 def test_subalgebra_dependent_rows(sl2):
     with pytest.raises(ValidationError, match="dependent"):
         SubalgebraEmbedding.create(sl2, [[F(1), F(0), F(0)],

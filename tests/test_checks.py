@@ -348,7 +348,7 @@ def test_word_application_is_exact():
     pair = build_fixture("sl2_point")
     g = pair.g
     word = AdWord(steps=((tuple(unit(g, "E12")), F(1, 2)),))
-    moved = word.apply_to_rows(g, [unit(g, "H1")])
+    moved = word.apply_to_rows(g, [integer_row(unit(g, "H1"))])
     # Ad(exp(t ad E))H = H - 2tE for sl2
     assert moved_fractions(moved) == [[F(1), F(-1), F(0)]]
     assert moved == [([1, -1, 0], 1)]
@@ -388,7 +388,8 @@ def test_word_application_matches_dense_exponential(case):
     for z, t in reversed(word.steps):
         M = exp_nilpotent_oracle(ad_matrix(g, list(z)), t)
         want = [mat_vec(M, r) for r in want]
-    assert moved_fractions(word.apply_to_rows(g, rows)) == want
+    assert moved_fractions(
+        word.apply_to_rows(g, [integer_row(r) for r in rows])) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -396,7 +397,7 @@ def test_word_application_matches_dense_exponential(case):
 def test_stabilizer_rank_shortcut_equals_intersection(case):
     pair, word = case
     h_rows = [list(r) for r in pair.h.rows]
-    moved = word.apply_to_rows(pair.g, h_rows)
+    moved = word.apply_to_rows(pair.g, [integer_row(r) for r in h_rows])
     shortcut = integer_rank([integer_row(r)[0] for r in h_rows]
                             + [nums for nums, _ in moved])
     assert shortcut == rank(h_rows + moved_fractions(moved))
@@ -410,10 +411,11 @@ def test_non_nilpotent_step_raises_a_validation_error():
     word = AdWord(steps=((tuple(unit(g, "E12")), F(1)),
                          (tuple(pair.torus_g.rows[0]), F(1, 3))))
     with pytest.raises(NonTerminatingSeries, match="step 2") as err:
-        word.apply_to_rows(g, [unit(g, "E12")])
+        word.apply_to_rows(g, [integer_row(unit(g, "E12"))])
     assert isinstance(err.value, ValidationError)
     with pytest.raises(ValidationError, match="length 2"):
-        AdWord(steps=(((F(1), F(0)), F(1)),)).apply_to_rows(g, [unit(g, "H1")])
+        AdWord(steps=(((F(1), F(0)), F(1)),)).apply_to_rows(
+            g, [integer_row(unit(g, "H1"))])
 
 
 def test_shared_columns_still_name_the_failing_step():
@@ -422,11 +424,91 @@ def test_shared_columns_still_name_the_failing_step():
     H = tuple(pair.torus_g.rows[0])
     ad = checks._AdColumns(g)
     # ad H is expanded here, on a row where its series stops at once ...
-    AdWord(steps=((H, F(1)),)).apply_to_rows(g, [list(H)], ad=ad)
+    AdWord(steps=((H, F(1)),)).apply_to_rows(g, [integer_row(H)], ad=ad)
     word = AdWord(steps=((tuple(unit(g, "E12")), F(1)), (H, F(1, 3))))
     # ... and read back from the shared columns at step 2, where it does not
     with pytest.raises(NonTerminatingSeries, match="word step 2"):
-        word.apply_to_rows(g, [unit(g, "E12")], ad=ad)
+        word.apply_to_rows(g, [integer_row(unit(g, "E12"))], ad=ad)
+
+
+# --- the open-orbit rank moves the smaller of p and h ------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(word_on_pair())
+def test_the_inverse_word_undoes_the_word(case):
+    pair, word = case
+    g = pair.g
+    rows = [integer_row(r)
+            for r in minimal_parabolic(g_weights(pair)).subspace.rows]
+    moved = word.apply_to_rows(g, rows)
+    # the moved rows are exact, so the round trip gives the rows back exactly
+    assert word.inverse().apply_to_rows(g, moved) == rows
+    assert word.inverse().inverse() == word
+    assert not word.inverse().inverse().inverted
+
+
+# name: (how to build the pair, whether the search runs on its
+# complexification, whether h is the side that moves)
+ORBIT_SIDES = {
+    "triple_sl3": (lambda: build_fixture("triple_sl3"), False, True),
+    "group_sl2c": (lambda: build_fixture("group_sl2c"), False, True),
+    "torus_pair:sl3": (lambda: construct_from_spec("torus_pair:sl3"), True,
+                       True),
+    "sl2c_full": (lambda: build_fixture("sl2c_full"), False, False),
+}
+
+
+@lru_cache(maxsize=None)
+def orbit_case(name):
+    """The space an open-orbit search of ORBIT_SIDES[name] runs on, its
+    root vectors and its minimal parabolic's rows."""
+    make, complexified, _ = ORBIT_SIDES[name]
+    target = make().complexification if complexified else make()
+    ws = g_weights(target)
+    return (target, nilpotent_pool(ws),
+            [list(r) for r in minimal_parabolic(ws).subspace.rows])
+
+
+@st.composite
+def orbit_word(draw):
+    name = draw(st.sampled_from(sorted(ORBIT_SIDES)))
+    _, pool, _ = orbit_case(name)
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from(pool),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=9)),
+        min_size=1, max_size=3))
+    return name, AdWord(steps=tuple(steps))
+
+
+@settings(max_examples=30, deadline=None)
+@given(orbit_word())
+def test_orbit_rank_equals_the_dense_rank_on_either_side(case):
+    name, word = case
+    target, _, p_rows = orbit_case(name)
+    g = target.g
+    sides = checks._orbit_sides(p_rows, target.h.rows)
+    assert sides[2] == ORBIT_SIDES[name][2]
+    want = [list(r) for r in p_rows]
+    for z, t in reversed(word.steps):
+        M = exp_nilpotent_oracle(ad_matrix(g, list(z)), t)
+        want = [mat_vec(M, r) for r in want]
+    dense = len(rref_oracle(want + [list(r) for r in target.h.rows])[0])
+    assert checks._orbit_rank(word, sides, checks._AdColumns(g)) == dense
+
+
+def test_a_forged_step_is_named_by_its_stored_index_when_h_moves():
+    pair, text = triple_sl2_open_orbit()
+    par = minimal_parabolic(g_weights(pair))
+    assert pair.h.dim < par.subspace.dim  # so the verifier moves h
+    word = json.loads(text)["certificate"]["word"]
+    assert len(word) >= 2
+    for i in range(len(word)):
+        blob = json.loads(text)
+        # ad of a torus element is not nilpotent on the rows it reaches
+        blob["certificate"]["word"][i]["z"] = [
+            str(x) for x in pair.torus_g.rows[0]]
+        ok, detail = verify_certificate(pair, verdict_from_json(blob))
+        assert not ok and f"word step {i + 1}: " in detail, detail
 
 
 # --- ad(Z) is expanded once per distinct Z of a question ---------------------

@@ -17,6 +17,7 @@ from liepair.linalg import (
     eigensplit,
     express_in_rows,
     frac,
+    integer_echelon,
     integer_rank,
     integer_row,
     kernel,
@@ -119,15 +120,17 @@ def test_exp_nilpotent_polynomial(sl2):
     # exp(t ad E12) E21 = E21 + t H1 - t² E12, a polynomial in t
     E = [F(0), F(1), F(0)]
     word = AdWord(steps=((tuple(E), F(2)),))
-    moved = word.apply_to_rows(sl2, [[F(0), F(0), F(1)], [F(1), F(0), F(0)]])
+    moved = word.apply_to_rows(
+        sl2, [integer_row([F(0), F(0), F(1)]), integer_row([F(1), F(0), F(0)])])
     assert moved_fractions(moved) == [[F(2), F(-4), F(1)], [F(1), F(-4), F(0)]]
     # ad H1 is not nilpotent: its series on E12 never stops, but on H1 it
     # stops at once, since the series only has to terminate on the rows moved
     H = AdWord(steps=((tuple([F(1), F(0), F(0)]), F(1)),))
-    assert moved_fractions(H.apply_to_rows(sl2, [[F(1), F(0), F(0)]])) \
+    assert moved_fractions(
+        H.apply_to_rows(sl2, [integer_row([F(1), F(0), F(0)])])) \
         == [[F(1), F(0), F(0)]]
     with pytest.raises(NonTerminatingSeries, match="step 1"):
-        H.apply_to_rows(sl2, [E])
+        H.apply_to_rows(sl2, [integer_row(E)])
 
 
 @st.composite
@@ -222,6 +225,21 @@ def test_integer_rank_equals_rref_rank(rows):
     assert got == len(rref(rows)[0]) == rank(rows)
     assert got == len(rref_oracle(rows)[1])
     assert rows == before  # the argument is not mutated
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rank_input(), st.data())
+def test_integer_echelon_spans_its_rows_in_echelon_form(rows, data):
+    echelon = integer_echelon(rows)
+    assert all(type(x) is int for row in echelon for x in row)
+    leads = [next(c for c, x in enumerate(row) if x) for row in echelon]
+    assert leads == sorted(set(leads))  # strictly increasing, no zero row
+    assert rref(echelon)[0] == rref(rows)[0]  # the same span
+    # so a fixed side reduced once ranks the same with any further rows
+    width = len(rows[0]) if rows else 0
+    more = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=width,
+                                       max_size=width), max_size=4))
+    assert integer_rank(echelon + more) == integer_rank(rows + more)
 
 
 def test_integer_rank_edge_shapes():
