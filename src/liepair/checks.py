@@ -201,7 +201,6 @@ class ParabolicSubalgebra:
     torus: SplitTorus
     chamber: tuple
     subspace: Subspace
-    nilradical_rows: tuple
     zero_weight_dim: int
 
 
@@ -378,23 +377,18 @@ def minimal_parabolic(ws: WeightSystem, xi="generic", seed=0) -> ParabolicSubalg
                 raise DegenerateFunctional(
                     f"functional annihilates the nonzero weight {tuple(lam)}")
     rows = []
-    nil_rows = []
     zero_dim = 0
     for (lam, _), vecs_ in zip(ws.weights, ws.spaces):
         pairing = vec_dot(lam, xi) if r else ZERO
         if pairing >= 0:
             rows.extend(list(v) for v in vecs_)
-        if pairing > 0:
-            nil_rows.extend(list(v) for v in vecs_)
         if all(x == 0 for x in lam):
             zero_dim = len(vecs_)
     g = ws.torus.ambient
     sub = Subspace.from_rows(g.dim, rows)
     _assert_bracket_closed(g, sub)
     return ParabolicSubalgebra(torus=ws.torus, chamber=tuple(xi),
-                               subspace=sub,
-                               nilradical_rows=tuple(tuple(v) for v in nil_rows),
-                               zero_weight_dim=zero_dim)
+                               subspace=sub, zero_weight_dim=zero_dim)
 
 
 def _assert_bracket_closed(g, sub: Subspace):

@@ -17,11 +17,15 @@ rows to an echelon basis once, and ranks each word's moved rows with it.
 `rank` stays `len(rref(rows)[0])`, a thin wrapper over the one traced
 reduction, so a benchmark trace of it still shows its rref child span.
 
-Floating point appears in exactly one role: proposing eigenvalue candidates
-for a matrix that is not diagonal; the candidates are then certified exactly
-(kernel dimensions must sum to the ambient dimension).  A diagonal matrix,
-which is how a catalog torus acts in the root basis, splits into coordinate
-eigenspaces with no float at all.  No verdict ever depends on a float.
+`kernel` runs both of its eliminations on integers too.
+
+Nothing here uses a float.  `eigensplit` finds eigenvalues exactly: a
+diagonal matrix, which is how a catalog torus acts in the root basis,
+splits into coordinate eigenspaces; any other matrix A = M/d, M over ℤ, is
+split by the minimal polynomials of M at unit vectors (one growing integer
+echelon of Krylov vectors), whose integer roots are isolated by Sturm
+sequences and bisection on ℤ.  The split is certified when the kernels at
+those roots fill ℚⁿ.
 """
 
 from __future__ import annotations
@@ -131,6 +135,13 @@ def _eliminate(m, limit, clear_above):
     return piv_cols
 
 
+def _canonical_rows(m, piv):
+    """Integer echelon rows, cleared above and below their pivots, divided
+    by their pivot entries: canonical rows of Fraction."""
+    return [tuple(Fraction(x, row[p]) if x else ZERO for x in row)
+            for row, p in zip(m, piv)]
+
+
 def rref(rows, ncols=None):
     """Reduced row echelon form.
 
@@ -150,11 +161,10 @@ def rref(rows, ncols=None):
     m = [integer_row(r)[0] for r in rows]
     width = len(m[0]) if m else 0
     piv_cols = _eliminate(m, width if ncols is None else ncols, True)
-    r = len(piv_cols)
-    out = []
-    for i, row in enumerate(m if ncols is not None else m[:r]):
-        d = row[piv_cols[i]] if i < r else 1
-        out.append(tuple(Fraction(x, d) if x else ZERO for x in row))
+    out = _canonical_rows(m, piv_cols)
+    if ncols is not None:
+        out += [tuple(Fraction(x) if x else ZERO for x in row)
+                for row in m[len(piv_cols):]]
     return out, piv_cols
 
 
@@ -178,26 +188,36 @@ def integer_rank(int_rows) -> int:
     return len(integer_echelon(int_rows))
 
 
-def kernel(A, n=None):
-    """Canonical basis rows of {x : A x = 0}; `n` is the ambient dimension
-    (needed when A has no rows)."""
-    if not A:
-        if n is None:
-            raise ValueError("kernel of an empty matrix needs the ambient dimension")
-        return identity_rows(n)
-    width = len(A[0])
-    red, piv = rref(A)
+def _integer_kernel(m, width):
+    """The kernel of the integer rows m (reduced in place) as integer rows
+    proportional to its canonical rows, and their pivot columns.  Each free
+    column f of m's reduced form gives the kernel vector with entry L at f
+    and −L·red[k][f]/red[k][p_k] at pivot p_k, L the lcm of those pivots."""
+    piv = _eliminate(m, width, True)
     pivset = set(piv)
     basis = []
     for free in range(width):
         if free in pivset:
             continue
-        v = [ZERO] * width
-        v[free] = ONE
-        for k, p in enumerate(piv):
-            v[p] = -red[k][free]
+        scale = lcm(*[row[p] for row, p in zip(m, piv) if row[free]])
+        v = [0] * width
+        v[free] = scale
+        for row, p in zip(m, piv):
+            if row[free]:
+                v[p] = -row[free] * (scale // row[p])
         basis.append(v)
-    return rref(basis)[0] if basis else []
+    return basis, _eliminate(basis, width, True)
+
+
+def kernel(A, n=None):
+    """Canonical basis rows of {x : A x = 0}; `n` is the ambient dimension
+    (needed when A has no rows).  Both eliminations run on integers."""
+    if not A:
+        if n is None:
+            raise ValueError("kernel of an empty matrix needs the ambient dimension")
+        return identity_rows(n)
+    return _canonical_rows(*_integer_kernel([integer_row(r)[0] for r in A],
+                                            len(A[0])))
 
 
 def express_in_rows(rows, targets):
@@ -274,51 +294,6 @@ def poly_str(coeffs, var="t"):
     return " + ".join(terms) if terms else "0"
 
 
-def _float_eigen_candidates(A):
-    import numpy as np
-
-    try:
-        F = np.array([[float(x) for x in row] for row in A], dtype=float)
-        eigs = np.linalg.eigvals(F)
-    except Exception:
-        return []
-    scale = max(1.0, float(abs(eigs).max()) if len(eigs) else 1.0)
-    cands = set()
-    for z in eigs:
-        if abs(z.imag) > 1e-8 * scale:
-            continue
-        x = float(z.real)
-        if abs(x) < 1e-9 * scale:
-            cands.add(ZERO)
-            continue
-        for den_bound in (1, 6, 60, 720, 10 ** 6):
-            cands.add(Fraction(x).limit_denominator(den_bound))
-    return sorted(cands)
-
-
-def _rational_roots_exact(coeffs):
-    """Rational roots with multiplicities of Σ coeffs[i] t^(n−i).
-
-    Returns (roots: dict Fraction→int, complete: bool); complete is False when
-    an irreducible factor of degree ≥ 2 remains (irrational or complex roots).
-    """
-    import sympy
-
-    x = sympy.symbols("x")
-    p = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs],
-                   x, domain="QQ")
-    roots = {}
-    complete = True
-    for f, mult in p.factor_list()[1]:
-        if f.degree() == 1:
-            a, b = f.all_coeffs()
-            r = sympy.Rational(-b, a)
-            roots[Fraction(int(r.p), int(r.q))] = mult
-        elif f.degree() >= 2:
-            complete = False
-    return roots, complete
-
-
 def is_diagonal(A):
     return not any(x for i, row in enumerate(A)
                    for j, x in enumerate(row) if j != i)
@@ -339,17 +314,185 @@ def coordinate_split(keys):
     return sorted(groups.items())
 
 
-def _kernels_for(A, candidates):
-    n = len(A)
-    found = []
-    for lam in candidates:
-        shifted = [list(row) for row in A]
-        for i in range(n):
-            shifted[i][i] -= lam
-        K = kernel(shifted, n)
-        if K:
-            found.append((lam, K))
-    return found
+def _integer_matrix(A):
+    """(M, d) with A = M / d: M as rows of ints and d the lcm of all
+    denominators of A."""
+    rows = [integer_row(row) for row in A]
+    d = lcm(*[den for _, den in rows])
+    return [nums if den == d else [x * (d // den) for x in nums]
+            for nums, den in rows], d
+
+
+def _krylov_minpoly(M, j):
+    """The minimal polynomial of the integer matrix M at the unit vector e_j,
+    as ints from the highest degree down, with a positive leading entry.
+
+    One growing echelon: each row is a pair (M-vector, polynomial) with
+    vector = polynomial(M)·e_j, reduced against the rows before it.  The next
+    candidate is M times the last row, with its polynomial times t; the
+    first candidate that reduces to the zero vector carries the relation of
+    least degree.  By Gauss's lemma that polynomial, divided by its content,
+    is monic, since it divides the characteristic polynomial of M."""
+    n = len(M)
+    vec = [0] * n
+    vec[j] = 1
+    poly = [1]  # coefficients from degree 0 up
+    echelon = []  # (pivot column, vector, polynomial)
+    while True:
+        for c, rvec, rpoly in echelon:
+            f = vec[c]
+            if not f:
+                continue
+            p = rvec[c]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            vec = [a * x - b * y for x, y in zip(vec, rvec)]
+            poly = [a * x - b * y for x, y in
+                    zip(poly, rpoly + [0] * (len(poly) - len(rpoly)))]
+            g = gcd(*vec, *poly)
+            if g > 1:
+                vec = [x // g for x in vec]
+                poly = [x // g for x in poly]
+        pivot = next((c for c, x in enumerate(vec) if x), None)
+        if pivot is None:
+            g = gcd(*poly) if poly[-1] > 0 else -gcd(*poly)
+            return [x // g for x in reversed(poly)]
+        echelon.append((pivot, vec, poly))
+        vec = [sum(x * vec[c] for c, x in row if vec[c]) for row in M]
+        poly = [0] + poly
+
+
+def _horner(p, x):
+    v = 0
+    for c in p:
+        v = v * x + c
+    return v
+
+
+def _sturm_chain(p):
+    """The Sturm chain p, p′, −rem(p, p′), … of an integer polynomial
+    (ints from the highest degree down, degree ≥ 1), each element a
+    positive multiple of the one over ℚ, so only its signs are meaningful.
+    The last element is a multiple of gcd(p, p′): a constant exactly when p
+    is square-free."""
+    n = len(p) - 1
+    derivative = [c * (n - i) for i, c in enumerate(p[:-1])]
+    g = gcd(*derivative)
+    chain = [p, [c // g for c in derivative]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        s, sign = abs(b[0]), (1 if b[0] > 0 else -1)
+        r = list(a)
+        while len(r) >= len(b):  # pseudo-division by b, scaling r by s > 0
+            lead = r[0] * sign
+            r = [s * x - lead * y for x, y in zip(r[1:], b[1:])] \
+                + [s * x for x in r[len(b):]] if lead else r[1:]
+        while r and not r[0]:
+            r.pop(0)
+        if not r:
+            break
+        g = gcd(*r)
+        chain.append([-x // g for x in r])
+    return chain
+
+
+def _sign_changes(chain, x):
+    """Sign changes of the chain at x, zeros skipped."""
+    count, prev = 0, 0
+    for p in chain:
+        v = _horner(p, x)
+        if v:
+            if prev and (v > 0) != (prev > 0):
+                count += 1
+            prev = v
+    return count
+
+
+def _root_bound(p):
+    """A power of two above the absolute value of every complex root of p
+    (Fujiwara's bound, 2·max |p_i / p_0|^(1/i), rounded up by bit lengths)."""
+    top = abs(p[0]).bit_length()
+    e = 0
+    for i, c in enumerate(p[1:], 1):
+        if c:
+            e = max(e, -(-(abs(c).bit_length() - top + 1) // i))
+    return 2 << e
+
+
+def _lone_integer_root(p, lo, hi):
+    """The integer root of p in (lo, hi] when p has exactly one real root
+    there, a simple one; None when that root is not an integer.  Bisects on
+    the sign of p alone."""
+    fhi = _horner(p, hi)
+    if not fhi:
+        return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        fmid = _horner(p, mid)
+        if not fmid:
+            return mid
+        if (fmid > 0) != (fhi > 0):
+            lo = mid
+        else:
+            hi, fhi = mid, fmid
+    return None
+
+
+def _integer_roots(p):
+    """The distinct integer roots of the integer polynomial p, ascending.
+
+    p is first made square-free: when the last element of its Sturm chain,
+    a primitive multiple of gcd(p, p′), is not a constant, p is divided by
+    it, exactly over ℤ by Gauss's lemma.  By Sturm's theorem the sign
+    changes at a minus those at b then count the distinct real roots in
+    (a, b].  Bisection on ℤ splits (−B, B], B a root bound, until an
+    interval holds no root, one root, found by the sign of p alone, or is
+    (b − 1, b], whose only integer is b."""
+    chain = _sturm_chain(p)
+    g = chain[-1]
+    if len(g) > 1:
+        q, r = [], list(p)
+        for i in range(len(p) - len(g) + 1):
+            q.append(r[i] // g[0])
+            for k, c in enumerate(g):
+                r[i + k] -= q[-1] * c
+        p = q
+        chain = _sturm_chain(p)
+    bound = _root_bound(p)
+    stack = [(-bound, _sign_changes(chain, -bound),
+              bound, _sign_changes(chain, bound))]
+    roots = []
+    while stack:
+        lo, vlo, hi, vhi = stack.pop()
+        count = vlo - vhi
+        if count == 1:
+            root = _lone_integer_root(p, lo, hi)
+            if root is not None:
+                roots.append(root)
+        elif count and hi - lo == 1:
+            if not _horner(p, hi):
+                roots.append(hi)
+        elif count:
+            mid = (lo + hi) // 2
+            vmid = _sign_changes(chain, mid)
+            stack.append((lo, vlo, mid, vmid))
+            stack.append((mid, vmid, hi, vhi))
+    return sorted(roots)
+
+
+def _rational_root_count(coeffs, d):
+    """The rational roots, counted with multiplicity, of the monic
+    polynomial Σ coeffs[i]·t^(n−i) whose roots times d are the roots of a
+    monic integer polynomial (the characteristic polynomial of d·A)."""
+    p = [int(c * d ** i) for i, c in enumerate(coeffs)]
+    count = 0
+    for root in _integer_roots(p):
+        while not _horner(p, root):
+            count += 1
+            for i in range(1, len(p)):  # divide by t − root
+                p[i] += p[i - 1] * root
+            p.pop()
+    return count
 
 
 def eigensplit(A):
@@ -361,24 +504,46 @@ def eigensplit(A):
     the exact characteristic polynomial attached.
 
     A diagonal A splits into the coordinate unit rows grouped by diagonal
-    entry.  Otherwise float eigenvalues propose candidates whose kernels are
-    computed exactly; when they miss part of the spectrum, the rational roots
-    of the exact characteristic polynomial are used instead.
+    entry.  Otherwise A = M/d with M an integer matrix, whose rational
+    eigenvalues are integers.  From a unit vector e_j outside the eigenspaces
+    found so far, the minimal polynomial of M at e_j (`_krylov_minpoly`) is
+    monic over ℤ; its integer roots (`_integer_roots`) divided by d are
+    eigenvalues of A, and their kernels are eigenspaces.  When A is
+    diagonalizable with rational spectrum, e_j has a component in an
+    eigenspace not yet found, so each round finds a new eigenvalue.  The
+    split is certified when the dimensions sum to n; a round that finds no
+    new eigenvalue ends the search, and then the rational roots of the
+    characteristic polynomial, counted with multiplicity, tell an irrational
+    spectrum (fewer than n) from a matrix that is not diagonalizable.
     """
     n = len(A)
     if n == 0:
         return []
     if is_diagonal(A):
         return coordinate_split([A[i][i] for i in range(n)])
-    found = _kernels_for(A, _float_eigen_candidates(A))
-    if sum(len(b) for _, b in found) == n:
-        return sorted(found)
+    M, d = _integer_matrix(A)
+    sparse = [[(c, x) for c, x in enumerate(row) if x] for row in M]
+    found, new_rows, spanned = {}, [], []
+    while sum(len(rows) for rows in found.values()) < n:
+        spanned = integer_echelon(spanned + new_rows)
+        leads = {next(c for c, x in enumerate(row) if x) for row in spanned}
+        j = next(c for c in range(n) if c not in leads)
+        new_rows = []
+        for mu in _integer_roots(_krylov_minpoly(sparse, j)):
+            if Fraction(mu, d) in found:
+                continue
+            shifted = [list(row) for row in M]
+            for i in range(n):
+                shifted[i][i] -= mu
+            rows, piv = _integer_kernel(shifted, n)
+            found[Fraction(mu, d)] = _canonical_rows(rows, piv)
+            new_rows += rows
+        if not new_rows:
+            break
+    else:
+        return sorted(found.items())
     coeffs = charpoly(A)
-    roots, complete = _rational_roots_exact(coeffs)
-    found = _kernels_for(A, sorted(roots))
-    if sum(len(b) for _, b in found) == n:
-        return sorted(found)
-    if not complete:
+    if _rational_root_count(coeffs, d) < n:
         raise IrrationalSpectrumError(
             "matrix has non-rational eigenvalues; characteristic polynomial "
             f"{poly_str(coeffs)}", coeffs)

@@ -16,9 +16,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import LieAlgebra, ValidationError, bracket, validate
+from .algebra import LieAlgebra, ValidationError, validate
 from .checks import Expectation, Pair
-from .linalg import ZERO, ONE, frac, mat_vec
+from .linalg import ZERO, ONE, frac
 
 
 class ParseError(ValueError):
@@ -141,20 +141,27 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
 
 
 def _check_complex_structure(g: LieAlgebra, J):
-    """J² = −1 and the bracket is complex-linear; Pair.create checks that
-    h is J-stable."""
+    """J² = −1 and the bracket is complex-linear, [J e_i, e_j] = J [e_i, e_j]
+    for every basis pair; Pair.create checks that h is J-stable.  Both
+    sides are summed over the nonzero entries of J's columns and of the
+    structure constants."""
     n = g.dim
-    JJ = [[sum((J[i][k] * J[k][j] for k in range(n) if J[i][k] != 0), ZERO)
-           for j in range(n)] for i in range(n)]
+    cols = [[(k, J[k][i]) for k in range(n) if J[k][i]] for i in range(n)]
+
+    def combine(terms):
+        out = {}
+        for coeffs, x in terms:
+            for k, y in coeffs:
+                out[k] = out.get(k, ZERO) + x * y
+        return {k: v for k, v in out.items() if v}
+
+    for j in range(n):
+        if combine((cols[k], x) for k, x in cols[j]) != {j: -ONE}:
+            raise ValidationError("complex structure does not square to -1")
     for i in range(n):
         for j in range(n):
-            if JJ[i][j] != (-ONE if i == j else ZERO):
-                raise ValidationError("complex structure does not square to -1")
-    for i in range(n):
-        Jei = [J[k][i] for k in range(n)]
-        for j in range(n):
-            lhs = bracket(g, Jei, g.basis_vector(j))
-            rhs = mat_vec(J, bracket(g, g.basis_vector(i), g.basis_vector(j)))
+            lhs = combine((g.sparse[k][j], x) for k, x in cols[i])
+            rhs = combine((cols[m], c) for m, c in g.sparse[i][j])
             if lhs != rhs:
                 raise ValidationError(
                     "bracket is not complex-linear for the stored complex "

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liepair
 from liepair.catalog import construct_from_spec, fixtures_dir
 from liepair.cli import main
 from liepair.pairfile import serialize_pair
@@ -100,6 +105,74 @@ def test_complex_rows_that_do_not_preserve_h_exit_2(tmp_path, capsys):
                        "--questions", "tempered")
     assert code == 2
     assert "not stable under the complex structure" in err
+
+
+# J of multiplication by i on sl(2, C) realified, one row per `complex`
+# line: J e_k = e_(k+3) and J e_(k+3) = −e_k for k = 1, 2, 3
+SL2C_COMPLEX_ROWS = """complex 1 = 0 0 0 -1 0 0
+complex 2 = 0 0 0 0 -1 0
+complex 3 = 0 0 0 0 0 -1
+complex 4 = 1 0 0 0 0 0
+complex 5 = 0 1 0 0 0 0
+complex 6 = 0 0 1 0 0 0
+"""
+
+
+@pytest.mark.parametrize("rows, message", [
+    # J e_1 = 2·e_4, so J² e_1 = −2·e_1
+    (SL2C_COMPLEX_ROWS.replace("complex 4 = 1 0", "complex 4 = 2 0"),
+     "complex structure does not square to -1"),
+    # J² = −1, but J pairs H1 with iE12 and E12 with iH1:
+    # [J H1, H1] = [iE12, H1] = −2i·E12 while J[H1, H1] = 0
+    ("""complex 1 = 0 0 0 0 -1 0
+complex 2 = 0 0 0 -1 0 0
+complex 3 = 0 0 0 0 0 -1
+complex 4 = 0 1 0 0 0 0
+complex 5 = 1 0 0 0 0 0
+complex 6 = 0 0 1 0 0 0
+""", "bracket is not complex-linear for the stored complex structure at "
+     "basis pair (1, 1)"),
+])
+def test_a_bad_complex_structure_exits_2(tmp_path, capsys, rows, message):
+    text = serialize_pair(construct_from_spec("complex_simple_realified:sl2"))
+    assert SL2C_COMPLEX_ROWS in text
+    src = tmp_path / "bad_j.pair"
+    src.write_text(text.replace(SL2C_COMPLEX_ROWS, rows))
+    code, _, err = run(capsys, "check", "--file", str(src),
+                       "--questions", "tempered")
+    assert code == 2
+    assert message in err
+
+
+def test_no_numpy_or_sympy_is_imported(tmp_path):
+    # a fresh interpreter runs the fixture suite, then checks and verifies
+    # a pair with a non-diagonal torus and a complex search
+    script = """
+import contextlib, io, os, sys
+from liepair.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(list(argv)) == 0, argv
+    return out.getvalue()
+
+run("fixtures")
+for spec, question in (("torus_pair:so_4_4", "tempered"),
+                       ("diagonal_pair:sp_4", "complex-spherical")):
+    path = os.path.join(sys.argv[1], spec.replace(":", "_") + ".json")
+    run("check", "--family", spec, "--questions", question,
+        "--format", "machine", "--output", path)
+    out = run("verify", path)
+    assert "PASS" in out and "FAIL" not in out, out
+print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "sympy"}))
+"""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(liepair.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_cone_budget_exit_3(capsys):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from random import Random
 
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import moved_fractions, rref_oracle
 from liepair import linalg
+from liepair.algebra import ad_matrix
+from liepair.catalog import construct_from_spec
 from liepair.checks import AdWord, NonTerminatingSeries
 from liepair.linalg import (
     IrrationalSpectrumError,
     NotDiagonalizableError,
-    _kernels_for,
     charpoly,
     eigensplit,
     express_in_rows,
@@ -86,17 +88,163 @@ def test_eigensplit_diagonalizable():
 @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2),
                 min_size=1, max_size=9))
 def test_diagonal_eigensplit_matches_kernels_and_uses_no_float(diag):
-    # nine possible entries, so most draws repeat an eigenvalue
+    # nine possible entries, so most draws repeat an eigenvalue; a diagonal
+    # matrix is split by its coordinates, with no minimal polynomial
     n = len(diag)
     D = [[diag[i] if j == i else F(0) for j in range(n)] for i in range(n)]
-    want = sorted(_kernels_for(D, sorted(set(diag))))
+    want = [(lam, kernel([[D[i][j] - (lam if i == j else 0) for j in range(n)]
+                          for i in range(n)]))
+            for lam in sorted(set(diag))]
 
-    def no_float(A):
-        raise AssertionError("a diagonal matrix needs no float candidates")
+    def no_krylov(M, j):
+        raise AssertionError("a diagonal matrix needs no minimal polynomial")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_float_eigen_candidates", no_float)
+        mp.setattr(linalg, "_krylov_minpoly", no_krylov)
         assert eigensplit(D) == want
+
+
+def matmul(A, B):
+    return [[sum((a * B[k][j] for k, a in enumerate(row) if a), F(0))
+             for j in range(len(B[0]))] for row in A]
+
+
+def block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = [F(x) for x in row]
+        at += len(b)
+    return out
+
+
+def jordan_block(lam, size):
+    return [[lam if j == i else F(1) if j == i + 1 else F(0)
+             for j in range(size)] for i in range(size)]
+
+
+big_eigenvalue = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                              max_denominator=12)
+
+
+@st.composite
+def conjugator(draw, n):
+    """(S, S⁻¹) with S = L·U, L unit lower triangular over ℤ and U upper
+    triangular with nonzero rational diagonal; S⁻¹ by the Fraction oracle."""
+    small = st.integers(min_value=-3, max_value=3)
+    L = [[F(1) if j == i else F(draw(small)) if j < i else F(0)
+          for j in range(n)] for i in range(n)]
+    U = [[F(draw(small)) if j > i else F(0) for j in range(n)]
+         for i in range(n)]
+    for i in range(n):
+        U[i][i] = draw(st.fractions(min_value=-3, max_value=3,
+                                    max_denominator=3).filter(bool))
+    S = matmul(L, U)
+    aug, _ = rref_oracle([row + [F(int(j == i)) for j in range(n)]
+                          for i, row in enumerate(S)], ncols=n)
+    return S, [list(row[n:]) for row in aug]
+
+
+@st.composite
+def conjugated_spectrum(draw):
+    """(kind, diag, S, A): A = S·B·S⁻¹ for a block-diagonal B of one of
+    three kinds.
+    "split": B diagonal with entries diag, rationals up to 10⁶ in size
+    that repeat;
+    "jordan": a Jordan block of size ≥ 2 besides diagonal entries;
+    "irrational": a companion block of t² − 2 or t² + 1, with or without a
+    Jordan block, besides diagonal entries."""
+    kind = draw(st.sampled_from(("split", "jordan", "irrational")))
+    pool = draw(st.lists(big_eigenvalue, min_size=1, max_size=3))
+    diag = draw(st.lists(st.sampled_from(pool),
+                         min_size=2 if kind == "split" else 0, max_size=5))
+    blocks = [[[x]] for x in diag]
+    if kind == "jordan" or (kind == "irrational" and draw(st.booleans())):
+        blocks.append(jordan_block(draw(st.sampled_from(pool)),
+                                   draw(st.integers(min_value=2, max_value=3))))
+    if kind == "irrational":
+        blocks.append(draw(st.sampled_from(([[0, 2], [1, 0]],
+                                            [[0, -1], [1, 0]]))))
+    blocks = draw(st.permutations(blocks))
+    if kind == "split":
+        diag = [b[0][0] for b in blocks]
+    S, S_inv = draw(conjugator(sum(len(b) for b in blocks)))
+    return kind, diag, S, matmul(matmul(S, block_diagonal(blocks)), S_inv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(conjugated_spectrum())
+def test_eigensplit_of_a_conjugated_matrix(case):
+    kind, diag, S, A = case
+    if kind == "jordan":
+        with pytest.raises(NotDiagonalizableError):
+            eigensplit(A)
+        return
+    if kind == "irrational":
+        with pytest.raises(IrrationalSpectrumError):
+            eigensplit(A)
+        return
+    # the eigenspace of S·D·S⁻¹ at λ is spanned by the columns S·e_i with
+    # D_ii = λ
+    n = len(A)
+    want = [(lam, rref_oracle([[S[k][i] for k in range(n)]
+                               for i in range(n) if diag[i] == lam])[0])
+            for lam in sorted(set(diag))]
+    assert eigensplit(A) == want
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                          st.sampled_from((-1, 1)),
+                          st.integers(min_value=1, max_value=10 ** 4)),
+                max_size=2))
+def test_integer_roots_skip_the_irrational_ones(roots, quadratics):
+    # Π (t − r) times factors (t − c)² − k·(s² + 1), irreducible over ℚ
+    # since s² + 1 is never a square: their roots c ± √(k·(s² + 1)) are
+    # complex (k = −1) or real and strictly between two integers; a
+    # repeated factor makes p not square-free
+    p = [1]
+    for r in roots:
+        p = poly_mul(p, [1, -r])
+    for c, k, s in quadratics:
+        p = poly_mul(p, [1, -2 * c, c * c - k * (s * s + 1)])
+    assert linalg._integer_roots(p) == sorted(set(roots))
+
+
+def test_integer_roots_next_to_an_irrational_pair():
+    # (t − 2)(t² − 2): √2 and 2 share the interval (1, 2]
+    p = poly_mul([1, -2], [1, 0, -2])
+    assert linalg._integer_roots(p) == [2]
+
+
+def test_scaled_so_4_4_torus_element_splits_quickly():
+    # Y = 1000·(Y1 + 3·Y2 + 7·Y3 + 15·Y4) on so(4,4), Y1..Y4 the torus_g
+    # rows: 21 distinct eigenvalues, up to 22000 in size
+    pair = construct_from_spec("torus_pair:so_4_4")
+    g = pair.torus_g.ambient
+    Y = [1000 * (a + 3 * b + 7 * c + 15 * d)
+         for a, b, c, d in zip(*pair.torus_g.rows)]
+    A = ad_matrix(g, Y)
+    t0 = time.perf_counter()
+    parts = eigensplit(A)
+    assert time.perf_counter() - t0 < 2
+    assert sum(len(rows) for _, rows in parts) == g.dim == 28
+    assert len(parts) == 21 and max(lam for lam, _ in parts) == 22000
+    for lam, rows in parts:
+        for v in rows:
+            assert mat_vec(A, list(v)) == [lam * x for x in v]
 
 
 def test_eigensplit_rejects_rotation():
@@ -191,6 +339,26 @@ def test_rref_matches_fraction_gauss_jordan(case):
     assert red[:k] == want[:k]
     assert [[x == 0 for x in row] for row in red[k:]] \
         == [[x == 0 for x in row] for row in want[k:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_input())
+def test_kernel_matches_the_fraction_oracle(case):
+    rows, _ = case
+    if not rows or not rows[0]:
+        return
+    width = len(rows[0])
+    red, piv = rref_oracle(rows)
+    basis = []
+    for free in (c for c in range(width) if c not in piv):
+        v = [F(0)] * width
+        v[free] = F(1)
+        for k, p in enumerate(piv):
+            v[p] = -red[k][free]
+        basis.append(v)
+    got = kernel(rows)
+    assert got == (rref_oracle(basis)[0] if basis else [])
+    assert all(type(x) is F for row in got for x in row)
 
 
 @st.composite
