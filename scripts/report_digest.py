@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 digest per benchmark workload, and one for the fixture
-suite, so that two checkouts can be compared for byte-identical output.
+"""Print one SHA-256 digest per benchmark workload, one for the fixture
+suite and one for `liepair rho`, so that two checkouts can be compared for
+byte-identical output.
 
 A workload's digest covers, for every job of the workload (as listed in
 `perfbench/workloads.py`) at the first three pass seeds of benchmark run
 seed 0, the machine report that `liepair check --format machine` writes and
-the (question, ok, detail) results of `report.verify_report` on it.  The last
-digest covers the output and exit code of `liepair fixtures --format
-machine` at seeds 0, 1 and 2.
+the (question, ok, detail) results of `report.verify_report` on it.  The
+fourth digest covers the output and exit code of `liepair fixtures --format
+machine` at seeds 0, 1 and 2.  The last covers the output and exit code of
+`liepair rho --space g|h|g/h` on each shipped `.pair` file and on
+`torus_pair:so_4_4`, each without points and with three points of the rank
+of torus_h.
 
 Run from the repository root of each checkout and compare the lines:
     python scripts/report_digest.py
@@ -24,11 +28,15 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from liepair import report  # noqa: E402
+from liepair.catalog import construct_from_spec  # noqa: E402
 from liepair.cli import main as liepair_main  # noqa: E402
+from liepair.pairfile import parse_pair_file  # noqa: E402
 from worker import check_pass, pass_seed  # noqa: E402
 from workloads import WORKLOADS, setup  # noqa: E402
 
 PASSES = 3
+RHO_FAMILIES = ("torus_pair:so_4_4",)
+COORDINATES = ("1", "1/2", "-3", "2/7", "-5/3", "4")
 
 
 def _verify_detail(text):
@@ -66,10 +74,45 @@ def fixture_suite_digest():
     return h.hexdigest()
 
 
+def _cli_output(argv):
+    """Exit code, stdout and stderr of one `liepair` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = liepair_main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def _points(rank):
+    """Three points of this rank in `--points` syntax, or None at rank 0."""
+    if rank == 0:
+        return None
+    return ";".join(",".join(COORDINATES[(i + j) % len(COORDINATES)]
+                             for j in range(rank)) for i in range(3))
+
+
+def rho_digest():
+    sources = [(["--file", str(path.relative_to(ROOT))], parse_pair_file(path))
+               for path in sorted((ROOT / "src/liepair/fixtures")
+                                  .glob("*.pair"))]
+    sources += [(["--family", spec], construct_from_spec(spec))
+                for spec in RHO_FAMILIES]
+    h = hashlib.sha256()
+    for source, pair in sources:
+        points = _points(pair.torus_h.rank)
+        for space in ("g", "h", "g/h"):
+            argv = ["rho", *source, "--space", space]
+            h.update(json.dumps([argv, _cli_output(argv)]).encode())
+            if points is not None:
+                argv += ["--points", points]
+                h.update(json.dumps([argv, _cli_output(argv)]).encode())
+    return h.hexdigest()
+
+
 def main():
     for name in WORKLOADS:
         print(f"{name:24s} {workload_digest(name)}")
     print(f"{'liepair fixtures':24s} {fixture_suite_digest()}")
+    print(f"{'liepair rho':24s} {rho_digest()}")
     return 0
 
 

@@ -269,11 +269,6 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
-    def contains_vector(self, v):
-        if len(v) != self.ambient:
-            raise ValidationError("ambient mismatch")
-        return express_in_rows(list(self.rows), [list(v)])[0] is not None
-
 
 def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
     if A.ambient != B.ambient:
@@ -336,21 +331,6 @@ class SubalgebraEmbedding:
 
     def subspace(self) -> Subspace:
         return Subspace.from_rows(self.ambient.dim, list(self.rows))
-
-    def restricted_ad(self, y):
-        """Matrix of ad(y) restricted to this subalgebra, in its row basis.
-        y must normalize the subalgebra (true for y in any torus inside it)."""
-        images = [bracket(self.ambient, list(y), list(r)) for r in self.rows]
-        coords = express_in_rows(list(self.rows), images)
-        k = self.dim
-        M = [[ZERO] * k for _ in range(k)]
-        for j, cv in enumerate(coords):
-            if cv is None:
-                raise ValidationError(
-                    "element does not normalize the subalgebra")
-            for i in range(k):
-                M[i][j] = cv[i]
-        return M
 
     @staticmethod
     def whole(ambient: LieAlgebra):

@@ -198,10 +198,8 @@ class ParabolicSubalgebra:
     """Nonnegative-weight subalgebra for a chamber functional on torus_g:
     p = m ⊕ a ⊕ n with n the strictly positive weight spaces."""
 
-    torus: SplitTorus
     chamber: tuple
     subspace: Subspace
-    zero_weight_dim: int
 
 
 @dataclass(frozen=True)
@@ -377,28 +375,12 @@ def minimal_parabolic(ws: WeightSystem, xi="generic", seed=0) -> ParabolicSubalg
                 raise DegenerateFunctional(
                     f"functional annihilates the nonzero weight {tuple(lam)}")
     rows = []
-    zero_dim = 0
     for (lam, _), vecs_ in zip(ws.weights, ws.spaces):
         pairing = vec_dot(lam, xi) if r else ZERO
         if pairing >= 0:
             rows.extend(list(v) for v in vecs_)
-        if all(x == 0 for x in lam):
-            zero_dim = len(vecs_)
-    g = ws.torus.ambient
-    sub = Subspace.from_rows(g.dim, rows)
-    _assert_bracket_closed(g, sub)
-    return ParabolicSubalgebra(torus=ws.torus, chamber=tuple(xi),
-                               subspace=sub, zero_weight_dim=zero_dim)
-
-
-def _assert_bracket_closed(g, sub: Subspace):
-    rows = [list(r) for r in sub.rows]
-    brackets = [bracket(g, rows[i], rows[j])
-                for i in range(len(rows)) for j in range(i + 1, len(rows))]
-    if None in express_in_rows(rows, brackets):
-        raise ValidationError(
-            "parabolic construction produced a non-closed subspace; "
-            "this indicates an invalid torus designation")
+    sub = Subspace.from_rows(ws.torus.ambient.dim, rows)
+    return ParabolicSubalgebra(chamber=tuple(xi), subspace=sub)
 
 
 def nilpotent_pool(ws: WeightSystem):

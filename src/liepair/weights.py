@@ -6,10 +6,13 @@ rho(Y) = Σ m_i |λ_i(Y)| summed over the weights λ_i of V with multiplicity.
 All weights are required to be rational; irrational spectra are a hard error,
 never a silent approximation.
 
-Weights are computed on g and on h only.  The weights on g/h are the
-difference m_{g/h}(λ) = m_g(λ) − m_h(λ): the split torus acts semisimply on
-g, so by complete reducibility h has a torus-stable complement and
-g ≅ h ⊕ g/h as torus modules.  No complement or induced action is built.
+One joint split per torus, the one on g that validates it, gives every
+weight.  The torus lies in h, so h is torus-stable and h = ⊕_λ (h ∩ g_λ):
+the weights on h are read from h's projections onto the g_λ.  Those on g/h
+are the difference m_{g/h}(λ) = m_g(λ) − m_h(λ): the torus acts semisimply
+on g, so by complete reducibility h has a torus-stable complement and
+g ≅ h ⊕ g/h as torus modules.  No action on h or on g/h, and no complement,
+is built.
 """
 
 from __future__ import annotations
@@ -128,26 +131,13 @@ class WeightSystem:
     """Simultaneous eigenspace data of a torus acting on g or on h.
 
     weights: sorted tuple of (λ, multiplicity) with λ a tuple of Fractions of
-    length rank (values on the torus basis).  spaces[i] holds basis rows of
-    the λ_i weight space in g-coordinates (V = g) or in coordinates on the
-    basis rows of h (V = h).
+    length rank (values on the torus basis).  spaces[i] holds the canonical
+    basis rows of the λ_i weight space in g-coordinates, on either space.
     """
 
     torus: SplitTorus
     weights: tuple
     spaces: tuple
-
-
-def action_operators(torus: SplitTorus, space: str):
-    """Exact matrices of ad(Y_i) on the requested space: "g" (adjoint on the
-    ambient algebra) or "h" (adjoint on the parent subalgebra, in coordinates
-    on its basis rows).  The operators act on column coordinate vectors."""
-    h = torus.parent
-    if space == "g":
-        return [ad_matrix(h.ambient, list(Y)) for Y in torus.rows]
-    if space == "h":
-        return [h.restricted_ad(Y) for Y in torus.rows]
-    raise ValueError(f"unknown space {space!r}; expected 'g' or 'h'")
 
 
 def _combine(coeffs, rows):
@@ -161,7 +151,7 @@ def _combine(coeffs, rows):
     return out
 
 
-def _joint_eigensplit(ops, dim, origin="g"):
+def _joint_eigensplit(ops, dim):
     """Joint eigenspaces of commuting operators on ℚ^dim: a list of
     (λ, canonical rows) with λ the tuple of eigenvalues, one per operator.
     Raises IrrationalWeights or NotSemisimpleElement naming the first
@@ -189,14 +179,14 @@ def _joint_eigensplit(ops, dim, origin="g"):
             except IrrationalSpectrumError as e:
                 raise IrrationalWeights(
                     f"ad of torus row {idx + 1} is not rationally "
-                    f"diagonalizable on {origin}: on an invariant subspace "
+                    "diagonalizable on g: on an invariant subspace "
                     "its characteristic polynomial is "
                     f"{poly_str(e.charpoly_coeffs)}",
                     e.charpoly_coeffs) from e
             except NotDiagonalizableError as e:
                 raise NotSemisimpleElement(
-                    f"ad of torus row {idx + 1} is not semisimple on "
-                    f"{origin}: {e}") from e
+                    f"ad of torus row {idx + 1} is not semisimple on g: "
+                    f"{e}") from e
             for lam, krows in parts:
                 rows, piv = rref([_combine(k, basis) for k in krows])
                 new.append((lam_prefix + (lam,), rows, piv))
@@ -215,20 +205,34 @@ def _weights_and_spaces(blocks):
 def weight_decomposition(torus: SplitTorus, space: str) -> WeightSystem:
     """Joint weight-space decomposition of the torus action on g or on h.
 
-    On g it is the split that validate_torus made.  When every operator is
-    diagonal (a catalog torus in the root basis) the weight spaces are the
-    coordinate lines grouped by their tuple of diagonal entries.  Otherwise
-    the split refines by one generator at a time via exact kernel
-    computations.  Either way the multiplicities sum to dim V and the spaces
-    are canonical rows.  Raises IrrationalWeights if the action on h fails
-    rational diagonalizability.
+    On g it is the split that validate_torus made: the multiplicities sum to
+    dim g and the spaces are canonical rows.  On h it is read from that
+    split: one solve writes the rows of h in the weight basis of g, and the
+    coordinates in the block of g_λ give h's projection onto g_λ, which is
+    h ∩ g_λ since h is torus-stable.  Each λ whose projection is nonzero
+    keeps its rank and the canonical rows of h ∩ g_λ, and the
+    multiplicities sum to dim h.
     """
-    if space == "g":
-        weights, spaces = torus.g_split
-    else:
-        ops = action_operators(torus, space)
-        weights, spaces = _weights_and_spaces(
-            _joint_eigensplit(ops, torus.parent.dim, origin=space))
+    weights, spaces = torus.g_split
+    if space == "h":
+        basis = [row for rows in spaces for row in rows]
+        coords = express_in_rows(basis, [list(r) for r in torus.parent.rows])
+        h_weights, h_spaces = [], []
+        start = 0
+        for (lam, m), rows in zip(weights, spaces):
+            block = [c[start:start + m] for c in coords
+                     if any(c[start:start + m])]
+            start += m
+            if block:
+                # rows is in reduced echelon form, so the images of reduced
+                # coordinate rows are the canonical rows of the span
+                part, _ = rref(block)
+                h_weights.append((lam, len(part)))
+                h_spaces.append(tuple(tuple(_combine(c, rows))
+                                      for c in part))
+        weights, spaces = tuple(h_weights), tuple(h_spaces)
+    elif space != "g":
+        raise ValueError(f"unknown space {space!r}; expected 'g' or 'h'")
     return WeightSystem(torus=torus, weights=weights, spaces=spaces)
 
 

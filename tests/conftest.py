@@ -5,7 +5,10 @@ inside the test process, independent of the catalog module, so catalog
 output can be checked against them.  `killing_form_matrix` is the
 Killing form, an oracle for semisimplicity.  `quotient_operators` is the
 induced action of a torus of h on g/h, which the library replaced with
-subtracting the weights on h from the weights on g.  `rref_oracle`,
+subtracting the weights on h from the weights on g.  `action_operators` and
+`restricted_ad` give the action of a torus on g or on h as matrices, whose
+joint split on h the library replaced with reading the weights on h from
+the split on g.  `rref_oracle`,
 `exp_nilpotent_oracle` and `enumerate_lines_oracle` are the plain
 Gauss-Jordan elimination over Fraction, the dense matrix exponential and
 the flat grower by RREF of spans of forms that the library replaced with
@@ -25,12 +28,11 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from liepair.algebra import LieAlgebra, ad_matrix, bracket
+from liepair.algebra import LieAlgebra, ValidationError, ad_matrix, bracket
 from liepair.linalg import express_in_rows, is_zero_vec, kernel, rank, vec
 from liepair.polyhedral import ConeBudgetExceeded, RankMismatch
 from liepair.weights import (
     TorusValidationError,
-    action_operators,
     quotient_weights,
     rho_eval,
     validate_torus,
@@ -94,6 +96,33 @@ def sl2():
 def sl3():
     labels, mats = mat_sl(3)
     return LieAlgebra.from_matrices(labels, mats, name="sl3")
+
+
+def restricted_ad(h, y):
+    """Matrix of ad(y) restricted to the subalgebra h, in its row basis.
+    y must normalize h (true for y in any torus inside it)."""
+    images = [bracket(h.ambient, list(y), list(r)) for r in h.rows]
+    coords = express_in_rows(list(h.rows), images)
+    k = h.dim
+    M = [[F(0)] * k for _ in range(k)]
+    for j, cv in enumerate(coords):
+        if cv is None:
+            raise ValidationError("element does not normalize the subalgebra")
+        for i in range(k):
+            M[i][j] = cv[i]
+    return M
+
+
+def action_operators(torus, space):
+    """Exact matrices of ad(Y_i) on the requested space: "g" (adjoint on the
+    ambient algebra) or "h" (adjoint on the parent subalgebra, in coordinates
+    on its basis rows).  The operators act on column coordinate vectors."""
+    h = torus.parent
+    if space == "g":
+        return [ad_matrix(h.ambient, list(Y)) for Y in torus.rows]
+    if space == "h":
+        return [restricted_ad(h, Y) for Y in torus.rows]
+    raise ValueError(f"unknown space {space!r}; expected 'g' or 'h'")
 
 
 def quotient_operators(torus):
@@ -307,34 +336,24 @@ def randomized_dominance_oracle(f, g, samples, seed):
 def _zero_weight_component(torus, v):
     """Component of v (in g-coordinates, v ∈ h) in the zero-weight space of
     the torus acting on h."""
-    h = torus.parent
-    ws = weight_decomposition(torus, "h")
-    coords = express_in_rows([list(r) for r in h.rows], [vec(v)])[0]
-    if coords is None:
+    if express_in_rows([list(r) for r in torus.parent.rows], [vec(v)])[0] \
+            is None:
         return None
+    ws = weight_decomposition(torus, "h")
     all_rows = []
     zero_range = None
-    offset = 0
     for (lam, _), rows in zip(ws.weights, ws.spaces):
-        size = len(rows)
         if all(x == 0 for x in lam):
-            zero_range = (offset, offset + size)
+            zero_range = (len(all_rows), len(all_rows) + len(rows))
         all_rows.extend(list(r) for r in rows)
-        offset += size
     if zero_range is None:
         return None
-    in_blocks = express_in_rows(all_rows, [coords])[0]
+    in_blocks = express_in_rows(all_rows, [vec(v)])[0]
     lo, hi = zero_range
-    comp_h = [F(0)] * h.dim
-    for idx in range(lo, hi):
-        c = in_blocks[idx]
+    out = [F(0)] * torus.ambient.dim
+    for c, row in zip(in_blocks[lo:hi], all_rows[lo:hi]):
         if c != 0:
-            for i, x in enumerate(all_rows[idx]):
-                comp_h[i] += c * x
-    out = [F(0)] * h.ambient.dim
-    for c, hr in zip(comp_h, h.rows):
-        if c != 0:
-            for i, x in enumerate(hr):
+            for i, x in enumerate(row):
                 out[i] += c * x
     return out
 

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exp_nilpotent_oracle, moved_fractions, rref_oracle
-from liepair.algebra import Subspace, ValidationError, ad_matrix
+from liepair.algebra import Subspace, ValidationError, ad_matrix, bracket
 from liepair.catalog import (
     build_fixture,
     construct_from_spec,
+    fixture_names,
     pair_symmetric,
     pair_trivial_h,
 )
@@ -37,7 +38,13 @@ from liepair.checks import (
     run_question,
     verify_certificate,
 )
-from liepair.linalg import integer_rank, integer_row, mat_vec, rank
+from liepair.linalg import (
+    express_in_rows,
+    integer_rank,
+    integer_row,
+    mat_vec,
+    rank,
+)
 from liepair.polyhedral import (
     ConeBudgetExceeded,
     build_arrangement,
@@ -53,6 +60,14 @@ def g_weights(pair):
     return weight_decomposition(pair.torus_g, "g")
 
 
+def zero_weight_dim(ws):
+    return sum(m for lam, m in ws.weights if not any(lam))
+
+
+def in_span(sub, v):
+    return express_in_rows(list(sub.rows), [list(v)])[0] is not None
+
+
 def unit(L, label):
     v = [F(0)] * L.dim
     v[L.basis_labels.index(label)] = F(1)
@@ -63,10 +78,11 @@ def unit(L, label):
 
 def test_minimal_parabolic_sl2_explicit_chamber():
     pair = build_fixture("sl2_split_torus")
-    par = minimal_parabolic(g_weights(pair), xi=[F(1)])
+    ws = g_weights(pair)
+    par = minimal_parabolic(ws, xi=[F(1)])
     expected = Subspace.from_rows(3, [unit(pair.g, "H1"), unit(pair.g, "E12")])
     assert par.subspace == expected
-    assert par.zero_weight_dim == 1
+    assert zero_weight_dim(ws) == 1
 
 
 def test_minimal_parabolic_sl3_upper_triangular():
@@ -85,22 +101,50 @@ def test_minimal_parabolic_generic_is_closed_and_contains_zero_space():
         par = minimal_parabolic(g_weights(pair), seed=0)
         assert par.subspace.dim >= (pair.g.dim + pair.torus_g.rank) // 2
         for row in pair.torus_g.rows:
-            assert par.subspace.contains_vector(list(row))
+            assert in_span(par.subspace, row)
+
+
+LADDER_SPECS = (
+    "torus_pair:sl6", "torus_pair:sp_8", "torus_pair:so_4_4", "torus_pair:sl5",
+    "diagonal_pair:sl5", "direct_sum:sl4:sl2", "torus_pair:sl4",
+    "torus_pair:sl3", "whittaker_nilradical:sl4", "diagonal_pair:sp_4",
+    "diagonal_pair:sl4", "triple_diagonal:sl3")
+
+
+def _parabolic_pairs():
+    """Every catalog base with trivial h, every fixture and every pair of
+    the benchmark ladders, each followed by its complexification."""
+    pairs = [pair_trivial_h(spec) for spec in
+             ("sl2", "sl3", "sl4", "so_2_3", "su_1_2", "sp_4", "sl2C")]
+    pairs += [build_fixture(name) for name in fixture_names()]
+    pairs += [construct_from_spec(spec) for spec in LADDER_SPECS]
+    for pair in pairs:
+        yield pair
+        if pair.complexification is not None:
+            yield pair.complexification
 
 
 def test_minimal_parabolic_well_formed_for_every_catalog_base():
-    # bracket-closed (asserted by construction) and contains the full
-    # zero-weight space, i.e. the centralizer of torus_g
-    for spec in ("sl2", "sl3", "sl4", "so_2_3", "su_1_2", "sp_4", "sl2C"):
-        pair = pair_trivial_h(spec)
+    # bracket-closed, which [g_λ, g_μ] ⊆ g_{λ+μ} proves on a valid algebra
+    # and torus, and contains the full zero-weight space, i.e. the
+    # centralizer of torus_g
+    count = 0
+    for pair in _parabolic_pairs():
         ws = g_weights(pair)
         par = minimal_parabolic(ws, seed=0)
-        for (lam, _), rows in zip(ws.weights, ws.spaces):
-            if all(x == 0 for x in lam):
-                for v in rows:
-                    assert par.subspace.contains_vector(v), spec
-        assert par.subspace.dim == par.zero_weight_dim + \
-            (pair.g.dim - par.zero_weight_dim) // 2, spec
+        rows = [list(r) for r in par.subspace.rows]
+        brackets = [bracket(pair.g, rows[i], rows[j])
+                    for i in range(len(rows)) for j in range(i + 1, len(rows))]
+        assert None not in express_in_rows(rows, brackets), pair.name
+        for (lam, _), space in zip(ws.weights, ws.spaces):
+            if not any(lam):
+                for v in space:
+                    assert in_span(par.subspace, v), pair.name
+        zero = zero_weight_dim(ws)
+        assert par.subspace.dim == zero + (pair.g.dim - zero) // 2, pair.name
+        count += 1
+    # 7 bases, 14 fixtures and 12 ladder pairs; 24 have a complexification
+    assert count == 7 + len(fixture_names()) + len(LADDER_SPECS) + 24
 
 
 def test_minimal_parabolic_compact_base_is_everything():

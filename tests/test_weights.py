@@ -28,7 +28,6 @@ from liepair.weights import (
     RhoFunction,
     WeightSystem,
     _joint_eigensplit,
-    action_operators,
     quotient_weights,
     rho_eval,
     rho_from_weights,
@@ -37,6 +36,7 @@ from liepair.weights import (
 )
 
 from conftest import (
+    action_operators,
     assert_rho_matches_numeric,
     extend_torus_greedily,
     mat_mul,
@@ -217,17 +217,18 @@ TEMPERED_LADDER = ("torus_pair:sl6", "torus_pair:sp_8", "torus_pair:so_4_4",
 
 def test_parse_and_verify_split_each_torus_on_g_once(monkeypatch):
     # machine-independent count of the saving: re-verifying a tempered
-    # report builds no complexification and splits each distinct torus on g
-    # once
-    reports = [report_for_pair(construct_from_spec(spec), ["tempered"])
-               for spec in TEMPERED_LADDER]
+    # report builds no complexification, splits each distinct torus on g
+    # once and splits nothing on h
+    pairs = [construct_from_spec(spec) for spec in TEMPERED_LADDER]
+    reports = [report_for_pair(pair, ["tempered"]) for pair in pairs]
     calls = {"complexify": 0, "g": 0, "h": 0}
+    g_dim = [None]
     split = weights._joint_eigensplit
     complexify_pair = catalog.complexify_pair
 
-    def counting_split(ops, dim, origin="g"):
-        calls[origin] += 1
-        return split(ops, dim, origin)
+    def counting_split(ops, dim):
+        calls["g" if dim == g_dim[0] else "h"] += 1
+        return split(ops, dim)
 
     def counting_complexify(pair):
         calls["complexify"] += 1
@@ -235,13 +236,14 @@ def test_parse_and_verify_split_each_torus_on_g_once(monkeypatch):
 
     monkeypatch.setattr(weights, "_joint_eigensplit", counting_split)
     monkeypatch.setattr(catalog, "complexify_pair", counting_complexify)
-    for rep in reports:
+    for pair, rep in zip(pairs, reports):
+        g_dim[0] = pair.g.dim
         parse_pair_text(rep["pair"]["source"])
         assert [ok for _, ok, _ in verify_report(rep)] == [True]
     # two parses of each report; the four torus pairs have torus_g = torus_h,
-    # the other two have two tori; one split on h per dominance re-check
-    assert calls == {"complexify": 0, "g": 2 * (4 * 1 + 2 * 2),
-                     "h": len(reports)}
+    # the other two have two tori; the dominance re-check reads the weights
+    # on h from the split on g
+    assert calls == {"complexify": 0, "g": 2 * (4 * 1 + 2 * 2), "h": 0}
 
 
 def test_create_splits_a_torus_g_equal_to_torus_h_once(monkeypatch):
@@ -251,13 +253,32 @@ def test_create_splits_a_torus_g_equal_to_torus_h_once(monkeypatch):
     calls = []
     split = weights._joint_eigensplit
     monkeypatch.setattr(weights, "_joint_eigensplit",
-                        lambda ops, dim, origin="g": calls.append(origin)
-                        or split(ops, dim, origin))
+                        lambda ops, dim: calls.append(dim) or split(ops, dim))
     created = Pair.create(pair.g, [list(r) for r in pair.h.rows], rows, rows)
-    assert calls == ["g"]
+    assert calls == [pair.g.dim]
     fresh = validate_torus(rows, whole(pair.g))
     assert created.torus_g == fresh  # parent g and rows
     assert created.torus_g.g_split == fresh.g_split  # weights and spaces
+
+
+@pytest.mark.parametrize("name", fixture_names() + list(TEMPERED_LADDER))
+def test_h_weights_equal_the_split_of_the_restricted_action(name):
+    # the weights on h, read from the split on g, against the joint split
+    # of ad restricted to h, on the pair and on its complexification; the
+    # so(4,4) torus is not diagonal in its basis
+    pair = construct_from_spec(name) if ":" in name else build_fixture(name)
+    for p in (pair, pair.complexification):
+        if p is None:
+            continue
+        ws = weight_decomposition(p.torus_h, "h")
+        oracle = sorted(_joint_eigensplit(action_operators(p.torus_h, "h"),
+                                          p.h.dim))
+        assert ws.weights == tuple((lam, len(rows)) for lam, rows in oracle)
+        h_rows = [list(r) for r in p.h.rows]
+        for (lam, rows), space in zip(oracle, ws.spaces):
+            in_g = [[sum((c * r[i] for c, r in zip(row, h_rows) if c), F(0))
+                     for i in range(p.g.dim)] for row in rows]
+            assert tuple(rref(in_g)[0]) == space, lam
 
 
 def test_create_validates_a_torus_g_that_differs():
@@ -275,11 +296,11 @@ def test_whittaker_build_splits_its_torus_on_g_once(monkeypatch):
     calls = []
     split = weights._joint_eigensplit
     monkeypatch.setattr(weights, "_joint_eigensplit",
-                        lambda ops, dim, origin="g": calls.append(
-                            (origin, len(ops))) or split(ops, dim, origin))
+                        lambda ops, dim: calls.append((dim, len(ops)))
+                        or split(ops, dim))
     pair = construct_from_spec("whittaker_nilradical:so_4_4")
     assert pair.torus_h.rank == 0 and pair.torus_g.rank > 0
-    assert calls == [("g", pair.torus_g.rank), ("g", 0)]
+    assert calls == [(pair.g.dim, pair.torus_g.rank), (pair.g.dim, 0)]
     fresh = validate_torus([list(r) for r in pair.torus_g.rows],
                            whole(pair.g))
     assert pair.torus_g == fresh
