@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one SHA-256 digest per benchmark workload, one for the fixture
-suite and one for `liepair rho`, so that two checkouts can be compared for
-byte-identical output.
+suite, one for `liepair rho` and one for the pair-file parser, so that two
+checkouts can be compared for byte-identical output.
 
 A workload's digest covers, for every job of the workload (as listed in
 `perfbench/workloads.py`) at the first three pass seeds of benchmark run
@@ -11,7 +11,10 @@ fourth digest covers the output and exit code of `liepair fixtures --format
 machine` at seeds 0, 1 and 2.  The last covers the output and exit code of
 `liepair rho --space g|h|g/h` on each shipped `.pair` file and on
 `torus_pair:so_4_4`, each without points and with three points of the rank
-of torus_h.
+of torus_h.  The sixth covers what `parse_pair_text` makes of each shipped
+`.pair` file with one non-blank line deleted, and with one line written
+twice, for every line: the exception's type and message, or else the
+`serialize_pair` text of the pair.
 
 Run from the repository root of each checkout and compare the lines:
     python scripts/report_digest.py
@@ -30,11 +33,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from liepair import report  # noqa: E402
 from liepair.catalog import construct_from_spec  # noqa: E402
 from liepair.cli import main as liepair_main  # noqa: E402
-from liepair.pairfile import parse_pair_file  # noqa: E402
+from liepair.pairfile import (  # noqa: E402
+    parse_pair_file,
+    parse_pair_text,
+    serialize_pair,
+)
 from worker import check_pass, pass_seed  # noqa: E402
 from workloads import WORKLOADS, setup  # noqa: E402
 
 PASSES = 3
+FIXTURE_FILES = sorted((ROOT / "src/liepair/fixtures").glob("*.pair"))
 RHO_FAMILIES = ("torus_pair:so_4_4",)
 COORDINATES = ("1", "1/2", "-3", "2/7", "-5/3", "4")
 
@@ -92,8 +100,7 @@ def _points(rank):
 
 def rho_digest():
     sources = [(["--file", str(path.relative_to(ROOT))], parse_pair_file(path))
-               for path in sorted((ROOT / "src/liepair/fixtures")
-                                  .glob("*.pair"))]
+               for path in FIXTURE_FILES]
     sources += [(["--family", spec], construct_from_spec(spec))
                 for spec in RHO_FAMILIES]
     h = hashlib.sha256()
@@ -108,11 +115,35 @@ def rho_digest():
     return h.hexdigest()
 
 
+def _parse_outcome(text):
+    """The canonical text of the pair parsed from `text`, or the error the
+    parser raised."""
+    try:
+        return serialize_pair(parse_pair_text(text))
+    except Exception as e:  # a parser crash is part of the output
+        return f"{type(e).__name__}: {e}"
+
+
+def parse_digest():
+    h = hashlib.sha256()
+    for path in FIXTURE_FILES:
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            edits = [("doubled", lines[:i + 1] + lines[i:])]
+            if line.strip():
+                edits.append(("deleted", lines[:i] + lines[i + 1:]))
+            for edit, edited in edits:
+                h.update(json.dumps([path.name, i + 1, edit,
+                                     _parse_outcome("".join(edited))]).encode())
+    return h.hexdigest()
+
+
 def main():
     for name in WORKLOADS:
         print(f"{name:24s} {workload_digest(name)}")
     print(f"{'liepair fixtures':24s} {fixture_suite_digest()}")
     print(f"{'liepair rho':24s} {rho_digest()}")
+    print(f"{'pair-file parser':24s} {parse_digest()}")
     return 0
 
 

@@ -13,6 +13,7 @@ computations, not a classification engine.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -21,10 +22,9 @@ from .algebra import (
     LieAlgebra,
     SubalgebraEmbedding,
     ValidationError,
-    bracket,
 )
 from .checks import Expectation, Pair
-from .linalg import ZERO, ONE, express_in_rows, kernel, mat_vec, vec_dot
+from .linalg import ZERO, ONE, express_in_rows, kernel, vec_dot
 from .weights import (
     validate_torus,
     weight_decomposition,
@@ -512,14 +512,8 @@ def pair_symmetric(spec: str, involution="neg_transpose") -> Pair:
                 "negative transpose does not preserve this algebra")
         for i in range(n):
             Theta[i][j] = cv[i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = mat_vec(Theta, bracket(alg, alg.basis_vector(i),
-                                         alg.basis_vector(j)))
-            rhs = bracket(alg, [Theta[k][i] for k in range(n)],
-                          [Theta[k][j] for k in range(n)])
-            if lhs != rhs:
-                raise UnsupportedParams("involution is not an automorphism")
+    # Theta is an automorphism: X -> -X^T is one of gl(m), the realization
+    # is a faithful homomorphism, and its span holds each -M_k^T (see above)
     shifted = [[Theta[i][j] - (ONE if i == j else ZERO) for j in range(n)]
                for i in range(n)]
     h_rows = kernel(shifted, n)
@@ -611,22 +605,22 @@ def pair_sl3_sl2_topleft() -> Pair:
 
 
 FAMILIES = {
-    "sl_n_R": ("n (2..6)", lambda *p: pair_trivial_h(f"sl{p[0]}")),
-    "so_p_q": ("p q (p+q <= 8)", lambda *p: pair_trivial_h(f"so_{p[0]}_{p[1]}")),
-    "su_p_q": ("p q (p+q <= 8)", lambda *p: pair_trivial_h(f"su_{p[0]}_{p[1]}")),
-    "sp_n_R": ("2n (2..8, even)", lambda *p: pair_trivial_h(f"sp_{p[0]}")),
+    "sl_n_R": ("n (2..6)", lambda n: pair_trivial_h(f"sl{n}")),
+    "so_p_q": ("p q (p+q <= 8)", lambda p, q: pair_trivial_h(f"so_{p}_{q}")),
+    "su_p_q": ("p q (p+q <= 8)", lambda p, q: pair_trivial_h(f"su_{p}_{q}")),
+    "sp_n_R": ("2n (2..8, even)", lambda n: pair_trivial_h(f"sp_{n}")),
     "complex_simple_realified": ("base spec, e.g. sl2",
-                                 lambda *p: pair_trivial_h(f"{p[0]}C")),
+                                 lambda spec: pair_trivial_h(f"{spec}C")),
     "direct_sum": ("base specs; h = first summand",
-                   lambda *p: pair_direct_sum(list(p))),
+                   lambda first, *rest: pair_direct_sum([first, *rest])),
     "diagonal_pair": ("base spec; (g+g, diag g)",
-                      lambda *p: pair_diagonal(p[0], 2)),
+                      lambda spec: pair_diagonal(spec, 2)),
     "triple_diagonal": ("base spec; (g+g+g, diag g)",
-                        lambda *p: pair_diagonal(p[0], 3)),
+                        lambda spec: pair_diagonal(spec, 3)),
     "symmetric_pair_fixed_points": ("base spec, involution (neg_transpose)",
-                                    lambda *p: pair_symmetric(*p)),
-    "whittaker_nilradical": ("base spec", lambda *p: pair_whittaker(p[0])),
-    "torus_pair": ("base spec", lambda *p: pair_torus(p[0])),
+                                    pair_symmetric),
+    "whittaker_nilradical": ("base spec", pair_whittaker),
+    "torus_pair": ("base spec", pair_torus),
 }
 
 
@@ -637,10 +631,11 @@ def construct(family: str, params) -> Pair:
         raise UnsupportedParams(f"unknown family {family!r}")
     _, builder = FAMILIES[family]
     try:
-        return builder(*params)
+        inspect.signature(builder).bind(*params)
     except TypeError as e:
         raise UnsupportedParams(
-            f"bad parameters {params!r} for family {family}: {e}") from e
+            f"bad parameters {params!r} for family {family}: {e}") from None
+    return builder(*params)
 
 
 def construct_from_spec(spec: str) -> Pair:

@@ -79,17 +79,25 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
     alg_block = None
     h_rows = []
     torus_rows = {"h": [], "g": []}
-    i = 0
-    n_lines = len(lines)
-    while i < n_lines:
-        lineno = i + 1
-        line = lines[i].split("#", 1)[0].strip()
-        i += 1
+    # None at top level; inside `begin algebra` the _AlgebraBlock being
+    # filled, inside a subalgebra or torus block the list of its rows
+    block = None
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
         if not line:
+            continue
+        if block is not None and line == "end":
+            block = None
             continue
         toks = line.split()
         head = toks[0]
-        if head == "pair":
+        if isinstance(block, list):
+            if head != "row" or len(toks) < 2 or toks[1] != "=":
+                raise _err(lineno, "expected 'row = v1 v2 ...'")
+            block.append(_parse_row(toks[2:], lineno))
+        elif block is not None:
+            _parse_algebra_line(block, toks, line, lineno)
+        elif head == "pair":
             name = line[len("pair"):].strip()
         elif head == "provenance":
             provenance = line[len("provenance"):].strip()
@@ -105,17 +113,20 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
             complexify_auto = True
         elif head == "expect":
             expectations.append(_parse_expect(line, lineno))
+        elif toks[:2] == ["begin", "algebra"]:
+            block = alg_block = _AlgebraBlock()
+        elif toks[:2] == ["begin", "subalgebra"]:
+            block = h_rows = []
+        elif toks[:2] == ["begin", "torus"]:
+            if len(toks) != 3 or toks[2] not in ("h", "g"):
+                raise _err(lineno, "expected 'begin torus h' or 'begin torus g'")
+            block = torus_rows[toks[2]] = []
         elif head == "begin":
-            block, i = _parse_block(lines, i - 1)
-            kind = block["kind"]
-            if kind == "algebra":
-                alg_block = block["algebra"]
-            elif kind == "subalgebra":
-                h_rows = block["rows"]
-            else:
-                torus_rows[block["which"]] = block["rows"]
+            raise _err(lineno, f"unknown block header {' '.join(toks)!r}")
         else:
             raise _err(lineno, f"unknown directive {head!r}")
+    if block is not None:
+        raise _err(len(lines), "unterminated block (missing 'end')")
     if alg_block is None:
         raise ParseError("no algebra block found")
     g = _build_algebra(alg_block)
@@ -203,88 +214,55 @@ def _parse_expect(line, lineno):
                        dimension=dimension, source=source)
 
 
-def _parse_block(lines, start):
-    lineno = start + 1
-    header = lines[start].split("#", 1)[0].strip().split()
-    out = {}
-    if header[:2] == ["begin", "algebra"]:
-        out["kind"] = "algebra"
-        block = _AlgebraBlock()
-    elif header[:2] == ["begin", "subalgebra"]:
-        out["kind"] = "subalgebra"
-        rows = []
-    elif header[:2] == ["begin", "torus"]:
-        if len(header) != 3 or header[2] not in ("h", "g"):
-            raise _err(lineno, "expected 'begin torus h' or 'begin torus g'")
-        out["kind"] = "torus"
-        out["which"] = header[2]
-        rows = []
+def _parse_algebra_line(block, toks, line, lineno):
+    """One directive inside `begin algebra`, into `block`."""
+    head = toks[0]
+    if head == "dim":
+        block.dim = _parse_int(" ".join(toks[1:]), lineno)
+        if block.dim < 0:
+            raise _err(lineno, "dim must be at least 0")
+    elif head == "name":
+        block.name = line[len("name"):].strip()
+    elif head == "labels":
+        block.labels = toks[1:]
+    elif head == "c":
+        if len(toks) < 5 or toks[3] != "=":
+            raise _err(lineno, "expected 'c i j = k:val ...'")
+        ii = _parse_int(toks[1], lineno) - 1
+        jj = _parse_int(toks[2], lineno) - 1
+        if not 0 <= ii < jj:
+            raise _err(lineno, "structure constants need 1 <= i < j")
+        entry = {}
+        for tok in toks[4:]:
+            k, _, v = tok.partition(":")
+            k = _parse_int(k, lineno) - 1
+            if k in entry:
+                raise _err(lineno, f"target {k + 1} given twice")
+            entry[k] = _parse_fraction(v, lineno)
+        _put_once(block.constants, (ii, jj), lineno, entry,
+                  f"c {ii + 1} {jj + 1}")
+    elif head == "matsize":
+        block.matsize = _parse_int(" ".join(toks[1:]), lineno)
+        if block.matsize < 1:
+            raise _err(lineno, "matsize must be at least 1")
+    elif head == "matrix":
+        if len(toks) < 3 or toks[2] != "=":
+            raise _err(lineno, "expected 'matrix i = entries...'")
+        k = _parse_int(toks[1], lineno) - 1
+        _put_once(block.matrices, k, lineno, _parse_row(toks[3:], lineno),
+                  f"matrix {k + 1}")
+    elif head == "complex":
+        if len(toks) < 3 or toks[2] != "=":
+            raise _err(lineno, "expected 'complex i = entries...'")
+        k = _parse_int(toks[1], lineno) - 1
+        _put_once(block.complex_rows, k, lineno,
+                  _parse_row(toks[3:], lineno), f"complex {k + 1}")
+    elif head == "cartan-compact":
+        if toks[1:2] != ["="]:
+            raise _err(lineno, "expected 'cartan-compact = v1 v2 ...'")
+        block.cartan_compact.append((lineno, _parse_row(toks[2:], lineno)))
     else:
-        raise _err(lineno, f"unknown block header {' '.join(header)!r}")
-    i = start + 1
-    while i < len(lines):
-        lineno = i + 1
-        line = lines[i].split("#", 1)[0].strip()
-        i += 1
-        if not line:
-            continue
-        if line == "end":
-            if out["kind"] == "algebra":
-                out["algebra"] = block
-            else:
-                out["rows"] = rows
-            return out, i
-        toks = line.split()
-        if out["kind"] in ("subalgebra", "torus"):
-            if toks[0] != "row" or len(toks) < 2 or toks[1] != "=":
-                raise _err(lineno, "expected 'row = v1 v2 ...'")
-            rows.append(_parse_row(toks[2:], lineno))
-            continue
-        head = toks[0]
-        if head == "dim":
-            block.dim = _parse_int(" ".join(toks[1:]), lineno)
-        elif head == "name":
-            block.name = line[len("name"):].strip()
-        elif head == "labels":
-            block.labels = toks[1:]
-        elif head == "c":
-            if len(toks) < 5 or toks[3] != "=":
-                raise _err(lineno, "expected 'c i j = k:val ...'")
-            ii = _parse_int(toks[1], lineno) - 1
-            jj = _parse_int(toks[2], lineno) - 1
-            if not 0 <= ii < jj:
-                raise _err(lineno, "structure constants need 1 <= i < j")
-            entry = {}
-            for tok in toks[4:]:
-                k, _, v = tok.partition(":")
-                k = _parse_int(k, lineno) - 1
-                if k in entry:
-                    raise _err(lineno, f"target {k + 1} given twice")
-                entry[k] = _parse_fraction(v, lineno)
-            _put_once(block.constants, (ii, jj), lineno, entry,
-                      f"c {ii + 1} {jj + 1}")
-        elif head == "matsize":
-            block.matsize = _parse_int(" ".join(toks[1:]), lineno)
-        elif head == "matrix":
-            if len(toks) < 3 or toks[2] != "=":
-                raise _err(lineno, "expected 'matrix i = entries...'")
-            k = _parse_int(toks[1], lineno) - 1
-            _put_once(block.matrices, k, lineno, _parse_row(toks[3:], lineno),
-                      f"matrix {k + 1}")
-        elif head == "complex":
-            if len(toks) < 3 or toks[2] != "=":
-                raise _err(lineno, "expected 'complex i = entries...'")
-            k = _parse_int(toks[1], lineno) - 1
-            _put_once(block.complex_rows, k, lineno,
-                      _parse_row(toks[3:], lineno), f"complex {k + 1}")
-        elif head == "cartan-compact":
-            if toks[1:2] != ["="]:
-                raise _err(lineno, "expected 'cartan-compact = v1 v2 ...'")
-            block.cartan_compact.append(
-                (lineno, _parse_row(toks[2:], lineno)))
-        else:
-            raise _err(lineno, f"unknown algebra directive {head!r}")
-    raise _err(len(lines), "unterminated block (missing 'end')")
+        raise _err(lineno, f"unknown algebra directive {head!r}")
 
 
 def _put_once(table, key, lineno, value, what):
@@ -375,23 +353,12 @@ def serialize_pair(pair: Pair) -> str:
             out.append(f"complex {i + 1} = {' '.join(str(x) for x in row)}")
     for row in pair.compact_cartan_rows or ():
         out.append(f"cartan-compact = {' '.join(str(x) for x in row)}")
-    out.append("end")
-    out.append("")
-    out.append("begin subalgebra h")
-    for row in pair.h.rows:
-        out.append(f"row = {' '.join(str(x) for x in row)}")
-    out.append("end")
-    out.append("")
-    out.append("begin torus h")
-    for row in pair.torus_h.rows:
-        out.append(f"row = {' '.join(str(x) for x in row)}")
-    out.append("end")
-    out.append("")
-    out.append("begin torus g")
-    for row in pair.torus_g.rows:
-        out.append(f"row = {' '.join(str(x) for x in row)}")
-    out.append("end")
-    out.append("")
+    out += ["end", ""]
+    for header, sub in (("subalgebra h", pair.h), ("torus h", pair.torus_h),
+                        ("torus g", pair.torus_g)):
+        out.append(f"begin {header}")
+        out.extend(f"row = {' '.join(str(x) for x in row)}" for row in sub.rows)
+        out += ["end", ""]
     if pair.compact_cartan_rows is not None:
         out.append("complexify auto")
     for e in pair.expectations:

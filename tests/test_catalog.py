@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepair.algebra import SubalgebraEmbedding, validate
+from liepair.algebra import SubalgebraEmbedding, bracket, validate
 from liepair.catalog import (
     UnsupportedParams,
     base_algebra,
@@ -16,6 +16,8 @@ from liepair.catalog import (
     so_p_q,
     su_p_q,
 )
+from liepair.linalg import express_in_rows
+from liepair.linalg import rank as mrank
 from liepair.pairfile import parse_pair_text, serialize_pair
 from liepair.weights import validate_torus
 
@@ -25,8 +27,6 @@ F = Fraction
 
 
 def killing_det_nonzero(alg):
-    from liepair.linalg import rank as mrank
-
     K = killing_form_matrix(alg)
     return mrank(K) == alg.dim
 
@@ -130,6 +130,33 @@ def test_symmetric_sl3_fixed_points_is_so3():
         M = [[sum(c * mats[k][i][j] for k, c in enumerate(row))
               for j in range(3)] for i in range(3)]
         assert all(M[i][j] == -M[j][i] for i in range(3) for j in range(3))
+
+
+@pytest.mark.parametrize("spec", ["sl2", "sl3", "sl4", "so_2_3", "so_4_4",
+                                  "su_1_2", "sp_4", "sl2C", "sl3C"])
+def test_negative_transpose_is_an_automorphism(spec):
+    # Θ[e_i, e_j] = [Θe_i, Θe_j] on every basis pair, so pair_symmetric
+    # needs no check of its own: X -> -X^T is an automorphism of gl(m), and
+    # the realization is a faithful homomorphism whose span holds -M_k^T
+    alg = base_algebra(spec).algebra
+    mats = alg.matrix_realization
+    theta = express_in_rows([[x for row in M for x in row] for M in mats],
+                            [[-x for col in zip(*M) for x in col]
+                             for M in mats])
+    n = alg.dim
+
+    def apply(v):
+        return [sum(v[j] * theta[j][k] for j in range(n)) for k in range(n)]
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert apply(bracket(alg, alg.basis_vector(i),
+                                 alg.basis_vector(j))) == \
+                bracket(alg, theta[i], theta[j]), (spec, i, j)
+    h = pair_symmetric(spec).h
+    assert all(apply(row) == list(row) for row in h.rows)
+    assert h.dim == n - mrank([[theta[i][k] - (i == k) for k in range(n)]
+                               for i in range(n)])
 
 
 def test_designated_tori_are_pool_maximal():

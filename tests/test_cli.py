@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import liepair
-from liepair.catalog import construct_from_spec, fixtures_dir
+from liepair.catalog import FAMILIES, construct_from_spec, fixtures_dir
 from liepair.cli import main
 from liepair.pairfile import serialize_pair
 
@@ -62,6 +62,32 @@ def test_check_requires_source(capsys):
 def test_unknown_family_exits_2(capsys):
     code, _, err = run(capsys, "check", "--family", "nope:sl2")
     assert code == 2 and "unknown family" in err
+
+
+# one parameter too few for every family, and one too many for every family
+# that takes a fixed number of them
+WRONG_PARAMETER_COUNTS = [
+    "sl_n_R", "sl_n_R:2:3", "so_p_q:2", "so_p_q:1:2:3", "su_p_q:1",
+    "su_p_q:1:1:1", "sp_n_R", "sp_n_R:2:4", "complex_simple_realified",
+    "complex_simple_realified:sl2:sl2", "direct_sum", "diagonal_pair",
+    "diagonal_pair:sl2:extra", "triple_diagonal", "triple_diagonal:sl2:sl2",
+    "symmetric_pair_fixed_points",
+    "symmetric_pair_fixed_points:sl2:neg_transpose:extra",
+    "whittaker_nilradical", "whittaker_nilradical:sl3:sl3", "torus_pair",
+    "torus_pair:sl2:sl2"]
+
+
+def test_wrong_parameter_counts_cover_every_family():
+    assert {spec.split(":")[0] for spec in WRONG_PARAMETER_COUNTS} \
+        == set(FAMILIES)
+
+
+@pytest.mark.parametrize("spec", WRONG_PARAMETER_COUNTS)
+def test_wrong_parameter_count_exits_2(capsys, spec):
+    code, out, err = run(capsys, "check", "--family", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad parameters ")
+    assert f" for family {spec.split(':')[0]}: " in err
 
 
 def test_unknown_question_exits_2(capsys):

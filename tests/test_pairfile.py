@@ -105,8 +105,10 @@ def test_structure_constants_require_upper_triangle():
     ("c 2 3 = 1:1", "c 2 3 = x:1"),
     ("c 2 3 = 1:1", "c 2 3 = 1:1\nmatsize x"),
     ("c 2 3 = 1:1", "c 2 3 = 1:1\nmatsize 2\nmatrix x = 1 0 0 -1"),
+    ("dim 3", "dim -2"),
+    ("c 2 3 = 1:1", "c 2 3 = 1:1\nmatsize 0"),
 ], ids=["target-above-dim", "target-zero", "dim", "c-index", "c-target",
-        "matsize", "matrix-index"])
+        "matsize", "matrix-index", "dim-negative", "matsize-zero"])
 def test_bad_index_or_integer_is_a_parse_error_with_line(old, new):
     bad = SL2_TORUS_FILE.replace(old, new)
     assert bad != SL2_TORUS_FILE
@@ -210,13 +212,19 @@ def test_subalgebra_closure_violation_names_rows():
 
 def test_unterminated_block():
     bad = SL2_TORUS_FILE.split("begin torus g")[0] + "begin torus g\nrow = 1 0 0\n"
-    with pytest.raises(ParseError, match="unterminated"):
+    last = len(bad.splitlines())
+    with pytest.raises(ParseError, match=rf"^line {last}: unterminated"):
         parse_pair_text(bad)
 
 
 def test_unknown_directive_rejected():
     with pytest.raises(ParseError, match="unknown directive"):
         parse_pair_text("frobnicate 7\n" + SL2_TORUS_FILE)
+
+
+def test_end_outside_a_block_is_an_unknown_directive():
+    with pytest.raises(ParseError, match="^line 1: unknown directive 'end'"):
+        parse_pair_text("end\n" + SL2_TORUS_FILE)
 
 
 def test_matrix_realization_mismatch_rejected():
