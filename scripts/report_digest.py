@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Print one SHA-256 digest per benchmark workload, one for the fixture
-suite, one for `liepair rho` and one for the pair-file parser, so that two
+suite, one for `liepair rho` and two for the pair-file parser, so that two
 checkouts can be compared for byte-identical output.
 
 A workload's digest covers, for every job of the workload (as listed in
@@ -8,13 +8,16 @@ A workload's digest covers, for every job of the workload (as listed in
 seed 0, the machine report that `liepair check --format machine` writes and
 the (question, ok, detail) results of `report.verify_report` on it.  The
 fourth digest covers the output and exit code of `liepair fixtures --format
-machine` at seeds 0, 1 and 2.  The last covers the output and exit code of
+machine` at seeds 0, 1 and 2.  The fifth covers the output and exit code of
 `liepair rho --space g|h|g/h` on each shipped `.pair` file and on
 `torus_pair:so_4_4`, each without points and with three points of the rank
 of torus_h.  The sixth covers what `parse_pair_text` makes of each shipped
 `.pair` file with one non-blank line deleted, and with one line written
 twice, for every line: the exception's type and message, or else the
-`serialize_pair` text of the pair.
+`serialize_pair` text of the pair.  The seventh covers the same for each
+shipped `.pair` file with one entry of one `c`, `matrix` or `row` line
+incremented by 1, for every such entry (of a `c` line, the coefficient
+after the colon).
 
 Run from the repository root of each checkout and compare the lines:
     python scripts/report_digest.py
@@ -26,6 +29,7 @@ import io
 import json
 import pathlib
 import sys
+from fractions import Fraction
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -138,12 +142,41 @@ def parse_digest():
     return h.hexdigest()
 
 
+# the first entry of each line kind that may be incremented
+ENTRY_START = {"c": 4, "matrix": 3, "row": 2}
+
+
+def _incremented(tok):
+    """The token with its value incremented by 1; of a `c` entry `k:v`, v."""
+    target, colon, value = tok.rpartition(":")
+    return f"{target}{colon}{Fraction(value.replace('−', '-')) + 1}"
+
+
+def entry_edit_digest():
+    h = hashlib.sha256()
+    for path in FIXTURE_FILES:
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            toks = line.split()
+            start = ENTRY_START.get(toks[0]) if toks else None
+            if start is None:
+                continue
+            for t in range(start, len(toks)):
+                edited = " ".join(toks[:t] + [_incremented(toks[t])]
+                                  + toks[t + 1:]) + "\n"
+                text = "".join(lines[:i] + [edited] + lines[i + 1:])
+                h.update(json.dumps([path.name, i + 1, t,
+                                     _parse_outcome(text)]).encode())
+    return h.hexdigest()
+
+
 def main():
     for name in WORKLOADS:
         print(f"{name:24s} {workload_digest(name)}")
     print(f"{'liepair fixtures':24s} {fixture_suite_digest()}")
     print(f"{'liepair rho':24s} {rho_digest()}")
     print(f"{'pair-file parser':24s} {parse_digest()}")
+    print(f"{'pair-file entries':24s} {entry_edit_digest()}")
     return 0
 
 

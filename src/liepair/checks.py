@@ -39,7 +39,7 @@ from .algebra import (
 )
 from .linalg import (
     ZERO,
-    express_in_rows,
+    first_outside_span,
     frac,
     integer_echelon,
     integer_rank,
@@ -170,8 +170,9 @@ class Pair:
         else:
             torus_g = validate_torus(torus_g_rows, whole)
         if complex_structure is not None:
-            images = [mat_vec(complex_structure, r) for r in h.rows]
-            if None in express_in_rows(list(h.rows), images):
+            images = [integer_row(mat_vec(complex_structure, r))[0]
+                      for r in h.rows]
+            if first_outside_span(h.echelon, images) is not None:
                 raise ValidationError("subalgebra is not stable under the "
                                       "complex structure")
         return cls(g=g, h=h, torus_h=torus_h, torus_g=torus_g,

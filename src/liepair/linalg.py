@@ -14,6 +14,8 @@ row above a pivot, builds no Fraction, and returns the pivot rows, an
 echelon basis of the span; `integer_rank` counts them.  The word searches,
 whose rows are already integers, use both: a question reduces its fixed
 rows to an echelon basis once, and ranks each word's moved rows with it.
+`first_outside_span` tests integer rows for membership in the span of such
+an echelon basis; pair validation uses it in place of solving.
 `rank` stays `len(rref(rows)[0])`, a thin wrapper over the one traced
 reduction, so a benchmark trace of it still shows its rref child span.
 
@@ -66,11 +68,16 @@ def frac(x) -> Fraction:
 
 
 def vec(entries) -> list:
-    return [frac(x) for x in entries]
+    return [x if type(x) is Fraction else frac(x) for x in entries]
 
 
 def identity_rows(n):
-    return [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
+    rows = []
+    for i in range(n):
+        row = [ZERO] * n
+        row[i] = ONE
+        rows.append(tuple(row))
+    return rows
 
 
 def mat_vec(A, v):
@@ -91,9 +98,10 @@ def is_zero_vec(u):
 
 def integer_row(row):
     """(ints, den) with row = ints / den, where den is the lcm of the
-    denominators of the row's entries."""
-    ratios = [(x if type(x) is Fraction else frac(x)).as_integer_ratio()
-              for x in row]
+    denominators of the row's entries, which are ints, Fractions or what
+    `frac` reads."""
+    ratios = [x.as_integer_ratio() if type(x) is Fraction or type(x) is int
+              else frac(x).as_integer_ratio() for x in row]
     den = lcm(*[d for _, d in ratios])
     if den == 1:
         return [n for n, _ in ratios], 1
@@ -186,6 +194,35 @@ def integer_rank(int_rows) -> int:
     """Rank over ℚ of rows of ints, the length of their integer_echelon;
     equal to rank(int_rows)."""
     return len(integer_echelon(int_rows))
+
+
+def first_outside_span(echelon, int_rows):
+    """The index of the first of `int_rows` outside the span over ℚ of the
+    rows `echelon`, an integer_echelon, or None when every row lies in it;
+    rows after the first outside one are not read.  A row is reduced by
+    each echelon row in turn at that row's leading column, over the echelon
+    row's nonzero entries; it lies in the span exactly when nothing is
+    left."""
+    reducers = []
+    for erow in echelon:
+        nonzero = [(c, x) for c, x in enumerate(erow) if x]
+        reducers.append((nonzero[0][0], nonzero[0][1], nonzero))
+    for index, row in enumerate(int_rows):
+        if not any(row):
+            continue
+        row = list(row)
+        for c, p, nonzero in reducers:
+            f = row[c]
+            if f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                if a != 1:
+                    row = [a * x for x in row]
+                for col, y in nonzero:
+                    row[col] -= b * y
+        if any(row):
+            return index
+    return None
 
 
 def _integer_kernel(m, width):
@@ -522,9 +559,30 @@ def eigensplit(A):
     if is_diagonal(A):
         return coordinate_split([A[i][i] for i in range(n)])
     M, d = _integer_matrix(A)
+    found = _integer_eigenspaces(M, d)
+    if found is not None:
+        return sorted((lam, _canonical_rows(rows, piv))
+                      for lam, (rows, piv) in found.items())
+    coeffs = charpoly(A)
+    if _rational_root_count(coeffs, d) < n:
+        raise IrrationalSpectrumError(
+            "matrix has non-rational eigenvalues; characteristic polynomial "
+            f"{poly_str(coeffs)}", coeffs)
+    raise NotDiagonalizableError(
+        "matrix has rational spectrum but is not diagonalizable; "
+        f"characteristic polynomial {poly_str(coeffs)}", coeffs)
+
+
+def _integer_eigenspaces(M, d):
+    """The eigenspaces of A = M/d, M a non-empty integer matrix, as
+    {eigenvalue: (rows, pivots)}, each space as reduced integer rows
+    proportional to its canonical rows and their pivot columns (the form of
+    _integer_kernel); None when they do not fill ℚⁿ.  This is eigensplit's
+    search, which its docstring describes."""
+    n = len(M)
     sparse = [[(c, x) for c, x in enumerate(row) if x] for row in M]
     found, new_rows, spanned = {}, [], []
-    while sum(len(rows) for rows in found.values()) < n:
+    while sum(len(rows) for rows, _ in found.values()) < n:
         spanned = integer_echelon(spanned + new_rows)
         leads = {next(c for c, x in enumerate(row) if x) for row in spanned}
         j = next(c for c in range(n) if c not in leads)
@@ -536,17 +594,8 @@ def eigensplit(A):
             for i in range(n):
                 shifted[i][i] -= mu
             rows, piv = _integer_kernel(shifted, n)
-            found[Fraction(mu, d)] = _canonical_rows(rows, piv)
+            found[Fraction(mu, d)] = rows, piv
             new_rows += rows
         if not new_rows:
-            break
-    else:
-        return sorted(found.items())
-    coeffs = charpoly(A)
-    if _rational_root_count(coeffs, d) < n:
-        raise IrrationalSpectrumError(
-            "matrix has non-rational eigenvalues; characteristic polynomial "
-            f"{poly_str(coeffs)}", coeffs)
-    raise NotDiagonalizableError(
-        "matrix has rational spectrum but is not diagonalizable; "
-        f"characteristic polynomial {poly_str(coeffs)}", coeffs)
+            return None
+    return found

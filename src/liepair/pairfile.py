@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .algebra import LieAlgebra, ValidationError, validate
-from .checks import Expectation, Pair
+from .checks import OUTCOMES, QUESTIONS, Expectation, Pair
 from .linalg import ZERO, ONE, frac
 
 
@@ -50,8 +50,18 @@ def _parse_int(tok, lineno):
         raise _err(lineno, f"bad integer {tok!r}") from None
 
 
-def _parse_row(toks, lineno):
-    return [_parse_fraction(t, lineno) for t in toks]
+def _parse_row(toks, lineno, numbers):
+    """The values of a row's tokens.  `numbers` maps every token already
+    parsed in this text to its value, so each distinct token is parsed
+    once per text."""
+    try:
+        return [numbers[t] for t in toks]
+    except KeyError:
+        pass
+    for t in toks:
+        if t not in numbers:
+            numbers[t] = _parse_fraction(t, lineno)
+    return [numbers[t] for t in toks]
 
 
 class _AlgebraBlock:
@@ -82,6 +92,7 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
     # None at top level; inside `begin algebra` the _AlgebraBlock being
     # filled, inside a subalgebra or torus block the list of its rows
     block = None
+    numbers = {}  # token -> Fraction, see _parse_row
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -94,9 +105,9 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
         if isinstance(block, list):
             if head != "row" or len(toks) < 2 or toks[1] != "=":
                 raise _err(lineno, "expected 'row = v1 v2 ...'")
-            block.append(_parse_row(toks[2:], lineno))
+            block.append(_parse_row(toks[2:], lineno, numbers))
         elif block is not None:
-            _parse_algebra_line(block, toks, line, lineno)
+            _parse_algebra_line(block, toks, line, lineno, numbers)
         elif head == "pair":
             name = line[len("pair"):].strip()
         elif head == "provenance":
@@ -189,6 +200,11 @@ def _parse_expect(line, lineno):
     if len(toks) < 3:
         raise _err(lineno, "expect needs a question and an outcome")
     question, outcome = toks[1], toks[2]
+    for word, kind, allowed in ((question, "question", QUESTIONS),
+                                (outcome, "outcome", OUTCOMES)):
+        if word not in allowed:
+            raise _err(lineno, f"unknown {kind} {word!r}; expected one of "
+                       f"{', '.join(allowed)}")
     margin = None
     dimension = None
     source = ""
@@ -214,8 +230,9 @@ def _parse_expect(line, lineno):
                        dimension=dimension, source=source)
 
 
-def _parse_algebra_line(block, toks, line, lineno):
-    """One directive inside `begin algebra`, into `block`."""
+def _parse_algebra_line(block, toks, line, lineno, numbers):
+    """One directive inside `begin algebra`, into `block`; `numbers` as in
+    _parse_row."""
     head = toks[0]
     if head == "dim":
         block.dim = _parse_int(" ".join(toks[1:]), lineno)
@@ -238,7 +255,10 @@ def _parse_algebra_line(block, toks, line, lineno):
             k = _parse_int(k, lineno) - 1
             if k in entry:
                 raise _err(lineno, f"target {k + 1} given twice")
-            entry[k] = _parse_fraction(v, lineno)
+            value = numbers.get(v)
+            if value is None:
+                value = numbers[v] = _parse_fraction(v, lineno)
+            entry[k] = value
         _put_once(block.constants, (ii, jj), lineno, entry,
                   f"c {ii + 1} {jj + 1}")
     elif head == "matsize":
@@ -249,18 +269,19 @@ def _parse_algebra_line(block, toks, line, lineno):
         if len(toks) < 3 or toks[2] != "=":
             raise _err(lineno, "expected 'matrix i = entries...'")
         k = _parse_int(toks[1], lineno) - 1
-        _put_once(block.matrices, k, lineno, _parse_row(toks[3:], lineno),
-                  f"matrix {k + 1}")
+        _put_once(block.matrices, k, lineno,
+                  _parse_row(toks[3:], lineno, numbers), f"matrix {k + 1}")
     elif head == "complex":
         if len(toks) < 3 or toks[2] != "=":
             raise _err(lineno, "expected 'complex i = entries...'")
         k = _parse_int(toks[1], lineno) - 1
         _put_once(block.complex_rows, k, lineno,
-                  _parse_row(toks[3:], lineno), f"complex {k + 1}")
+                  _parse_row(toks[3:], lineno, numbers), f"complex {k + 1}")
     elif head == "cartan-compact":
         if toks[1:2] != ["="]:
             raise _err(lineno, "expected 'cartan-compact = v1 v2 ...'")
-        block.cartan_compact.append((lineno, _parse_row(toks[2:], lineno)))
+        block.cartan_compact.append(
+            (lineno, _parse_row(toks[2:], lineno, numbers)))
     else:
         raise _err(lineno, f"unknown algebra directive {head!r}")
 

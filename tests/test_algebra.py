@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liepair import algebra
 from liepair.algebra import (
     LieAlgebra,
     SubalgebraEmbedding,
@@ -18,6 +19,8 @@ from liepair.algebra import (
     validate,
 )
 from liepair.linalg import is_zero_vec
+
+from liepair.catalog import construct_from_spec
 
 from conftest import commutator, mat_sl
 
@@ -126,6 +129,32 @@ def test_validate_detects_perturbed_realization(sl2):
         rep = validate(bad)
         assert not rep.ok
         assert any("realization" in p for p in rep.problems)
+
+
+def test_realization_check_forms_only_the_brackets_it_cannot_skip(
+        monkeypatch):
+    # machine-independent count: a basis pair with no stored bracket is
+    # skipped when no nonzero column of either matrix meets a nonzero row
+    # of the other; in (sl5 + sl5)/diag that is 870 of the 1128 pairs
+    g = construct_from_spec("diagonal_pair:sl5").g
+    mats = g.matrix_realization
+    m = len(mats[0])
+
+    def meets(A, B):
+        return any(A[a][k] and B[k][b]
+                   for a in range(m) for k in range(m) for b in range(m))
+
+    needed = [(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)
+              if g.sparse[i][j] or meets(mats[i], mats[j])
+              or meets(mats[j], mats[i])]
+    formed = []
+    bracket_of = algebra._matrix_bracket
+    monkeypatch.setattr(algebra, "_matrix_bracket",
+                        lambda A, B, size: formed.append(1)
+                        or bracket_of(A, B, size))
+    assert validate(g).ok
+    assert len(formed) == len(needed) == 258
+    assert g.dim * (g.dim - 1) // 2 == 1128
 
 
 def test_validate_rejects_an_unfaithful_realization():

@@ -54,6 +54,19 @@ def test_check_from_file(tmp_path, capsys):
     assert rep["verdicts"][0]["outcome"] == "yes_certified"
 
 
+def test_check_file_with_an_unknown_expect_question_exits_2(tmp_path, capsys):
+    text = (fixtures_dir() / "sl2_split_torus.pair").read_text()
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("expect "))
+    lines[at] = "expect frobnicate maybe margin=1"
+    src = tmp_path / "bad_expect.pair"
+    src.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "check", "--file", str(src),
+                         "--questions", "tempered")
+    assert code == 2 and out == ""
+    assert f"line {at + 1}: unknown question 'frobnicate'" in err
+
+
 def test_check_requires_source(capsys):
     code, _, err = run(capsys, "check")
     assert code == 2 and "required" in err

@@ -18,6 +18,7 @@ from liepair.linalg import (
     charpoly,
     eigensplit,
     express_in_rows,
+    first_outside_span,
     frac,
     integer_echelon,
     integer_rank,
@@ -408,6 +409,37 @@ def test_integer_echelon_spans_its_rows_in_echelon_form(rows, data):
     more = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=width,
                                        max_size=width), max_size=4))
     assert integer_rank(echelon + more) == integer_rank(rows + more)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rank_input(), st.data())
+def test_first_outside_span_agrees_with_express_in_rows(rows, data):
+    # targets inside the span (integer combinations of the rows) mixed with
+    # arbitrary ones; the first index outside is the first None
+    width = len(rows[0]) if rows else data.draw(st.integers(0, 5))
+    combination = st.lists(st.integers(-3, 3), min_size=len(rows),
+                           max_size=len(rows)).map(
+        lambda c: [sum(a * r[i] for a, r in zip(c, rows))
+                   for i in range(width)])
+    anything = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    targets = data.draw(st.lists(st.one_of(combination, anything),
+                                 max_size=6))
+    before = [list(t) for t in targets]
+    coords = express_in_rows(rows, targets)
+    want = next((i for i, c in enumerate(coords) if c is None), None)
+    assert first_outside_span(integer_echelon(rows), targets) == want
+    assert targets == before  # the rows are not mutated
+
+
+def test_first_outside_span_reads_no_row_after_the_first_outside():
+    def rows():
+        yield [4, 0, 2]
+        yield [0, 1, 0]
+        raise AssertionError("read a row after the first outside one")
+
+    assert first_outside_span(integer_echelon([[2, 0, 1]]), rows()) == 1
+    assert first_outside_span([], [[0, 0], [0, 0]]) is None
+    assert first_outside_span([], [[0, 0], [0, 3]]) == 1
 
 
 def test_integer_rank_edge_shapes():

@@ -183,6 +183,48 @@ def test_mutated_fixture_parses_or_fails_cleanly(name, data):
         pass
 
 
+@pytest.mark.parametrize("line,message", [
+    ("expect frobnicate maybe", "unknown question 'frobnicate'"),
+    ("expect tempered maybe margin=1", "unknown outcome 'maybe'"),
+    ("expect tempered_ yes_certified", "unknown question 'tempered_'"),
+])
+def test_expect_line_outside_the_grammar_is_a_parse_error(line, message):
+    text = SL2_TORUS_FILE + line + "\n"
+    lineno = len(text.splitlines())
+    with pytest.raises(ParseError, match=rf"^line {lineno}: {message}; "
+                       "expected one of "):
+        parse_pair_text(text)
+
+
+# [e_1, e_2] = e_1 is a Lie algebra, but its realization by the diagonal
+# units E_11 and E_22 is abelian: neither product of the two is nonzero
+DISJOINT_REALIZATION = """
+begin algebra g
+dim 2
+c 1 2 = 1:1
+matsize 2
+matrix 1 = 1 0 0 0
+matrix 2 = 0 0 0 1
+end
+begin subalgebra h
+end
+begin torus h
+end
+begin torus g
+end
+"""
+
+
+def test_bracket_of_matrices_with_disjoint_supports_is_checked():
+    # both products vanish, so only the stored bracket can be wrong
+    with pytest.raises(ValidationError, match=(
+            r"^algebra invalid: matrix realization disagrees with structure "
+            r"constants at basis pair \(1, 2\)$")):
+        parse_pair_text(DISJOINT_REALIZATION)
+    abelian = parse_pair_text(DISJOINT_REALIZATION.replace("c 1 2 = 1:1\n", ""))
+    assert abelian.g.sparse == (((), ()), ((), ()))
+
+
 def test_unfaithful_realization_rejected():
     # [e1, e2] = e3 and [e1, e3] = e1 break Jacobi; 25 zero matrices of
     # size 1 "realize" any structure constants, so faithfulness is checked

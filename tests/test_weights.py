@@ -221,20 +221,26 @@ def test_parse_and_verify_split_each_torus_on_g_once(monkeypatch):
     # once and splits nothing on h
     pairs = [construct_from_spec(spec) for spec in TEMPERED_LADDER]
     reports = [report_for_pair(pair, ["tempered"]) for pair in pairs]
-    calls = {"complexify": 0, "g": 0, "h": 0}
+    calls = {"complexify": 0, "g": 0, "h": 0, "dense on g": 0}
     g_dim = [None]
-    split = weights._joint_eigensplit
+    split = weights._torus_split
+    joint = weights._joint_eigensplit
     complexify_pair = catalog.complexify_pair
 
-    def counting_split(ops, dim):
-        calls["g" if dim == g_dim[0] else "h"] += 1
-        return split(ops, dim)
+    def counting_split(g, rows):
+        calls["g" if g.dim == g_dim[0] else "h"] += 1
+        return split(g, rows)
+
+    def counting_joint(ops, dim):
+        calls["dense on g" if dim == g_dim[0] else "h"] += 1
+        return joint(ops, dim)
 
     def counting_complexify(pair):
         calls["complexify"] += 1
         return complexify_pair(pair)
 
-    monkeypatch.setattr(weights, "_joint_eigensplit", counting_split)
+    monkeypatch.setattr(weights, "_torus_split", counting_split)
+    monkeypatch.setattr(weights, "_joint_eigensplit", counting_joint)
     monkeypatch.setattr(catalog, "complexify_pair", counting_complexify)
     for pair, rep in zip(pairs, reports):
         g_dim[0] = pair.g.dim
@@ -242,8 +248,26 @@ def test_parse_and_verify_split_each_torus_on_g_once(monkeypatch):
         assert [ok for _, ok, _ in verify_report(rep)] == [True]
     # two parses of each report; the four torus pairs have torus_g = torus_h,
     # the other two have two tori; the dominance re-check reads the weights
-    # on h from the split on g
-    assert calls == {"complexify": 0, "g": 2 * (4 * 1 + 2 * 2), "h": 0}
+    # on h from the split on g; only so(4,4)'s torus is not diagonal in its
+    # basis, so only its split builds and splits dense operators
+    assert calls == {"complexify": 0, "g": 2 * (4 * 1 + 2 * 2), "h": 0,
+                     "dense on g": 2 * 1}
+
+
+def test_reverify_builds_ad_matrices_only_for_a_non_diagonal_torus(
+        monkeypatch):
+    # machine-independent count: a torus whose ad(Y) are diagonal in g's
+    # basis is split from the structure constants; only so(4,4)'s torus is
+    # not, and its four ad matrices are built once per parse
+    pairs = [construct_from_spec(spec) for spec in TEMPERED_LADDER]
+    reports = [report_for_pair(pair, ["tempered"]) for pair in pairs]
+    built = []
+    ad_matrix = weights.ad_matrix
+    monkeypatch.setattr(weights, "ad_matrix",
+                        lambda g, y: built.append(g.name) or ad_matrix(g, y))
+    for rep in reports:
+        assert [ok for _, ok, _ in verify_report(rep)] == [True]
+    assert built == ["so(4,4)"] * 4
 
 
 def test_create_splits_a_torus_g_equal_to_torus_h_once(monkeypatch):
@@ -251,9 +275,9 @@ def test_create_splits_a_torus_g_equal_to_torus_h_once(monkeypatch):
     rows = [list(r) for r in pair.torus_h.rows]
     assert pair.torus_g.rows == pair.torus_h.rows
     calls = []
-    split = weights._joint_eigensplit
-    monkeypatch.setattr(weights, "_joint_eigensplit",
-                        lambda ops, dim: calls.append(dim) or split(ops, dim))
+    split = weights._torus_split
+    monkeypatch.setattr(weights, "_torus_split",
+                        lambda g, rows: calls.append(g.dim) or split(g, rows))
     created = Pair.create(pair.g, [list(r) for r in pair.h.rows], rows, rows)
     assert calls == [pair.g.dim]
     fresh = validate_torus(rows, whole(pair.g))
@@ -261,7 +285,8 @@ def test_create_splits_a_torus_g_equal_to_torus_h_once(monkeypatch):
     assert created.torus_g.g_split == fresh.g_split  # weights and spaces
 
 
-@pytest.mark.parametrize("name", fixture_names() + list(TEMPERED_LADDER))
+@pytest.mark.parametrize("name", fixture_names() + list(TEMPERED_LADDER)
+                         + ["whittaker_nilradical:sl4"])
 def test_h_weights_equal_the_split_of_the_restricted_action(name):
     # the weights on h, read from the split on g, against the joint split
     # of ad restricted to h, on the pair and on its complexification; the
@@ -281,6 +306,20 @@ def test_h_weights_equal_the_split_of_the_restricted_action(name):
             assert tuple(rref(in_g)[0]) == space, lam
 
 
+@pytest.mark.parametrize("name", ["whittaker_nilradical:sl4",
+                                  "symmetric_sl3_so3", "sl2_point"])
+def test_rank_zero_h_weights_solve_nothing(monkeypatch, name):
+    # the split of a rank-0 torus is one block, g itself, so the weights
+    # on h are h's canonical rows under the empty weight, with no solve
+    pair = construct_from_spec(name) if ":" in name else build_fixture(name)
+    assert pair.torus_h.rank == 0
+    monkeypatch.setattr(weights, "express_in_rows", None)
+    ws = weight_decomposition(pair.torus_h, "h")
+    rows = tuple(rref([list(r) for r in pair.h.rows])[0])
+    assert ws.weights == ((((), len(rows)),) if rows else ())
+    assert ws.spaces == ((rows,) if rows else ())
+
+
 def test_create_validates_a_torus_g_that_differs():
     g = sl_n_R(2).algebra
     H, E = g.basis_vector(0), g.basis_vector(1)
@@ -294,10 +333,10 @@ def test_whittaker_build_splits_its_torus_on_g_once(monkeypatch):
     # and hands that torus to Pair.create, which does not split it again;
     # the other split on g is the empty torus_h's, of no operator
     calls = []
-    split = weights._joint_eigensplit
-    monkeypatch.setattr(weights, "_joint_eigensplit",
-                        lambda ops, dim: calls.append((dim, len(ops)))
-                        or split(ops, dim))
+    split = weights._torus_split
+    monkeypatch.setattr(weights, "_torus_split",
+                        lambda g, rows: calls.append((g.dim, len(rows)))
+                        or split(g, rows))
     pair = construct_from_spec("whittaker_nilradical:so_4_4")
     assert pair.torus_h.rank == 0 and pair.torus_g.rank > 0
     assert calls == [(pair.g.dim, pair.torus_g.rank), (pair.g.dim, 0)]
