@@ -17,7 +17,6 @@ from .algebra import (
     ad_matrix,
     bracket,
     subspace_intersect,
-    subspace_sum,
     validate,
 )
 from .catalog import base_algebra, build_fixture, construct, construct_from_spec

@@ -1,9 +1,13 @@
 """Finite-dimensional Lie algebras over ℚ.
 
 Structure constants are stored sparsely: sparse[i][j] lists the nonzero
-coordinates of [e_i, e_j] as (k, c) pairs sorted by k.  All values are
-immutable after construction and every operation is pure, so everything here
-is safe to share between workers.
+coordinates of [e_i, e_j] as (k, c) pairs sorted by k, with c the Fraction
+a pair file or the catalog gives, and integer_sparse holds the same table
+as ints over one denominator, on which every computation runs.  Vectors
+are the exact vectors (nums, den) of `linalg` and spans are `Subspace`s of
+integer rows; a subalgebra and its span hold them from construction on.
+All values are immutable after construction and every operation is pure,
+so everything here is safe to share between workers.
 
 Index conventions: internal indices are 0-based; human-facing messages and
 the pair-file format are 1-based.
@@ -20,17 +24,14 @@ from typing import NamedTuple, Optional
 from .linalg import (
     ZERO,
     ONE,
-    express_in_rows,
-    first_outside_span,
+    coordinates,
     frac,
     identity_rows,
-    integer_echelon,
     integer_rank,
     integer_row,
-    is_zero_vec,
     rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     rref,
-    vec,
+    solve,
 )
 
 class ValidationError(ValueError):
@@ -110,15 +111,16 @@ class LieAlgebra:
                     pairs.append((i, j))
         # the commutator of M_i = A_i/den and M_j is (A_i A_j - A_j A_i)/den²,
         # so its coordinates on the A_k are den times those on the M_k
-        coords = express_in_rows(dense, targets) if targets else []
+        coords = coordinates(dense, targets) if targets else []
         table = {}
         for (i, j), cv in zip(pairs, coords):
             if cv is None:
                 raise ValidationError(
                     f"matrices do not span a Lie algebra: [{labels[i]}, {labels[j]}] "
                     "is outside the span of the basis")
-            table[(i, j)] = {k: c if den == 1 else c / den
-                             for k, c in enumerate(cv) if c}
+            nums, cden = cv
+            table[(i, j)] = {k: Fraction(c, cden * den)
+                             for k, c in enumerate(nums) if c}
         return LieAlgebra.from_structure(labels, table, realization=mats, name=name)
 
     @cached_property
@@ -197,72 +199,52 @@ def _matrix_bracket(A, B, size):
 
 
 def bracket(L: LieAlgebra, x, y):
-    """[x, y] in coordinates; bilinear in both arguments."""
-    if len(x) != L.dim or len(y) != L.dim:
+    """[x, y] of two exact vectors (nums, den), as (nums, den) with
+    [x, y] = nums / den, not reduced: summed on L.integer_sparse over the
+    nonzero entries of both."""
+    if len(x[0]) != L.dim or len(y[0]) != L.dim:
         raise ValidationError(
             f"dimension mismatch: algebra has dim {L.dim}, "
-            f"got vectors of length {len(x)} and {len(y)}")
-    out = [ZERO] * L.dim
-    y_nonzero = [(j, yj) for j, yj in enumerate(y) if yj]
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        sp_i = L.sparse[i]
-        for j, yj in y_nonzero:
-            s = xi * yj
-            for k, c in sp_i[j]:
-                out[k] += s * c
-    return out
-
-
-def integer_bracket(L: LieAlgebra, x, y):
-    """[x, y] for rows of ints, as ints over the denominator of
-    L.integer_sparse: a positive multiple of the bracket, which is all a
-    test of membership in a span needs."""
-    return _bracket_of_nonzero(L, _nonzero(x), _nonzero(y))
-
-
-def _nonzero(v):
-    return [(i, x) for i, x in enumerate(v) if x]
-
-
-def _bracket_of_nonzero(L, xs, ys):
-    """integer_bracket of two rows given by their nonzero (index, entry)."""
-    table, _ = L.integer_sparse
+            f"got vectors of length {len(x[0])} and {len(y[0])}")
+    table, den = L.integer_sparse
     out = [0] * L.dim
-    for i, xi in xs:
+    y_nonzero = [(j, b) for j, b in enumerate(y[0]) if b]
+    for i, a in [(i, a) for i, a in enumerate(x[0]) if a]:
         sp_i = table[i]
-        for j, yj in ys:
-            s = xi * yj
+        for j, b in y_nonzero:
+            s = a * b
             for k, c in sp_i[j]:
                 out[k] += s * c
-    return out
+    return tuple(out), den * x[1] * y[1]
 
 
 def ad_matrix(L: LieAlgebra, y):
-    """Matrix of x ↦ [y, x] acting on column coordinate vectors."""
-    if len(y) != L.dim:
-        raise ValidationError(
-            f"dimension mismatch: algebra has dim {L.dim}, got length {len(y)}")
-    n = L.dim
-    M = [[ZERO] * n for _ in range(n)]
-    for j, yj in enumerate(y):
-        if yj == 0:
-            continue
-        sp_j = L.sparse[j]
-        for i in range(n):
-            for k, c in sp_j[i]:
-                M[k][i] += yj * c
-    return M
+    """ad y, x ↦ [y, x], for an exact vector y = (nums, den), as (columns,
+    d): columns[i] holds the nonzero (k, c) of [y, e_i] = Σ c·e_k / d,
+    summed on L.integer_sparse."""
+    if len(y[0]) != L.dim:
+        raise ValidationError(f"dimension mismatch: algebra has dim {L.dim}, "
+                              f"got length {len(y[0])}")
+    table, den = L.integer_sparse
+    nonzero = [(j, a) for j, a in enumerate(y[0]) if a]
+    columns = []
+    for i in range(L.dim):
+        col = {}
+        for j, a in nonzero:
+            for k, c in table[j][i]:
+                col[k] = col.get(k, 0) + a * c
+        columns.append(tuple((k, c) for k, c in col.items() if c))
+    return columns, den * y[1]
 
 
 def _jacobi_defect(L, i, j, k):
-    n = L.dim
-    out = [ZERO] * n
+    """[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]], as ints
+    over the square of the denominator of L.integer_sparse."""
+    table, _ = L.integer_sparse
+    out = [0] * L.dim
     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-        inner = L.sparse[b][c]
-        sp_a = L.sparse[a]
-        for m, cm in inner:
+        sp_a = table[a]
+        for m, cm in table[b][c]:
             for p, cp in sp_a[m]:
                 out[p] += cm * cp
     return out
@@ -295,7 +277,7 @@ def validate(L: LieAlgebra) -> ValidationReport:
     if pair is not None or not realization_ok:
         triple = next(((i, j, k) for i in range(n) for j in range(i + 1, n)
                        for k in range(j + 1, n)
-                       if not is_zero_vec(_jacobi_defect(L, i, j, k))), None)
+                       if any(_jacobi_defect(L, i, j, k))), None)
         if triple is not None:
             problems.append(
                 f"Jacobi identity violated at basis triple {_one_based(triple)}")
@@ -345,8 +327,10 @@ def _realization_problem(L: LieAlgebra):
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of ℚ^n in canonical reduced-row-echelon form, so that
-    equality of subspaces is equality of row matrices."""
+    """A subspace of ℚ^n held by its rref (`linalg.rref`): primitive
+    integer rows with positive pivot entries, unique to the subspace, so
+    that equality of subspaces is equality of row matrices.
+    `linalg.canonical_rows(sub.rows)` writes it over ℚ."""
 
     ambient: int
     rows: tuple
@@ -354,7 +338,7 @@ class Subspace:
 
     @staticmethod
     def from_rows(ambient, rows):
-        rows = [vec(r) for r in rows]
+        """The span of integer rows of length `ambient`."""
         for r in rows:
             if len(r) != ambient:
                 raise ValidationError(
@@ -370,11 +354,11 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
-
-def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
-    if A.ambient != B.ambient:
-        raise ValidationError("ambient mismatch")
-    return Subspace.from_rows(A.ambient, list(A.rows) + list(B.rows))
+    def first_outside(self, rows):
+        """The index of the first of the integer `rows` outside the
+        subspace, or None; rows after that one are not read."""
+        return next((i for i, x in enumerate(solve(self.rows, rows))
+                     if x is None), None)
 
 
 def subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
@@ -383,41 +367,38 @@ def subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
     if A.ambient != B.ambient:
         raise ValidationError("ambient mismatch")
     n = A.ambient
-    block = [list(r) + list(r) for r in A.rows]
-    block += [list(r) + [ZERO] * n for r in B.rows]
+    block = [r + r for r in A.rows] + [r + (0,) * n for r in B.rows]
     red, _ = rref(block)
-    inter = [row[n:] for row in red if is_zero_vec(row[:n])]
-    return Subspace.from_rows(n, inter)
+    return Subspace.from_rows(n, [row[n:] for row in red if not any(row[:n])])
 
 
 @dataclass(frozen=True)
 class SubalgebraEmbedding:
-    """A subalgebra h ⊂ g given by basis rows in g-coordinates.  Construction
-    via create() validates linear independence and bracket closure."""
+    """A subalgebra h ⊂ g given by basis rows in g-coordinates, as exact
+    vectors (nums, den).  Construction via create() validates linear
+    independence and bracket closure."""
 
     ambient: LieAlgebra
     rows: tuple
 
     @staticmethod
     def create(ambient: LieAlgebra, rows):
-        """The embedding of the span of `rows`, after checking that they are
-        independent and that the bracket of every two lies in their span:
-        the brackets are formed on integer rows and each is reduced against
-        one integer echelon of the rows."""
-        rows = [vec(r) for r in rows]
+        """The embedding of the span of `rows`, rows of values, after
+        checking that they are independent and that the bracket of every
+        two lies in their span: each bracket is tested against the span
+        with `linalg.solve`."""
         for r in rows:
             if len(r) != ambient.dim:
                 raise ValidationError(
                     f"subalgebra row has length {len(r)}, ambient dim {ambient.dim}")
         emb = SubalgebraEmbedding(ambient=ambient,
-                                  rows=tuple(tuple(r) for r in rows))
-        if len(emb.echelon) < len(rows):
+                                  rows=tuple(integer_row(r) for r in rows))
+        if emb.subspace.dim < len(rows):
             raise ValidationError("subalgebra basis rows are linearly dependent")
-        nonzero = [_nonzero(r) for r in emb.integer_rows]
+        rows = emb.rows
         pairs = [(i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))]
-        outside = first_outside_span(
-            emb.echelon, (_bracket_of_nonzero(ambient, nonzero[i], nonzero[j])
-                          for i, j in pairs))
+        outside = emb.subspace.first_outside(
+            bracket(ambient, rows[i], rows[j])[0] for i, j in pairs)
         if outside is not None:
             i, j = pairs[outside]
             raise ValidationError(
@@ -430,21 +411,14 @@ class SubalgebraEmbedding:
         return len(self.rows)
 
     @cached_property
-    def integer_rows(self):
-        """The rows as lists of ints, each a positive multiple of its row."""
-        return tuple(integer_row(r)[0] for r in self.rows)
-
-    @cached_property
-    def echelon(self):
-        """An integer echelon basis of the span (linalg.integer_echelon),
-        for membership tests with linalg.first_outside_span."""
-        return integer_echelon(list(self.integer_rows))
-
     def subspace(self) -> Subspace:
-        return Subspace.from_rows(self.ambient.dim, list(self.rows))
+        """The span of the rows, built once per embedding."""
+        return Subspace.from_rows(self.ambient.dim,
+                                  [nums for nums, _ in self.rows])
 
     @staticmethod
     def whole(ambient: LieAlgebra):
         """The improper embedding g ⊂ g."""
         return SubalgebraEmbedding(
-            ambient=ambient, rows=tuple(identity_rows(ambient.dim)))
+            ambient=ambient,
+            rows=tuple((r, 1) for r in identity_rows(ambient.dim)))

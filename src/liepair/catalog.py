@@ -16,6 +16,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .algebra import (
@@ -24,7 +25,16 @@ from .algebra import (
     ValidationError,
 )
 from .checks import Expectation, Pair
-from .linalg import ZERO, ONE, express_in_rows, kernel, vec_dot
+from .linalg import (
+    ZERO,
+    ONE,
+    canonical_rows,
+    coordinates,
+    fraction_row,
+    integer_row,
+    kernel,
+    vec_dot,
+)
 from .weights import (
     validate_torus,
     weight_decomposition,
@@ -432,13 +442,15 @@ def complexify_pair(pair: Pair) -> Pair:
     g ⊗ ℂ with h ⊗ ℂ, torus_h as its real split part and the split torus
     torus_g ⊕ i·(compact Cartan rows)."""
     d = pair.g.dim
-    cdata = complexify(AlgebraData(algebra=pair.g,
-                                   split_rows=pair.torus_g.rows,
+    split = [tuple(fraction_row(r)) for r in pair.torus_g.rows]
+    cdata = complexify(AlgebraData(algebra=pair.g, split_rows=split,
                                    compact_rows=pair.compact_cartan_rows))
     zero = (ZERO,) * d
-    hc = [r + zero for r in pair.h.rows] + [zero + r for r in pair.h.rows]
+    h_rows = [tuple(fraction_row(r)) for r in pair.h.rows]
+    hc = [r + zero for r in h_rows] + [zero + r for r in h_rows]
     return Pair.create(
-        cdata.algebra, hc, [r + zero for r in pair.torus_h.rows],
+        cdata.algebra, hc,
+        [tuple(fraction_row(r)) + zero for r in pair.torus_h.rows],
         cdata.split_rows, complex_structure=cdata.complex_structure,
         name=f"{pair.name} (x)C", provenance="mechanical complexification",
         torus_h_asserted_maximal=False,
@@ -499,24 +511,27 @@ def pair_symmetric(spec: str, involution="neg_transpose") -> Pair:
         raise UnsupportedParams(f"unknown involution {involution!r}")
     if alg.matrix_realization is None:
         raise UnsupportedParams("involutions need a matrix realization")
-    mats = [[list(r) for r in M] for M in alg.matrix_realization]
-    flat = [tuple(x for row in M for x in row) for M in mats]
-    theta_flat = [[-M[j][i] for i in range(len(M)) for j in range(len(M))]
-                  for M in mats]
-    coords = express_in_rows(flat, theta_flat)
-    n = alg.dim
-    Theta = [[ZERO] * n for _ in range(n)]
-    for j, cv in enumerate(coords):
-        if cv is None:
-            raise UnsupportedParams(
-                "negative transpose does not preserve this algebra")
-        for i in range(n):
-            Theta[i][j] = cv[i]
+    mats = alg.matrix_realization
+    m = len(mats[0])
+    flat = [x for M in mats for row in M for x in row]
+    flat += [-M[j][i] for M in mats for i in range(m) for j in range(m)]
+    # one denominator for the matrices and their images, so coordinates on
+    # the scaled matrices are coordinates on the matrices
+    flat, _ = integer_row(flat)
+    n, size = alg.dim, m * m
+    chunks = [flat[k * size:(k + 1) * size] for k in range(2 * n)]
+    coords = coordinates(chunks[:n], chunks[n:])
+    if None in coords:
+        raise UnsupportedParams(
+            "negative transpose does not preserve this algebra")
+    # column j of Theta is coords[j] = (nums, den); over the lcm L of the
+    # dens, row i of Theta - I is an integer row
+    L = lcm(*[den for _, den in coords])
+    shifted = [[nums[i] * (L // den) - (L if i == j else 0)
+                for j, (nums, den) in enumerate(coords)] for i in range(n)]
     # Theta is an automorphism: X -> -X^T is one of gl(m), the realization
     # is a faithful homomorphism, and its span holds each -M_k^T (see above)
-    shifted = [[Theta[i][j] - (ONE if i == j else ZERO) for j in range(n)]
-               for i in range(n)]
-    h_rows = kernel(shifted, n)
+    h_rows = canonical_rows(kernel(shifted, n))
     name = f"{alg.name} / fix({involution})"
     # fixed points of neg_transpose are compact: split torus rank 0, and
     # never a complex subalgebra, so the pair drops J
@@ -541,7 +556,7 @@ def pair_whittaker(spec: str) -> Pair:
     h_rows = []
     for (lam, _), vecs_ in zip(ws.weights, ws.spaces):
         if vec_dot(lam, xi) > 0:
-            h_rows.extend(tuple(v) for v in vecs_)
+            h_rows.extend(canonical_rows(vecs_))
     name = f"{alg.name} / N"
     return _make_pair(
         gdata, h_rows, [], name=name,

@@ -25,7 +25,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from random import Random
 from typing import Optional
 
@@ -34,14 +34,15 @@ from .algebra import (
     SubalgebraEmbedding,
     Subspace,
     ValidationError,
+    ad_matrix,
     bracket,
     subspace_intersect,
 )
 from .linalg import (
     ZERO,
-    first_outside_span,
+    canonical_rows,
     frac,
-    integer_echelon,
+    fraction_row,
     integer_rank,
     integer_row,
     is_zero_vec,
@@ -147,8 +148,10 @@ class Pair:
                complex_structure=None, **fields) -> "Pair":
         """The validating constructor: h must be a subalgebra of g, torus_h
         and torus_g rationally split tori in h and in g, and h stable under
-        the complex structure J when one is given.  The other fields are
-        stored as given.
+        the complex structure J when one is given.  The rows are values
+        (ints, Fractions or fraction literals), which h and the tori hold
+        as exact vectors from here on.  The other fields are stored as
+        given.
 
         A torus_g with the rows of torus_h is not split again: containment
         in g, independence, commutativity and the joint split on g are what
@@ -164,15 +167,17 @@ class Pair:
                 raise ValidationError("torus_g was not validated on the "
                                       "whole of this algebra")
             torus_g = torus_g_rows
-        elif [tuple(r) for r in torus_g_rows] == list(torus_h.rows):
+        elif [integer_row(r) for r in torus_g_rows] == list(torus_h.rows):
             torus_g = SplitTorus(parent=whole, rows=torus_h.rows,
                                  g_split=torus_h.g_split)
         else:
             torus_g = validate_torus(torus_g_rows, whole)
         if complex_structure is not None:
-            images = [integer_row(mat_vec(complex_structure, r))[0]
-                      for r in h.rows]
-            if first_outside_span(h.echelon, images) is not None:
+            n = g.dim
+            J, _ = integer_row([x for row in complex_structure for x in row])
+            J = [J[i * n:(i + 1) * n] for i in range(n)]
+            images = [mat_vec(J, nums) for nums, _ in h.rows]
+            if h.subspace.first_outside(images) is not None:
                 raise ValidationError("subalgebra is not stable under the "
                                       "complex structure")
         return cls(g=g, h=h, torus_h=torus_h, torus_g=torus_g,
@@ -197,7 +202,8 @@ class Pair:
 @dataclass(frozen=True)
 class ParabolicSubalgebra:
     """Nonnegative-weight subalgebra for a chamber functional on torus_g:
-    p = m ⊕ a ⊕ n with n the strictly positive weight spaces."""
+    p = m ⊕ a ⊕ n with n the strictly positive weight spaces; a certificate
+    writes its canonical_rows."""
 
     chamber: tuple
     subspace: Subspace
@@ -213,28 +219,28 @@ class AdWord:
     raises NonTerminatingSeries.  So every applied step is a finite exact
     sum, equal to exp(t·ad Z)v.
 
-    apply_to_rows(g, rows) takes and returns rows as exact pairs (nums,
-    den): a list of ints and a positive int with the row equal to nums/den,
-    the form of linalg.integer_row, in lowest terms.  So words compose, and
-    a search converts its fixed rows to this form once per question.  The
-    searches use the moved nums as they are, since scaling a row changes no
-    span, and rank them with the linalg.integer_echelon basis of the rows
-    they do not move, reduced once per question.
+    Each z is an exact vector (nums, den) and each t a Fraction; to_json
+    writes z as Fractions and from_json reads it back.
+    apply_to_rows(g, rows) takes exact vectors (nums, den) and returns
+    them in lowest terms with nums a list, so words compose.  The searches
+    use the moved nums as they are, since scaling a row changes no span,
+    and rank them against the rref of the rows they do not move, which the
+    question already holds.
 
     inverse() is the word of Ad(w)⁻¹ = Ad(w⁻¹): the steps in reverse order,
     each t negated, since exp(t·ad Z)⁻¹ = exp(−t·ad Z).  It keeps the same
     z objects, and an error names a step of it by the step's index in the
     word it inverts (the `inverted` flag)."""
 
-    steps: tuple  # tuple of (z_vector tuple, t Fraction)
+    steps: tuple  # tuple of (z exact vector, t Fraction)
     inverted: bool = False
 
     def to_json(self):
-        return [{"z": list(z), "t": t} for z, t in self.steps]
+        return [{"z": fraction_row(z), "t": t} for z, t in self.steps]
 
     @classmethod
     def from_json(cls, data):
-        return cls(steps=tuple((tuple(vec(s["z"])), frac(s["t"]))
+        return cls(steps=tuple((integer_row(s["z"]), frac(s["t"]))
                                for s in data))
 
     def apply_to_rows(self, g: LieAlgebra, rows, ad=None):
@@ -265,28 +271,8 @@ class AdWord:
         return len(self.steps)
 
 
-def _ad_columns(g: LieAlgebra, z):
-    """ad Z as integer columns over a common denominator den: column i is a
-    list of (k, c), c != 0, with [Z, e_i] = Σ c·e_k / den."""
-    if len(z) != g.dim:
-        raise ValidationError(
-            f"dimension mismatch: algebra has dim {g.dim}, got a word step "
-            f"of length {len(z)}")
-    cols = [{} for _ in range(g.dim)]
-    for j, zj in enumerate(z):
-        if zj == 0:
-            continue
-        for i, entries in enumerate(g.sparse[j]):
-            col = cols[i]
-            for k, c in entries:
-                col[k] = col.get(k, ZERO) + zj * c
-    den = lcm(*[c.denominator for col in cols for c in col.values()])
-    return [[(k, c.numerator * (den // c.denominator))
-             for k, c in col.items() if c] for col in cols], den
-
-
 class _AdColumns:
-    """ad Z on g, as _ad_columns gives it, for the Z of one question's
+    """ad Z on g, as algebra.ad_matrix gives it, for the Z of one question's
     words: each distinct Z is expanded once, and nothing outlives the
     question that made the object.  Lookup is by identity first, since a
     search's words share its pool's vectors, and then by value, so equal
@@ -302,7 +288,11 @@ class _AdColumns:
         if hit is None:
             cols = self._by_value.get(z)
             if cols is None:
-                cols = self._by_value[z] = _ad_columns(self.g, z)
+                if len(z[0]) != self.g.dim:
+                    raise ValidationError(
+                        f"dimension mismatch: algebra has dim {self.g.dim}, "
+                        f"got a word step of length {len(z[0])}")
+                cols = self._by_value[z] = ad_matrix(self.g, z)
             # z stays referenced, so its id is not reused while cached
             hit = self._by_id[id(z)] = (z, cols)
         return hit[1]
@@ -379,16 +369,18 @@ def minimal_parabolic(ws: WeightSystem, xi="generic", seed=0) -> ParabolicSubalg
     for (lam, _), vecs_ in zip(ws.weights, ws.spaces):
         pairing = vec_dot(lam, xi) if r else ZERO
         if pairing >= 0:
-            rows.extend(list(v) for v in vecs_)
+            rows.extend(vecs_)
     sub = Subspace.from_rows(ws.torus.ambient.dim, rows)
     return ParabolicSubalgebra(chamber=tuple(xi), subspace=sub)
 
 
 def nilpotent_pool(ws: WeightSystem):
-    """Root vectors of g: basis vectors of the nonzero restricted weight
-    spaces in ws = weight_decomposition(torus_g, "g").  Each is ad-nilpotent
-    (verified exactly on use)."""
-    return [v for (lam, _), rows in zip(ws.weights, ws.spaces)
+    """Root vectors of g: the canonical basis vectors (pivot entries 1) of
+    the nonzero restricted weight spaces in ws = weight_decomposition(
+    torus_g, "g"), as exact vectors.  Each is ad-nilpotent (verified
+    exactly on use)."""
+    return [(v, next(x for x in v if x))
+            for (lam, _), rows in zip(ws.weights, ws.spaces)
             if any(x != 0 for x in lam) for v in rows]
 
 
@@ -470,17 +462,15 @@ def _orbit_target(pair: Pair, space: str) -> Optional[Pair]:
     return pair if space == "g" else pair.complexification
 
 
-def _orbit_sides(parabolic_rows, h_rows):
-    """The open-orbit rank test's work that is the same for every word of a
-    question: (moving, fixed, inverted), with `moving` the rows of the side
-    that words move as (nums, den) pairs, `fixed` an integer echelon basis
-    of the other side, and `inverted` set when h is the moving side.  h
-    moves when it has fewer rows than p; on a tie p moves."""
-    p = [integer_row(r) for r in parabolic_rows]
-    h = [integer_row(r) for r in h_rows]
-    inverted = len(h) < len(p)
-    moving, fixed = (h, p) if inverted else (p, h)
-    return moving, integer_echelon([nums for nums, _ in fixed]), inverted
+def _orbit_sides(parabolic: Subspace, h: SubalgebraEmbedding):
+    """The open-orbit rank test's sides for a question: (moving, fixed,
+    inverted), with `moving` the rows of the side that words move as exact
+    vectors, `fixed` the rref of the other side, and `inverted` set when h
+    is the moving side.  h moves when it has fewer rows than p; on a tie p
+    moves."""
+    if h.dim < parabolic.dim:
+        return list(h.rows), list(parabolic.rows), True
+    return [(r, 1) for r in parabolic.rows], list(h.subspace.rows), False
 
 
 def _orbit_rank(word: AdWord, sides, ad: _AdColumns) -> int:
@@ -511,7 +501,7 @@ def _check_open_orbit(pair: Pair, space: str, samples: int, seed: int) -> Verdic
     notes = [texts["note"].format(dim=target.g.dim)] if texts["note"] else []
     if pair.h.dim == 0:
         notes.append(texts["trivial_h"])
-    sides = _orbit_sides(par.subspace.rows, target.h.rows)
+    sides = _orbit_sides(par.subspace, target.h)
     ad = _AdColumns(target.g)
     for tried, word in enumerate(words, start=1):
         if _orbit_rank(word, sides, ad) == target.g.dim:
@@ -519,7 +509,8 @@ def _check_open_orbit(pair: Pair, space: str, samples: int, seed: int) -> Verdic
                 "kind": "open-orbit",
                 "space": space,
                 "chamber": list(par.chamber),
-                "parabolic_rows": [list(r) for r in par.subspace.rows],
+                "parabolic_rows": [list(r) for r in
+                                   canonical_rows(par.subspace.rows)],
                 "word": word.to_json(),
                 "rank_achieved": target.g.dim,
             }
@@ -638,16 +629,15 @@ def generic_stabilizer(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Stabilize
     is the generic value is Monte Carlo evidence.
     """
     pool = nilpotent_pool(weight_decomposition(pair.torus_g, "g"))
-    h_rows = [integer_row(r) for r in pair.h.rows]
-    h_echelon = integer_echelon([nums for nums, _ in h_rows])
-    h_space = pair.h.subspace()
+    h_space = pair.h.subspace
+    fixed = list(h_space.rows)
     ad = _AdColumns(pair.g)
     best = None
     words = _sampled_words(pool, seed, "stabilizer-words", samples)
     for used, word in enumerate(words, start=1):
-        moved = word.apply_to_rows(pair.g, h_rows, ad=ad)
+        moved = word.apply_to_rows(pair.g, pair.h.rows, ad=ad)
         # Ad(w) is invertible, so dim(h ∩ Ad(w)h) = 2 dim h - dim(h + Ad(w)h)
-        dim = 2 * len(h_rows) - integer_rank(h_echelon + [n for n, _ in moved])
+        dim = 2 * pair.h.dim - integer_rank(fixed + [n for n, _ in moved])
         if best is None or dim < best[1].dim:
             best = (word, _intersect(h_space, moved))
             if dim == 0:
@@ -667,12 +657,9 @@ def _intersect(h_space: Subspace, moved):
 
 
 def _is_abelian(g: LieAlgebra, sub: Subspace) -> bool:
-    rows = [list(r) for r in sub.rows]
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if not is_zero_vec(bracket(g, rows[i], rows[j])):
-                return False
-    return True
+    rows = [(r, 1) for r in sub.rows]
+    return not any(any(bracket(g, rows[i], rows[j])[0])
+                   for i in range(len(rows)) for j in range(i + 1, len(rows)))
 
 
 def stabilizer_verdict(pair: Pair, report: StabilizerReport) -> Verdict:
@@ -680,7 +667,8 @@ def stabilizer_verdict(pair: Pair, report: StabilizerReport) -> Verdict:
         "kind": "stabilizer",
         "word": report.word.to_json(),
         "dimension": report.dimension,
-        "rows": [list(r) for r in report.representative.rows],
+        "rows": [list(r) for r in
+                 canonical_rows(report.representative.rows)],
         "abelian": report.abelian,
     }
     if report.abelian:
@@ -848,15 +836,15 @@ def _recheck(pair: Pair, cert):
             weight_decomposition(target.torus_g, "g"), xi=cert["chamber"])
         if not _is_canonical_basis(cert["parabolic_rows"], par.subspace):
             return False, "stored parabolic rows do not match the chamber"
-        sides = _orbit_sides(par.subspace.rows, target.h.rows)
+        sides = _orbit_sides(par.subspace, target.h)
         got = _orbit_rank(word, sides, _AdColumns(target.g))
         if got != cert["rank_achieved"] or got != target.g.dim:
             return False, f"rank recomputation gives {got}, not {target.g.dim}"
         return True, f"open orbit re-verified at word of length {word.length}"
     # the one kind left is "stabilizer"
     word = AdWord.from_json(cert["word"])
-    moved = word.apply_to_rows(pair.g, [integer_row(r) for r in pair.h.rows])
-    inter = _intersect(pair.h.subspace(), moved)
+    moved = word.apply_to_rows(pair.g, pair.h.rows)
+    inter = _intersect(pair.h.subspace, moved)
     if inter.dim != cert["dimension"]:
         return False, (f"intersection dimension {inter.dim} != stored "
                        f"{cert['dimension']}")
@@ -868,9 +856,9 @@ def _recheck(pair: Pair, cert):
 
 
 def _is_canonical_basis(stored_rows, sub: Subspace) -> bool:
-    """Whether stored rows are exactly sub's reduced row echelon basis, as
-    the decider writes them; no other basis of sub is accepted."""
-    return [tuple(vec(r)) for r in stored_rows] == [tuple(r) for r in sub.rows]
+    """Whether stored rows are exactly sub's reduced row echelon basis over
+    ℚ, as the decider writes them; no other basis of sub is accepted."""
+    return [tuple(vec(r)) for r in stored_rows] == canonical_rows(sub.rows)
 
 
 def _stored_lines(cert, rank):

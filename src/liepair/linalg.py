@@ -1,25 +1,28 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on integer rows.
 
-Matrices are lists of rows of Fraction; vectors are lists of Fraction.
-Functions never mutate their arguments.  Reduced row echelon form (pivot
-entries 1, pivot columns strictly increasing, zero rows dropped) is the
-canonical representative used everywhere, so equality of spans is literal
-equality of the reduced matrices.  `rref` computes it by fraction-free
-elimination over the integers and builds a Fraction only for the nonzero
-entries of its result; the output is the same canonical form that
-Gauss-Jordan elimination over ℚ gives.
+One row type runs through the program.  An exact vector is a pair
+(nums, den): a tuple of ints and a positive int, in lowest terms, equal to
+nums / den.  `integer_row` makes one from values (ints, Fractions or what
+`frac` reads) where a value is read: where a pair is built (the pair
+parser, the catalog and `Pair.create`) and where a certificate's word is
+read.  `fraction_row` turns an exact vector back into Fractions where one
+is written.
 
-`integer_echelon` runs the same elimination loop forward only: it clears no
-row above a pivot, builds no Fraction, and returns the pivot rows, an
-echelon basis of the span; `integer_rank` counts them.  The word searches,
-whose rows are already integers, use both: a question reduces its fixed
-rows to an echelon basis once, and ranks each word's moved rows with it.
-`first_outside_span` tests integer rows for membership in the span of such
-an echelon basis; pair validation uses it in place of solving.
-`rank` stays `len(rref(rows)[0])`, a thin wrapper over the one traced
-reduction, so a benchmark trace of it still shows its rref child span.
-
-`kernel` runs both of its eliminations on integers too.
+A span is held by integer rows alone, since scaling a row changes no span.
+`rref` gives its canonical form: Gauss-Jordan elimination over ℚ done
+fraction-free (`_eliminate`), each row divided by the gcd of its entries
+and signed so that its pivot entry, its first nonzero entry, is positive.
+Those rows are unique to the span, so equality of spans is literal
+equality of the rows; `canonical_rows` divides each by its pivot entry,
+which gives the reduced row echelon form over ℚ (pivot entries 1) that a
+certificate writes.  `integer_echelon` runs the same elimination forward
+only and `integer_rank` counts its rows; a word search ranks each word's
+moved rows against a span reduced once.  `solve` is the one solve: the
+combination of an rref's rows that a row is, read at the pivots, or None
+outside their span; `coordinates` reads the coefficients on any
+independent rows from it.  `rank` stays `len(rref(rows)[0])`, a thin
+wrapper over the one traced reduction, so a benchmark trace of it still
+shows its rref child span.  Functions never mutate their arguments.
 
 Nothing here uses a float.  `eigensplit` finds eigenvalues exactly: a
 diagonal matrix, which is how a catalog torus acts in the root basis,
@@ -72,20 +75,16 @@ def vec(entries) -> list:
 
 
 def identity_rows(n):
-    rows = []
-    for i in range(n):
-        row = [ZERO] * n
-        row[i] = ONE
-        rows.append(tuple(row))
-    return rows
+    """The unit rows of ℚ^n as tuples of ints."""
+    return [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
 
 
 def mat_vec(A, v):
     """A·v, summed over the nonzero entries of v that meet a nonzero entry
-    of the row, so a sparse A or v costs only its nonzero products."""
+    of the row, so a sparse A or v costs only its nonzero products; ints in
+    give ints out."""
     nonzero = [(j, x) for j, x in enumerate(v) if x]
-    return [sum((row[j] * x for j, x in nonzero if row[j]), ZERO)
-            for row in A]
+    return [sum(row[j] * x for j, x in nonzero if row[j]) for row in A]
 
 
 def vec_dot(u, v):
@@ -97,15 +96,31 @@ def is_zero_vec(u):
 
 
 def integer_row(row):
-    """(ints, den) with row = ints / den, where den is the lcm of the
-    denominators of the row's entries, which are ints, Fractions or what
-    `frac` reads."""
+    """The exact vector (nums, den) of a row of values, which are ints,
+    Fractions or what `frac` reads: den is the lcm of the denominators of
+    the entries, so the pair is in lowest terms."""
     ratios = [x.as_integer_ratio() if type(x) is Fraction or type(x) is int
               else frac(x).as_integer_ratio() for x in row]
     den = lcm(*[d for _, d in ratios])
     if den == 1:
-        return [n for n, _ in ratios], 1
-    return [n * (den // d) for n, d in ratios], den
+        return tuple(n for n, _ in ratios), 1
+    return tuple(n * (den // d) for n, d in ratios), den
+
+
+def fraction_row(row):
+    """The entries of the exact vector row = (nums, den) as Fractions."""
+    nums, den = row
+    return [Fraction(x, den) for x in nums]
+
+
+def canonical_rows(rows):
+    """The rows of an rref divided by their pivot entries: the reduced row
+    echelon form over ℚ, as tuples of Fractions."""
+    out = []
+    for row in rows:
+        p = next(x for x in row if x)
+        out.append(tuple(Fraction(x, p) if x else ZERO for x in row))
+    return out
 
 
 def _eliminate(m, limit, clear_above):
@@ -143,37 +158,30 @@ def _eliminate(m, limit, clear_above):
     return piv_cols
 
 
-def _canonical_rows(m, piv):
-    """Integer echelon rows, cleared above and below their pivots, divided
-    by their pivot entries: canonical rows of Fraction."""
-    return [tuple(Fraction(x, row[p]) if x else ZERO for x in row)
-            for row, p in zip(m, piv)]
+def _primitive_rows(m, piv):
+    """The first len(piv) rows of m, each divided by the gcd of its entries
+    and signed so that its entry at its pivot is positive, as tuples."""
+    out = []
+    for row, p in zip(m, piv):
+        g = gcd(*row)
+        if row[p] < 0:
+            g = -g
+        out.append(tuple(row) if g == 1 else tuple(x // g for x in row))
+    return out
 
 
-def rref(rows, ncols=None):
-    """Reduced row echelon form.
+def rref(rows):
+    """Canonical form of the span of integer rows: (rows, pivot_columns),
+    the Gauss-Jordan rows made primitive with positive pivot entries, as
+    tuples of ints; zero rows are dropped.
 
-    Returns (reduced_rows, pivot_columns) with rows as tuples.  Zero rows are
-    dropped.  With `ncols` set, pivots are sought only in the first `ncols`
-    columns and *all* rows are returned (used for augmented solves, where the
-    trailing rows carry consistency information); of the trailing rows only
-    the zero pattern is meaningful, since each is scaled by a nonzero
-    factor.
-
-    Elimination is fraction-free (`_eliminate`): each row is scaled to
-    integers by the lcm of its denominators.  Every row stays proportional
-    to its Gauss-Jordan counterpart over ℚ, so the pivots are the same, and
-    dividing each pivot row by its pivot entry at the end gives the
-    canonical rows.
-    """
-    m = [integer_row(r)[0] for r in rows]
-    width = len(m[0]) if m else 0
-    piv_cols = _eliminate(m, width if ncols is None else ncols, True)
-    out = _canonical_rows(m, piv_cols)
-    if ncols is not None:
-        out += [tuple(Fraction(x) if x else ZERO for x in row)
-                for row in m[len(piv_cols):]]
-    return out, piv_cols
+    Elimination is fraction-free (`_eliminate`).  Every row stays
+    proportional to its Gauss-Jordan counterpart over ℚ, so the pivots are
+    the same, and the primitive multiple of a vector with a positive
+    pivot entry is unique: equal spans give equal rows."""
+    m = [list(r) for r in rows]
+    piv = _eliminate(m, len(m[0]) if m else 0, True)
+    return _primitive_rows(m, piv), piv
 
 
 def rank(rows) -> int:
@@ -184,8 +192,8 @@ def integer_echelon(int_rows) -> list:
     """An echelon basis of the span over ℚ of rows of ints, by forward
     elimination only: integer rows with strictly increasing leading
     columns.  Since rank(F + M) = rank(E + M) when E is an echelon basis of
-    F's span, a search ranks each word's rows against the echelon basis of
-    its fixed rows, reduced once."""
+    F's span, a search ranks each word's rows against a basis of its fixed
+    rows, reduced once."""
     m = list(int_rows)
     return m[:len(_eliminate(m, len(m[0]) if m else 0, False))]
 
@@ -196,40 +204,76 @@ def integer_rank(int_rows) -> int:
     return len(integer_echelon(int_rows))
 
 
-def first_outside_span(echelon, int_rows):
-    """The index of the first of `int_rows` outside the span over ℚ of the
-    rows `echelon`, an integer_echelon, or None when every row lies in it;
-    rows after the first outside one are not read.  A row is reduced by
-    each echelon row in turn at that row's leading column, over the echelon
-    row's nonzero entries; it lies in the span exactly when nothing is
-    left."""
+def solve(span, rows):
+    """For each of the integer `rows`, lazily, the combination of the rows
+    of `span`, an rref, that it is, as a pair (nums, den) with the
+    combination nums / den over the whole width of the span rows, not
+    reduced; None for a row outside their span.  A caller that stops at
+    the first None reads no row after it.
+
+    Rows of an rref vanish at each other's pivots, so the coefficient of a
+    row on the span row s with pivot p is row[p]/s[p], and the row lies in
+    the span exactly when Σ (row[p]/s[p])·s agrees with it on its length.
+    Over the lcm L of those s[p] that is a sum of ints.  Span rows longer
+    than the rows carry more in their tail: see `coordinates`."""
     reducers = []
-    for erow in echelon:
-        nonzero = [(c, x) for c, x in enumerate(erow) if x]
+    for s in span:
+        nonzero = [(c, x) for c, x in enumerate(s) if x]
         reducers.append((nonzero[0][0], nonzero[0][1], nonzero))
-    for index, row in enumerate(int_rows):
-        if not any(row):
-            continue
-        row = list(row)
-        for c, p, nonzero in reducers:
-            f = row[c]
-            if f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                if a != 1:
-                    row = [a * x for x in row]
-                for col, y in nonzero:
-                    row[col] -= b * y
-        if any(row):
-            return index
-    return None
+    for row in rows:
+        used = [(f, s_p, nonzero) for p, s_p, nonzero in reducers
+                if (f := row[p])]
+        big = 1
+        for _, s_p, _ in used:
+            if big % s_p:
+                big = lcm(big, s_p)
+        total = [0] * len(span[0] if span else row)
+        for f, s_p, nonzero in used:
+            if s_p != big:
+                f *= big // s_p
+            for c, x in nonzero:
+                total[c] += f * x
+        n = len(row)
+        if (total if len(total) == n else total[:n]) \
+                != ([big * x for x in row] if big != 1 else list(row)):
+            yield None
+        else:
+            yield total, big
 
 
-def _integer_kernel(m, width):
-    """The kernel of the integer rows m (reduced in place) as integer rows
-    proportional to its canonical rows, and their pivot columns.  Each free
-    column f of m's reduced form gives the kernel vector with entry L at f
-    and −L·red[k][f]/red[k][p_k] at pivot p_k, L the lcm of those pivots."""
+def coordinates(basis, targets):
+    """The coefficients (nums, den) of each target on the independent
+    integer rows `basis`, or None for a target outside their span.  The
+    rref of the rows b_i ⊕ e_i has its pivots on the b side, since the b_i
+    are independent, so `solve` against it gives a combination whose tail
+    holds the coefficients."""
+    k = len(basis)
+    if k == 0:
+        return [None if any(t) else ((), 1) for t in targets]
+    n = len(basis[0])
+    span, _ = rref([list(b) + [int(i == j) for j in range(k)]
+                    for i, b in enumerate(basis)])
+    out = []
+    for x in solve(span, targets):
+        if x is not None:
+            tail, den = x[0][n:], x[1]
+            g = gcd(den, *tail)
+            x = tuple(c // g for c in tail), den // g
+        out.append(x)
+    return out
+
+
+def kernel(A, n=None):
+    """The rref (see `rref`) of {x : A x = 0} for integer rows A; `n` is
+    the ambient dimension (needed when A has no rows).  Each free column f
+    of A's reduced form gives the kernel vector with entry L at f and
+    −L·red[k][f]/red[k][p_k] at pivot p_k, L the lcm of those pivots."""
+    if not A:
+        if n is None:
+            raise ValueError("kernel of an empty matrix needs the ambient dimension")
+        return identity_rows(n)
+    width = len(A[0])
+    m = [list(r) for r in A]
     piv = _eliminate(m, width, True)
     pivset = set(piv)
     basis = []
@@ -243,74 +287,31 @@ def _integer_kernel(m, width):
             if row[free]:
                 v[p] = -row[free] * (scale // row[p])
         basis.append(v)
-    return basis, _eliminate(basis, width, True)
+    return rref(basis)[0]
 
 
-def kernel(A, n=None):
-    """Canonical basis rows of {x : A x = 0}; `n` is the ambient dimension
-    (needed when A has no rows).  Both eliminations run on integers."""
-    if not A:
-        if n is None:
-            raise ValueError("kernel of an empty matrix needs the ambient dimension")
-        return identity_rows(n)
-    return _canonical_rows(*_integer_kernel([integer_row(r)[0] for r in A],
-                                            len(A[0])))
-
-
-def express_in_rows(rows, targets):
-    """Coordinates of each target vector in the span of `rows`.
-
-    Returns a list with one entry per target: the coefficient vector x with
-    x · rows = target, or None when the target lies outside the span.
-    """
-    k = len(rows)
-    if k == 0:
-        return [[] if is_zero_vec(t) else None for t in targets]
-    n = len(rows[0])
-    aug = [[rows[i][r] for i in range(k)] + [t[r] for t in targets]
-           for r in range(n)]
-    red, piv = rref(aug, ncols=k)
-    npiv = len(piv)
-    out = []
-    for j in range(len(targets)):
-        col = k + j
-        coords = [ZERO] * k
-        ok = True
-        for ridx, row in enumerate(red):
-            if ridx < npiv:
-                coords[piv[ridx]] = row[col]
-            elif row[col] != 0:
-                ok = False
-                break
-        out.append(coords if ok else None)
-    return out
-
-
-def charpoly(A):
-    """Monic characteristic polynomial det(t·I − A), division-free (Berkowitz).
-
-    Returns coefficients [1, c1, …, cn] with p(t) = t^n + c1 t^(n-1) + … + cn.
-    """
-    n = len(A)
-    poly = [ONE]
+def charpoly(M):
+    """Characteristic polynomial det(t·I − M) of an integer matrix,
+    division-free (Berkowitz): ints [1, c1, …, cn] with
+    p(t) = t^n + c1 t^(n-1) + … + cn."""
+    n = len(M)
+    poly = [1]
     for m in range(1, n + 1):
-        d = A[m - 1][m - 1]
-        col = [ONE, -d]
+        col = [1, -M[m - 1][m - 1]]
         if m > 1:
-            R = A[m - 1][:m - 1]
-            acc = [A[k][m - 1] for k in range(m - 1)]
-            sub = [row[:m - 1] for row in A[:m - 1]]
+            R = M[m - 1][:m - 1]
+            acc = [M[k][m - 1] for k in range(m - 1)]
+            sub = [row[:m - 1] for row in M[:m - 1]]
             for step in range(m - 1):
-                col.append(-vec_dot(R, acc))
+                col.append(-sum(a * b for a, b in zip(R, acc)))
                 if step != m - 2:
                     acc = mat_vec(sub, acc)
-        new = [ZERO] * (m + 1)
+        new = [0] * (m + 1)
         for i, t in enumerate(col):
-            if t == 0:
-                continue
-            for j, p in enumerate(poly):
-                if i + j <= m and p != 0:
-                    new[i + j] += t * p
+            if t:
+                for j, p in enumerate(poly):
+                    if i + j <= m:
+                        new[i + j] += t * p
         poly = new
     return poly
 
@@ -340,24 +341,16 @@ def coordinate_split(keys):
     """Group the coordinates of ℚ^n by keys[i].
 
     Returns (key, unit rows) for each distinct key, sorted by key, with the
-    unit rows in coordinate order.  When keys[i] is the i-th diagonal entry
-    of a diagonal operator (or the tuple of them over a family of diagonal
-    operators) these are its (joint) eigenspaces, in canonical rows.
+    unit rows, as tuples of ints, in coordinate order.  When keys[i] is the
+    i-th diagonal entry of a diagonal operator (or the tuple of them over a
+    family of diagonal operators) these are its (joint) eigenspaces, in
+    rref.
     """
     unit = identity_rows(len(keys))
     groups = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(unit[i])
     return sorted(groups.items())
-
-
-def _integer_matrix(A):
-    """(M, d) with A = M / d: M as rows of ints and d the lcm of all
-    denominators of A."""
-    rows = [integer_row(row) for row in A]
-    d = lcm(*[den for _, den in rows])
-    return [nums if den == d else [x * (d // den) for x in nums]
-            for nums, den in rows], d
 
 
 def _krylov_minpoly(M, j):
@@ -517,11 +510,10 @@ def _integer_roots(p):
     return sorted(roots)
 
 
-def _rational_root_count(coeffs, d):
-    """The rational roots, counted with multiplicity, of the monic
-    polynomial Σ coeffs[i]·t^(n−i) whose roots times d are the roots of a
-    monic integer polynomial (the characteristic polynomial of d·A)."""
-    p = [int(c * d ** i) for i, c in enumerate(coeffs)]
+def _rational_root_count(p):
+    """The rational roots, counted with multiplicity, of the monic integer
+    polynomial p (ints from the highest degree down), all of them integers."""
+    p = list(p)
     count = 0
     for root in _integer_roots(p):
         while not _horner(p, root):
@@ -532,57 +524,37 @@ def _rational_root_count(coeffs, d):
     return count
 
 
-def eigensplit(A):
-    """Decompose ℚ^n into the eigenspaces of A.
+def eigensplit(M, d=1):
+    """Decompose ℚ^n into the eigenspaces of A = M/d, M a square matrix of
+    ints and d a positive int.
 
-    A must be diagonalizable with all eigenvalues rational.  Returns a list of
-    (eigenvalue, basis_rows) sorted by eigenvalue; the basis rows are canonical.
-    Raises IrrationalSpectrumError or NotDiagonalizableError otherwise, with
-    the exact characteristic polynomial attached.
+    A must be diagonalizable with all eigenvalues rational.  Returns a list
+    of (eigenvalue, rows) sorted by eigenvalue, the eigenvalue a Fraction
+    and the rows the rref of its eigenspace.  Raises IrrationalSpectrumError
+    or NotDiagonalizableError otherwise, with the exact characteristic
+    polynomial of A attached.
 
     A diagonal A splits into the coordinate unit rows grouped by diagonal
-    entry.  Otherwise A = M/d with M an integer matrix, whose rational
-    eigenvalues are integers.  From a unit vector e_j outside the eigenspaces
-    found so far, the minimal polynomial of M at e_j (`_krylov_minpoly`) is
-    monic over ℤ; its integer roots (`_integer_roots`) divided by d are
-    eigenvalues of A, and their kernels are eigenspaces.  When A is
-    diagonalizable with rational spectrum, e_j has a component in an
-    eigenspace not yet found, so each round finds a new eigenvalue.  The
-    split is certified when the dimensions sum to n; a round that finds no
-    new eigenvalue ends the search, and then the rational roots of the
-    characteristic polynomial, counted with multiplicity, tell an irrational
-    spectrum (fewer than n) from a matrix that is not diagonalizable.
+    entry.  Otherwise the rational eigenvalues of M are integers.  From a
+    unit vector e_j outside the eigenspaces found so far, the minimal
+    polynomial of M at e_j (`_krylov_minpoly`) is monic over ℤ; its integer
+    roots (`_integer_roots`) divided by d are eigenvalues of A, and their
+    kernels are eigenspaces.  When A is diagonalizable with rational
+    spectrum, e_j has a component in an eigenspace not yet found, so each
+    round finds a new eigenvalue.  The split is certified when the
+    dimensions sum to n; a round that finds no new eigenvalue ends the
+    search, and then the rational roots of the characteristic polynomial of
+    M, counted with multiplicity, tell an irrational spectrum (fewer than
+    n) from a matrix that is not diagonalizable.
     """
-    n = len(A)
+    n = len(M)
     if n == 0:
         return []
-    if is_diagonal(A):
-        return coordinate_split([A[i][i] for i in range(n)])
-    M, d = _integer_matrix(A)
-    found = _integer_eigenspaces(M, d)
-    if found is not None:
-        return sorted((lam, _canonical_rows(rows, piv))
-                      for lam, (rows, piv) in found.items())
-    coeffs = charpoly(A)
-    if _rational_root_count(coeffs, d) < n:
-        raise IrrationalSpectrumError(
-            "matrix has non-rational eigenvalues; characteristic polynomial "
-            f"{poly_str(coeffs)}", coeffs)
-    raise NotDiagonalizableError(
-        "matrix has rational spectrum but is not diagonalizable; "
-        f"characteristic polynomial {poly_str(coeffs)}", coeffs)
-
-
-def _integer_eigenspaces(M, d):
-    """The eigenspaces of A = M/d, M a non-empty integer matrix, as
-    {eigenvalue: (rows, pivots)}, each space as reduced integer rows
-    proportional to its canonical rows and their pivot columns (the form of
-    _integer_kernel); None when they do not fill ℚⁿ.  This is eigensplit's
-    search, which its docstring describes."""
-    n = len(M)
+    if is_diagonal(M):
+        return coordinate_split([Fraction(M[i][i], d) for i in range(n)])
     sparse = [[(c, x) for c, x in enumerate(row) if x] for row in M]
     found, new_rows, spanned = {}, [], []
-    while sum(len(rows) for rows, _ in found.values()) < n:
+    while sum(len(rows) for rows in found.values()) < n:
         spanned = integer_echelon(spanned + new_rows)
         leads = {next(c for c, x in enumerate(row) if x) for row in spanned}
         j = next(c for c in range(n) if c not in leads)
@@ -593,9 +565,18 @@ def _integer_eigenspaces(M, d):
             shifted = [list(row) for row in M]
             for i in range(n):
                 shifted[i][i] -= mu
-            rows, piv = _integer_kernel(shifted, n)
-            found[Fraction(mu, d)] = rows, piv
+            found[Fraction(mu, d)] = rows = kernel(shifted)
             new_rows += rows
         if not new_rows:
-            return None
-    return found
+            break
+    else:
+        return sorted(found.items())
+    p = charpoly(M)
+    coeffs = [Fraction(c, d ** i) for i, c in enumerate(p)]
+    if _rational_root_count(p) < n:
+        raise IrrationalSpectrumError(
+            "matrix has non-rational eigenvalues; characteristic polynomial "
+            f"{poly_str(coeffs)}", coeffs)
+    raise NotDiagonalizableError(
+        "matrix has rational spectrum but is not diagonalizable; "
+        f"characteristic polynomial {poly_str(coeffs)}", coeffs)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra, ValidationError, validate
 from .checks import OUTCOMES, QUESTIONS, Expectation, Pair
-from .linalg import ZERO, ONE, frac
+from .linalg import ZERO, ONE, frac, fraction_row
 
 
 class ParseError(ValueError):
@@ -378,7 +378,8 @@ def serialize_pair(pair: Pair) -> str:
     for header, sub in (("subalgebra h", pair.h), ("torus h", pair.torus_h),
                         ("torus g", pair.torus_g)):
         out.append(f"begin {header}")
-        out.extend(f"row = {' '.join(str(x) for x in row)}" for row in sub.rows)
+        out.extend(f"row = {' '.join(str(x) for x in fraction_row(row))}"
+                   for row in sub.rows)
         out += ["end", ""]
     if pair.compact_cartan_rows is not None:
         out.append("complexify auto")

@@ -13,8 +13,10 @@ arrangements"), and both functions are even, so one exact evaluation per
 line decides the inequality.  The lines are found by growing the flats
 themselves, as subspaces with integer bases, one rank at a time; no cone is
 ever built.  The covers of a flat come from one pass over the forms, grouped
-by their restriction to it, and the functions are evaluated at each line in
-integers, so a line costs one Fraction.  Nothing here uses a float.
+by their restriction to it, and each line is found as a primitive integer
+vector, at which the functions are evaluated in integers, so a line costs
+one Fraction for its margin and its normalized form for the certificate.
+Nothing here uses a float.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .linalg import (
     integer_row,
     rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     rref,
-    vec_dot,
 )
 from .weights import RhoFunction
 
@@ -70,7 +71,7 @@ class DominanceVerdict:
     holds: bool
     witness: Optional[tuple]
     margin: Optional[Fraction]
-    lines: tuple  # the lines evaluated, as returned by enumerate_lines
+    lines: tuple  # the lines evaluated, enumerate_lines's by normalize_form
 
 
 def build_arrangement(f: RhoFunction, g: RhoFunction) -> Arrangement:
@@ -102,11 +103,12 @@ def _cut(basis, r):
 
 def enumerate_lines(arr: Arrangement, budget=DEFAULT_CONE_BUDGET):
     """The 1-dimensional flats of the arrangement in the quotient by the
-    common kernel of the forms, sorted, each as a direction in the span of
-    the forms (a canonical complement of that kernel) scaled by
-    normalize_form.
+    common kernel of the forms, each as a direction in the span of the
+    forms (a canonical complement of that kernel): the primitive integer
+    vector whose first nonzero entry is positive, sorted by its
+    normalize_form, the line a certificate writes.
 
-    The quotient has coordinates z ∈ ℚ^d, the pairings with the RREF rows
+    The quotient has coordinates z ∈ ℚ^d, the pairings with the rref rows
     of the span of forms, where each form is a primitive integer vector.  A
     flat is kept as its closure, the set of forms that vanish on it, with an
     integer basis of its subspace; the whole quotient has the empty closure
@@ -121,10 +123,11 @@ def enumerate_lines(arr: Arrangement, budget=DEFAULT_CONE_BUDGET):
     """
     if not arr.forms:
         return []
-    span_rows, _ = rref([list(x) for x in arr.forms])
+    forms = [integer_row(lam)[0] for lam in arr.forms]
+    span_rows, _ = rref(forms)
     d = len(span_rows)
-    forms = [_primitive(integer_row([vec_dot(lam, r) for r in span_rows])[0])
-             for lam in arr.forms]
+    forms = [_primitive([sum(map(mul, lam, r)) for r in span_rows])
+             for lam in forms]
     flats = {frozenset(): [[int(i == j) for j in range(d)] for i in range(d)]}
     count = 1
     for _ in range(d - 1):
@@ -144,13 +147,10 @@ def enumerate_lines(arr: Arrangement, budget=DEFAULT_CONE_BUDGET):
                             f"flat count exceeded the budget of {budget}")
                     grown[key] = _cut(basis, r)
         flats = grown
-    # back to the ambient coordinates, over the common denominator of the
-    # span rows, which normalize_form cancels
-    scaled = [integer_row(row) for row in span_rows]
-    den = lcm(*(e for _, e in scaled))
-    rows = [[x * (den // e) for x in ints] for ints, e in scaled]
-    return sorted(normalize_form([sum(map(mul, z, col)) for col in zip(*rows)])
-                  for (z,) in flats.values())
+    # back to the ambient coordinates
+    columns = list(zip(*span_rows))
+    return sorted((_primitive([sum(map(mul, z, col)) for col in columns])
+                   for (z,) in flats.values()), key=normalize_form)
 
 
 def _integer_forms(f: RhoFunction):
@@ -168,21 +168,24 @@ def decide_dominance(f: RhoFunction, g: RhoFunction,
     Both functions are even and linear on each cone, so the difference is
     checked once per line of the arrangement; any strict violation there is
     an exact counterexample.  Each function's forms are scaled to integers
-    once and each line is scaled to integers by integer_row, so a line
-    costs integer arithmetic and one Fraction, the difference g − f there.
+    once and enumerate_lines gives each line as a primitive integer vector
+    y with first nonzero entry y0 > 0, so a line costs integer arithmetic,
+    one Fraction for the difference g − f at y/y0, and its normalized form
+    y/y0 for the certificate.
     The witness is the least violating half-line in lexicographic order,
     the negative of the greatest violating line.  With no forms at all both
     functions vanish identically and the verdict holds with margin 0 by
     convention.
     """
-    lines = tuple(enumerate_lines(build_arrangement(f, g), budget))
+    ints = enumerate_lines(build_arrangement(f, g), budget)
+    lines = tuple(map(normalize_form, ints))
     (fi, fden), (gi, gden) = _integer_forms(f), _integer_forms(g)
     margin = None
-    for line in reversed(lines):
-        y, yden = integer_row(line)
+    for line, y in zip(reversed(lines), reversed(ints)):
         sf = sum(m * abs(sum(map(mul, lam, y))) for lam, m in fi)
         sg = sum(m * abs(sum(map(mul, lam, y))) for lam, m in gi)
-        diff = Fraction(sg * fden - sf * gden, fden * gden * yden)
+        y0 = next(x for x in y if x)
+        diff = Fraction(sg * fden - sf * gden, fden * gden * y0)
         if diff < 0:
             return DominanceVerdict(holds=False,
                                     witness=tuple(-x for x in line),

@@ -13,6 +13,10 @@ are the difference m_{g/h}(λ) = m_g(λ) − m_h(λ): the torus acts semisimply
 on g, so by complete reducibility h has a torus-stable complement and
 g ≅ h ⊕ g/h as torus modules.  No action on h or on g/h, and no complement,
 is built.
+
+Torus rows are exact vectors (nums, den) and weight spaces are rrefs of
+integer rows (`linalg.rref`); the weights λ are Fractions, the values a
+report writes.
 """
 
 from __future__ import annotations
@@ -26,23 +30,18 @@ from .algebra import (
     SubalgebraEmbedding,
     ValidationError,
     ad_matrix,
-    integer_bracket,
+    bracket,
 )
 from .linalg import (
     ZERO,
     IrrationalSpectrumError,
     NotDiagonalizableError,
-    _canonical_rows,
-    _eliminate,
-    _integer_eigenspaces,
-    _integer_matrix,
     coordinate_split,
+    coordinates,
     eigensplit,
-    express_in_rows,
-    first_outside_span,
+    identity_rows,
     integer_rank,
     integer_row,
-    is_diagonal,
     poly_str,
     rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     rref,
@@ -81,10 +80,10 @@ class NotSemisimpleElement(TorusValidationError):
 class SplitTorus:
     """A validated abelian, rationally ad-diagonalizable subalgebra a ⊂ h.
 
-    rows are the chosen basis vectors of a in ambient g-coordinates; every
-    linear functional on a is expressed in this basis.  g_split is the
-    (weights, spaces) pair of its weight system on g, kept from the joint
-    split that validated it.
+    rows are the chosen basis vectors of a in ambient g-coordinates, as
+    exact vectors (nums, den); every linear functional on a is expressed in
+    this basis.  g_split is the (weights, spaces) pair of its weight system
+    on g, kept from the joint split that validated it.
     """
 
     parent: SubalgebraEmbedding
@@ -112,15 +111,15 @@ def validate_torus(rows, h: SubalgebraEmbedding) -> SplitTorus:
     preserves.
     """
     g = h.ambient
-    rows = [vec(r) for r in rows]
     for i, r in enumerate(rows):
         if len(r) != g.dim:
             raise TorusValidationError(
                 f"torus row {i + 1} has length {len(r)}, ambient dim {g.dim}")
-    ints = [integer_row(r)[0] for r in rows]
+    rows = [integer_row(r) for r in rows]
+    ints = [nums for nums, _ in rows]
     # independent rows of h (SubalgebraEmbedding's invariant) as many as
     # dim g span g, which holds every row
-    outside = first_outside_span(h.echelon, ints) if h.dim < g.dim else None
+    outside = h.subspace.first_outside(ints) if h.dim < g.dim else None
     if outside is not None:
         raise NotInSubalgebra(f"torus row {outside + 1} is not "
                               "inside the subalgebra")
@@ -128,46 +127,26 @@ def validate_torus(rows, h: SubalgebraEmbedding) -> SplitTorus:
         raise TorusValidationError("torus rows are linearly dependent")
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            if any(integer_bracket(g, ints[i], ints[j])):
+            if any(bracket(g, rows[i], rows[j])[0]):
                 raise NotAbelian(
                     f"torus rows {i + 1} and {j + 1} do not commute")
-    return SplitTorus(parent=h, rows=tuple(tuple(r) for r in rows),
+    return SplitTorus(parent=h, rows=tuple(rows),
                       g_split=_weights_and_spaces(_torus_split(g, rows)))
-
-
-def _ad_diagonal(g: LieAlgebra, y):
-    """The diagonal of ad(y) when ad(y) is diagonal in g's basis, else None,
-    read from the nonzero structure constants: column i of ad(y) is
-    [y, e_i] = Σ_j y_j [e_j, e_i], summed here on ints."""
-    table, den = g.integer_sparse
-    nums, y_den = integer_row(y)
-    nonzero = [(j, x) for j, x in enumerate(nums) if x]
-    values = {0: ZERO}  # column entry -> its Fraction, built once
-    diagonal = []
-    for i in range(g.dim):
-        column = {}
-        for j, x in nonzero:
-            for k, c in table[j][i]:
-                column[k] = column.get(k, 0) + x * c
-        v = column.pop(i, 0)
-        if any(column.values()):
-            return None
-        if v not in values:
-            values[v] = Fraction(v, y_den * den)
-        diagonal.append(values[v])
-    return diagonal
 
 
 def _torus_split(g: LieAlgebra, rows):
     """The joint eigenspaces of ad(Y) on g for the torus rows Y, as
     _joint_eigensplit gives them.  When every ad(Y) is diagonal in g's
-    basis the split is the coordinate one, read from the structure
-    constants; otherwise the ad matrices are built and split."""
-    diagonals = [_ad_diagonal(g, r) for r in rows]
-    if None not in diagonals:
-        return coordinate_split([tuple(d[i] for d in diagonals)
-                                 for i in range(g.dim)])
-    return _joint_eigensplit([ad_matrix(g, r) for r in rows], g.dim)
+    basis the split is the coordinate one, read from the diagonals."""
+    ops = [ad_matrix(g, r) for r in rows]
+    if all(c[0] == i for columns, _ in ops
+           for i, col in enumerate(columns) for c in col):
+        keys = [tuple(columns[i][0][1] if columns[i] else 0
+                      for columns, _ in ops) for i in range(g.dim)]
+        weight = {key: tuple(Fraction(x, d) for x, (_, d) in zip(key, ops))
+                  for key in set(keys)}
+        return coordinate_split([weight[key] for key in keys])
+    return _joint_eigensplit(ops, g.dim)
 
 
 @dataclass(frozen=True)
@@ -175,8 +154,9 @@ class WeightSystem:
     """Simultaneous eigenspace data of a torus acting on g or on h.
 
     weights: sorted tuple of (λ, multiplicity) with λ a tuple of Fractions of
-    length rank (values on the torus basis).  spaces[i] holds the canonical
-    basis rows of the λ_i weight space in g-coordinates, on either space.
+    length rank (values on the torus basis).  spaces[i] holds the rref
+    (`linalg.rref`) of the λ_i weight space in g-coordinates, on either
+    space.
     """
 
     torus: SplitTorus
@@ -184,50 +164,40 @@ class WeightSystem:
     spaces: tuple
 
 
-def _combine(coeffs, rows):
-    """Σ coeffs[k]·rows[k] over the nonzero coefficients."""
-    out = [ZERO] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            for i, x in enumerate(row):
-                if x:
-                    out[i] += c * x
-    return out
-
-
 def _joint_eigensplit(ops, dim):
-    """Joint eigenspaces of commuting operators on ℚ^dim: a list of
-    (λ, canonical rows) with λ the tuple of eigenvalues, one per operator.
-    Raises IrrationalWeights or NotSemisimpleElement naming the first
-    operator that is not rationally diagonalizable.
+    """Joint eigenspaces of commuting operators on ℚ^dim, each given as
+    `algebra.ad_matrix` gives ad(Y): (columns, D), the operator A/D with
+    A[k][i] = c for (k, c) in columns[i].  Returns a list of (λ, rref rows)
+    with λ the tuple of eigenvalues, one per operator.  Raises
+    IrrationalWeights or NotSemisimpleElement naming the first operator
+    that is not rationally diagonalizable.
 
     The operators must commute (validate_torus checks this first), so every
     joint eigenspace of the first i operators is invariant under the next.
-    Its rows are kept in reduced echelon form, so the coordinates of a
-    vector of the block are its entries at the block's pivot columns, and
-    the next operator's restriction is read off there.
+    Its rows are kept in rref, so the coordinates of a vector of the block
+    are its entries at the block's pivot columns, and the next operator's
+    restriction is read off there.
 
-    All of it runs on ints.  An operator is A/D with A an integer matrix,
-    and a block is reduced integer rows B_j, whose canonical rows are
-    B_j / B_j[p_j].  Over the lcm L of the B_j[p_j], the rows
+    All of it runs on ints.  A block is rref rows B_j, whose canonical rows
+    are B_j / B_j[p_j].  Over the lcm L of the B_j[p_j], the rows
     S_j = B_j·L/B_j[p_j] are L times the canonical rows, so the restriction
     is R/(D·L) with R[i][j] = (A S_j)[p_i], and an eigenvector k of R in
     block coordinates is Σ_j k_j S_j up to a factor."""
-    if all(is_diagonal(M) for M in ops):
-        return coordinate_split([tuple(M[i][i] for M in ops)
-                                 for i in range(dim)])
-    blocks = [((), [[int(i == j) for j in range(dim)] for i in range(dim)],
-               list(range(dim)))]
-    for idx, M in enumerate(ops):
-        A, D = _integer_matrix(M)
+    blocks = [((), identity_rows(dim), list(range(dim)))] if dim else []
+    for idx, (columns, D) in enumerate(ops):
         new = []
         for lam_prefix, rows, pivots in blocks:
             L = lcm(*[row[p] for row, p in zip(rows, pivots)])
             scaled = [[x * (L // row[p]) for x in row]
                       for row, p in zip(rows, pivots)]
             support = [[(c, x) for c, x in enumerate(s) if x] for s in scaled]
-            restricted = [[sum(A[p][c] * x for c, x in s) for s in support]
-                          for p in pivots]
+            at = {p: i for i, p in enumerate(pivots)}
+            restricted = [[0] * len(pivots) for _ in pivots]
+            for j, s in enumerate(support):
+                for c, x in s:
+                    for k, a in columns[c]:
+                        if k in at:
+                            restricted[at[k]][j] += a * x
             parts = _split_restriction(restricted, D * L, idx)
             if len(parts) == 1:  # the block is one eigenspace: it stays
                 new.append((lam_prefix + (parts[0][0],), rows, pivots))
@@ -241,24 +211,17 @@ def _joint_eigensplit(ops, dim):
                             for c, x in s:
                                 v[c] += k * x
                     vecs.append(v)
-                new.append((lam_prefix + (lam,), vecs,
-                            _eliminate(vecs, dim, True)))
+                new.append((lam_prefix + (lam,), *rref(vecs)))
         blocks = new
-    return [(lam, _canonical_rows(rows, piv)) for lam, rows, piv in blocks]
+    return [(lam, rows) for lam, rows, _ in blocks]
 
 
 def _split_restriction(R, den, idx):
-    """The eigenspaces of R/den, R an integer matrix, as sorted
-    (eigenvalue, integer rows spanning the space).  A diagonal R, or one
-    whose eigenspaces do not fill the space, goes to eigensplit over ℚ,
-    which splits the first by coordinates and raises on the second; its
-    error becomes IrrationalWeights or NotSemisimpleElement naming torus
-    row idx + 1."""
-    found = None if is_diagonal(R) else _integer_eigenspaces(R, den)
-    if found is not None:
-        return sorted((lam, rows) for lam, (rows, _) in found.items())
+    """The eigenspaces of R/den, R an integer matrix, as `linalg.eigensplit`
+    gives them; its error becomes IrrationalWeights or
+    NotSemisimpleElement naming torus row idx + 1."""
     try:
-        parts = eigensplit([[Fraction(x, den) for x in row] for row in R])
+        return eigensplit(R, den)
     except IrrationalSpectrumError as e:
         raise IrrationalWeights(
             f"ad of torus row {idx + 1} is not rationally "
@@ -270,7 +233,6 @@ def _split_restriction(R, den, idx):
         raise NotSemisimpleElement(
             f"ad of torus row {idx + 1} is not semisimple on g: "
             f"{e}") from e
-    return [(lam, [integer_row(r)[0] for r in rows]) for lam, rows in parts]
 
 
 def _weights_and_spaces(blocks):
@@ -282,45 +244,54 @@ def _weights_and_spaces(blocks):
 
 
 def _h_blocks(weights, spaces, h_rows):
-    """(λ, canonical rows of h ∩ g_λ) for each weight λ of g where h has a
-    component, from one solve of h's rows in the weight basis of g."""
-    basis = [row for rows in spaces for row in rows]
-    coords = express_in_rows(basis, h_rows)
-    blocks = []
-    start = 0
-    for (lam, m), rows in zip(weights, spaces):
-        block = [c[start:start + m] for c in coords if any(c[start:start + m])]
-        start += m
-        if block:
-            # rows is in reduced echelon form, so the images of reduced
-            # coordinate rows are the canonical rows of the span
-            part, _ = rref(block)
-            blocks.append((lam, tuple(tuple(_combine(c, rows)) for c in part)))
-    return blocks
+    """(λ, rref of h ∩ g_λ) for each weight λ of g where h has a
+    component: the span of h's projections onto g_λ.  When every space of the split
+    is unit rows, a row's projection onto g_λ is its entries at g_λ's
+    coordinates; otherwise one solve writes h's rows in the weight basis
+    of g, and the projection is the part of the combination on g_λ's
+    rows."""
+    # an rref row with one nonzero entry is a unit row
+    block_of = {row.index(1): b for b, rows in enumerate(spaces)
+                for row in rows if row.count(0) == len(row) - 1}
+    parts = [[] for _ in spaces]
+    if len(block_of) == sum(len(rows) for rows in spaces):
+        for r in h_rows:
+            split = {}
+            for i, x in enumerate(r):
+                if x:
+                    split.setdefault(block_of[i], [0] * len(r))[i] = x
+            for b, v in split.items():
+                parts[b].append(v)
+    else:
+        basis = [row for rows in spaces for row in rows]
+        coords = [nums for nums, _ in coordinates(basis, h_rows)]
+        start = 0
+        for b, rows in enumerate(spaces):
+            m = len(rows)
+            parts[b] = [[sum(c * row[i] for c, row in
+                             zip(cs[start:start + m], rows) if c)
+                         for i in range(len(basis[0]))]
+                        for cs in coords if any(cs[start:start + m])]
+            start += m
+    return [(lam, tuple(rref(part)[0]))
+            for (lam, _), part in zip(weights, parts) if part]
 
 
 def weight_decomposition(torus: SplitTorus, space: str) -> WeightSystem:
     """Joint weight-space decomposition of the torus action on g or on h.
 
     On g it is the split that validate_torus made: the multiplicities sum to
-    dim g and the spaces are canonical rows.  On h it is read from that
-    split: one solve writes the rows of h in the weight basis of g, and the
-    coordinates in the block of g_λ give h's projection onto g_λ, which is
-    h ∩ g_λ since h is torus-stable.  Each λ whose projection is nonzero
-    keeps its rank and the canonical rows of h ∩ g_λ, and the
-    multiplicities sum to dim h.  A split of one block, as of a rank-0
-    torus, is g itself, and then h's canonical rows are the answer with no
-    solve.
+    dim g and the spaces are rrefs.  On h it is read from that split: the
+    projection of h onto g_λ along the other weight spaces is h ∩ g_λ,
+    since h is torus-stable (_h_blocks).  Each λ whose projection is
+    nonzero keeps its rank and the rref of h ∩ g_λ, and the multiplicities
+    sum to dim h.  A split into unit rows, as every diagonal torus and the
+    rank-0 torus give, needs no solve.
     """
     weights, spaces = torus.g_split
     if space == "h":
-        h_rows = [list(r) for r in torus.parent.rows]
-        if len(spaces) == 1:
-            # the one weight space is g itself, so h ∩ g_λ = h
-            part, _ = rref(h_rows)
-            blocks = [(weights[0][0], tuple(part))] if part else []
-        else:
-            blocks = _h_blocks(weights, spaces, h_rows)
+        blocks = _h_blocks(weights, spaces,
+                           [nums for nums, _ in torus.parent.rows])
         weights = tuple((lam, len(rows)) for lam, rows in blocks)
         spaces = tuple(rows for _, rows in blocks)
     elif space != "g":

@@ -1,18 +1,26 @@
 """Shared helpers: independent oracles and small algebra builders.
 
-The builders here construct sl(2) and sl(3) directly from explicit matrices
-inside the test process, independent of the catalog module, so catalog
-output can be checked against them.  `killing_form_matrix` is the
-Killing form, an oracle for semisimplicity.  `quotient_operators` is the
-induced action of a torus of h on g/h, which the library replaced with
-subtracting the weights on h from the weights on g.  `action_operators` and
+The oracles compute over Fraction with plain dense code and call no
+routine of the library that does linear algebra, which runs on integer
+rows; they read the library's values (structure constants, rows as
+`fraction_row` gives them) and nothing else.  The builders here construct
+sl(2) and sl(3) directly from explicit matrices inside the test process,
+independent of the catalog module, so catalog output can be checked
+against them.  `killing_form_matrix` is the Killing form, an oracle for
+semisimplicity.  `bracket_oracle` and `ad_oracle` are the bracket and ad(y)
+summed over the Fraction structure constants, the library's `bracket` and
+`ad_matrix` summed over integer ones.  `quotient_operators` is the induced
+action of a torus of h on g/h, which the library replaced with subtracting
+the weights on h from the weights on g.  `action_operators` and
 `restricted_ad` give the action of a torus on g or on h as matrices, whose
 joint split on h the library replaced with reading the weights on h from
-the split on g.  `rref_oracle`,
+the split on g; `as_ad` puts such a matrix in the form of `ad_matrix` for
+the library's joint split.  `rref_oracle`, `solve_oracle`, `kernel_oracle`,
 `exp_nilpotent_oracle` and `enumerate_lines_oracle` are the plain
-Gauss-Jordan elimination over Fraction, the dense matrix exponential and
-the flat grower by RREF of spans of forms that the library replaced with
-integer elimination, sparse series on rows and integer flats grown by
+Gauss-Jordan elimination over Fraction, the solve and the kernel read from
+it, the dense matrix exponential and the flat grower by RREF of spans of
+forms that the library replaced with integer elimination (`rref`, `solve`,
+`coordinates`, `kernel`), sparse series on rows and integer flats grown by
 closure; the tests compare the two.  `randomized_dominance_oracle` is a
 Monte Carlo cross-check of `decide_dominance`, and `extend_torus_greedily`
 grows a torus from a pool of vectors, the oracle for the maximality of the
@@ -28,8 +36,8 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from liepair.algebra import LieAlgebra, ValidationError, ad_matrix, bracket
-from liepair.linalg import express_in_rows, is_zero_vec, kernel, rank, vec
+from liepair.algebra import LieAlgebra, ValidationError
+from liepair.linalg import fraction_row, is_zero_vec, vec
 from liepair.polyhedral import ConeBudgetExceeded, RankMismatch
 from liepair.weights import (
     TorusValidationError,
@@ -71,9 +79,35 @@ def commutator(A, B):
     return out
 
 
+def bracket_oracle(L, x, y):
+    """[x, y] for rows of Fractions, summed over L.sparse."""
+    out = [F(0)] * L.dim
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if a and b:
+                for k, c in L.sparse[i][j]:
+                    out[k] += a * b * c
+    return out
+
+
+def ad_oracle(L, y):
+    """The dense Fraction matrix of x ↦ [y, x] on column vectors."""
+    cols = [bracket_oracle(L, y, L.basis_vector(i)) for i in range(L.dim)]
+    return [list(row) for row in zip(*cols)]
+
+
+def as_ad(M):
+    """A square Fraction matrix in the form `ad_matrix` gives: (columns,
+    D) with columns[i] the nonzero (k, c) of D times column i."""
+    n = len(M)
+    D = lcm(*[x.denominator for row in M for x in row if x])
+    return [tuple((k, int(M[k][i] * D)) for k in range(n) if M[k][i])
+            for i in range(n)], D
+
+
 def killing_form_matrix(L):
     """B(e_i, e_j) = tr(ad e_i · ad e_j)."""
-    ads = [ad_matrix(L, L.basis_vector(i)) for i in range(L.dim)]
+    ads = [ad_oracle(L, L.basis_vector(i)) for i in range(L.dim)]
     n = L.dim
     K = [[F(0)] * n for _ in range(n)]
     for i in range(n):
@@ -100,9 +134,11 @@ def sl3():
 
 def restricted_ad(h, y):
     """Matrix of ad(y) restricted to the subalgebra h, in its row basis.
-    y must normalize h (true for y in any torus inside it)."""
-    images = [bracket(h.ambient, list(y), list(r)) for r in h.rows]
-    coords = express_in_rows(list(h.rows), images)
+    y, a row of Fractions, must normalize h (true for y in any torus
+    inside it)."""
+    rows = [fraction_row(r) for r in h.rows]
+    images = [bracket_oracle(h.ambient, y, r) for r in rows]
+    coords = solve_oracle(rows, images)
     k = h.dim
     M = [[F(0)] * k for _ in range(k)]
     for j, cv in enumerate(coords):
@@ -119,9 +155,9 @@ def action_operators(torus, space):
     on its basis rows).  The operators act on column coordinate vectors."""
     h = torus.parent
     if space == "g":
-        return [ad_matrix(h.ambient, list(Y)) for Y in torus.rows]
+        return [ad_oracle(h.ambient, fraction_row(Y)) for Y in torus.rows]
     if space == "h":
-        return [restricted_ad(h, Y) for Y in torus.rows]
+        return [restricted_ad(h, fraction_row(Y)) for Y in torus.rows]
     raise ValueError(f"unknown space {space!r}; expected 'g' or 'h'")
 
 
@@ -131,12 +167,13 @@ def quotient_operators(torus):
     of its reduced rows."""
     h = torus.parent
     g = h.ambient
-    pivots = set(h.subspace().pivots)
+    pivots = set(h.subspace.pivots)
     comp = [g.basis_vector(i) for i in range(g.dim) if i not in pivots]
-    full = [list(r) for r in h.rows] + comp
+    full = [fraction_row(r) for r in h.rows] + comp
     ops = []
     for Y in torus.rows:
-        coords = express_in_rows(full, [bracket(g, list(Y), c) for c in comp])
+        Y = fraction_row(Y)
+        coords = solve_oracle(full, [bracket_oracle(g, Y, c) for c in comp])
         ops.append([[cv[h.dim + i] for cv in coords]
                     for i in range(len(comp))])
     return ops
@@ -206,6 +243,41 @@ def rref_oracle(rows, ncols=None):
     return [tuple(row) for row in m[:r]], piv_cols
 
 
+def solve_oracle(rows, targets):
+    """The coordinates of each target on the rows of Fractions, or None
+    for a target outside their span, by rref_oracle of the augmented
+    matrix [rows^T | targets]."""
+    k = len(rows)
+    if k == 0:
+        return [[] if is_zero_vec(t) else None for t in targets]
+    aug = [[rows[i][r] for i in range(k)] + [t[r] for t in targets]
+           for r in range(len(rows[0]))]
+    red, piv = rref_oracle(aug, ncols=k)
+    out = []
+    for j in range(len(targets)):
+        if any(row[k + j] for row in red[len(piv):]):
+            out.append(None)
+            continue
+        coords = [F(0)] * k
+        for row, p in zip(red, piv):
+            coords[p] = row[k + j]
+        out.append(coords)
+    return out
+
+
+def kernel_oracle(rows, n):
+    """The RREF of {x : A x = 0} for the rows A of Fractions, n columns."""
+    red, piv = rref_oracle(rows) if rows else ([], [])
+    basis = []
+    for free in (c for c in range(n) if c not in piv):
+        v = [F(0)] * n
+        v[free] = F(1)
+        for row, p in zip(red, piv):
+            v[p] = -row[free]
+        basis.append(v)
+    return rref_oracle(basis)[0] if basis else []
+
+
 def moved_fractions(moved):
     """AdWord.apply_to_rows's (nums, den) pairs as Fraction rows, after
     checking the pair form: ints over a positive int, in lowest terms."""
@@ -268,7 +340,7 @@ def enumerate_lines_oracle(arr, budget=10 ** 6):
         flats = grown
     lines = []
     for span in flats:
-        (z,) = kernel(list(span), d)
+        (z,) = kernel_oracle(list(span), d)
         y = [sum((za * row[i] for za, row in zip(z, span_rows)), F(0))
              for i in range(arr.rank)]
         nz = next(x for x in y if x != 0)
@@ -336,8 +408,8 @@ def randomized_dominance_oracle(f, g, samples, seed):
 def _zero_weight_component(torus, v):
     """Component of v (in g-coordinates, v ∈ h) in the zero-weight space of
     the torus acting on h."""
-    if express_in_rows([list(r) for r in torus.parent.rows], [vec(v)])[0] \
-            is None:
+    if solve_oracle([fraction_row(r) for r in torus.parent.rows],
+                    [vec(v)])[0] is None:
         return None
     ws = weight_decomposition(torus, "h")
     all_rows = []
@@ -345,10 +417,10 @@ def _zero_weight_component(torus, v):
     for (lam, _), rows in zip(ws.weights, ws.spaces):
         if all(x == 0 for x in lam):
             zero_range = (len(all_rows), len(all_rows) + len(rows))
-        all_rows.extend(list(r) for r in rows)
+        all_rows.extend([F(x) for x in r] for r in rows)
     if zero_range is None:
         return None
-    in_blocks = express_in_rows(all_rows, [vec(v)])[0]
+    in_blocks = solve_oracle(all_rows, [vec(v)])[0]
     lo, hi = zero_range
     out = [F(0)] * torus.ambient.dim
     for c, row in zip(in_blocks[lo:hi], all_rows[lo:hi]):
@@ -376,11 +448,11 @@ def extend_torus_greedily(seed, h, candidate_pool):
             for cand in candidates:
                 if is_zero_vec(cand):
                     continue
-                if rank([list(r) for r in current.rows] + [cand]) == current.rank:
+                rows = [fraction_row(r) for r in current.rows]
+                if len(rref_oracle(rows + [cand])[0]) == current.rank:
                     continue
                 try:
-                    extended = validate_torus(
-                        [list(r) for r in current.rows] + [cand], h)
+                    extended = validate_torus(rows + [cand], h)
                 except TorusValidationError:
                     continue
                 current = extended

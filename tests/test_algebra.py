@@ -15,14 +15,20 @@ from liepair.algebra import (
     ad_matrix,
     bracket,
     subspace_intersect,
-    subspace_sum,
     validate,
 )
-from liepair.linalg import is_zero_vec
+from liepair.linalg import fraction_row, integer_row, rank
 
 from liepair.catalog import construct_from_spec
 
-from conftest import commutator, mat_sl
+from conftest import (
+    ad_oracle,
+    bracket_oracle,
+    commutator,
+    mat_sl,
+    rref_oracle,
+    solve_oracle,
+)
 
 F = Fraction
 
@@ -34,10 +40,24 @@ def vec_of(L, label, coeff=F(1)):
     return v
 
 
+def exact_of(L, label, coeff=F(1)):
+    return integer_row(vec_of(L, label, coeff))
+
+
+def dense(ad):
+    """ad_matrix's (columns, d) as the dense Fraction matrix."""
+    columns, d = ad
+    M = [[F(0)] * len(columns) for _ in columns]
+    for i, col in enumerate(columns):
+        for k, c in col:
+            M[k][i] = F(c, d)
+    return M
+
+
 def test_sl2_bracket_H_E(sl2):
     # [H, E] = 2E from the standard structure constants
-    assert bracket(sl2, vec_of(sl2, "H1"), vec_of(sl2, "E12")) == \
-        [F(0), F(2), F(0)]
+    assert bracket(sl2, exact_of(sl2, "H1"), exact_of(sl2, "E12")) == \
+        ((0, 2, 0), 1)
 
 
 def test_sl2_bracket_E_F_matches_matrix_commutator(sl2):
@@ -45,44 +65,51 @@ def test_sl2_bracket_E_F_matches_matrix_commutator(sl2):
     labels, mats = mat_sl(2)
     C = commutator(mats[labels.index("E12")], mats[labels.index("E21")])
     assert C == mats[labels.index("H1")]
-    assert bracket(sl2, vec_of(sl2, "E12"), vec_of(sl2, "E21")) == \
-        vec_of(sl2, "H1")
+    assert bracket(sl2, exact_of(sl2, "E12"), exact_of(sl2, "E21")) == \
+        exact_of(sl2, "H1")
 
 
 def test_ad_matrix_sl2_H_diagonal(sl2):
     # column-by-column bracket oracle gives diag(0, 2, -2) in (H, E, F)
-    assert ad_matrix(sl2, vec_of(sl2, "H1")) == [
-        [F(0), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(-2)]]
+    assert ad_matrix(sl2, exact_of(sl2, "H1")) == (
+        [(), ((1, 2),), ((2, -2),)], 1)
 
 
 def test_ad_matrix_of_zero_is_zero(sl3):
-    M = ad_matrix(sl3, [F(0)] * sl3.dim)
-    assert all(all(x == 0 for x in row) for row in M)
+    columns, _ = ad_matrix(sl3, ((0,) * sl3.dim, 1))
+    assert columns == [()] * sl3.dim
 
 
 def test_ad_trace_zero_on_sl3(sl3):
     rng = Random(5)
     for _ in range(5):
         y = [F(rng.randint(-4, 4)) for _ in range(sl3.dim)]
-        M = ad_matrix(sl3, y)
+        M = dense(ad_matrix(sl3, integer_row(y)))
+        assert M == ad_oracle(sl3, y)
         assert sum(M[i][i] for i in range(sl3.dim)) == 0
 
 
 def test_ad_is_homomorphism(sl3):
-    # ad([x, y]) = ad(x) ad(y) - ad(y) ad(x) on random rational vectors
+    # ad([x, y]) = ad(x) ad(y) - ad(y) ad(x) on random rational vectors,
+    # and bracket agrees with the Fraction oracle
     rng = Random(11)
     for _ in range(5):
         x = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(sl3.dim)]
         y = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(sl3.dim)]
-        lhs = ad_matrix(sl3, bracket(sl3, x, y))
-        ax, ay = ad_matrix(sl3, x), ad_matrix(sl3, y)
+        xy = bracket(sl3, integer_row(x), integer_row(y))
+        assert fraction_row(xy) == bracket_oracle(sl3, x, y)
+        lhs = dense(ad_matrix(sl3, xy))
+        ax = dense(ad_matrix(sl3, integer_row(x)))
+        ay = dense(ad_matrix(sl3, integer_row(y)))
         rhs = commutator(ax, ay)
         assert lhs == rhs
 
 
 def test_bracket_dimension_mismatch(sl2):
-    with pytest.raises(ValidationError):
-        bracket(sl2, [F(1)], vec_of(sl2, "H1"))
+    with pytest.raises(ValidationError, match="vectors of length 1 and 3"):
+        bracket(sl2, integer_row([F(1)]), exact_of(sl2, "H1"))
+    with pytest.raises(ValidationError, match="got length 1"):
+        ad_matrix(sl2, integer_row([F(1)]))
 
 
 def test_validate_catalog_sl3_ok(sl3):
@@ -185,43 +212,47 @@ def test_validate_detects_jacobi_violation():
 
 
 def test_subspace_trivial_sum_and_intersection():
-    A = Subspace.from_rows(2, [[F(1), F(0)]])
-    B = Subspace.from_rows(2, [[F(0), F(1)]])
-    assert subspace_sum(A, B).dim == 2
+    # the sum of two spans is the span of their rows together
+    A = Subspace.from_rows(2, [[1, 0]])
+    B = Subspace.from_rows(2, [[0, 1]])
+    assert rank(list(A.rows) + list(B.rows)) == 2
     assert subspace_intersect(A, B).dim == 0
 
 
 def test_subspace_equal_operands():
-    A = Subspace.from_rows(3, [[F(1), F(2), F(0)], [F(0), F(0), F(1)]])
-    assert subspace_sum(A, A) == A
+    A = Subspace.from_rows(3, [[1, 2, 0], [0, 0, 1]])
     assert subspace_intersect(A, A) == A
 
 
 def test_subspace_ambient_mismatch():
-    A = Subspace.from_rows(2, [[F(1), F(0)]])
-    B = Subspace.from_rows(3, [[F(1), F(0), F(0)]])
+    A = Subspace.from_rows(2, [[1, 0]])
+    B = Subspace.from_rows(3, [[1, 0, 0]])
     with pytest.raises(ValidationError):
-        subspace_sum(A, B)
+        subspace_intersect(A, B)
 
 
 @pytest.mark.parametrize("ambient", [3, 8, 16])
 def test_subspace_dimension_formula_bulk(ambient):
-    # 100 random instances per ambient dimension, exactly
+    # 100 random instances per ambient dimension, exactly: the
+    # intersection has dim A + dim B - rank(A + B), and its rows lie in
+    # both spaces by the Fraction oracle
     rng = Random(100 + ambient)
     for _ in range(100):
         ra = rng.randint(0, ambient)
         rb = rng.randint(0, ambient)
         A = Subspace.from_rows(ambient, [
-            [F(rng.randint(-3, 3)) for _ in range(ambient)] for _ in range(ra)])
+            [rng.randint(-3, 3) for _ in range(ambient)] for _ in range(ra)])
         B = Subspace.from_rows(ambient, [
-            [F(rng.randint(-3, 3)) for _ in range(ambient)] for _ in range(rb)])
-        s = subspace_sum(A, B)
+            [rng.randint(-3, 3) for _ in range(ambient)] for _ in range(rb)])
         i = subspace_intersect(A, B)
-        assert s.dim == A.dim + B.dim - i.dim
-        assert subspace_sum(A, B) == subspace_sum(B, A)
+        assert i.dim == A.dim + B.dim - rank(list(A.rows) + list(B.rows))
         assert subspace_intersect(A, B) == subspace_intersect(B, A)
-        assert subspace_sum(s, A) == s
         assert subspace_intersect(i, A) == i
+        rows = [[F(x) for x in r] for r in i.rows]
+        for side in (A, B):
+            assert None not in solve_oracle(
+                [[F(x) for x in r] for r in side.rows], rows)
+        assert len(rref_oracle(rows)[0]) == i.dim
 
 
 def test_subalgebra_closure_error_names_rows(sl2):
@@ -259,4 +290,4 @@ def test_whole_called_on_an_instance_embeds_its_argument(sl2, sl3):
 def test_bracket_antisymmetric_on_diagonal(x):
     from liepair.catalog import base_algebra
     L = base_algebra("sl2").algebra
-    assert is_zero_vec(bracket(L, list(x), list(x)))
+    assert not any(bracket(L, integer_row(x), integer_row(x))[0])

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exp_nilpotent_oracle, moved_fractions, rref_oracle
-from liepair.algebra import Subspace, ValidationError, ad_matrix, bracket
+from conftest import (
+    ad_oracle,
+    bracket_oracle,
+    exp_nilpotent_oracle,
+    moved_fractions,
+    rref_oracle,
+    solve_oracle,
+)
+from liepair.algebra import Subspace, ValidationError
 from liepair.catalog import (
     build_fixture,
     construct_from_spec,
@@ -39,16 +46,17 @@ from liepair.checks import (
     verify_certificate,
 )
 from liepair.linalg import (
-    express_in_rows,
+    canonical_rows,
+    fraction_row,
     integer_rank,
     integer_row,
     mat_vec,
-    rank,
 )
 from liepair.polyhedral import (
     ConeBudgetExceeded,
     build_arrangement,
     enumerate_lines,
+    normalize_form,
 )
 from liepair.report import verdict_from_json, verdict_to_json
 from liepair.weights import rho_eval, weight_decomposition
@@ -65,7 +73,8 @@ def zero_weight_dim(ws):
 
 
 def in_span(sub, v):
-    return express_in_rows(list(sub.rows), [list(v)])[0] is not None
+    return solve_oracle([[F(x) for x in r] for r in sub.rows],
+                        [[F(x) for x in v]])[0] is not None
 
 
 def unit(L, label):
@@ -80,7 +89,8 @@ def test_minimal_parabolic_sl2_explicit_chamber():
     pair = build_fixture("sl2_split_torus")
     ws = g_weights(pair)
     par = minimal_parabolic(ws, xi=[F(1)])
-    expected = Subspace.from_rows(3, [unit(pair.g, "H1"), unit(pair.g, "E12")])
+    expected = Subspace.from_rows(3, [integer_row(unit(pair.g, label))[0]
+                                      for label in ("H1", "E12")])
     assert par.subspace == expected
     assert zero_weight_dim(ws) == 1
 
@@ -89,8 +99,8 @@ def test_minimal_parabolic_sl3_upper_triangular():
     pair = build_fixture("sl3_sl2_topleft")
     par = minimal_parabolic(g_weights(pair), xi=[F(1), F(1)])
     expected = Subspace.from_rows(8, [
-        unit(pair.g, "H1"), unit(pair.g, "H2"),
-        unit(pair.g, "E12"), unit(pair.g, "E13"), unit(pair.g, "E23")])
+        integer_row(unit(pair.g, label))[0]
+        for label in ("H1", "H2", "E12", "E13", "E23")])
     assert par.subspace == expected
     assert par.subspace.dim == 5
 
@@ -101,7 +111,7 @@ def test_minimal_parabolic_generic_is_closed_and_contains_zero_space():
         par = minimal_parabolic(g_weights(pair), seed=0)
         assert par.subspace.dim >= (pair.g.dim + pair.torus_g.rank) // 2
         for row in pair.torus_g.rows:
-            assert in_span(par.subspace, row)
+            assert in_span(par.subspace, fraction_row(row))
 
 
 LADDER_SPECS = (
@@ -132,10 +142,10 @@ def test_minimal_parabolic_well_formed_for_every_catalog_base():
     for pair in _parabolic_pairs():
         ws = g_weights(pair)
         par = minimal_parabolic(ws, seed=0)
-        rows = [list(r) for r in par.subspace.rows]
-        brackets = [bracket(pair.g, rows[i], rows[j])
+        rows = [list(r) for r in canonical_rows(par.subspace.rows)]
+        brackets = [bracket_oracle(pair.g, rows[i], rows[j])
                     for i in range(len(rows)) for j in range(i + 1, len(rows))]
-        assert None not in express_in_rows(rows, brackets), pair.name
+        assert None not in solve_oracle(rows, brackets), pair.name
         for (lam, _), space in zip(ws.weights, ws.spaces):
             if not any(lam):
                 for v in space:
@@ -382,8 +392,8 @@ def test_dominance_certificate_with_wrong_line_count_fails(count):
 
 def test_ad_word_json_round_trip():
     pair = build_fixture("sl2_point")
-    word = AdWord(steps=((tuple(unit(pair.g, "E12")), F(-3, 2)),
-                         (tuple(unit(pair.g, "E21")), F(2))))
+    word = AdWord(steps=((integer_row(unit(pair.g, "E12")), F(-3, 2)),
+                         (integer_row(unit(pair.g, "E21")), F(2))))
     text = json.dumps(word.to_json(), default=str)
     assert AdWord.from_json(json.loads(text)) == word
 
@@ -391,7 +401,7 @@ def test_ad_word_json_round_trip():
 def test_word_application_is_exact():
     pair = build_fixture("sl2_point")
     g = pair.g
-    word = AdWord(steps=((tuple(unit(g, "E12")), F(1, 2)),))
+    word = AdWord(steps=((integer_row(unit(g, "E12")), F(1, 2)),))
     moved = word.apply_to_rows(g, [integer_row(unit(g, "H1"))])
     # Ad(exp(t ad E))H = H - 2tE for sl2
     assert moved_fractions(moved) == [[F(1), F(-1), F(0)]]
@@ -427,10 +437,11 @@ def word_on_pair(draw):
 def test_word_application_matches_dense_exponential(case):
     pair, word = case
     g = pair.g
-    rows = [list(r) for r in minimal_parabolic(g_weights(pair)).subspace.rows]
+    rows = [list(r) for r in
+            canonical_rows(minimal_parabolic(g_weights(pair)).subspace.rows)]
     want = [list(r) for r in rows]
     for z, t in reversed(word.steps):
-        M = exp_nilpotent_oracle(ad_matrix(g, list(z)), t)
+        M = exp_nilpotent_oracle(ad_oracle(g, fraction_row(z)), t)
         want = [mat_vec(M, r) for r in want]
     assert moved_fractions(
         word.apply_to_rows(g, [integer_row(r) for r in rows])) == want
@@ -440,36 +451,36 @@ def test_word_application_matches_dense_exponential(case):
 @given(word_on_pair())
 def test_stabilizer_rank_shortcut_equals_intersection(case):
     pair, word = case
-    h_rows = [list(r) for r in pair.h.rows]
-    moved = word.apply_to_rows(pair.g, [integer_row(r) for r in h_rows])
-    shortcut = integer_rank([integer_row(r)[0] for r in h_rows]
+    h_rows = [fraction_row(r) for r in pair.h.rows]
+    moved = word.apply_to_rows(pair.g, pair.h.rows)
+    shortcut = integer_rank([nums for nums, _ in pair.h.rows]
                             + [nums for nums, _ in moved])
-    assert shortcut == rank(h_rows + moved_fractions(moved))
+    assert shortcut == len(rref_oracle(h_rows + moved_fractions(moved))[0])
     assert 2 * len(h_rows) - shortcut \
-        == _intersect(pair.h.subspace(), moved).dim
+        == _intersect(pair.h.subspace, moved).dim
 
 
 def test_non_nilpotent_step_raises_a_validation_error():
     pair = build_fixture("sl2_split_torus")
     g = pair.g
-    word = AdWord(steps=((tuple(unit(g, "E12")), F(1)),
-                         (tuple(pair.torus_g.rows[0]), F(1, 3))))
+    word = AdWord(steps=((integer_row(unit(g, "E12")), F(1)),
+                         (pair.torus_g.rows[0], F(1, 3))))
     with pytest.raises(NonTerminatingSeries, match="step 2") as err:
         word.apply_to_rows(g, [integer_row(unit(g, "E12"))])
     assert isinstance(err.value, ValidationError)
     with pytest.raises(ValidationError, match="length 2"):
-        AdWord(steps=(((F(1), F(0)), F(1)),)).apply_to_rows(
+        AdWord(steps=((((1, 0), 1), F(1)),)).apply_to_rows(
             g, [integer_row(unit(g, "H1"))])
 
 
 def test_shared_columns_still_name_the_failing_step():
     pair = build_fixture("sl2_split_torus")
     g = pair.g
-    H = tuple(pair.torus_g.rows[0])
+    H = pair.torus_g.rows[0]
     ad = checks._AdColumns(g)
     # ad H is expanded here, on a row where its series stops at once ...
-    AdWord(steps=((H, F(1)),)).apply_to_rows(g, [integer_row(H)], ad=ad)
-    word = AdWord(steps=((tuple(unit(g, "E12")), F(1)), (H, F(1, 3))))
+    AdWord(steps=((H, F(1)),)).apply_to_rows(g, [H], ad=ad)
+    word = AdWord(steps=((integer_row(unit(g, "E12")), F(1)), (H, F(1, 3))))
     # ... and read back from the shared columns at step 2, where it does not
     with pytest.raises(NonTerminatingSeries, match="word step 2"):
         word.apply_to_rows(g, [integer_row(unit(g, "E12"))], ad=ad)
@@ -482,11 +493,13 @@ def test_shared_columns_still_name_the_failing_step():
 def test_the_inverse_word_undoes_the_word(case):
     pair, word = case
     g = pair.g
-    rows = [integer_row(r)
-            for r in minimal_parabolic(g_weights(pair)).subspace.rows]
+    rows = [integer_row(r) for r in
+            canonical_rows(minimal_parabolic(g_weights(pair)).subspace.rows)]
     moved = word.apply_to_rows(g, rows)
     # the moved rows are exact, so the round trip gives the rows back exactly
-    assert word.inverse().apply_to_rows(g, moved) == rows
+    back = word.inverse().apply_to_rows(g, moved)
+    assert [(list(nums), den) for nums, den in back] \
+        == [(list(nums), den) for nums, den in rows]
     assert word.inverse().inverse() == word
     assert not word.inverse().inverse().inverted
 
@@ -505,12 +518,11 @@ ORBIT_SIDES = {
 @lru_cache(maxsize=None)
 def orbit_case(name):
     """The space an open-orbit search of ORBIT_SIDES[name] runs on, its
-    root vectors and its minimal parabolic's rows."""
+    root vectors and its minimal parabolic."""
     make, complexified, _ = ORBIT_SIDES[name]
     target = make().complexification if complexified else make()
     ws = g_weights(target)
-    return (target, nilpotent_pool(ws),
-            [list(r) for r in minimal_parabolic(ws).subspace.rows])
+    return target, nilpotent_pool(ws), minimal_parabolic(ws).subspace
 
 
 @st.composite
@@ -528,15 +540,16 @@ def orbit_word(draw):
 @given(orbit_word())
 def test_orbit_rank_equals_the_dense_rank_on_either_side(case):
     name, word = case
-    target, _, p_rows = orbit_case(name)
+    target, _, parabolic = orbit_case(name)
     g = target.g
-    sides = checks._orbit_sides(p_rows, target.h.rows)
+    sides = checks._orbit_sides(parabolic, target.h)
     assert sides[2] == ORBIT_SIDES[name][2]
-    want = [list(r) for r in p_rows]
+    want = [list(r) for r in canonical_rows(parabolic.rows)]
     for z, t in reversed(word.steps):
-        M = exp_nilpotent_oracle(ad_matrix(g, list(z)), t)
+        M = exp_nilpotent_oracle(ad_oracle(g, fraction_row(z)), t)
         want = [mat_vec(M, r) for r in want]
-    dense = len(rref_oracle(want + [list(r) for r in target.h.rows])[0])
+    dense = len(rref_oracle(want + [fraction_row(r)
+                                    for r in target.h.rows])[0])
     assert checks._orbit_rank(word, sides, checks._AdColumns(g)) == dense
 
 
@@ -550,7 +563,7 @@ def test_a_forged_step_is_named_by_its_stored_index_when_h_moves():
         blob = json.loads(text)
         # ad of a torus element is not nilpotent on the rows it reaches
         blob["certificate"]["word"][i]["z"] = [
-            str(x) for x in pair.torus_g.rows[0]]
+            str(x) for x in fraction_row(pair.torus_g.rows[0])]
         ok, detail = verify_certificate(pair, verdict_from_json(blob))
         assert not ok and f"word step {i + 1}: " in detail, detail
 
@@ -558,15 +571,15 @@ def test_a_forged_step_is_named_by_its_stored_index_when_h_moves():
 # --- ad(Z) is expanded once per distinct Z of a question ---------------------
 
 def count_ad_columns(monkeypatch):
-    """Patch checks._ad_columns to record the Z of each expansion."""
+    """Patch checks.ad_matrix to record the Z of each expansion."""
     seen = []
-    expand = checks._ad_columns
+    expand = checks.ad_matrix
 
     def counting(g, z):
-        seen.append(tuple(z))
+        seen.append(z)
         return expand(g, z)
 
-    monkeypatch.setattr(checks, "_ad_columns", counting)
+    monkeypatch.setattr(checks, "ad_matrix", counting)
     return seen
 
 
@@ -628,7 +641,9 @@ def test_forged_dominance_certificate_with_a_subset_of_lines_fails():
     # "yes" certificate that keeps only the other 2 must not verify
     pair = build_fixture("so23_so22")
     rho_h, rho_q = rho_pair(pair)
-    kept = [line for line in enumerate_lines(build_arrangement(rho_h, rho_q))
+    lines = map(normalize_form, enumerate_lines(build_arrangement(rho_h,
+                                                                  rho_q)))
+    kept = [line for line in lines
             if rho_eval(rho_q, list(line)) >= rho_eval(rho_h, list(line))]
     assert len(kept) == 2
     forged = Verdict(question="tempered", outcome="yes_certified",
@@ -774,11 +789,14 @@ def mutated_word_verdict(draw):
     hows = ["t", "z", "drop step"] if word else []
     if cert["kind"] == "open-orbit":
         hows += ["rank_achieved", "space", "drop parabolic row",
-                 "parabolic entry", "chamber"]
+                 "parabolic entry", "chamber", "scale parabolic row",
+                 "add parabolic row"]
     else:
         hows += ["dimension", "abelian"]
         if cert["rows"]:
-            hows += ["rows entry", "drop row"]
+            hows += ["rows entry", "drop row", "scale row"]
+        if len(cert["rows"]) > 1:
+            hows += ["add row"]
     how = draw(st.sampled_from(hows))
     if how in ("t", "z", "drop step"):
         i = draw(st.integers(0, len(word) - 1))
@@ -787,8 +805,8 @@ def mutated_word_verdict(draw):
                 (F(1, 7), F(-1, 7)))))
         elif how == "z":
             z = draw(st.sampled_from(pool).filter(
-                lambda z: [str(x) for x in z] != word[i]["z"]))
-            word[i]["z"] = [str(x) for x in z]
+                lambda z: [str(x) for x in fraction_row(z)] != word[i]["z"]))
+            word[i]["z"] = [str(x) for x in fraction_row(z)]
         else:
             del word[i]
     elif how in ("rank_achieved", "dimension"):
@@ -804,6 +822,16 @@ def mutated_word_verdict(draw):
         i = draw(st.integers(0, len(rows) - 1))
         k = draw(st.integers(0, len(rows[i]) - 1))
         rows[i][k] = _shifted(rows[i][k], F(1, 7))
+    elif how in ("scale parabolic row", "scale row", "add parabolic row",
+                 "add row"):
+        # the same span in a basis that is not the canonical one
+        rows = cert["parabolic_rows" if "parabolic" in how else "rows"]
+        i = draw(st.integers(0, len(rows) - 1))
+        if how.startswith("scale"):
+            rows[i] = [str(2 * F(x)) for x in rows[i]]
+        else:
+            j = draw(st.integers(0, len(rows) - 1).filter(lambda j: j != i))
+            rows[i] = [str(F(a) + F(b)) for a, b in zip(rows[i], rows[j])]
     elif how == "chamber":
         k = draw(st.integers(0, len(cert["chamber"]) - 1))
         cert["chamber"][k] = _shifted(cert["chamber"][k],
@@ -816,7 +844,7 @@ def mutated_word_verdict(draw):
 @lru_cache(maxsize=None)
 def _oracle_exp(g, z, t):
     """The dense matrix exp(t·ad Z), from JSON strings z and t."""
-    return exp_nilpotent_oracle(ad_matrix(g, [F(x) for x in z]), F(t))
+    return exp_nilpotent_oracle(ad_oracle(g, [F(x) for x in z]), F(t))
 
 
 def _oracle_moved(g, word, rows):
@@ -840,13 +868,13 @@ def _oracle_confirms(pair, cert):
         n = target.g.dim
         par = minimal_parabolic(g_weights(target), xi=cert["chamber"])
         stored = [[F(x) for x in r] for r in cert["parabolic_rows"]]
-        if par.subspace != Subspace.from_rows(n, stored):
+        if canonical_rows(par.subspace.rows) != _oracle_span(stored, n):
             return False
         moved = _oracle_moved(target.g, cert["word"], stored)
-        return len(_oracle_span(moved + [list(r) for r in target.h.rows],
-                                n)) == n
+        return len(_oracle_span(moved + [fraction_row(r)
+                                         for r in target.h.rows], n)) == n
     n = pair.g.dim
-    h_rows = [list(r) for r in pair.h.rows]
+    h_rows = [fraction_row(r) for r in pair.h.rows]
     moved = _oracle_moved(pair.g, cert["word"], h_rows)
     # Zassenhaus: rows of the reduced [[h, h], [Ad(w)h, 0]] whose left half
     # is zero span h ∩ Ad(w)h in their right half
@@ -935,7 +963,8 @@ def test_non_terminating_word_step_fails():
     blob = json.loads(text)
     # a torus element: ad of it is semisimple with nonzero eigenvalues, so
     # its series never stops on the root vectors among the parabolic rows
-    blob["certificate"]["word"][0]["z"] = [str(x) for x in pair.torus_g.rows[0]]
+    blob["certificate"]["word"][0]["z"] = [
+        str(x) for x in fraction_row(pair.torus_g.rows[0])]
     ok, detail = verify_certificate(pair, verdict_from_json(blob))
     assert not ok and "nonzero term" in detail
 

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 
 import numpy as np
@@ -7,19 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import moved_fractions, rref_oracle
+from conftest import kernel_oracle, moved_fractions, rref_oracle, solve_oracle
 from liepair import linalg
-from liepair.algebra import ad_matrix
+from liepair.algebra import Subspace, ad_matrix
 from liepair.catalog import construct_from_spec
 from liepair.checks import AdWord, NonTerminatingSeries
 from liepair.linalg import (
     IrrationalSpectrumError,
     NotDiagonalizableError,
+    canonical_rows,
     charpoly,
+    coordinates,
     eigensplit,
-    express_in_rows,
-    first_outside_span,
     frac,
+    fraction_row,
     integer_echelon,
     integer_rank,
     integer_row,
@@ -27,9 +29,22 @@ from liepair.linalg import (
     mat_vec,
     rank,
     rref,
+    solve,
 )
 
 F = Fraction
+
+
+def integer_matrix(A):
+    """(M, d) with the Fraction matrix A = M/d, d the lcm of A's
+    denominators."""
+    d = lcm(*[x.denominator for row in A for x in row])
+    return [[int(x * d) for x in row] for row in A], d
+
+
+def integer_rows(rows):
+    """Each row of values scaled to its integer row, which keeps its span."""
+    return [integer_row(r)[0] for r in rows]
 
 
 def test_frac_accepts_unicode_minus():
@@ -38,37 +53,41 @@ def test_frac_accepts_unicode_minus():
 
 
 def test_rref_canonical_and_pivots():
-    rows, piv = rref([[F(2), F(4)], [F(1), F(2)]])
-    assert rows == [(F(1), F(2))]
+    rows, piv = rref([[-2, -4], [1, 2]])
+    assert rows == [(1, 2)]
     assert piv == [0]
+    # primitive rows with positive pivot entries; over ℚ they are the
+    # reduced rows divided by their pivot entries
+    rows, piv = rref([[0, -4, 6], [2, 0, 3]])
+    assert rows == [(2, 0, 3), (0, 2, -3)] and piv == [0, 1]
+    assert canonical_rows(rows) == [(1, 0, F(3, 2)), (0, 1, F(-3, 2))]
 
 
 def test_kernel_of_rank_one_matrix():
-    A = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
+    A = [[1, 2, 3], [2, 4, 6]]
     K = kernel(A)
     assert len(K) == 2
     for v in K:
         assert all(sum(r[i] * v[i] for i in range(3)) == 0 for r in A)
 
 
-def test_express_in_rows_and_failure():
-    rows = [(F(1), F(0), F(0)), (F(0), F(1), F(0))]
-    inside, outside = express_in_rows(rows, [[F(3), F(-2), F(0)],
-                                             [F(0), F(0), F(1)]])
-    assert inside == [F(3), F(-2)]
+def test_coordinates_and_failure():
+    rows = [(1, 0, 0), (0, 2, 0)]
+    inside, outside = coordinates(rows, [[3, -2, 0], [0, 0, 1]])
+    assert inside == ((3, -1), 1)
     assert outside is None
 
 
 def test_charpoly_frozen_2x2():
     # det(tI - A) for [[1,2],[3,4]]: t^2 - 5t - 2, by hand
-    assert charpoly([[F(1), F(2)], [F(3), F(4)]]) == [F(1), F(-5), F(-2)]
+    assert charpoly([[1, 2], [3, 4]]) == [1, -5, -2]
 
 
 def test_charpoly_matches_numpy_on_random_matrices():
     rng = Random(3)
     for _ in range(10):
         n = rng.randint(1, 5)
-        A = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+        A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         coeffs = charpoly(A)
         roots = np.roots([float(c) for c in coeffs])
         eigs = np.linalg.eigvals(np.array([[float(x) for x in r] for r in A]))
@@ -77,7 +96,7 @@ def test_charpoly_matches_numpy_on_random_matrices():
 
 
 def test_eigensplit_diagonalizable():
-    A = [[F(2), F(1)], [F(0), F(3)]]
+    A = [[2, 1], [0, 3]]
     parts = eigensplit(A)
     assert [lam for lam, _ in parts] == [F(2), F(3)]
     for lam, basis in parts:
@@ -93,8 +112,8 @@ def test_diagonal_eigensplit_matches_kernels_and_uses_no_float(diag):
     # matrix is split by its coordinates, with no minimal polynomial
     n = len(diag)
     D = [[diag[i] if j == i else F(0) for j in range(n)] for i in range(n)]
-    want = [(lam, kernel([[D[i][j] - (lam if i == j else 0) for j in range(n)]
-                          for i in range(n)]))
+    want = [(lam, kernel_oracle([[D[i][j] - (lam if i == j else 0)
+                                  for j in range(n)] for i in range(n)], n))
             for lam in sorted(set(diag))]
 
     def no_krylov(M, j):
@@ -102,7 +121,8 @@ def test_diagonal_eigensplit_matches_kernels_and_uses_no_float(diag):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_krylov_minpoly", no_krylov)
-        assert eigensplit(D) == want
+        got = eigensplit(*integer_matrix(D))
+        assert [(lam, canonical_rows(rows)) for lam, rows in got] == want
 
 
 def matmul(A, B):
@@ -181,11 +201,11 @@ def test_eigensplit_of_a_conjugated_matrix(case):
     kind, diag, S, A = case
     if kind == "jordan":
         with pytest.raises(NotDiagonalizableError):
-            eigensplit(A)
+            eigensplit(*integer_matrix(A))
         return
     if kind == "irrational":
         with pytest.raises(IrrationalSpectrumError):
-            eigensplit(A)
+            eigensplit(*integer_matrix(A))
         return
     # the eigenspace of S·D·S⁻¹ at λ is spanned by the columns S·e_i with
     # D_ii = λ
@@ -193,7 +213,8 @@ def test_eigensplit_of_a_conjugated_matrix(case):
     want = [(lam, rref_oracle([[S[k][i] for k in range(n)]
                                for i in range(n) if diag[i] == lam])[0])
             for lam in sorted(set(diag))]
-    assert eigensplit(A) == want
+    got = eigensplit(*integer_matrix(A))
+    assert [(lam, canonical_rows(rows)) for lam, rows in got] == want
 
 
 def poly_mul(p, q):
@@ -235,46 +256,59 @@ def test_scaled_so_4_4_torus_element_splits_quickly():
     # rows: 21 distinct eigenvalues, up to 22000 in size
     pair = construct_from_spec("torus_pair:so_4_4")
     g = pair.torus_g.ambient
+    assert all(den == 1 for _, den in pair.torus_g.rows)
     Y = [1000 * (a + 3 * b + 7 * c + 15 * d)
-         for a, b, c, d in zip(*pair.torus_g.rows)]
-    A = ad_matrix(g, Y)
+         for a, b, c, d in zip(*[nums for nums, _ in pair.torus_g.rows])]
+    columns, d = ad_matrix(g, (tuple(Y), 1))
+    A = [[0] * g.dim for _ in range(g.dim)]
+    for i, col in enumerate(columns):
+        for k, c in col:
+            A[k][i] = c
     t0 = time.perf_counter()
-    parts = eigensplit(A)
+    parts = eigensplit(A, d)
     assert time.perf_counter() - t0 < 2
     assert sum(len(rows) for _, rows in parts) == g.dim == 28
     assert len(parts) == 21 and max(lam for lam, _ in parts) == 22000
     for lam, rows in parts:
         for v in rows:
-            assert mat_vec(A, list(v)) == [lam * x for x in v]
+            assert mat_vec(A, list(v)) == [lam * d * x for x in v]
 
 
 def test_eigensplit_rejects_rotation():
     with pytest.raises(IrrationalSpectrumError):
-        eigensplit([[F(0), F(-1)], [F(1), F(0)]])
+        eigensplit([[0, -1], [1, 0]])
 
 
 def test_eigensplit_rejects_nilpotent():
     with pytest.raises(NotDiagonalizableError):
-        eigensplit([[F(0), F(1)], [F(0), F(0)]])
+        eigensplit([[0, 1], [0, 0]])
 
 
 def test_eigensplit_irrational_real_roots():
     # t^2 - 2: real but irrational spectrum
     with pytest.raises(IrrationalSpectrumError):
-        eigensplit([[F(0), F(2)], [F(1), F(0)]])
+        eigensplit([[0, 2], [1, 0]])
+
+
+def test_eigensplit_error_carries_the_charpoly_of_the_scaled_matrix():
+    # A = M/2 with M = [[0, 2], [1, 0]]: det(t - A) = t^2 - 1/2
+    with pytest.raises(IrrationalSpectrumError,
+                       match=r"polynomial t\^2 \+ -1/2$") as err:
+        eigensplit([[0, 2], [1, 0]], 2)
+    assert err.value.charpoly_coeffs == [1, 0, F(-1, 2)]
 
 
 def test_exp_nilpotent_polynomial(sl2):
     # basis H1, E12, E21: ad E12 sends E21 to H1 and H1 to -2 E12, so
     # exp(t ad E12) E21 = E21 + t H1 - t² E12, a polynomial in t
     E = [F(0), F(1), F(0)]
-    word = AdWord(steps=((tuple(E), F(2)),))
+    word = AdWord(steps=((integer_row(E), F(2)),))
     moved = word.apply_to_rows(
         sl2, [integer_row([F(0), F(0), F(1)]), integer_row([F(1), F(0), F(0)])])
     assert moved_fractions(moved) == [[F(2), F(-4), F(1)], [F(1), F(-4), F(0)]]
     # ad H1 is not nilpotent: its series on E12 never stops, but on H1 it
     # stops at once, since the series only has to terminate on the rows moved
-    H = AdWord(steps=((tuple([F(1), F(0), F(0)]), F(1)),))
+    H = AdWord(steps=((integer_row([F(1), F(0), F(0)]), F(1)),))
     assert moved_fractions(
         H.apply_to_rows(sl2, [integer_row([F(1), F(0), F(0)])])) \
         == [[F(1), F(0), F(0)]]
@@ -293,13 +327,14 @@ def rational_matrix(draw):
 @settings(max_examples=60, deadline=None)
 @given(rational_matrix())
 def test_rank_plus_kernel_dim(A):
+    A = integer_rows(A)
     assert rank(A) + len(kernel(A)) == len(A[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(rational_matrix())
 def test_rref_idempotent(A):
-    red, piv = rref(A)
+    red, piv = rref(integer_rows(A))
     again, piv2 = rref([list(r) for r in red])
     assert again == red and piv2 == piv
 
@@ -311,7 +346,8 @@ fractions_or_zero = st.one_of(
 @st.composite
 def rref_input(draw):
     """Matrices of 0-7 rows and 0-7 columns, wide or tall, with many zero
-    entries, repeated rows and zero rows, and an optional `ncols`."""
+    entries, repeated rows and zero rows, and a column count that the
+    kernel test ignores."""
     nrows = draw(st.integers(min_value=0, max_value=7))
     width = draw(st.integers(min_value=0, max_value=7))
     rows = [[draw(fractions_or_zero) for _ in range(width)]
@@ -327,19 +363,14 @@ def rref_input(draw):
 @settings(max_examples=200, deadline=None)
 @given(rref_input())
 def test_rref_matches_fraction_gauss_jordan(case):
-    rows, ncols = case
-    red, piv = rref(rows, ncols)
-    want, want_piv = rref_oracle(rows, ncols)
+    # each row scaled to its integer row, which changes no span
+    rows, _ = case
+    red, piv = rref(integer_rows(rows))
+    want, want_piv = rref_oracle(rows)
     assert piv == want_piv
-    assert all(type(x) is F for row in red for x in row)
-    if ncols is None:
-        assert red == want
-        return
-    # pivot rows are exact; trailing rows keep only their zero pattern
-    k = len(piv)
-    assert red[:k] == want[:k]
-    assert [[x == 0 for x in row] for row in red[k:]] \
-        == [[x == 0 for x in row] for row in want[k:]]
+    assert all(type(x) is int for row in red for x in row)
+    assert all(gcd(*row) == 1 and row[p] > 0 for row, p in zip(red, piv))
+    assert canonical_rows(red) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -357,9 +388,9 @@ def test_kernel_matches_the_fraction_oracle(case):
         for k, p in enumerate(piv):
             v[p] = -red[k][free]
         basis.append(v)
-    got = kernel(rows)
-    assert got == (rref_oracle(basis)[0] if basis else [])
-    assert all(type(x) is F for row in got for x in row)
+    got = kernel(integer_rows(rows))
+    assert canonical_rows(got) == (rref_oracle(basis)[0] if basis else [])
+    assert all(type(x) is int for row in got for x in row)
 
 
 @st.composite
@@ -374,7 +405,8 @@ def integer_rank_input(draw):
                                                 max_value=10 ** 6))
         rows = [[draw(ent) for _ in range(width)] for _ in range(nrows)]
     else:
-        rows = [integer_row([draw(fractions_or_zero) for _ in range(width)])[0]
+        rows = [list(integer_row([draw(fractions_or_zero)
+                                  for _ in range(width)])[0])
                 for _ in range(nrows)]
     if rows and draw(st.booleans()):
         rows.append([0] * width)
@@ -413,9 +445,11 @@ def test_integer_echelon_spans_its_rows_in_echelon_form(rows, data):
 
 @settings(max_examples=300, deadline=None)
 @given(integer_rank_input(), st.data())
-def test_first_outside_span_agrees_with_express_in_rows(rows, data):
+def test_solve_agrees_with_the_fraction_oracle(rows, data):
     # targets inside the span (integer combinations of the rows) mixed with
-    # arbitrary ones; the first index outside is the first None
+    # arbitrary ones; solve against the rref of the rows finds each one
+    # outside that the oracle finds, and writes each one inside as the
+    # target itself, and coordinates on the rref rows read the oracle's
     width = len(rows[0]) if rows else data.draw(st.integers(0, 5))
     combination = st.lists(st.integers(-3, 3), min_size=len(rows),
                            max_size=len(rows)).map(
@@ -425,9 +459,16 @@ def test_first_outside_span_agrees_with_express_in_rows(rows, data):
     targets = data.draw(st.lists(st.one_of(combination, anything),
                                  max_size=6))
     before = [list(t) for t in targets]
-    coords = express_in_rows(rows, targets)
-    want = next((i for i, c in enumerate(coords) if c is None), None)
-    assert first_outside_span(integer_echelon(rows), targets) == want
+    span = rref(rows)[0]
+    oracle = solve_oracle([[F(x) for x in r] for r in span],
+                          [[F(x) for x in t] for t in targets])
+    got = list(solve(span, targets))
+    assert [x is None for x in got] == [c is None for c in oracle]
+    for x, t in zip(got, targets):
+        if x is not None:
+            assert fraction_row(x) == t
+    got = coordinates(span, targets)
+    assert [None if x is None else fraction_row(x) for x in got] == oracle
     assert targets == before  # the rows are not mutated
 
 
@@ -437,9 +478,9 @@ def test_first_outside_span_reads_no_row_after_the_first_outside():
         yield [0, 1, 0]
         raise AssertionError("read a row after the first outside one")
 
-    assert first_outside_span(integer_echelon([[2, 0, 1]]), rows()) == 1
-    assert first_outside_span([], [[0, 0], [0, 0]]) is None
-    assert first_outside_span([], [[0, 0], [0, 3]]) == 1
+    assert Subspace.from_rows(3, [[2, 0, 1]]).first_outside(rows()) == 1
+    assert Subspace.zero(2).first_outside([[0, 0], [0, 0]]) is None
+    assert Subspace.zero(2).first_outside([[0, 0], [0, 3]]) == 1
 
 
 def test_integer_rank_edge_shapes():

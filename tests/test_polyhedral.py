@@ -1,13 +1,18 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_lines_oracle, randomized_dominance_oracle
-from liepair.linalg import kernel, rank
+from conftest import (
+    enumerate_lines_oracle,
+    kernel_oracle,
+    randomized_dominance_oracle,
+    rref_oracle,
+)
 from liepair.polyhedral import (
     ConeBudgetExceeded,
     build_arrangement,
@@ -34,9 +39,19 @@ def random_rho(rng, rank, max_forms=4, entry=3, max_mult=3):
     return RhoFunction(rank=rank, forms=tuple(forms))
 
 
+def lines_of(arr, budget=10 ** 6):
+    """enumerate_lines's lines by normalize_form, after checking that each
+    is a primitive integer vector with a positive first nonzero entry."""
+    ints = enumerate_lines(arr, budget)
+    for y in ints:
+        assert all(type(x) is int for x in y)
+        assert gcd(*y) == 1 and next(x for x in y if x) > 0
+    return [normalize_form(y) for y in ints]
+
+
 def common_kernel(arr):
     """Canonical rows of the common kernel of the arrangement's forms."""
-    return kernel([list(x) for x in arr.forms], arr.rank)
+    return kernel_oracle([list(x) for x in arr.forms], arr.rank)
 
 
 # --- arrangement -----------------------------------------------------------
@@ -53,7 +68,7 @@ def test_arrangement_empty():
     arr = build_arrangement(rf(2, []), rf(2, []))
     assert arr.forms == ()
     assert len(common_kernel(arr)) == 2
-    assert enumerate_lines(arr) == []
+    assert lines_of(arr) == []
 
 
 def test_arrangement_three_forms_rank2():
@@ -68,12 +83,12 @@ def test_arrangement_three_forms_rank2():
 def test_rank1_two_cones():
     # the two cones of a rank-1 arrangement are the half-lines of its line
     arr = build_arrangement(rf(1, [((2,), 1)]), rf(1, []))
-    assert enumerate_lines(arr) == [(F(1),)]
+    assert lines_of(arr) == [(F(1),)]
 
 
 def test_quadrants():
     arr = build_arrangement(rf(2, [((1, 0), 1), ((0, 1), 1)]), rf(2, []))
-    assert enumerate_lines(arr) == [(F(0), F(1)), (F(1), F(0))]
+    assert lines_of(arr) == [(F(0), F(1)), (F(1), F(0))]
 
 
 def test_quotient_of_rank_one_is_its_span_of_forms():
@@ -82,7 +97,7 @@ def test_quotient_of_rank_one_is_its_span_of_forms():
     f = rf(3, [((2, 4, 0), 1), ((-1, -2, 0), 2)])
     arr = build_arrangement(f, rf(3, []))
     assert len(common_kernel(arr)) == 2
-    assert enumerate_lines(arr) == [(F(1), F(2), F(0))]
+    assert lines_of(arr) == [(F(1), F(2), F(0))]
 
 
 def brute_force_region_count(forms, rank, grid=12):
@@ -106,7 +121,7 @@ def brute_force_region_count(forms, rank, grid=12):
 def test_six_cones_for_x_y_xplusy():
     f = rf(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)])
     arr = build_arrangement(f, rf(2, []))
-    lines = enumerate_lines(arr)
+    lines = lines_of(arr)
     assert len(lines) == 3
     # in rank 2 every line bounds two of the cones and each cone has two
     assert brute_force_region_count(arr.forms, 2) == 2 * len(lines) == 6
@@ -122,20 +137,20 @@ def test_cone_count_matches_brute_force_random_rank2():
             continue
         cones = brute_force_region_count(arr.forms, 2)
         # a budget the cones fit in is never exceeded by the flats
-        assert cones == 2 * len(enumerate_lines(arr, budget=cones))
+        assert cones == 2 * len(lines_of(arr, budget=cones))
 
 
 def brute_force_lines(arr):
     """Oracle: the kernel, inside the orthogonal complement of the
     common kernel of the forms, of every (d-1)-subset of forms that has
     rank d-1."""
-    d = rank([list(x) for x in arr.forms])
+    d = len(rref_oracle([list(x) for x in arr.forms])[0])
     lin = [list(r) for r in common_kernel(arr)]
     out = set()
     for subset in itertools.combinations(arr.forms, d - 1):
-        if rank([list(x) for x in subset]) != d - 1:
+        if len(rref_oracle([list(x) for x in subset])[0]) != d - 1:
             continue
-        (line,) = kernel([list(x) for x in subset] + lin, arr.rank)
+        (line,) = kernel_oracle([list(x) for x in subset] + lin, arr.rank)
         out.add(normalize_form(line))
     return sorted(out)
 
@@ -149,7 +164,7 @@ def test_lines_match_brute_force_oracle_rank_le4():
                                 random_rho(rng, r, max_forms=5))
         if not arr.forms:
             continue
-        assert enumerate_lines(arr) == brute_force_lines(arr)
+        assert lines_of(arr) == brute_force_lines(arr)
         checked += 1
     assert checked > 40
 
@@ -193,21 +208,21 @@ def test_lines_match_the_span_oracle_at_every_budget(arr):
     # budget it fits in; the oracle's count only grows, so it raises at
     # every budget below the count iff it raises one below it
     flats = 1
-    while isinstance(lines_or_budget(enumerate_lines, arr, flats), str):
+    while isinstance(lines_or_budget(lines_of, arr, flats), str):
         flats += 1
     for budget in {max(flats - 1, 1), flats}:
-        assert lines_or_budget(enumerate_lines, arr, budget) == \
+        assert lines_or_budget(lines_of, arr, budget) == \
             lines_or_budget(enumerate_lines_oracle, arr, budget)
-    assert enumerate_lines(arr, budget=flats) == enumerate_lines_oracle(arr)
+    assert lines_of(arr, budget=flats) == enumerate_lines_oracle(arr)
 
 
 def test_cone_budget_exceeded():
     f = rf(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)])
     arr = build_arrangement(f, rf(2, []))
     with pytest.raises(ConeBudgetExceeded):
-        enumerate_lines(arr, budget=2)
+        lines_of(arr, budget=2)
     # the whole plane and three lines: four flats, fewer than the six cones
-    assert len(enumerate_lines(arr, budget=4)) == 3
+    assert len(lines_of(arr, budget=4)) == 3
 
 
 # --- dominance -------------------------------------------------------------
@@ -250,7 +265,7 @@ def test_margin_and_witness_match_rho_eval(seed, rank):
             for _ in range(rng.randint(0, 4))))
     f, g = rational_rho(), rational_rho()
     v = decide_dominance(f, g)
-    assert v.lines == tuple(enumerate_lines(build_arrangement(f, g)))
+    assert v.lines == tuple(lines_of(build_arrangement(f, g)))
     diffs = [rho_eval(g, list(line)) - rho_eval(f, list(line))
              for line in v.lines]
     violating = [line for line, d in zip(v.lines, diffs) if d < 0]

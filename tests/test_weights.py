@@ -16,8 +16,16 @@ from liepair.catalog import (
     sl_n_R,
     so_p_q,
 )
+from liepair.algebra import Subspace, subspace_intersect
 from liepair.checks import Pair
-from liepair.linalg import is_diagonal, mat_vec, rref
+from liepair.linalg import (
+    canonical_rows,
+    fraction_row,
+    is_diagonal,
+    mat_vec,
+    rank,
+    rref,
+)
 from liepair.pairfile import parse_pair_text
 from liepair.report import report_for_pair, verify_report
 from liepair.weights import (
@@ -37,12 +45,14 @@ from liepair.weights import (
 
 from conftest import (
     action_operators,
+    as_ad,
     assert_rho_matches_numeric,
     extend_torus_greedily,
     mat_mul,
     module_weights,
     quotient_operators,
     random_fraction,
+    rref_oracle,
 )
 
 F = Fraction
@@ -118,7 +128,7 @@ def test_extend_greedily_sl2_pool(sl2):
     pool = [unit(sl2, "H1"), unit(sl2, "E12"), unit(sl2, "E21")]
     t = extend_torus_greedily(seed, whole(sl2), pool)
     assert t.rank == 1
-    assert tuple(t.rows[0]) == tuple(unit(sl2, "H1"))
+    assert fraction_row(t.rows[0]) == unit(sl2, "H1")
 
 
 def test_extend_greedily_already_maximal(sl2):
@@ -147,7 +157,7 @@ def test_extend_greedily_uses_centralizer_projection():
     t = extend_torus_greedily(seed, full, [mixed])
     assert t.rank == 2
     # the adjoined direction is the projection (0, H), not the raw vector
-    assert tuple(t.rows[1]) == tuple(unit(g, "H1.2"))
+    assert fraction_row(t.rows[1]) == unit(g, "H1.2")
 
 
 # --- weight decompositions -------------------------------------------------
@@ -192,7 +202,8 @@ def test_quotient_weights_match_induced_action(name):
     # complement of h; the so(4,4) torus is not diagonal in its basis
     pair = construct_from_spec(name) if ":" in name else build_fixture(name)
     n = pair.g.dim - pair.h.dim
-    blocks = _joint_eigensplit(quotient_operators(pair.torus_h), n)
+    blocks = _joint_eigensplit(
+        [as_ad(M) for M in quotient_operators(pair.torus_h)], n)
     assert module_weights(pair.torus_h, "g/h") \
         == tuple(sorted((lam, len(rows)) for lam, rows in blocks))
 
@@ -203,9 +214,10 @@ def test_cached_g_weights_equal_a_fresh_joint_split(name):
     # so(4,4) torus is not diagonal in its basis
     pair = construct_from_spec(name) if ":" in name else build_fixture(name)
     for torus in (pair.torus_h, pair.torus_g):
-        fresh = sorted((lam, tuple(tuple(r) for r in rref(rows)[0]))
+        fresh = sorted((lam, tuple(rref(rows)[0]))
                        for lam, rows in _joint_eigensplit(
-                           action_operators(torus, "g"), pair.g.dim))
+                           [as_ad(M) for M in action_operators(torus, "g")],
+                           pair.g.dim))
         ws = weight_decomposition(torus, "g")
         assert ws.weights == tuple((lam, len(rows)) for lam, rows in fresh)
         assert ws.spaces == tuple(rows for _, rows in fresh)
@@ -254,35 +266,57 @@ def test_parse_and_verify_split_each_torus_on_g_once(monkeypatch):
                      "dense on g": 2 * 1}
 
 
-def test_reverify_builds_ad_matrices_only_for_a_non_diagonal_torus(
+def test_reverify_searches_eigenspaces_only_for_a_non_diagonal_torus(
         monkeypatch):
     # machine-independent count: a torus whose ad(Y) are diagonal in g's
-    # basis is split from the structure constants; only so(4,4)'s torus is
-    # not, and its four ad matrices are built once per parse
+    # basis is split by coordinates; only so(4,4)'s torus is not, and its
+    # joint split restricts its four operators to blocks 32 times through
+    # the public linalg.eigensplit per parse, 15 of them not diagonal, so
+    # that they run an eigenspace search
     pairs = [construct_from_spec(spec) for spec in TEMPERED_LADDER]
     reports = [report_for_pair(pair, ["tempered"]) for pair in pairs]
-    built = []
-    ad_matrix = weights.ad_matrix
-    monkeypatch.setattr(weights, "ad_matrix",
-                        lambda g, y: built.append(g.name) or ad_matrix(g, y))
-    for rep in reports:
+    splits = []
+    eigensplit = weights.eigensplit
+    monkeypatch.setattr(weights, "eigensplit",
+                        lambda M, d: splits.append(is_diagonal(M))
+                        or eigensplit(M, d))
+    counts = {}
+    for spec, rep in zip(TEMPERED_LADDER, reports):
+        splits.clear()
         assert [ok for _, ok, _ in verify_report(rep)] == [True]
-    assert built == ["so(4,4)"] * 4
+        counts[spec] = (len(splits), splits.count(False))
+    assert counts == {spec: (32, 15) if spec == "torus_pair:so_4_4"
+                      else (0, 0) for spec in TEMPERED_LADDER}
 
 
 def test_create_splits_a_torus_g_equal_to_torus_h_once(monkeypatch):
     pair = construct_from_spec("torus_pair:so_4_4")
-    rows = [list(r) for r in pair.torus_h.rows]
+    rows = [fraction_row(r) for r in pair.torus_h.rows]
     assert pair.torus_g.rows == pair.torus_h.rows
     calls = []
     split = weights._torus_split
     monkeypatch.setattr(weights, "_torus_split",
                         lambda g, rows: calls.append(g.dim) or split(g, rows))
-    created = Pair.create(pair.g, [list(r) for r in pair.h.rows], rows, rows)
+    created = Pair.create(pair.g, [fraction_row(r) for r in pair.h.rows],
+                          rows, rows)
     assert calls == [pair.g.dim]
     fresh = validate_torus(rows, whole(pair.g))
     assert created.torus_g == fresh  # parent g and rows
     assert created.torus_g.g_split == fresh.g_split  # weights and spaces
+
+
+def h_weights_oracle(pair):
+    """The weights on h and the canonical rows of their spaces in
+    g-coordinates, from the joint split of ad restricted to h."""
+    split = sorted(_joint_eigensplit(
+        [as_ad(M) for M in action_operators(pair.torus_h, "h")], pair.h.dim))
+    h_rows = [fraction_row(r) for r in pair.h.rows]
+    spaces = []
+    for _, rows in split:
+        in_g = [[sum((c * r[i] for c, r in zip(row, h_rows) if c), F(0))
+                 for i in range(pair.g.dim)] for row in rows]
+        spaces.append(tuple(rref_oracle(in_g)[0]))
+    return tuple((lam, len(rows)) for lam, rows in split), tuple(spaces)
 
 
 @pytest.mark.parametrize("name", fixture_names() + list(TEMPERED_LADDER)
@@ -296,28 +330,38 @@ def test_h_weights_equal_the_split_of_the_restricted_action(name):
         if p is None:
             continue
         ws = weight_decomposition(p.torus_h, "h")
-        oracle = sorted(_joint_eigensplit(action_operators(p.torus_h, "h"),
-                                          p.h.dim))
-        assert ws.weights == tuple((lam, len(rows)) for lam, rows in oracle)
-        h_rows = [list(r) for r in p.h.rows]
-        for (lam, rows), space in zip(oracle, ws.spaces):
-            in_g = [[sum((c * r[i] for c, r in zip(row, h_rows) if c), F(0))
-                     for i in range(p.g.dim)] for row in rows]
-            assert tuple(rref(in_g)[0]) == space, lam
+        weights_, spaces = h_weights_oracle(p)
+        assert ws.weights == weights_
+        assert tuple(tuple(canonical_rows(rows)) for rows in ws.spaces) \
+            == spaces
 
 
-@pytest.mark.parametrize("name", ["whittaker_nilradical:sl4",
-                                  "symmetric_sl3_so3", "sl2_point"])
+RANK_ZERO_H = ("whittaker_nilradical:sl4", "symmetric_sl3_so3", "sl2_point")
+
+
+@pytest.mark.parametrize("name", list(RANK_ZERO_H)
+                         + [spec for spec in TEMPERED_LADDER
+                            if spec != "torus_pair:so_4_4"])
 def test_rank_zero_h_weights_solve_nothing(monkeypatch, name):
-    # the split of a rank-0 torus is one block, g itself, so the weights
-    # on h are h's canonical rows under the empty weight, with no solve
+    # a split into unit rows, as of a rank-0 torus (one block, g itself)
+    # or of the five diagonal tempered-ladder tori, gives h ∩ g_λ from h's
+    # entries at g_λ's coordinates, with no solve; for a rank-0 torus that
+    # is h's rref under the empty weight
     pair = construct_from_spec(name) if ":" in name else build_fixture(name)
-    assert pair.torus_h.rank == 0
-    monkeypatch.setattr(weights, "express_in_rows", None)
+
+    def no_solve(*args):
+        raise AssertionError("solved against a split into unit rows")
+
+    monkeypatch.setattr(weights, "coordinates", no_solve)
     ws = weight_decomposition(pair.torus_h, "h")
-    rows = tuple(rref([list(r) for r in pair.h.rows])[0])
-    assert ws.weights == ((((), len(rows)),) if rows else ())
-    assert ws.spaces == ((rows,) if rows else ())
+    assert (pair.torus_h.rank == 0) == (name in RANK_ZERO_H)
+    if name in RANK_ZERO_H:
+        rows = tuple(rref([nums for nums, _ in pair.h.rows])[0])
+        assert ws.weights == ((((), len(rows)),) if rows else ())
+        assert ws.spaces == ((rows,) if rows else ())
+    weights_, spaces = h_weights_oracle(pair)
+    assert ws.weights == weights_
+    assert tuple(tuple(canonical_rows(rows)) for rows in ws.spaces) == spaces
 
 
 def test_create_validates_a_torus_g_that_differs():
@@ -340,7 +384,7 @@ def test_whittaker_build_splits_its_torus_on_g_once(monkeypatch):
     pair = construct_from_spec("whittaker_nilradical:so_4_4")
     assert pair.torus_h.rank == 0 and pair.torus_g.rank > 0
     assert calls == [(pair.g.dim, pair.torus_g.rank), (pair.g.dim, 0)]
-    fresh = validate_torus([list(r) for r in pair.torus_g.rows],
+    fresh = validate_torus([fraction_row(r) for r in pair.torus_g.rows],
                            whole(pair.g))
     assert pair.torus_g == fresh
     assert pair.torus_g.g_split == fresh.g_split
@@ -392,19 +436,15 @@ def test_irrational_weights_message_carries_charpoly():
 
 
 def test_weight_spaces_partition_the_module(sl3):
-    # distinct weight spaces intersect trivially and sum to everything
-    from liepair.algebra import Subspace, subspace_intersect, subspace_sum
-
+    # distinct weight spaces intersect trivially and sum to everything:
+    # their rows together have rank dim g
     h, t = sl3_sl2_pair(sl3)
     ws = weight_decomposition(t, "g")
-    spaces = [Subspace.from_rows(sl3.dim, [list(r) for r in rows])
-              for rows in ws.spaces]
-    total = Subspace.zero(sl3.dim)
+    spaces = [Subspace.from_rows(sl3.dim, rows) for rows in ws.spaces]
     for i, s in enumerate(spaces):
         for s2 in spaces[i + 1:]:
             assert subspace_intersect(s, s2).dim == 0
-        total = subspace_sum(total, s)
-    assert total.dim == sl3.dim
+    assert rank([r for s in spaces for r in s.rows]) == sl3.dim
 
 
 def test_weight_completeness_across_fixtures():
@@ -442,13 +482,13 @@ def test_refinement_split_agrees_with_coordinate_split(name, torus, space):
     ops = action_operators(getattr(build_fixture(name), torus), space)
     assert all(is_diagonal(M) for M in ops)
     n = len(ops[0])
-    coordinate = _joint_eigensplit(ops, n)
+    coordinate = _joint_eigensplit([as_ad(M) for M in ops], n)
     P, Pinv = unimodular_pair(n, Random(f"{name}/{space}"))
     assert mat_mul(P, Pinv) == [[int(i == j) for j in range(n)]
                                 for i in range(n)]
     conj = [mat_mul(mat_mul(P, M), Pinv) for M in ops]
     assert not all(is_diagonal(M) for M in conj)
-    refined = _joint_eigensplit(conj, n)
+    refined = _joint_eigensplit([as_ad(M) for M in conj], n)
     assert sorted((lam, len(rows)) for lam, rows in refined) \
         == [(lam, len(rows)) for lam, rows in coordinate]
     for lam, rows in refined:
