@@ -1,13 +1,15 @@
 """Finite-dimensional Lie algebras over ℚ.
 
-Structure constants are stored sparsely: sparse[i][j] lists the nonzero
-coordinates of [e_i, e_j] as (k, c) pairs sorted by k, with c the Fraction
-a pair file or the catalog gives, and integer_sparse holds the same table
-as ints over one denominator, on which every computation runs.  Vectors
-are the exact vectors (nums, den) of `linalg` and spans are `Subspace`s of
-integer rows; a subalgebra and its span hold them from construction on.
-All values are immutable after construction and every operation is pure,
-so everything here is safe to share between workers.
+An algebra holds its data once, as ints over one denominator.  Structure
+constants are stored sparsely: sparse[i][j] lists the nonzero coordinates
+of [e_i, e_j] as (k, c) pairs sorted by k, with c an int over the
+algebra's denominator den.  A matrix realization is (mats, d): integer
+matrices over one denominator d.  The pair parser and the catalog give
+them in this form, and a value is formed from them only where one is
+written.  Vectors are the exact vectors (nums, den) of `linalg` and spans
+are `Subspace`s of integer rows; a subalgebra and its span hold them from
+construction on.  All values are immutable after construction and every
+operation is pure, so everything here is safe to share between workers.
 
 Index conventions: internal indices are 0-based; human-facing messages and
 the pair-file format are 1-based.
@@ -16,19 +18,14 @@ the pair-file format are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .linalg import (
-    ZERO,
-    ONE,
     coordinates,
-    frac,
     identity_rows,
     integer_rank,
-    integer_row,
     rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     rref,
     solve,
@@ -55,15 +52,20 @@ class ValidationReport:
 class LieAlgebra:
     dim: int
     basis_labels: tuple
-    # sparse[i][j] = tuple of (k, c), sorted by k, c != 0: [e_i, e_j] = Σ c·e_k
+    # sparse[i][j] = tuple of (k, c), sorted by k, c a nonzero int:
+    # [e_i, e_j] = Σ c·e_k / den
     sparse: tuple
+    den: int = 1
+    # (mats, d): the basis matrices mats[k] / d, as tuples of integer rows
     matrix_realization: Optional[tuple] = None
     name: str = ""
 
     @staticmethod
-    def from_structure(labels, table, realization=None, name=""):
-        """Build from a sparse bracket table {(i, j): {k: c}} given for i < j;
-        the antisymmetric part is filled in automatically."""
+    def from_structure(labels, table, den=1, realization=None, name=""):
+        """Build from a sparse bracket table {(i, j): {k: c}} of ints over
+        den, given for i < j; the antisymmetric part is filled in
+        automatically, and den is brought to lowest terms.  `realization`
+        is (mats, d), integer matrices over d, or None."""
         n = len(labels)
         entries = [[()] * n for _ in range(n)]
         for (i, j), entry in table.items():
@@ -75,26 +77,34 @@ class LieAlgebra:
                     raise ValidationError(
                         f"[e_{i + 1}, e_{j + 1}] names basis vector {k + 1} "
                         f"outside 1..{n}")
-            values = {k: c if type(c) is Fraction else frac(c)
-                      for k, c in entry.items()}
-            nonzero = sorted((k, c) for k, c in values.items() if c)
-            entries[i][j] = tuple(nonzero)
-            entries[j][i] = tuple((k, -c) for k, c in nonzero)
+            entries[i][j] = tuple(sorted((k, c) for k, c in entry.items() if c))
+        common = gcd(den, *[c for row in entries for e in row for _, c in e])
+        for i in range(n):
+            for j in range(i + 1, n):
+                if common > 1:
+                    entries[i][j] = tuple((k, c // common)
+                                          for k, c in entries[i][j])
+                entries[j][i] = tuple((k, -c) for k, c in entries[i][j])
+        if realization is not None:
+            mats, d = realization
+            realization = tuple(tuple(map(tuple, M)) for M in mats), d
         return LieAlgebra(
             dim=n,
             basis_labels=tuple(labels),
             sparse=tuple(tuple(row) for row in entries),
-            matrix_realization=_freeze_mats(realization),
+            den=den // common,
+            matrix_realization=realization,
             name=name)
 
     @staticmethod
     def from_matrices(labels, mats, name=""):
-        """Derive structure constants from a faithful matrix realization.
-        Only the brackets that are not zero are solved for."""
+        """Derive structure constants from a faithful realization by
+        integer matrices.  Only the brackets that are not zero are solved
+        for."""
         n = len(mats)
         if n != len(labels):
             raise ValidationError("one label per basis matrix required")
-        dense, sparse, den = _integer_matrices(mats)
+        dense, sparse = _matrix_forms(mats)
         if integer_rank(dense) < n:
             raise ValidationError("realization matrices are linearly dependent")
         size = len(mats[0]) if mats else 0
@@ -109,44 +119,21 @@ class LieAlgebra:
                         target[e] = x
                     targets.append(target)
                     pairs.append((i, j))
-        # the commutator of M_i = A_i/den and M_j is (A_i A_j - A_j A_i)/den²,
-        # so its coordinates on the A_k are den times those on the M_k
         coords = coordinates(dense, targets) if targets else []
-        table = {}
         for (i, j), cv in zip(pairs, coords):
             if cv is None:
                 raise ValidationError(
                     f"matrices do not span a Lie algebra: [{labels[i]}, {labels[j]}] "
                     "is outside the span of the basis")
-            nums, cden = cv
-            table[(i, j)] = {k: Fraction(c, cden * den)
-                             for k, c in enumerate(nums) if c}
-        return LieAlgebra.from_structure(labels, table, realization=mats, name=name)
-
-    @cached_property
-    def integer_sparse(self):
-        """(table, den): the structure constants over their common
-        denominator den, table[i][j] holding the (k, c·den) of sparse[i][j]
-        as ints."""
-        n = self.dim
-        nonzero = [(i, j, entry) for i, row in enumerate(self.sparse)
-                   for j, entry in enumerate(row) if entry]
-        den = lcm(*{c.denominator for _, _, entry in nonzero for _, c in entry})
-        table = [[()] * n for _ in range(n)]
-        for i, j, entry in nonzero:
-            table[i][j] = tuple((k, c.numerator * (den // c.denominator))
-                                for k, c in entry)
-        return tuple(tuple(row) for row in table), den
+        den = lcm(*[cden for _, cden in coords])
+        table = {(i, j): {k: c * (den // cden) for k, c in enumerate(nums) if c}
+                 for (i, j), (nums, cden) in zip(pairs, coords)}
+        return LieAlgebra.from_structure(labels, table, den,
+                                         realization=(mats, 1), name=name)
 
     def basis_vector(self, i):
-        return [ONE if k == i else ZERO for k in range(self.dim)]
-
-
-def _freeze_mats(mats):
-    if mats is None:
-        return None
-    return tuple(tuple(tuple(x if type(x) is Fraction else frac(x) for x in row)
-                       for row in M) for M in mats)
+        """e_i as an exact vector."""
+        return (0,) * i + (1,) + (0,) * (self.dim - 1 - i), 1
 
 
 class _IntMatrix(NamedTuple):
@@ -160,28 +147,24 @@ class _IntMatrix(NamedTuple):
     cols: int
 
 
-def _integer_matrices(mats):
-    """(dense, sparse, den): the square matrices, of ints or Fractions,
-    over the common denominator den of their entries, M_k = A_k / den;
-    dense[k] is A_k flattened row by row to ints and sparse[k] is A_k as
-    an _IntMatrix."""
+def _matrix_forms(mats):
+    """(dense, sparse) of square integer matrices: dense[k] is mats[k]
+    flattened row by row and sparse[k] is mats[k] as an _IntMatrix."""
     size = len(mats[0]) if mats else 0
-    nonzero = [[(a * size + b, x) for a, row in enumerate(M)
-                for b, x in enumerate(row) if x] for M in mats]
-    den = lcm(*{x.denominator for nz in nonzero for _, x in nz})
     dense, sparse = [], []
-    for nz in nonzero:
+    for M in mats:
         flat = [0] * (size * size)
         entries, by_row, rows, cols = {}, {}, 0, 0
-        for e, x in nz:
-            a, b = divmod(e, size)
-            flat[e] = entries[e] = v = x.numerator * (den // x.denominator)
-            by_row.setdefault(a, []).append((b, v))
-            rows |= 1 << a
-            cols |= 1 << b
+        for a, row in enumerate(M):
+            for b, v in enumerate(row):
+                if v:
+                    flat[a * size + b] = entries[a * size + b] = v
+                    by_row.setdefault(a, []).append((b, v))
+                    rows |= 1 << a
+                    cols |= 1 << b
         dense.append(flat)
         sparse.append(_IntMatrix(entries, by_row, rows, cols))
-    return dense, sparse, den
+    return dense, sparse
 
 
 def _matrix_bracket(A, B, size):
@@ -200,13 +183,13 @@ def _matrix_bracket(A, B, size):
 
 def bracket(L: LieAlgebra, x, y):
     """[x, y] of two exact vectors (nums, den), as (nums, den) with
-    [x, y] = nums / den, not reduced: summed on L.integer_sparse over the
-    nonzero entries of both."""
+    [x, y] = nums / den, not reduced: summed on L.sparse over the nonzero
+    entries of both."""
     if len(x[0]) != L.dim or len(y[0]) != L.dim:
         raise ValidationError(
             f"dimension mismatch: algebra has dim {L.dim}, "
             f"got vectors of length {len(x[0])} and {len(y[0])}")
-    table, den = L.integer_sparse
+    table, den = L.sparse, L.den
     out = [0] * L.dim
     y_nonzero = [(j, b) for j, b in enumerate(y[0]) if b]
     for i, a in [(i, a) for i, a in enumerate(x[0]) if a]:
@@ -221,11 +204,11 @@ def bracket(L: LieAlgebra, x, y):
 def ad_matrix(L: LieAlgebra, y):
     """ad y, x ↦ [y, x], for an exact vector y = (nums, den), as (columns,
     d): columns[i] holds the nonzero (k, c) of [y, e_i] = Σ c·e_k / d,
-    summed on L.integer_sparse."""
+    summed on L.sparse."""
     if len(y[0]) != L.dim:
         raise ValidationError(f"dimension mismatch: algebra has dim {L.dim}, "
                               f"got length {len(y[0])}")
-    table, den = L.integer_sparse
+    table, den = L.sparse, L.den
     nonzero = [(j, a) for j, a in enumerate(y[0]) if a]
     columns = []
     for i in range(L.dim):
@@ -239,8 +222,8 @@ def ad_matrix(L: LieAlgebra, y):
 
 def _jacobi_defect(L, i, j, k):
     """[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]], as ints
-    over the square of the denominator of L.integer_sparse."""
-    table, _ = L.integer_sparse
+    over the square of L.den."""
+    table = L.sparse
     out = [0] * L.dim
     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
         sp_a = table[a]
@@ -262,7 +245,7 @@ def validate(L: LieAlgebra) -> ValidationReport:
     """
     problems = []
     n = L.dim
-    table, _ = L.integer_sparse
+    table = L.sparse
     pair = next(((i, j) for i in range(n) for j in range(i, n)
                  if (table[i][j] or table[j][i]) and table[i][j]
                  != tuple((k, -c) for k, c in table[j][i])), None)
@@ -298,12 +281,12 @@ def _realization_problem(L: LieAlgebra):
     A basis pair with no stored bracket is skipped when no nonzero column
     of either matrix meets a nonzero row of the other, since both products
     are then zero."""
-    mats = L.matrix_realization
-    dense, sparse, d = _integer_matrices(mats)
+    mats, d = L.matrix_realization
+    dense, sparse = _matrix_forms(mats)
     if integer_rank(dense) < L.dim:
         return "matrix realization is not faithful"
     size = len(mats[0]) if mats else 0
-    table, c = L.integer_sparse
+    table, c = L.sparse, L.den
     for i in range(L.dim):
         A = sparse[i]
         for j in range(i + 1, L.dim):
@@ -346,10 +329,6 @@ class Subspace:
         red, piv = rref(rows)
         return Subspace(ambient=ambient, rows=tuple(red), pivots=tuple(piv))
 
-    @staticmethod
-    def zero(ambient):
-        return Subspace(ambient=ambient, rows=(), pivots=())
-
     @property
     def dim(self):
         return len(self.rows)
@@ -383,16 +362,15 @@ class SubalgebraEmbedding:
 
     @staticmethod
     def create(ambient: LieAlgebra, rows):
-        """The embedding of the span of `rows`, rows of values, after
+        """The embedding of the span of `rows`, exact vectors, after
         checking that they are independent and that the bracket of every
         two lies in their span: each bracket is tested against the span
         with `linalg.solve`."""
-        for r in rows:
-            if len(r) != ambient.dim:
-                raise ValidationError(
-                    f"subalgebra row has length {len(r)}, ambient dim {ambient.dim}")
-        emb = SubalgebraEmbedding(ambient=ambient,
-                                  rows=tuple(integer_row(r) for r in rows))
+        for nums, _ in rows:
+            if len(nums) != ambient.dim:
+                raise ValidationError(f"subalgebra row has length {len(nums)}, "
+                                      f"ambient dim {ambient.dim}")
+        emb = SubalgebraEmbedding(ambient=ambient, rows=tuple(rows))
         if emb.subspace.dim < len(rows):
             raise ValidationError("subalgebra basis rows are linearly dependent")
         rows = emb.rows

@@ -7,6 +7,11 @@ maximally split Cartan subalgebra; the latter is what licenses mechanical
 complexification (the split torus of the realified complexification is
 a ⊕ i·t for a maximally split Cartan a ⊕ t).
 
+Everything here is built on ints: the base algebras from integer matrices,
+the complexification and the direct sum from the integer tables of their
+parts, and every row as an exact vector (nums, den) of `linalg`, so a pair
+reaches `Pair.create` with no value to convert.
+
 Supported parameter ranges are small by design: these are desk-scale exact
 computations, not a classification engine.
 """
@@ -26,12 +31,8 @@ from .algebra import (
 )
 from .checks import Expectation, Pair
 from .linalg import (
-    ZERO,
-    ONE,
     canonical_rows,
     coordinates,
-    fraction_row,
-    integer_row,
     kernel,
     vec_dot,
 )
@@ -56,8 +57,9 @@ class AlgebraData:
 
     split_rows span a maximal split torus; compact_rows complete it to a
     maximally split Cartan, and are None when that data is not known
-    (mechanical complexification needs it).  complex_structure is the J
-    tensor for realified complex algebras.
+    (mechanical complexification needs it).  Both are exact vectors.
+    complex_structure is the J tensor for realified complex algebras, as
+    (rows, d): integer rows over d.
     """
 
     algebra: LieAlgebra
@@ -67,12 +69,8 @@ class AlgebraData:
     spec: str = ""
 
 
-def _unit_row(n, i):
-    return tuple(ONE if k == i else ZERO for k in range(n))
-
-
 def _zmat(n):
-    return [[ZERO] * n for _ in range(n)]
+    return [[0] * n for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -87,19 +85,19 @@ def sl_n_R(n: int) -> AlgebraData:
     mats, labels = [], []
     for i in range(n - 1):
         M = _zmat(n)
-        M[i][i] = ONE
-        M[i + 1][i + 1] = -ONE
+        M[i][i] = 1
+        M[i + 1][i + 1] = -1
         mats.append(M)
         labels.append(f"H{i + 1}")
     for i in range(n):
         for j in range(n):
             if i != j:
                 M = _zmat(n)
-                M[i][j] = ONE
+                M[i][j] = 1
                 mats.append(M)
                 labels.append(f"E{i + 1}{j + 1}")
     alg = LieAlgebra.from_matrices(labels, mats, name=f"sl{n}")
-    split = tuple(_unit_row(alg.dim, i) for i in range(n - 1))
+    split = tuple(alg.basis_vector(i) for i in range(n - 1))
     return AlgebraData(algebra=alg, split_rows=split, compact_rows=(),
                        spec=f"sl{n}")
 
@@ -116,14 +114,14 @@ def so_p_q(p: int, q: int) -> AlgebraData:
 
     def rot(i, j):
         M = _zmat(n)
-        M[i][j] = ONE
-        M[j][i] = -ONE
+        M[i][j] = 1
+        M[j][i] = -1
         return M
 
     def boost(i, j):
         M = _zmat(n)
-        M[i][j] = ONE
-        M[j][i] = ONE
+        M[i][j] = 1
+        M[j][i] = 1
         return M
 
     for i in range(p):
@@ -143,10 +141,10 @@ def so_p_q(p: int, q: int) -> AlgebraData:
             labels.append(f"B{i + 1}{j + 1}")
     alg = LieAlgebra.from_matrices(labels, mats, name=f"so({p},{q})")
     m = min(p, q)
-    split = tuple(_unit_row(alg.dim, index[("B", k, p + k)]) for k in range(m))
+    split = tuple(alg.basis_vector(index[("B", k, p + k)]) for k in range(m))
     leftover = list(range(2 * p, n)) if p <= q else list(range(q, p))
     compact = tuple(
-        _unit_row(alg.dim, index[("R", leftover[2 * t], leftover[2 * t + 1])])
+        alg.basis_vector(index[("R", leftover[2 * t], leftover[2 * t + 1])])
         for t in range(len(leftover) // 2))
     return AlgebraData(algebra=alg, split_rows=split, compact_rows=compact,
                        spec=f"so_{p}_{q}")
@@ -186,31 +184,31 @@ def su_p_q(p: int, q: int) -> AlgebraData:
             for b in range(a + 1, len(blk)):
                 i, j = blk[a], blk[b]
                 re = _zmat(n)
-                re[i][j] = ONE
-                re[j][i] = -ONE
+                re[i][j] = 1
+                re[j][i] = -1
                 add(("A", i, j), f"A{i + 1}{j + 1}", re, _zmat(n))
                 im = _zmat(n)
-                im[i][j] = ONE
-                im[j][i] = ONE
+                im[i][j] = 1
+                im[j][i] = 1
                 add(("B", i, j), f"B{i + 1}{j + 1}", _zmat(n), im)
     for i in range(p):
         for j in range(p, n):
             re = _zmat(n)
-            re[i][j] = ONE
-            re[j][i] = ONE
+            re[i][j] = 1
+            re[j][i] = 1
             add(("S", i, j), f"S{i + 1}{j + 1}", re, _zmat(n))
             im = _zmat(n)
-            im[i][j] = ONE
-            im[j][i] = -ONE
+            im[i][j] = 1
+            im[j][i] = -1
             add(("T", i, j), f"T{i + 1}{j + 1}", _zmat(n), im)
     for k in range(n - 1):
         im = _zmat(n)
-        im[k][k] = ONE
-        im[k + 1][k + 1] = -ONE
+        im[k][k] = 1
+        im[k + 1][k + 1] = -1
         add(("D", k), f"D{k + 1}", _zmat(n), im)
     alg = LieAlgebra.from_matrices(labels, mats, name=f"su({p},{q})")
     m = min(p, q)
-    split = tuple(_unit_row(alg.dim, index[("S", k, p + k)]) for k in range(m))
+    split = tuple(alg.basis_vector(index[("S", k, p + k)]) for k in range(m))
     return AlgebraData(algebra=alg, split_rows=split, compact_rows=None,
                        spec=f"su_{p}_{q}")
 
@@ -234,21 +232,21 @@ def sp_2n_R(two_n: int) -> AlgebraData:
     for i in range(n):
         for j in range(n):
             M = _zmat(N)
-            M[i][j] = ONE
-            M[n + j][n + i] = -ONE
+            M[i][j] = 1
+            M[n + j][n + i] = -1
             add(("A", i, j), f"A{i + 1}{j + 1}", M)
     for i in range(n):
         for j in range(i, n):
             M = _zmat(N)
-            M[i][n + j] = ONE
-            M[j][n + i] = ONE
+            M[i][n + j] = 1
+            M[j][n + i] = 1
             add(("B", i, j), f"B{i + 1}{j + 1}", M)
             M = _zmat(N)
-            M[n + i][j] = ONE
-            M[n + j][i] = ONE
+            M[n + i][j] = 1
+            M[n + j][i] = 1
             add(("C", i, j), f"C{i + 1}{j + 1}", M)
     alg = LieAlgebra.from_matrices(labels, mats, name=f"sp({N})")
-    split = tuple(_unit_row(alg.dim, index[("A", k, k)]) for k in range(n))
+    split = tuple(alg.basis_vector(index[("A", k, k)]) for k in range(n))
     return AlgebraData(algebra=alg, split_rows=split, compact_rows=(),
                        spec=f"sp_{N}")
 
@@ -273,91 +271,88 @@ def complexify(data: AlgebraData) -> AlgebraData:
     table = {}
     for i in range(d):
         for j in range(d):
-            entries = {k: c for k, c in g.sparse[i][j]}
+            entries = dict(g.sparse[i][j])
             if not entries:
                 continue
             if i < j:
-                table[(i, j)] = dict(entries)
+                table[(i, j)] = entries
                 table[(d + i, d + j)] = {k: -c for k, c in entries.items()}
             # [e_i, i e_j] = i [e_i, e_j], needed for both index orders
             table[(i, d + j)] = {d + k: c for k, c in entries.items()}
     realization = None
     if g.matrix_realization is not None:
-        realization = []
-        msize = len(g.matrix_realization[0])
-        for M in g.matrix_realization:
-            realization.append(_realify([list(r) for r in M], _zmat(msize)))
-        for M in g.matrix_realization:
-            realization.append(_realify(_zmat(msize), [list(r) for r in M]))
-    alg = LieAlgebra.from_structure(labels, table, realization=realization,
+        mats, mden = g.matrix_realization
+        zero = _zmat(len(mats[0]))
+        realization = ([_realify(M, zero) for M in mats]
+                       + [_realify(zero, M) for M in mats], mden)
+    alg = LieAlgebra.from_structure(labels, table, g.den,
+                                    realization=realization,
                                     name=f"{g.name} (x)C")
     J = _zmat(2 * d)
     for k in range(d):
-        J[d + k][k] = ONE
-        J[k][d + k] = -ONE
-    def left(row):
-        return tuple(row) + tuple([ZERO] * d)
-    def right(row):
-        return tuple([ZERO] * d) + tuple(row)
-    split = tuple(left(r) for r in data.split_rows) + \
-        tuple(right(r) for r in data.compact_rows)
-    compact = tuple(right(r) for r in data.split_rows) + \
-        tuple(left(r) for r in data.compact_rows)
+        J[d + k][k] = 1
+        J[k][d + k] = -1
+    # a vector x of g is x + i·0, and i·x is 0 + i·x
+    pad = (0,) * d
+    a, t = data.split_rows, data.compact_rows
+    split = tuple([(x + pad, e) for x, e in a] + [(pad + x, e) for x, e in t])
+    compact = tuple([(pad + x, e) for x, e in a] + [(x + pad, e) for x, e in t])
     return AlgebraData(algebra=alg, split_rows=split, compact_rows=compact,
-                       complex_structure=tuple(tuple(r) for r in J),
+                       complex_structure=(tuple(map(tuple, J)), 1),
                        spec=f"{data.spec}C")
+
+
+def _put_block(out, M, offset, scale):
+    """Write scale·M into the square matrix `out` with its top left entry
+    at (offset, offset); returns `out`."""
+    for a, row in enumerate(M):
+        out[offset + a][offset:offset + len(row)] = [x * scale for x in row]
+    return out
 
 
 def direct_sum(datas) -> AlgebraData:
     """Block direct sum; tori concatenate, and the compact Cartan data and
-    the complex structure survive only if every summand carries them."""
+    the complex structure survive only if every summand carries them.
+    Tables and matrices are brought to the lcm of their denominators."""
     dims = [d.algebra.dim for d in datas]
     total = sum(dims)
     if total > MAX_ALGEBRA_DIM:
         raise UnsupportedParams(f"direct sum has dim {total} > {MAX_ALGEBRA_DIM}")
-    offsets = []
-    off = 0
-    for d in dims:
-        offsets.append(off)
-        off += d
+    offsets = [sum(dims[:k]) for k in range(len(dims))]
     labels = []
     for k, data in enumerate(datas):
         labels.extend(f"{l}.{k + 1}" for l in data.algebra.basis_labels)
+    den = lcm(*[d.algebra.den for d in datas])
     table = {}
     for k, data in enumerate(datas):
         g = data.algebra
         o = offsets[k]
+        scale = den // g.den
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                entries = {o + kk: c for kk, c in g.sparse[i][j]}
+                entries = {o + kk: c * scale for kk, c in g.sparse[i][j]}
                 if entries:
                     table[(o + i, o + j)] = entries
     realization = None
-    if all(d.algebra.matrix_realization is not None for d in datas):
-        sizes = [len(d.algebra.matrix_realization[0]) for d in datas]
-        msz = sum(sizes)
-        moff = []
+    reps = [d.algebra.matrix_realization for d in datas]
+    if None not in reps:
+        msz = sum(len(mats[0]) for mats, _ in reps)
+        mden = lcm(*[md for _, md in reps])
+        mats_out = []
         mo = 0
-        for s in sizes:
-            moff.append(mo)
-            mo += s
-        realization = []
-        for k, data in enumerate(datas):
-            for M in data.algebra.matrix_realization:
-                big = _zmat(msz)
-                for a in range(sizes[k]):
-                    for b in range(sizes[k]):
-                        big[moff[k] + a][moff[k] + b] = M[a][b]
-                realization.append(big)
+        for mats, md in reps:
+            mats_out.extend(_put_block(_zmat(msz), M, mo, mden // md)
+                            for M in mats)
+            mo += len(mats[0])
+        realization = (mats_out, mden)
     name = " + ".join(d.algebra.name for d in datas)
-    alg = LieAlgebra.from_structure(labels, table, realization=realization,
-                                    name=name)
+    alg = LieAlgebra.from_structure(labels, table, den,
+                                    realization=realization, name=name)
 
     def embed(k, row):
-        out = [ZERO] * total
-        for i, x in enumerate(row):
-            out[offsets[k] + i] = x
-        return tuple(out)
+        nums, rden = row
+        return ((0,) * offsets[k] + nums
+                + (0,) * (total - offsets[k] - len(nums)), rden)
 
     split = tuple(embed(k, r) for k, d in enumerate(datas) for r in d.split_rows)
     compact = None
@@ -366,13 +361,12 @@ def direct_sum(datas) -> AlgebraData:
                         for r in d.compact_rows)
     J = None
     if all(d.complex_structure is not None for d in datas):
+        jden = lcm(*[d.complex_structure[1] for d in datas])
         J = _zmat(total)
-        for k, data in enumerate(datas):
-            o = offsets[k]
-            for a in range(dims[k]):
-                for b in range(dims[k]):
-                    J[o + a][o + b] = data.complex_structure[a][b]
-        J = tuple(tuple(r) for r in J)
+        for o, data in zip(offsets, datas):
+            rows, d = data.complex_structure
+            _put_block(J, rows, o, jden // d)
+        J = (tuple(map(tuple, J)), jden)
     return AlgebraData(algebra=alg, split_rows=split, compact_rows=compact,
                        complex_structure=J,
                        spec="+".join(d.spec for d in datas))
@@ -440,17 +434,16 @@ def _make_pair(gdata: AlgebraData, h_rows, torus_h_rows, name, provenance,
 def complexify_pair(pair: Pair) -> Pair:
     """The realified complexification of a pair with compact_cartan_rows:
     g ⊗ ℂ with h ⊗ ℂ, torus_h as its real split part and the split torus
-    torus_g ⊕ i·(compact Cartan rows)."""
-    d = pair.g.dim
-    split = [tuple(fraction_row(r)) for r in pair.torus_g.rows]
-    cdata = complexify(AlgebraData(algebra=pair.g, split_rows=split,
+    torus_g ⊕ i·(compact Cartan rows).  The pair's exact rows are padded
+    with zeros."""
+    cdata = complexify(AlgebraData(algebra=pair.g,
+                                   split_rows=pair.torus_g.rows,
                                    compact_rows=pair.compact_cartan_rows))
-    zero = (ZERO,) * d
-    h_rows = [tuple(fraction_row(r)) for r in pair.h.rows]
-    hc = [r + zero for r in h_rows] + [zero + r for r in h_rows]
+    zero = (0,) * pair.g.dim
+    hc = [(r + zero, den) for r, den in pair.h.rows] + \
+        [(zero + r, den) for r, den in pair.h.rows]
     return Pair.create(
-        cdata.algebra, hc,
-        [tuple(fraction_row(r)) + zero for r in pair.torus_h.rows],
+        cdata.algebra, hc, [(r + zero, den) for r, den in pair.torus_h.rows],
         cdata.split_rows, complex_structure=cdata.complex_structure,
         name=f"{pair.name} (x)C", provenance="mechanical complexification",
         torus_h_asserted_maximal=False,
@@ -470,17 +463,12 @@ def pair_diagonal(spec: str, copies=2) -> Pair:
     base = base_algebra(spec)
     gdata = direct_sum([base] * copies)
     d = base.algebra.dim
-    total = copies * d
 
     def diag(row):
-        out = [ZERO] * total
-        for k in range(copies):
-            for i, x in enumerate(row):
-                out[k * d + i] = x
-        return tuple(out)
+        return row[0] * copies, row[1]
 
     h_rows = [diag(base.algebra.basis_vector(i)) for i in range(d)]
-    torus_h = [diag(list(r)) for r in base.split_rows]
+    torus_h = [diag(r) for r in base.split_rows]
     kind = "triple_diagonal" if copies == 3 else "diagonal_pair"
     name = f"({' x '.join([base.algebra.name] * copies)}) / diag"
     return _make_pair(gdata, h_rows, torus_h, name=name,
@@ -492,11 +480,9 @@ def pair_direct_sum(specs) -> Pair:
     datas = [base_algebra(s) for s in specs]
     gdata = direct_sum(datas)
     d0 = datas[0].algebra.dim
-    total = gdata.algebra.dim
-    h_rows = [tuple(datas[0].algebra.basis_vector(i)) + tuple([ZERO] * (total - d0))
-              for i in range(d0)]
-    torus_h = [tuple(r) + tuple([ZERO] * (total - d0))
-               for r in datas[0].split_rows]
+    h_rows = [gdata.algebra.basis_vector(i) for i in range(d0)]
+    # the first summand's split rows lead those of the sum
+    torus_h = gdata.split_rows[:len(datas[0].split_rows)]
     name = f"({gdata.algebra.name}) / {datas[0].algebra.name}"
     return _make_pair(gdata, h_rows, torus_h, name=name,
                       provenance=f"catalog:direct_sum:{':'.join(specs)}")
@@ -511,16 +497,14 @@ def pair_symmetric(spec: str, involution="neg_transpose") -> Pair:
         raise UnsupportedParams(f"unknown involution {involution!r}")
     if alg.matrix_realization is None:
         raise UnsupportedParams("involutions need a matrix realization")
-    mats = alg.matrix_realization
+    # the matrices and their images share the realization's denominator,
+    # so coordinates on their integer parts are coordinates on them
+    mats, _ = alg.matrix_realization
     m = len(mats[0])
-    flat = [x for M in mats for row in M for x in row]
-    flat += [-M[j][i] for M in mats for i in range(m) for j in range(m)]
-    # one denominator for the matrices and their images, so coordinates on
-    # the scaled matrices are coordinates on the matrices
-    flat, _ = integer_row(flat)
-    n, size = alg.dim, m * m
-    chunks = [flat[k * size:(k + 1) * size] for k in range(2 * n)]
-    coords = coordinates(chunks[:n], chunks[n:])
+    n = alg.dim
+    coords = coordinates(
+        [[x for row in M for x in row] for M in mats],
+        [[-M[j][i] for i in range(m) for j in range(m)] for M in mats])
     if None in coords:
         raise UnsupportedParams(
             "negative transpose does not preserve this algebra")
@@ -546,8 +530,7 @@ def pair_whittaker(spec: str) -> Pair:
     ad-nilpotent."""
     gdata = base_algebra(spec)
     alg = gdata.algebra
-    torus_g = validate_torus([list(r) for r in gdata.split_rows],
-                             SubalgebraEmbedding.whole(alg))
+    torus_g = validate_torus(gdata.split_rows, SubalgebraEmbedding.whole(alg))
     if torus_g.rank == 0:
         raise UnsupportedParams(
             "whittaker_nilradical needs a noncompact base (positive rank)")

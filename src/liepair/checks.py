@@ -123,8 +123,10 @@ class Pair:
     torus_h must be a maximal split torus of h and torus_g one of g; both
     maximality assertions come from the catalog or the pair file and are
     recorded, not proven (torus_h_asserted_maximal gates the tempered check).
-    compact_cartan_rows complete torus_g to a maximally split Cartan of g;
-    they are None when the pair carries no complexification data.
+    compact_cartan_rows, exact vectors, complete torus_g to a maximally
+    split Cartan of g; they are None when the pair carries no
+    complexification data.  complex_structure is J as (rows, d): the
+    matrix of integer rows over d.
     """
 
     g: LieAlgebra
@@ -148,9 +150,9 @@ class Pair:
                complex_structure=None, **fields) -> "Pair":
         """The validating constructor: h must be a subalgebra of g, torus_h
         and torus_g rationally split tori in h and in g, and h stable under
-        the complex structure J when one is given.  The rows are values
-        (ints, Fractions or fraction literals), which h and the tori hold
-        as exact vectors from here on.  The other fields are stored as
+        the complex structure J when one is given.  The rows are exact
+        vectors (nums, den), which h and the tori hold as they are, and J
+        is (rows, d) as the pair holds it.  The other fields are stored as
         given.
 
         A torus_g with the rows of torus_h is not split again: containment
@@ -167,15 +169,13 @@ class Pair:
                 raise ValidationError("torus_g was not validated on the "
                                       "whole of this algebra")
             torus_g = torus_g_rows
-        elif [integer_row(r) for r in torus_g_rows] == list(torus_h.rows):
+        elif tuple(torus_g_rows) == torus_h.rows:
             torus_g = SplitTorus(parent=whole, rows=torus_h.rows,
                                  g_split=torus_h.g_split)
         else:
             torus_g = validate_torus(torus_g_rows, whole)
         if complex_structure is not None:
-            n = g.dim
-            J, _ = integer_row([x for row in complex_structure for x in row])
-            J = [J[i * n:(i + 1) * n] for i in range(n)]
+            J, _ = complex_structure
             images = [mat_vec(J, nums) for nums, _ in h.rows]
             if h.subspace.first_outside(images) is not None:
                 raise ValidationError("subalgebra is not stable under the "
@@ -379,9 +379,8 @@ def nilpotent_pool(ws: WeightSystem):
     the nonzero restricted weight spaces in ws = weight_decomposition(
     torus_g, "g"), as exact vectors.  Each is ad-nilpotent (verified
     exactly on use)."""
-    return [(v, next(x for x in v if x))
-            for (lam, _), rows in zip(ws.weights, ws.spaces)
-            if any(x != 0 for x in lam) for v in rows]
+    return [z for (lam, _), rows in zip(ws.weights, ws.spaces)
+            if any(x != 0 for x in lam) for z in canonical_rows(rows)]
 
 
 def _sampled_words(pool, seed, label, samples):
@@ -509,7 +508,7 @@ def _check_open_orbit(pair: Pair, space: str, samples: int, seed: int) -> Verdic
                 "kind": "open-orbit",
                 "space": space,
                 "chamber": list(par.chamber),
-                "parabolic_rows": [list(r) for r in
+                "parabolic_rows": [fraction_row(r) for r in
                                    canonical_rows(par.subspace.rows)],
                 "word": word.to_json(),
                 "rank_achieved": target.g.dim,
@@ -667,7 +666,7 @@ def stabilizer_verdict(pair: Pair, report: StabilizerReport) -> Verdict:
         "kind": "stabilizer",
         "word": report.word.to_json(),
         "dimension": report.dimension,
-        "rows": [list(r) for r in
+        "rows": [fraction_row(r) for r in
                  canonical_rows(report.representative.rows)],
         "abelian": report.abelian,
     }
@@ -858,7 +857,7 @@ def _recheck(pair: Pair, cert):
 def _is_canonical_basis(stored_rows, sub: Subspace) -> bool:
     """Whether stored rows are exactly sub's reduced row echelon basis over
     ℚ, as the decider writes them; no other basis of sub is accepted."""
-    return [tuple(vec(r)) for r in stored_rows] == canonical_rows(sub.rows)
+    return [integer_row(r) for r in stored_rows] == canonical_rows(sub.rows)
 
 
 def _stored_lines(cert, rank):

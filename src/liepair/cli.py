@@ -111,7 +111,12 @@ def cmd_rho(args) -> int:
         out.append(f"  ({', '.join(str(x) for x in lam)}) x {m}")
     if args.points:
         for tok in args.points.split(";"):
-            pt = [frac(x) for x in tok.split(",")]
+            try:
+                pt = [frac(x) for x in tok.split(",")]
+            except (ValueError, ZeroDivisionError):
+                raise UnsupportedParams(
+                    f"bad point {tok!r} in --points: each coordinate must "
+                    "be a fraction literal such as -3/2") from None
             out.append(f"rho({tok}) = {rho_eval(rho, pt)}")
     sys.stdout.write("\n".join(out) + "\n")
     return 0

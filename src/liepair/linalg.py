@@ -3,10 +3,11 @@
 One row type runs through the program.  An exact vector is a pair
 (nums, den): a tuple of ints and a positive int, in lowest terms, equal to
 nums / den.  `integer_row` makes one from values (ints, Fractions or what
-`frac` reads) where a value is read: where a pair is built (the pair
-parser, the catalog and `Pair.create`) and where a certificate's word is
-read.  `fraction_row` turns an exact vector back into Fractions where one
-is written.
+`frac` reads) where a value is read: in the pair parser, where a
+certificate is read and on the Fraction weights of `polyhedral`.  Every
+constructor of the program takes exact vectors and exact tables, so
+nothing converts a row back and forth inside it.  `fraction_row` turns an
+exact vector into Fractions where one is written.
 
 A span is held by integer rows alone, since scaling a row changes no span.
 `rref` gives its canonical form: Gauss-Jordan elimination over ℚ done
@@ -14,10 +15,10 @@ fraction-free (`_eliminate`), each row divided by the gcd of its entries
 and signed so that its pivot entry, its first nonzero entry, is positive.
 Those rows are unique to the span, so equality of spans is literal
 equality of the rows; `canonical_rows` divides each by its pivot entry,
-which gives the reduced row echelon form over ℚ (pivot entries 1) that a
-certificate writes.  `integer_echelon` runs the same elimination forward
-only and `integer_rank` counts its rows; a word search ranks each word's
-moved rows against a span reduced once.  `solve` is the one solve: the
+which gives the reduced row echelon form over ℚ (pivot entries 1) as exact
+vectors, the rows a certificate writes.  `integer_echelon` runs the same
+elimination forward only and `integer_rank` counts its rows; a word search
+ranks each word's moved rows against a span reduced once.  `solve` is the one solve: the
 combination of an rref's rows that a row is, read at the pivots, or None
 outside their span; `coordinates` reads the coefficients on any
 independent rows from it.  `rank` stays `len(rref(rows)[0])`, a thin
@@ -39,7 +40,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class IrrationalSpectrumError(ValueError):
@@ -115,12 +115,9 @@ def fraction_row(row):
 
 def canonical_rows(rows):
     """The rows of an rref divided by their pivot entries: the reduced row
-    echelon form over ℚ, as tuples of Fractions."""
-    out = []
-    for row in rows:
-        p = next(x for x in row if x)
-        out.append(tuple(Fraction(x, p) if x else ZERO for x in row))
-    return out
+    echelon form over ℚ, as exact vectors.  An rref row is primitive and
+    holds its pivot entry p, so (row, p) is in lowest terms."""
+    return [(tuple(row), next(x for x in row if x)) for row in rows]
 
 
 def _eliminate(m, limit, clear_above):

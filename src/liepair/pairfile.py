@@ -9,6 +9,10 @@ A `complexify auto` directive keeps the cartan-compact rows on the pair; the
 mechanical complexification is built from them and the torus-g rows (the
 split Cartan part) on first use, exactly as the catalog does, so
 serialization round-trips.
+
+Values become exact data here and nowhere else: each table (structure
+constants, matrices, complex structure) is read as ints over one
+denominator and each row as an exact vector (`linalg.integer_row`).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra, ValidationError, validate
 from .checks import OUTCOMES, QUESTIONS, Expectation, Pair
-from .linalg import ZERO, ONE, frac, fraction_row
+from .linalg import frac, integer_row
 
 
 class ParseError(ValueError):
@@ -146,7 +150,8 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
         raise ValidationError(f"algebra invalid: {rep.first_problem}")
     J = None
     if alg_block.complex_rows:
-        J = _rows_dict_to_matrix(alg_block.complex_rows, g.dim, "complex")
+        J = _exact_matrix(
+            _rows_dict_to_matrix(alg_block.complex_rows, g.dim, "complex"))
         _check_complex_structure(g, J)
     compact = None
     if complexify_auto:
@@ -154,8 +159,10 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
             if len(row) != g.dim:
                 raise _err(lineno, f"cartan-compact row has length {len(row)}"
                            f", algebra dim {g.dim}")
-        compact = tuple(tuple(row) for _, row in alg_block.cartan_compact)
-    return Pair.create(g, h_rows, torus_rows["h"], torus_rows["g"],
+        compact = tuple(integer_row(row) for _, row in alg_block.cartan_compact)
+    return Pair.create(g, [integer_row(r) for r in h_rows],
+                       [integer_row(r) for r in torus_rows["h"]],
+                       [integer_row(r) for r in torus_rows["g"]],
                        complex_structure=J, name=name, provenance=provenance,
                        compact_cartan_rows=compact,
                        torus_h_asserted_maximal=torus_h_maximal,
@@ -164,21 +171,24 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
 
 def _check_complex_structure(g: LieAlgebra, J):
     """J² = −1 and the bracket is complex-linear, [J e_i, e_j] = J [e_i, e_j]
-    for every basis pair; Pair.create checks that h is J-stable.  Both
-    sides are summed over the nonzero entries of J's columns and of the
-    structure constants."""
+    for every basis pair; Pair.create checks that h is J-stable.  J is
+    (rows, d), so J² = −1 reads rows² = −d², and both sides of the
+    bracket identity are over d·g.den; each is summed on ints over the
+    nonzero entries of J's columns and of the structure constants."""
+    rows, d = J
     n = g.dim
-    cols = [[(k, J[k][i]) for k in range(n) if J[k][i]] for i in range(n)]
+    cols = [[(k, rows[k][i]) for k in range(n) if rows[k][i]]
+            for i in range(n)]
 
     def combine(terms):
         out = {}
         for coeffs, x in terms:
             for k, y in coeffs:
-                out[k] = out.get(k, ZERO) + x * y
+                out[k] = out.get(k, 0) + x * y
         return {k: v for k, v in out.items() if v}
 
     for j in range(n):
-        if combine((cols[k], x) for k, x in cols[j]) != {j: -ONE}:
+        if combine((cols[k], x) for k, x in cols[j]) != {j: -d * d}:
             raise ValidationError("complex structure does not square to -1")
     for i in range(n):
         for j in range(n):
@@ -192,7 +202,11 @@ def _check_complex_structure(g: LieAlgebra, J):
 
 def parse_pair_file(path) -> Pair:
     with open(path, encoding="utf-8") as fh:
-        return parse_pair_text(fh.read(), origin=str(path))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path} is not UTF-8 text: {e}") from None
+    return parse_pair_text(text, origin=str(path))
 
 
 def _parse_expect(line, lineno):
@@ -298,6 +312,14 @@ def _check_indices(rows, dim, what):
             raise _err(lineno, f"{what} index {k + 1} outside 1..{dim}")
 
 
+def _exact_matrix(rows):
+    """(integer rows, d): rows of values over their common denominator."""
+    width = len(rows[0]) if rows else 0
+    nums, d = integer_row([x for row in rows for x in row])
+    return tuple(nums[i * width:(i + 1) * width]
+                 for i in range(len(rows))), d
+
+
 def _rows_dict_to_matrix(rows, dim, what):
     _check_indices(rows, dim, what)
     M = []
@@ -318,18 +340,22 @@ def _build_algebra(block: _AlgebraBlock) -> LieAlgebra:
     labels = block.labels or [f"e{k + 1}" for k in range(n)]
     if len(labels) != n:
         raise ParseError(f"expected {n} labels, got {len(labels)}")
-    table = {}
     for (i, j), (lineno, entry) in block.constants.items():
         if j >= n or not all(0 <= k < n for k in entry):
             raise _err(lineno, f"basis index outside 1..{n}")
-        table[(i, j)] = entry
+    # every constant over one denominator
+    nums, den = integer_row([c for _, entry in block.constants.values()
+                             for c in entry.values()])
+    it = iter(nums)
+    table = {key: {k: next(it) for k in entry}
+             for key, (_, entry) in block.constants.items()}
     realization = None
     if block.matrices:
         if block.matsize is None:
             raise ParseError("matrix rows given without 'matsize'")
         m = block.matsize
         _check_indices(block.matrices, n, "matrix")
-        realization = []
+        rows = []
         for k in range(n):
             if k not in block.matrices:
                 raise ParseError(f"matrix {k + 1} missing")
@@ -337,9 +363,12 @@ def _build_algebra(block: _AlgebraBlock) -> LieAlgebra:
             if len(flatv) != m * m:
                 raise _err(lineno, f"matrix {k + 1} has {len(flatv)} entries, "
                            f"expected {m * m}")
-            realization.append([flatv[r * m:(r + 1) * m] for r in range(m)])
-    return LieAlgebra.from_structure(labels, table, realization=realization,
-                                     name=block.name)
+            rows.extend(flatv[r * m:(r + 1) * m] for r in range(m))
+        # every matrix over one denominator
+        rows, d = _exact_matrix(rows)
+        realization = ([rows[k * m:(k + 1) * m] for k in range(n)], d)
+    return LieAlgebra.from_structure(labels, table, den,
+                                     realization=realization, name=block.name)
 
 
 def serialize_pair(pair: Pair) -> str:
@@ -359,27 +388,29 @@ def serialize_pair(pair: Pair) -> str:
     out.append(f"labels {' '.join(g.basis_labels)}")
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            entries = [(k, c) for k, c in g.sparse[i][j]]
+            entries = g.sparse[i][j]
             if entries:
-                body = " ".join(f"{k + 1}:{c}" for k, c in entries)
+                values = _literals([c for _, c in entries], g.den)
+                body = " ".join(f"{k + 1}:{v}"
+                                for (k, _), v in zip(entries, values))
                 out.append(f"c {i + 1} {j + 1} = {body}")
     if g.matrix_realization is not None:
-        m = len(g.matrix_realization[0])
-        out.append(f"matsize {m}")
-        for k, M in enumerate(g.matrix_realization):
-            flatv = " ".join(str(x) for row in M for x in row)
+        mats, d = g.matrix_realization
+        out.append(f"matsize {len(mats[0])}")
+        for k, M in enumerate(mats):
+            flatv = " ".join(_literals([x for row in M for x in row], d))
             out.append(f"matrix {k + 1} = {flatv}")
     if pair.complex_structure is not None:
-        for i, row in enumerate(pair.complex_structure):
-            out.append(f"complex {i + 1} = {' '.join(str(x) for x in row)}")
+        rows, d = pair.complex_structure
+        for i, row in enumerate(rows):
+            out.append(f"complex {i + 1} = {' '.join(_literals(row, d))}")
     for row in pair.compact_cartan_rows or ():
-        out.append(f"cartan-compact = {' '.join(str(x) for x in row)}")
+        out.append(f"cartan-compact = {' '.join(_literals(*row))}")
     out += ["end", ""]
     for header, sub in (("subalgebra h", pair.h), ("torus h", pair.torus_h),
                         ("torus g", pair.torus_g)):
         out.append(f"begin {header}")
-        out.extend(f"row = {' '.join(str(x) for x in fraction_row(row))}"
-                   for row in sub.rows)
+        out.extend(f"row = {' '.join(_literals(*row))}" for row in sub.rows)
         out += ["end", ""]
     if pair.compact_cartan_rows is not None:
         out.append("complexify auto")
@@ -394,3 +425,11 @@ def serialize_pair(pair: Pair) -> str:
         out.append(line)
     return "\n".join(out).rstrip() + "\n"
 
+
+def _literals(nums, den):
+    """The fraction literals of the entries of nums / den: each is the
+    Fraction it stands for, written as one.  Over den 1 the ints are
+    written as they are, the same text for a quarter of the cost."""
+    if den == 1:
+        return [str(x) for x in nums]
+    return [str(Fraction(x, den)) for x in nums]

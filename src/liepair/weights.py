@@ -41,7 +41,6 @@ from .linalg import (
     eigensplit,
     identity_rows,
     integer_rank,
-    integer_row,
     poly_str,
     rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     rref,
@@ -100,7 +99,7 @@ class SplitTorus:
 
 
 def validate_torus(rows, h: SubalgebraEmbedding) -> SplitTorus:
-    """Validate a candidate torus basis inside h.
+    """Validate a candidate torus basis inside h, given as exact vectors.
 
     Checks, in order: containment in h, linear independence, commutativity,
     and rational diagonalizability of ad(Y_1), …, ad(Y_r) on the ambient
@@ -111,12 +110,11 @@ def validate_torus(rows, h: SubalgebraEmbedding) -> SplitTorus:
     preserves.
     """
     g = h.ambient
-    for i, r in enumerate(rows):
-        if len(r) != g.dim:
-            raise TorusValidationError(
-                f"torus row {i + 1} has length {len(r)}, ambient dim {g.dim}")
-    rows = [integer_row(r) for r in rows]
     ints = [nums for nums, _ in rows]
+    for i, nums in enumerate(ints):
+        if len(nums) != g.dim:
+            raise TorusValidationError(
+                f"torus row {i + 1} has length {len(nums)}, ambient dim {g.dim}")
     # independent rows of h (SubalgebraEmbedding's invariant) as many as
     # dim g span g, which holds every row
     outside = h.subspace.first_outside(ints) if h.dim < g.dim else None

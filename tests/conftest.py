@@ -2,16 +2,19 @@
 
 The oracles compute over Fraction with plain dense code and call no
 routine of the library that does linear algebra, which runs on integer
-rows; they read the library's values (structure constants, rows as
-`fraction_row` gives them) and nothing else.  The builders here construct
-sl(2) and sl(3) directly from explicit matrices inside the test process,
-independent of the catalog module, so catalog output can be checked
-against them.  `killing_form_matrix` is the Killing form, an oracle for
-semisimplicity.  `bracket_oracle` and `ad_oracle` are the bracket and ad(y)
-summed over the Fraction structure constants, the library's `bracket` and
-`ad_matrix` summed over integer ones.  `quotient_operators` is the induced
-action of a torus of h on g/h, which the library replaced with subtracting
-the weights on h from the weights on g.  `action_operators` and
+rows; they read the library's values (structure constants over the
+algebra's denominator, rows as `fraction_row` gives them) and nothing
+else.  The builders here construct sl(2) and sl(3) directly from explicit
+integer matrices inside the test process, independent of the catalog
+module, so catalog output can be checked against them.
+`killing_form_matrix` is the Killing form, an oracle for semisimplicity.
+`bracket_oracle` and `ad_oracle` are the bracket and ad(y) summed over the
+structure constants as Fractions, the library's `bracket` and `ad_matrix`
+summed over the integer ones; `unit_fractions` is a unit vector as
+Fractions and `canonical_fractions` the canonical rows of an rref.
+`quotient_operators` is the induced action of a torus of h on g/h, which
+the library replaced with subtracting the weights on h from the weights
+on g.  `action_operators` and
 `restricted_ad` give the action of a torus on g or on h as matrices, whose
 joint split on h the library replaced with reading the weights on h from
 the split on g; `as_ad` puts such a matrix in the form of `ad_matrix` for
@@ -37,7 +40,13 @@ import numpy as np
 import pytest
 
 from liepair.algebra import LieAlgebra, ValidationError
-from liepair.linalg import fraction_row, is_zero_vec, vec
+from liepair.linalg import (
+    canonical_rows,
+    fraction_row,
+    integer_row,
+    is_zero_vec,
+    vec,
+)
 from liepair.polyhedral import ConeBudgetExceeded, RankMismatch
 from liepair.weights import (
     TorusValidationError,
@@ -51,19 +60,20 @@ F = Fraction
 
 
 def mat_sl(n):
-    """Basis matrices and labels for sl(n): H_i then E_ij in (i, j) order."""
+    """Basis matrices and labels for sl(n): H_i then E_ij in (i, j) order,
+    as integer matrices."""
     mats, labels = [], []
     for i in range(n - 1):
-        M = [[F(0)] * n for _ in range(n)]
-        M[i][i] = F(1)
-        M[i + 1][i + 1] = F(-1)
+        M = [[0] * n for _ in range(n)]
+        M[i][i] = 1
+        M[i + 1][i + 1] = -1
         mats.append(M)
         labels.append(f"H{i + 1}")
     for i in range(n):
         for j in range(n):
             if i != j:
-                M = [[F(0)] * n for _ in range(n)]
-                M[i][j] = F(1)
+                M = [[0] * n for _ in range(n)]
+                M[i][j] = 1
                 mats.append(M)
                 labels.append(f"E{i + 1}{j + 1}")
     return labels, mats
@@ -79,20 +89,25 @@ def commutator(A, B):
     return out
 
 
+def unit_fractions(L, i):
+    """e_i of L as a row of Fractions."""
+    return [F(int(k == i)) for k in range(L.dim)]
+
+
 def bracket_oracle(L, x, y):
-    """[x, y] for rows of Fractions, summed over L.sparse."""
+    """[x, y] for rows of Fractions, summed over L.sparse as Fractions."""
     out = [F(0)] * L.dim
     for i, a in enumerate(x):
         for j, b in enumerate(y):
             if a and b:
                 for k, c in L.sparse[i][j]:
-                    out[k] += a * b * c
+                    out[k] += a * b * F(c, L.den)
     return out
 
 
 def ad_oracle(L, y):
     """The dense Fraction matrix of x ↦ [y, x] on column vectors."""
-    cols = [bracket_oracle(L, y, L.basis_vector(i)) for i in range(L.dim)]
+    cols = [bracket_oracle(L, y, unit_fractions(L, i)) for i in range(L.dim)]
     return [list(row) for row in zip(*cols)]
 
 
@@ -107,7 +122,7 @@ def as_ad(M):
 
 def killing_form_matrix(L):
     """B(e_i, e_j) = tr(ad e_i · ad e_j)."""
-    ads = [ad_oracle(L, L.basis_vector(i)) for i in range(L.dim)]
+    ads = [ad_oracle(L, unit_fractions(L, i)) for i in range(L.dim)]
     n = L.dim
     K = [[F(0)] * n for _ in range(n)]
     for i in range(n):
@@ -168,7 +183,7 @@ def quotient_operators(torus):
     h = torus.parent
     g = h.ambient
     pivots = set(h.subspace.pivots)
-    comp = [g.basis_vector(i) for i in range(g.dim) if i not in pivots]
+    comp = [unit_fractions(g, i) for i in range(g.dim) if i not in pivots]
     full = [fraction_row(r) for r in h.rows] + comp
     ops = []
     for Y in torus.rows:
@@ -276,6 +291,11 @@ def kernel_oracle(rows, n):
             v[p] = -row[free]
         basis.append(v)
     return rref_oracle(basis)[0] if basis else []
+
+
+def canonical_fractions(rows):
+    """`linalg.canonical_rows` of an rref, as tuples of Fractions."""
+    return [tuple(fraction_row(r)) for r in canonical_rows(rows)]
 
 
 def moved_fractions(moved):
@@ -452,7 +472,8 @@ def extend_torus_greedily(seed, h, candidate_pool):
                 if len(rref_oracle(rows + [cand])[0]) == current.rank:
                     continue
                 try:
-                    extended = validate_torus(rows + [cand], h)
+                    extended = validate_torus(
+                        list(current.rows) + [integer_row(cand)], h)
                 except TorusValidationError:
                     continue
                 current = extended

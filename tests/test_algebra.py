@@ -120,7 +120,7 @@ def test_validate_catalog_sl3_ok(sl3):
 def test_validate_detects_antisymmetry_violation(sl2):
     sparse = [list(row) for row in sl2.sparse]
     assert sparse[0][1] == ((1, 2),)  # [H, E] = 2E
-    sparse[0][1] = ((0, F(1)), (1, F(2)))  # now c[1][2] != -c[2][1]
+    sparse[0][1] = ((0, 1), (1, 2))  # now c[1][2] != -c[2][1]
     bad = LieAlgebra(dim=3, basis_labels=sl2.basis_labels,
                      sparse=tuple(tuple(row) for row in sparse))
     rep = validate(bad)
@@ -149,10 +149,11 @@ def test_validate_detects_perturbed_realization(sl2):
     sl6 = LieAlgebra.from_matrices(*mat_sl(6))
     assert sl6.dim > 24 and validate(sl6).ok
     for alg in (sl2, sl6):
-        mats = [[list(r) for r in M] for M in alg.matrix_realization]
+        mats, d = alg.matrix_realization
+        mats = [[list(r) for r in M] for M in mats]
         mats[1][0][0] += 1
-        bad = replace(alg, matrix_realization=tuple(
-            tuple(tuple(x for x in r) for r in M) for M in mats))
+        bad = replace(alg, matrix_realization=(tuple(
+            tuple(tuple(x for x in r) for r in M) for M in mats), d))
         rep = validate(bad)
         assert not rep.ok
         assert any("realization" in p for p in rep.problems)
@@ -164,7 +165,7 @@ def test_realization_check_forms_only_the_brackets_it_cannot_skip(
     # skipped when no nonzero column of either matrix meets a nonzero row
     # of the other; in (sl5 + sl5)/diag that is 870 of the 1128 pairs
     g = construct_from_spec("diagonal_pair:sl5").g
-    mats = g.matrix_realization
+    mats, _ = g.matrix_realization
     m = len(mats[0])
 
     def meets(A, B):
@@ -188,9 +189,9 @@ def test_validate_rejects_an_unfaithful_realization():
     # zero matrices satisfy [M_i, M_j] = Σ c_k M_k for any constants, so
     # without the faithfulness check they would hide this Jacobi violation
     n = 25
-    table = {(0, 1): {2: F(1)}, (0, 2): {0: F(1)}}
+    table = {(0, 1): {2: 1}, (0, 2): {0: 1}}
     bad = LieAlgebra.from_structure(
-        [f"e{k}" for k in range(n)], table, realization=[[[F(0)]]] * n)
+        [f"e{k}" for k in range(n)], table, realization=([[[0]]] * n, 1))
     rep = validate(bad)
     assert not rep.ok
     assert rep.first_problem == "matrix realization is not faithful"
@@ -199,12 +200,12 @@ def test_validate_rejects_an_unfaithful_realization():
 
 def test_bracket_table_index_out_of_range():
     with pytest.raises(ValidationError, match="outside 1..3"):
-        LieAlgebra.from_structure(["a", "b", "c"], {(0, 1): {3: F(1)}})
+        LieAlgebra.from_structure(["a", "b", "c"], {(0, 1): {3: 1}})
 
 
 def test_validate_detects_jacobi_violation():
     # [e1,e2] = e3, [e1,e3] = e1: the cyclic sum at (1,2,3) is e3, not 0
-    table = {(0, 1): {2: F(1)}, (0, 2): {0: F(1)}}
+    table = {(0, 1): {2: 1}, (0, 2): {0: 1}}
     bad = LieAlgebra.from_structure(["a", "b", "c"], table)
     rep = validate(bad)
     assert not rep.ok
@@ -258,8 +259,7 @@ def test_subspace_dimension_formula_bulk(ambient):
 def test_subalgebra_closure_error_names_rows(sl2):
     # span(H, E + F) is not closed: [H, E+F] = 2E - 2F is outside
     with pytest.raises(ValidationError, match=r"row 1, row 2"):
-        SubalgebraEmbedding.create(sl2, [[F(1), F(0), F(0)],
-                                         [F(0), F(1), F(1)]])
+        SubalgebraEmbedding.create(sl2, [((1, 0, 0), 1), ((0, 1, 1), 1)])
 
 
 def test_closure_error_names_rows_after_zero_brackets(sl3):
@@ -271,13 +271,12 @@ def test_closure_error_names_rows_after_zero_brackets(sl3):
     rows = [unit("H1"), unit("H2"),
             [a + b for a, b in zip(unit("E12"), unit("E23"))]]
     with pytest.raises(ValidationError, match=r"\[row 1, row 3\]"):
-        SubalgebraEmbedding.create(sl3, rows)
+        SubalgebraEmbedding.create(sl3, [integer_row(r) for r in rows])
 
 
 def test_subalgebra_dependent_rows(sl2):
     with pytest.raises(ValidationError, match="dependent"):
-        SubalgebraEmbedding.create(sl2, [[F(1), F(0), F(0)],
-                                         [F(2), F(0), F(0)]])
+        SubalgebraEmbedding.create(sl2, [((1, 0, 0), 1), ((2, 0, 0), 1)])
 
 
 def test_whole_called_on_an_instance_embeds_its_argument(sl2, sl3):

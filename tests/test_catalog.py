@@ -26,6 +26,7 @@ from conftest import (
     killing_form_matrix,
     rref_oracle,
     solve_oracle,
+    unit_fractions,
 )
 
 F = Fraction
@@ -44,7 +45,7 @@ def test_sl_n_validates(n):
     assert data.algebra.dim == n * n - 1
     assert validate(data.algebra).ok
     assert killing_det_nonzero(data.algebra)
-    validate_torus([list(r) for r in data.split_rows],
+    validate_torus(data.split_rows,
                    SubalgebraEmbedding.whole(data.algebra))
 
 
@@ -56,7 +57,7 @@ def test_so_p_q_validates_and_rank(p, q):
     assert data.algebra.dim == n * (n - 1) // 2
     assert validate(data.algebra).ok
     # real rank is min(p, q)
-    t = validate_torus([list(r) for r in data.split_rows],
+    t = validate_torus(data.split_rows,
                        SubalgebraEmbedding.whole(data.algebra))
     assert t.rank == min(p, q)
     if n >= 3:
@@ -75,7 +76,7 @@ def test_su_p_q_validates_and_rank(p, q):
     # the exactly verified matrix realization above it
     assert validate(data.algebra).ok
     assert killing_det_nonzero(data.algebra)
-    t = validate_torus([list(r) for r in data.split_rows],
+    t = validate_torus(data.split_rows,
                        SubalgebraEmbedding.whole(data.algebra))
     assert t.rank == min(p, q)
 
@@ -87,7 +88,7 @@ def test_sp_validates(two_n):
     assert data.algebra.dim == 2 * n * n + n
     assert validate(data.algebra).ok
     assert killing_det_nonzero(data.algebra)
-    t = validate_torus([list(r) for r in data.split_rows],
+    t = validate_torus(data.split_rows,
                        SubalgebraEmbedding.whole(data.algebra))
     assert t.rank == n
 
@@ -98,14 +99,14 @@ def test_complexified_sl2_validates():
     assert validate(data.algebra).ok
     assert killing_det_nonzero(data.algebra)
     assert data.complex_structure is not None
-    t = validate_torus([list(r) for r in data.split_rows],
+    t = validate_torus(data.split_rows,
                        SubalgebraEmbedding.whole(data.algebra))
     assert t.rank == 1  # complex rank of sl2
 
 
 def test_complexified_compact_so3_has_split_rank_one():
     data = base_algebra("so3C")
-    t = validate_torus([list(r) for r in data.split_rows],
+    t = validate_torus(data.split_rows,
                        SubalgebraEmbedding.whole(data.algebra))
     assert t.rank == 1
 
@@ -130,7 +131,7 @@ def test_symmetric_sl3_fixed_points_is_so3():
     assert pair.h.dim == 3
     assert pair.torus_h.rank == 0
     # every fixed vector is antisymmetric in the realization
-    mats = pair.g.matrix_realization
+    mats, _ = pair.g.matrix_realization
     for row in pair.h.rows:
         row = fraction_row(row)
         M = [[sum(c * mats[k][i][j] for k, c in enumerate(row))
@@ -145,7 +146,7 @@ def test_negative_transpose_is_an_automorphism(spec):
     # needs no check of its own: X -> -X^T is an automorphism of gl(m), and
     # the realization is a faithful homomorphism whose span holds -M_k^T
     alg = base_algebra(spec).algebra
-    mats = alg.matrix_realization
+    mats, _ = alg.matrix_realization
     theta = solve_oracle([[x for row in M for x in row] for M in mats],
                          [[-x for col in zip(*M) for x in col]
                           for M in mats])
@@ -156,8 +157,8 @@ def test_negative_transpose_is_an_automorphism(spec):
 
     for i in range(n):
         for j in range(i + 1, n):
-            assert apply(bracket_oracle(alg, alg.basis_vector(i),
-                                        alg.basis_vector(j))) == \
+            assert apply(bracket_oracle(alg, unit_fractions(alg, i),
+                                        unit_fractions(alg, j))) == \
                 bracket_oracle(alg, theta[i], theta[j]), (spec, i, j)
     h = pair_symmetric(spec).h
     assert all(apply(fraction_row(row)) == fraction_row(row)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     ad_oracle,
     bracket_oracle,
+    canonical_fractions,
     exp_nilpotent_oracle,
     moved_fractions,
     rref_oracle,
@@ -142,7 +143,7 @@ def test_minimal_parabolic_well_formed_for_every_catalog_base():
     for pair in _parabolic_pairs():
         ws = g_weights(pair)
         par = minimal_parabolic(ws, seed=0)
-        rows = [list(r) for r in canonical_rows(par.subspace.rows)]
+        rows = [list(r) for r in canonical_fractions(par.subspace.rows)]
         brackets = [bracket_oracle(pair.g, rows[i], rows[j])
                     for i in range(len(rows)) for j in range(i + 1, len(rows))]
         assert None not in solve_oracle(rows, brackets), pair.name
@@ -437,8 +438,8 @@ def word_on_pair(draw):
 def test_word_application_matches_dense_exponential(case):
     pair, word = case
     g = pair.g
-    rows = [list(r) for r in
-            canonical_rows(minimal_parabolic(g_weights(pair)).subspace.rows)]
+    rows = [list(r) for r in canonical_fractions(
+        minimal_parabolic(g_weights(pair)).subspace.rows)]
     want = [list(r) for r in rows]
     for z, t in reversed(word.steps):
         M = exp_nilpotent_oracle(ad_oracle(g, fraction_row(z)), t)
@@ -493,8 +494,7 @@ def test_shared_columns_still_name_the_failing_step():
 def test_the_inverse_word_undoes_the_word(case):
     pair, word = case
     g = pair.g
-    rows = [integer_row(r) for r in
-            canonical_rows(minimal_parabolic(g_weights(pair)).subspace.rows)]
+    rows = canonical_rows(minimal_parabolic(g_weights(pair)).subspace.rows)
     moved = word.apply_to_rows(g, rows)
     # the moved rows are exact, so the round trip gives the rows back exactly
     back = word.inverse().apply_to_rows(g, moved)
@@ -544,7 +544,7 @@ def test_orbit_rank_equals_the_dense_rank_on_either_side(case):
     g = target.g
     sides = checks._orbit_sides(parabolic, target.h)
     assert sides[2] == ORBIT_SIDES[name][2]
-    want = [list(r) for r in canonical_rows(parabolic.rows)]
+    want = [list(r) for r in canonical_fractions(parabolic.rows)]
     for z, t in reversed(word.steps):
         M = exp_nilpotent_oracle(ad_oracle(g, fraction_row(z)), t)
         want = [mat_vec(M, r) for r in want]
@@ -868,7 +868,7 @@ def _oracle_confirms(pair, cert):
         n = target.g.dim
         par = minimal_parabolic(g_weights(target), xi=cert["chamber"])
         stored = [[F(x) for x in r] for r in cert["parabolic_rows"]]
-        if canonical_rows(par.subspace.rows) != _oracle_span(stored, n):
+        if canonical_fractions(par.subspace.rows) != _oracle_span(stored, n):
             return False
         moved = _oracle_moved(target.g, cert["word"], stored)
         return len(_oracle_span(moved + [fraction_row(r)

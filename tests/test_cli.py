@@ -9,7 +9,7 @@ import pytest
 import liepair
 from liepair.catalog import FAMILIES, construct_from_spec, fixtures_dir
 from liepair.cli import main
-from liepair.pairfile import serialize_pair
+from liepair.pairfile import parse_pair_text, serialize_pair
 
 
 def run(capsys, *argv):
@@ -181,6 +181,82 @@ def test_a_bad_complex_structure_exits_2(tmp_path, capsys, rows, message):
                        "--questions", "tempered")
     assert code == 2
     assert message in err
+
+
+# torus_pair:sl2C in the basis H1, E12, E21/3, 2iH1, 2iE12, 2iE21/3: its
+# structure constants are over 3, its matrices over 3 and J over 2
+RESCALED = Path(__file__).parent / "data" / "sl2c_cartan_rescaled.pair"
+
+
+def test_a_pair_with_denominators_round_trips():
+    text = RESCALED.read_text(encoding="utf-8")
+    pair = parse_pair_text(text)
+    assert pair.g.den == 3 and pair.g.matrix_realization[1] == 3
+    assert pair.complex_structure[1] == 2
+    assert serialize_pair(pair) == text
+
+
+def test_a_pair_with_denominators_checks_and_verifies(tmp_path, capsys):
+    path = tmp_path / "rescaled.json"
+    code, _, _ = run(capsys, "check", "--file", str(RESCALED),
+                     "--format", "machine", "--output", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 4
+    code, out, _ = run(capsys, "check", "--family", "torus_pair:sl2C",
+                       "--questions", "tempered", "--format", "machine")
+    assert code == 0
+    ours = json.loads(path.read_text())["verdicts"][0]
+    theirs = json.loads(out)["verdicts"][0]
+    assert ours["question"] == theirs["question"] == "tempered"
+    assert (ours["outcome"], ours["certificate"]["margin"]) \
+        == (theirs["outcome"], theirs["certificate"]["margin"]) \
+        == ("yes_certified", "8")
+
+
+@pytest.mark.parametrize("edits, message", [
+    # J e_1 = e_4, so J² e_1 = −2·e_1
+    ({"complex 4 = 1/2 0": "complex 4 = 1 0"},
+     "complex structure does not square to -1"),
+    # J² = −1 still, but [J e_1, e_2] = 2·e_5 while J [e_1, e_2] = e_5
+    ({"complex 4 = 1/2 0": "complex 4 = 1 0",
+      "complex 1 = 0 0 0 -2 0": "complex 1 = 0 0 0 -1 0"},
+     "bracket is not complex-linear for the stored complex structure at "
+     "basis pair (1, 2)"),
+])
+def test_a_bad_complex_structure_with_denominators_exits_2(
+        tmp_path, capsys, edits, message):
+    text = RESCALED.read_text(encoding="utf-8")
+    for old, new in edits.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    src = tmp_path / "bad_j.pair"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", "--file", str(src),
+                         "--questions", "tempered")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [("check", "--questions", "tempered"),
+                                     ("rho", "--space", "g")])
+def test_a_pair_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "bad.pair"
+    path.write_bytes(bytes.fromhex("fffe00626164"))
+    code, out, err = run(capsys, command[0], "--file", str(path),
+                         *command[1:])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} is not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("points, token", [
+    ("abc", "abc"), ("1/0", "1/0"), ("1;2,x", "2,x"), ("3;", "")])
+def test_rho_with_a_bad_point_exits_2(capsys, points, token):
+    code, out, err = run(capsys, "rho", "--family", "torus_pair:sl2",
+                         "--space", "g", "--points", points)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad point {token!r} in --points")
 
 
 def test_no_numpy_or_sympy_is_imported(tmp_path):

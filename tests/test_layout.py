@@ -1,7 +1,12 @@
-"""The layout of the package: no module reads a private name of another.
+"""The layout of the package: no module reads a private name of another,
+and values become exact vectors only at the boundary.
 
 Each module keeps its private helpers to itself, so a decision such as how
-a row is stored sits in the one module that owns it.
+a row is stored sits in the one module that owns it.  `integer_row` and
+`fraction_row` convert between values and exact vectors; they are called
+only where a value is read or written: the pair parser and serializer, the
+catalog, the certificate readers and writers of `checks`, and the weight
+forms of `polyhedral`.  The constructors take exact vectors.
 """
 
 import ast
@@ -41,3 +46,56 @@ def test_the_check_finds_a_private_import(tmp_path):
                     "from math import _private\n")
     assert list(private_imports(path)) == ["mod.py:1 _eliminate",
                                            "mod.py:2 _h_blocks"]
+
+
+CONVERTERS = {"integer_row", "fraction_row"}
+BOUNDARY = {"pairfile", "catalog", "checks", "polyhedral"}
+EXACT_CONSTRUCTORS = {"algebra": "SubalgebraEmbedding.create",
+                      "weights": "validate_torus",
+                      "checks": "Pair.create",
+                      "catalog": "complexify_pair"}
+
+
+def converter_calls(tree):
+    """The line of each call of `integer_row` or `fraction_row` in tree,
+    by name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else \
+                f.attr if isinstance(f, ast.Attribute) else None
+            if name in CONVERTERS:
+                yield node.lineno
+
+
+def functions(tree, prefix=""):
+    """(qualified name, node) of each function and method in tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if isinstance(node, ast.FunctionDef):
+                yield name, node
+            yield from functions(node, name + ".")
+
+
+def test_values_are_converted_only_at_the_boundary():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    callers = {name for name, tree in trees.items()
+               if any(converter_calls(tree))}
+    assert callers <= BOUNDARY
+    for module, qualified in EXACT_CONSTRUCTORS.items():
+        (node,) = [n for name, n in functions(trees[module])
+                   if name == qualified]
+        assert list(converter_calls(node)) == [], qualified
+
+
+def test_the_check_finds_a_conversion():
+    tree = ast.parse("from .linalg import integer_row\n"
+                     "class A:\n"
+                     "    def create(rows):\n"
+                     "        return [linalg.fraction_row(r) for r in rows]\n"
+                     "x = integer_row(y)\n")
+    assert list(converter_calls(tree)) in ([4, 5], [5, 4])
+    (node,) = [n for name, n in functions(tree) if name == "A.create"]
+    assert list(converter_calls(node)) == [4]

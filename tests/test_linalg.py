@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kernel_oracle, moved_fractions, rref_oracle, solve_oracle
+from conftest import (
+    canonical_fractions,
+    kernel_oracle,
+    moved_fractions,
+    rref_oracle,
+    solve_oracle,
+)
 from liepair import linalg
 from liepair.algebra import Subspace, ad_matrix
 from liepair.catalog import construct_from_spec
@@ -60,7 +66,9 @@ def test_rref_canonical_and_pivots():
     # reduced rows divided by their pivot entries
     rows, piv = rref([[0, -4, 6], [2, 0, 3]])
     assert rows == [(2, 0, 3), (0, 2, -3)] and piv == [0, 1]
-    assert canonical_rows(rows) == [(1, 0, F(3, 2)), (0, 1, F(-3, 2))]
+    assert canonical_rows(rows) == [((2, 0, 3), 2), ((0, 2, -3), 2)]
+    assert [fraction_row(r) for r in canonical_rows(rows)] \
+        == [[1, 0, F(3, 2)], [0, 1, F(-3, 2)]]
 
 
 def test_kernel_of_rank_one_matrix():
@@ -122,7 +130,7 @@ def test_diagonal_eigensplit_matches_kernels_and_uses_no_float(diag):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_krylov_minpoly", no_krylov)
         got = eigensplit(*integer_matrix(D))
-        assert [(lam, canonical_rows(rows)) for lam, rows in got] == want
+        assert [(lam, canonical_fractions(rows)) for lam, rows in got] == want
 
 
 def matmul(A, B):
@@ -214,7 +222,7 @@ def test_eigensplit_of_a_conjugated_matrix(case):
                                for i in range(n) if diag[i] == lam])[0])
             for lam in sorted(set(diag))]
     got = eigensplit(*integer_matrix(A))
-    assert [(lam, canonical_rows(rows)) for lam, rows in got] == want
+    assert [(lam, canonical_fractions(rows)) for lam, rows in got] == want
 
 
 def poly_mul(p, q):
@@ -370,7 +378,7 @@ def test_rref_matches_fraction_gauss_jordan(case):
     assert piv == want_piv
     assert all(type(x) is int for row in red for x in row)
     assert all(gcd(*row) == 1 and row[p] > 0 for row, p in zip(red, piv))
-    assert canonical_rows(red) == want
+    assert canonical_fractions(red) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -389,7 +397,7 @@ def test_kernel_matches_the_fraction_oracle(case):
             v[p] = -red[k][free]
         basis.append(v)
     got = kernel(integer_rows(rows))
-    assert canonical_rows(got) == (rref_oracle(basis)[0] if basis else [])
+    assert canonical_fractions(got) == (rref_oracle(basis)[0] if basis else [])
     assert all(type(x) is int for row in got for x in row)
 
 
@@ -479,8 +487,8 @@ def test_first_outside_span_reads_no_row_after_the_first_outside():
         raise AssertionError("read a row after the first outside one")
 
     assert Subspace.from_rows(3, [[2, 0, 1]]).first_outside(rows()) == 1
-    assert Subspace.zero(2).first_outside([[0, 0], [0, 0]]) is None
-    assert Subspace.zero(2).first_outside([[0, 0], [0, 3]]) == 1
+    assert Subspace.from_rows(2, []).first_outside([[0, 0], [0, 0]]) is None
+    assert Subspace.from_rows(2, []).first_outside([[0, 0], [0, 3]]) == 1
 
 
 def test_integer_rank_edge_shapes():

@@ -14,7 +14,7 @@ from liepair.catalog import (
     load_fixture_file,
 )
 from liepair.checks import check_complex_spherical, check_tempered
-from liepair.linalg import frac, integer_row
+from liepair.linalg import frac
 from liepair.pairfile import (
     ParseError,
     _parse_fraction,
@@ -82,8 +82,7 @@ def test_unicode_minus_accepted():
     text = SL2_TORUS_FILE.replace("c 1 3 = 3:-2", "c 1 3 = 3:−2")
     pair = parse_pair_text(text)
     g = pair.g
-    assert bracket(g, integer_row(g.basis_vector(0)),
-                   integer_row(g.basis_vector(2))) == ((0, 0, -2), 1)
+    assert bracket(g, g.basis_vector(0), g.basis_vector(2)) == ((0, 0, -2), 1)
 
 
 def test_parse_error_carries_line_number():

@@ -19,8 +19,8 @@ from liepair.catalog import (
 from liepair.algebra import Subspace, subspace_intersect
 from liepair.checks import Pair
 from liepair.linalg import (
-    canonical_rows,
     fraction_row,
+    integer_row,
     is_diagonal,
     mat_vec,
     rank,
@@ -45,6 +45,7 @@ from liepair.weights import (
 
 from conftest import (
     action_operators,
+    canonical_fractions,
     as_ad,
     assert_rho_matches_numeric,
     extend_torus_greedily,
@@ -68,24 +69,29 @@ def unit(L, label):
     return v
 
 
+def exact(L, label):
+    """unit(L, label) as the exact vector the library's constructors take."""
+    return integer_row(unit(L, label))
+
+
 # --- torus validation ------------------------------------------------------
 
 def test_validate_torus_sl2_cartan(sl2):
-    t = validate_torus([unit(sl2, "H1")], whole(sl2))
+    t = validate_torus([exact(sl2, "H1")], whole(sl2))
     assert t.rank == 1
 
 
 def test_validate_torus_rejects_compact_rotation():
     so3 = base_algebra("so3").algebra
     with pytest.raises(IrrationalWeights) as err:
-        validate_torus([[F(1), F(0), F(0)]], whole(so3))
+        validate_torus([integer_row([F(1), F(0), F(0)])], whole(so3))
     # ad of a rotation has eigenvalues 0, +-i: charpoly t^3 + t up to scale
     assert "not rationally diagonalizable" in str(err.value)
 
 
 def test_validate_torus_rejects_nilpotent(sl2):
     with pytest.raises(NotSemisimpleElement):
-        validate_torus([unit(sl2, "E12")], whole(sl2))
+        validate_torus([exact(sl2, "E12")], whole(sl2))
 
 
 def test_validate_torus_names_the_first_row_that_fails():
@@ -93,26 +99,26 @@ def test_validate_torus_names_the_first_row_that_fails():
     g = direct_sum([sl_n_R(2), sl_n_R(2)]).algebra
     with pytest.raises(NotSemisimpleElement,
                        match="torus row 2 is not semisimple"):
-        validate_torus([unit(g, "H1.1"), unit(g, "E12.2")], whole(g))
+        validate_torus([exact(g, "H1.1"), exact(g, "E12.2")], whole(g))
     g = direct_sum([sl_n_R(2), so_p_q(0, 3)]).algebra
     rotation = [F(0)] * 3 + [F(1), F(0), F(0)]  # eigenvalues 0, ±i
     with pytest.raises(IrrationalWeights,
                        match="torus row 2 is not rationally diagonalizable"):
-        validate_torus([unit(g, "H1.1"), rotation], whole(g))
+        validate_torus([exact(g, "H1.1"), integer_row(rotation)], whole(g))
 
 
 def test_validate_torus_rejects_noncommuting(sl2):
     with pytest.raises(NotAbelian):
-        validate_torus([unit(sl2, "E12"), unit(sl2, "E21")], whole(sl2))
+        validate_torus([exact(sl2, "E12"), exact(sl2, "E21")], whole(sl2))
 
 
 def test_validate_torus_rejects_outsider(sl2):
-    h = SubalgebraEmbedding.create(sl2, [unit(sl2, "H1")])
+    h = SubalgebraEmbedding.create(sl2, [exact(sl2, "H1")])
     with pytest.raises(NotInSubalgebra):
-        validate_torus([unit(sl2, "E12")], h)
+        validate_torus([exact(sl2, "E12")], h)
     # the message names the first row outside h
     with pytest.raises(NotInSubalgebra, match="torus row 2 is not inside"):
-        validate_torus([unit(sl2, "H1"), unit(sl2, "E12"), unit(sl2, "E21")],
+        validate_torus([exact(sl2, "H1"), exact(sl2, "E12"), exact(sl2, "E21")],
                        h)
 
 
@@ -132,7 +138,7 @@ def test_extend_greedily_sl2_pool(sl2):
 
 
 def test_extend_greedily_already_maximal(sl2):
-    t0 = validate_torus([unit(sl2, "H1")], whole(sl2))
+    t0 = validate_torus([exact(sl2, "H1")], whole(sl2))
     pool = [unit(sl2, "H1"), unit(sl2, "E12"), unit(sl2, "E21")]
     t = extend_torus_greedily(t0, whole(sl2), pool)
     assert t.rows == t0.rows
@@ -153,7 +159,7 @@ def test_extend_greedily_uses_centralizer_projection():
     full = whole(g)
     H1 = unit(g, "H1.1")
     mixed = [a + b for a, b in zip(unit(g, "E12.1"), unit(g, "H1.2"))]
-    seed = validate_torus([H1], full)
+    seed = validate_torus([integer_row(H1)], full)
     t = extend_torus_greedily(seed, full, [mixed])
     assert t.rank == 2
     # the adjoined direction is the projection (0, H), not the raw vector
@@ -163,14 +169,14 @@ def test_extend_greedily_uses_centralizer_projection():
 # --- weight decompositions -------------------------------------------------
 
 def test_sl2_adjoint_weights(sl2):
-    t = validate_torus([unit(sl2, "H1")], whole(sl2))
+    t = validate_torus([exact(sl2, "H1")], whole(sl2))
     ws = weight_decomposition(t, "g")
     assert ws.weights == (((F(-2),), 1), ((F(0),), 1), ((F(2),), 1))
 
 
 def test_rank_zero_torus_single_weight(sl3):
     h = SubalgebraEmbedding.create(
-        sl3, [unit(sl3, "H1"), unit(sl3, "E12"), unit(sl3, "E21")])
+        sl3, [exact(sl3, "H1"), exact(sl3, "E12"), exact(sl3, "E21")])
     t = validate_torus([], h)
     ws = weight_decomposition(t, "g")
     assert ws.weights == (((), sl3.dim),)
@@ -178,8 +184,8 @@ def test_rank_zero_torus_single_weight(sl3):
 
 def sl3_sl2_pair(sl3):
     h = SubalgebraEmbedding.create(
-        sl3, [unit(sl3, "H1"), unit(sl3, "E12"), unit(sl3, "E21")])
-    return h, validate_torus([unit(sl3, "H1")], h)
+        sl3, [exact(sl3, "H1"), exact(sl3, "E12"), exact(sl3, "E21")])
+    return h, validate_torus([exact(sl3, "H1")], h)
 
 
 def test_sl3_mod_sl2_quotient_weights(sl3):
@@ -291,14 +297,13 @@ def test_reverify_searches_eigenspaces_only_for_a_non_diagonal_torus(
 
 def test_create_splits_a_torus_g_equal_to_torus_h_once(monkeypatch):
     pair = construct_from_spec("torus_pair:so_4_4")
-    rows = [fraction_row(r) for r in pair.torus_h.rows]
+    rows = list(pair.torus_h.rows)
     assert pair.torus_g.rows == pair.torus_h.rows
     calls = []
     split = weights._torus_split
     monkeypatch.setattr(weights, "_torus_split",
                         lambda g, rows: calls.append(g.dim) or split(g, rows))
-    created = Pair.create(pair.g, [fraction_row(r) for r in pair.h.rows],
-                          rows, rows)
+    created = Pair.create(pair.g, pair.h.rows, rows, rows)
     assert calls == [pair.g.dim]
     fresh = validate_torus(rows, whole(pair.g))
     assert created.torus_g == fresh  # parent g and rows
@@ -332,7 +337,7 @@ def test_h_weights_equal_the_split_of_the_restricted_action(name):
         ws = weight_decomposition(p.torus_h, "h")
         weights_, spaces = h_weights_oracle(p)
         assert ws.weights == weights_
-        assert tuple(tuple(canonical_rows(rows)) for rows in ws.spaces) \
+        assert tuple(tuple(canonical_fractions(rows)) for rows in ws.spaces) \
             == spaces
 
 
@@ -361,7 +366,8 @@ def test_rank_zero_h_weights_solve_nothing(monkeypatch, name):
         assert ws.spaces == ((rows,) if rows else ())
     weights_, spaces = h_weights_oracle(pair)
     assert ws.weights == weights_
-    assert tuple(tuple(canonical_rows(rows)) for rows in ws.spaces) == spaces
+    assert tuple(tuple(canonical_fractions(rows)) for rows in ws.spaces) \
+        == spaces
 
 
 def test_create_validates_a_torus_g_that_differs():
@@ -384,8 +390,7 @@ def test_whittaker_build_splits_its_torus_on_g_once(monkeypatch):
     pair = construct_from_spec("whittaker_nilradical:so_4_4")
     assert pair.torus_h.rank == 0 and pair.torus_g.rank > 0
     assert calls == [(pair.g.dim, pair.torus_g.rank), (pair.g.dim, 0)]
-    fresh = validate_torus([fraction_row(r) for r in pair.torus_g.rows],
-                           whole(pair.g))
+    fresh = validate_torus(pair.torus_g.rows, whole(pair.g))
     assert pair.torus_g == fresh
     assert pair.torus_g.g_split == fresh.g_split
 
@@ -424,13 +429,13 @@ def test_irrational_weights_error_in_decomposition():
     rot = [F(0)] * alg.dim
     rot[alg.basis_labels.index("R12")] = F(1)
     with pytest.raises(IrrationalWeights):
-        validate_torus([rot], whole(alg))
+        validate_torus([integer_row(rot)], whole(alg))
 
 
 def test_irrational_weights_message_carries_charpoly():
     so3 = base_algebra("so3").algebra
     with pytest.raises(IrrationalWeights) as err:
-        validate_torus([[F(1), F(0), F(0)]], whole(so3))
+        validate_torus([integer_row([F(1), F(0), F(0)])], whole(so3))
     assert "characteristic polynomial" in str(err.value)
     assert err.value.charpoly_coeffs is not None
 
@@ -500,7 +505,7 @@ def test_refinement_split_agrees_with_coordinate_split(name, torus, space):
 # --- rho -------------------------------------------------------------------
 
 def test_rho_sl2_adjoint_evaluation(sl2):
-    t = validate_torus([unit(sl2, "H1")], whole(sl2))
+    t = validate_torus([exact(sl2, "H1")], whole(sl2))
     rho = rho_from_weights(t.rank, weight_decomposition(t, "g").weights)
     assert rho_eval(rho, [F(3)]) == 12
     assert rho_eval(rho, [F(0)]) == 0
@@ -526,7 +531,7 @@ def test_rho_positive_root_consistency_sl3(sl3):
     # independent oracle: positive restricted roots of sl3 w.r.t. (H1, H2)
     # are (2,-1), (-1,2), (1,1); rho_ad = 2 * sum over positive roots in the
     # dominant chamber (evenness pairs each +-lambda)
-    t = validate_torus([unit(sl3, "H1"), unit(sl3, "H2")], whole(sl3))
+    t = validate_torus([exact(sl3, "H1"), exact(sl3, "H2")], whole(sl3))
     rho = rho_from_weights(t.rank, weight_decomposition(t, "g").weights)
     positive = [(F(2), F(-1)), (F(-1), F(2)), (F(1), F(1))]
     for y in ([F(1), F(1)], [F(2), F(1)], [F(1), F(3)]):
