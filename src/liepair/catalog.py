@@ -22,6 +22,7 @@ import inspect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Callable, Optional
 
 from .algebra import (
@@ -34,7 +35,6 @@ from .linalg import (
     canonical_rows,
     coordinates,
     kernel,
-    vec_dot,
 )
 from .weights import (
     validate_torus,
@@ -406,12 +406,12 @@ def base_algebra(spec: str) -> AlgebraData:
 def _generic_chamber(weights, r):
     """Deterministic generic functional: (1, q, q², …) for the first prime
     power q that kills no nonzero weight."""
-    nonzero = [lam for lam, _ in weights if any(x != 0 for x in lam)]
+    nonzero = [lam for lam, _ in weights if any(lam)]
     if r == 0:
         return tuple()
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
-        cand = tuple(Fraction(q) ** k for k in range(r))
-        if all(vec_dot(lam, cand) != 0 for lam in nonzero):
+        cand = tuple(q ** k for k in range(r))
+        if all(sum(map(mul, lam, cand)) for lam in nonzero):
             return cand
     raise ValidationError("no generic chamber functional found")
 
@@ -538,7 +538,7 @@ def pair_whittaker(spec: str) -> Pair:
     xi = _generic_chamber(ws.weights, torus_g.rank)
     h_rows = []
     for (lam, _), vecs_ in zip(ws.weights, ws.spaces):
-        if vec_dot(lam, xi) > 0:
+        if sum(map(mul, lam, xi)) > 0:
             h_rows.extend(canonical_rows(vecs_))
     name = f"{alg.name} / N"
     return _make_pair(

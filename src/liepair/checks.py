@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 from random import Random
 from typing import Optional
 
@@ -39,17 +40,14 @@ from .algebra import (
     subspace_intersect,
 )
 from .linalg import (
-    ZERO,
     canonical_rows,
     frac,
     fraction_row,
     integer_rank,
     integer_row,
-    is_zero_vec,
     mat_vec,
     rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     vec,
-    vec_dot,
 )
 from .polyhedral import (
     DEFAULT_CONE_BUDGET,
@@ -171,7 +169,7 @@ class Pair:
             torus_g = torus_g_rows
         elif tuple(torus_g_rows) == torus_h.rows:
             torus_g = SplitTorus(parent=whole, rows=torus_h.rows,
-                                 g_split=torus_h.g_split)
+                                 den=torus_h.den, g_split=torus_h.g_split)
         else:
             torus_g = validate_torus(torus_g_rows, whole)
         if complex_structure is not None:
@@ -252,7 +250,7 @@ class AdWord:
         n = len(self.steps)
         for index, (z, t) in reversed(list(enumerate(self.steps, start=1))):
             cols, den = ad(z)
-            a, b = frac(t).as_integer_ratio()
+            a, b = t.as_integer_ratio()
             if a == 0:
                 continue
             try:
@@ -263,7 +261,7 @@ class AdWord:
         return out
 
     def inverse(self) -> "AdWord":
-        steps = tuple((z, -frac(t)) for z, t in reversed(self.steps))
+        steps = tuple((z, -t) for z, t in reversed(self.steps))
         return AdWord(steps=steps, inverted=not self.inverted)
 
     @property
@@ -345,13 +343,13 @@ def minimal_parabolic(ws: WeightSystem, xi="generic", seed=0) -> ParabolicSubalg
     raises DegenerateFunctional (a larger, non-minimal parabolic would result).
     """
     r = ws.torus.rank
-    nonzero = [lam for lam, _ in ws.weights if any(x != 0 for x in lam)]
+    nonzero = [lam for lam, _ in ws.weights if any(lam)]
     if xi == "generic":
         rng = Random(derive_seed(seed, "chamber"))
         for _ in range(10000):
             cand = tuple(Fraction(rng.randint(-PARAM_BOUND, PARAM_BOUND))
                          for _ in range(r))
-            if all(vec_dot(lam, cand) != 0 for lam in nonzero):
+            if all(sum(map(mul, lam, cand)) for lam in nonzero):
                 xi = cand
                 break
         else:
@@ -362,13 +360,13 @@ def minimal_parabolic(ws: WeightSystem, xi="generic", seed=0) -> ParabolicSubalg
             raise ValidationError(
                 f"chamber functional has length {len(xi)}, torus rank {r}")
         for lam in nonzero:
-            if vec_dot(lam, xi) == 0:
+            if not sum(map(mul, lam, xi)):
+                weight = tuple(fraction_row((lam, ws.torus.den)))
                 raise DegenerateFunctional(
-                    f"functional annihilates the nonzero weight {tuple(lam)}")
+                    f"functional annihilates the nonzero weight {weight}")
     rows = []
     for (lam, _), vecs_ in zip(ws.weights, ws.spaces):
-        pairing = vec_dot(lam, xi) if r else ZERO
-        if pairing >= 0:
+        if sum(map(mul, lam, xi)) >= 0:
             rows.extend(vecs_)
     sub = Subspace.from_rows(ws.torus.ambient.dim, rows)
     return ParabolicSubalgebra(chamber=tuple(xi), subspace=sub)
@@ -380,7 +378,7 @@ def nilpotent_pool(ws: WeightSystem):
     torus_g, "g"), as exact vectors.  Each is ad-nilpotent (verified
     exactly on use)."""
     return [z for (lam, _), rows in zip(ws.weights, ws.spaces)
-            if any(x != 0 for x in lam) for z in canonical_rows(rows)]
+            if any(lam) for z in canonical_rows(rows)]
 
 
 def _sampled_words(pool, seed, label, samples):
@@ -543,8 +541,8 @@ def rho_pair(pair: Pair):
     torus = pair.torus_h
     ws_h = weight_decomposition(torus, "h")
     q = quotient_weights(weight_decomposition(torus, "g"), ws_h)
-    return (rho_from_weights(torus.rank, ws_h.weights),
-            rho_from_weights(torus.rank, q))
+    return (rho_from_weights(torus, ws_h.weights),
+            rho_from_weights(torus, q))
 
 
 def check_tempered(pair: Pair, cone_budget=DEFAULT_CONE_BUDGET) -> Verdict:
@@ -795,7 +793,7 @@ def _recheck(pair: Pair, cert):
         return ok, "torus_h rank is 0" if ok else "torus_h rank is nonzero"
     if kind == "dominance":
         lines = _stored_lines(cert, pair.torus_h.rank)
-        stored = Fraction(cert["margin"])
+        stored = frac(cert["margin"])
         if cert.get("line_count") != len(lines):
             return False, (f"stored line_count {cert.get('line_count')!r} "
                            f"!= {len(lines)} stored lines")
@@ -820,7 +818,7 @@ def _recheck(pair: Pair, cert):
         vh, vq = rho_eval(rho_h, ray), rho_eval(rho_q, ray)
         if not (vh > vq):
             return False, "stored ray is not a strict violation"
-        if vh != Fraction(cert["rho_h"]) or vq != Fraction(cert["rho_quotient"]):
+        if vh != frac(cert["rho_h"]) or vq != frac(cert["rho_quotient"]):
             return False, "stored rho values do not match recomputation"
         return True, f"violation re-verified: {vh} > {vq}"
     if kind == "open-orbit":
@@ -872,7 +870,7 @@ def _stored_lines(cert, rank):
         if not isinstance(line, list) or len(line) != rank:
             raise ValueError(f"line {i} is not a list of {rank} rationals")
         v = vec(line)
-        if is_zero_vec(v):
+        if not any(v):
             raise ValueError(f"line {i} is zero")
         out.append(v)
     return out

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from fractions import Fraction
 
 from .algebra import ValidationError
 from .catalog import FAMILIES, FIXTURES, UnsupportedParams, construct_from_spec
@@ -98,17 +99,21 @@ def cmd_rho(args) -> int:
                                    weight_decomposition(torus, "h"))
     else:
         weights = weight_decomposition(torus, args.space).weights
-    rho = rho_from_weights(torus.rank, weights)
+    rho = rho_from_weights(torus, weights)
+
+    def values(lam):
+        return ", ".join(str(Fraction(x, torus.den)) for x in lam)
+
     out = []
     out.append(f"pair: {pair.name}")
     out.append(f"space: {args.space} (dim {sum(m for _, m in weights)}), "
                f"torus rank {torus.rank}")
     out.append("weights (value on torus basis : multiplicity):")
     for lam, m in weights:
-        out.append(f"  ({', '.join(str(x) for x in lam)}) : {m}")
+        out.append(f"  ({values(lam)}) : {m}")
     out.append("rho forms (nonzero weights):")
     for lam, m in rho.forms:
-        out.append(f"  ({', '.join(str(x) for x in lam)}) x {m}")
+        out.append(f"  ({values(lam)}) x {m}")
     if args.points:
         for tok in args.points.split(";"):
             try:

@@ -3,11 +3,10 @@
 One row type runs through the program.  An exact vector is a pair
 (nums, den): a tuple of ints and a positive int, in lowest terms, equal to
 nums / den.  `integer_row` makes one from values (ints, Fractions or what
-`frac` reads) where a value is read: in the pair parser, where a
-certificate is read and on the Fraction weights of `polyhedral`.  Every
-constructor of the program takes exact vectors and exact tables, so
-nothing converts a row back and forth inside it.  `fraction_row` turns an
-exact vector into Fractions where one is written.
+`frac` reads) where a value is read: in the pair parser and where a
+certificate is read.  Every constructor of the program takes exact vectors
+and exact tables, so nothing converts a row back and forth inside it.
+`fraction_row` turns an exact vector into Fractions where one is written.
 
 A span is held by integer rows alone, since scaling a row changes no span.
 `rref` gives its canonical form: Gauss-Jordan elimination over ℚ done
@@ -31,15 +30,15 @@ splits into coordinate eigenspaces; any other matrix A = M/d, M over ℤ, is
 split by the minimal polynomials of M at unit vectors (one growing integer
 echelon of Krylov vectors), whose integer roots are isolated by Sturm
 sequences and bisection on ℤ.  The split is certified when the kernels at
-those roots fill ℚⁿ.
+those roots fill ℚⁿ.  It names each eigenspace by the integer eigenvalue μ
+of M, that of A being μ/d, so a caller keeps its weights over one
+denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-ZERO = Fraction(0)
 
 
 class IrrationalSpectrumError(ValueError):
@@ -60,10 +59,11 @@ class NotDiagonalizableError(ValueError):
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and strings like '-3/2' (ASCII or U+2212 minus)."""
+    """Coerce ints, Fractions and strings like '-3/2' (ASCII or U+2212 minus).
+    A bool or a float is refused: neither is an exact rational as written."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.replace("−", "-").strip())
@@ -85,14 +85,6 @@ def mat_vec(A, v):
     give ints out."""
     nonzero = [(j, x) for j, x in enumerate(v) if x]
     return [sum(row[j] * x for j, x in nonzero if row[j]) for row in A]
-
-
-def vec_dot(u, v):
-    return sum((a * b for a, b in zip(u, v) if a != 0 and b != 0), ZERO)
-
-
-def is_zero_vec(u):
-    return all(a == 0 for a in u)
 
 
 def integer_row(row):
@@ -526,19 +518,19 @@ def eigensplit(M, d=1):
     ints and d a positive int.
 
     A must be diagonalizable with all eigenvalues rational.  Returns a list
-    of (eigenvalue, rows) sorted by eigenvalue, the eigenvalue a Fraction
-    and the rows the rref of its eigenspace.  Raises IrrationalSpectrumError
-    or NotDiagonalizableError otherwise, with the exact characteristic
-    polynomial of A attached.
+    of (μ, rows) sorted by μ, the int μ an eigenvalue of M, so that μ/d is
+    the eigenvalue of A, and the rows the rref of its eigenspace.  Raises
+    IrrationalSpectrumError or NotDiagonalizableError otherwise, with the
+    exact characteristic polynomial of A attached.
 
     A diagonal A splits into the coordinate unit rows grouped by diagonal
     entry.  Otherwise the rational eigenvalues of M are integers.  From a
     unit vector e_j outside the eigenspaces found so far, the minimal
     polynomial of M at e_j (`_krylov_minpoly`) is monic over ℤ; its integer
-    roots (`_integer_roots`) divided by d are eigenvalues of A, and their
-    kernels are eigenspaces.  When A is diagonalizable with rational
-    spectrum, e_j has a component in an eigenspace not yet found, so each
-    round finds a new eigenvalue.  The split is certified when the
+    roots (`_integer_roots`) are eigenvalues of M, and their kernels are
+    eigenspaces.  When A is diagonalizable with rational spectrum, e_j has
+    a component in an eigenspace not yet found, so each round finds a new
+    eigenvalue.  The split is certified when the
     dimensions sum to n; a round that finds no new eigenvalue ends the
     search, and then the rational roots of the characteristic polynomial of
     M, counted with multiplicity, tell an irrational spectrum (fewer than
@@ -548,7 +540,7 @@ def eigensplit(M, d=1):
     if n == 0:
         return []
     if is_diagonal(M):
-        return coordinate_split([Fraction(M[i][i], d) for i in range(n)])
+        return coordinate_split([M[i][i] for i in range(n)])
     sparse = [[(c, x) for c, x in enumerate(row) if x] for row in M]
     found, new_rows, spanned = {}, [], []
     while sum(len(rows) for rows in found.values()) < n:
@@ -557,12 +549,12 @@ def eigensplit(M, d=1):
         j = next(c for c in range(n) if c not in leads)
         new_rows = []
         for mu in _integer_roots(_krylov_minpoly(sparse, j)):
-            if Fraction(mu, d) in found:
+            if mu in found:
                 continue
             shifted = [list(row) for row in M]
             for i in range(n):
                 shifted[i][i] -= mu
-            found[Fraction(mu, d)] = rows = kernel(shifted)
+            found[mu] = rows = kernel(shifted)
             new_rows += rows
         if not new_rows:
             break

@@ -14,22 +14,21 @@ line decides the inequality.  The lines are found by growing the flats
 themselves, as subspaces with integer bases, one rank at a time; no cone is
 ever built.  The covers of a flat come from one pass over the forms, grouped
 by their restriction to it, and each line is found as a primitive integer
-vector, at which the functions are evaluated in integers, so a line costs
-one Fraction for its margin and its normalized form for the certificate.
-Nothing here uses a float.
+vector.  The forms are the integer weights of `weights`, over their torus's
+denominator, so the functions are evaluated at a line in integers, and a
+line costs one Fraction for its margin and its normalized form for the
+certificate.  Nothing here uses a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Optional
 
 from .linalg import (
-    ZERO,
-    integer_row,
     rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     rref,
 )
@@ -60,10 +59,11 @@ def normalize_form(v):
 
 @dataclass(frozen=True)
 class Arrangement:
-    """Deduplicated union of the nonzero forms of two rho functions."""
+    """Deduplicated union of the nonzero forms of two rho functions, each
+    the primitive integer vector of its line (see _primitive)."""
 
     rank: int
-    forms: tuple  # tuple of canonical form tuples
+    forms: tuple  # sorted tuple of primitive int tuples
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ class DominanceVerdict:
 def build_arrangement(f: RhoFunction, g: RhoFunction) -> Arrangement:
     if f.rank != g.rank:
         raise RankMismatch(f"rho ranks differ: {f.rank} vs {g.rank}")
-    seen = {normalize_form(lam) for lam, _ in tuple(f.forms) + tuple(g.forms)}
-    seen.discard(None)
+    seen = {tuple(_primitive(lam)) for lam, _ in f.forms + g.forms if any(lam)}
     return Arrangement(rank=f.rank, forms=tuple(sorted(seen)))
 
 
@@ -123,11 +122,10 @@ def enumerate_lines(arr: Arrangement, budget=DEFAULT_CONE_BUDGET):
     """
     if not arr.forms:
         return []
-    forms = [integer_row(lam)[0] for lam in arr.forms]
-    span_rows, _ = rref(forms)
+    span_rows, _ = rref(arr.forms)
     d = len(span_rows)
     forms = [_primitive([sum(map(mul, lam, r)) for r in span_rows])
-             for lam in forms]
+             for lam in arr.forms]
     flats = {frozenset(): [[int(i == j) for j in range(d)] for i in range(d)]}
     count = 1
     for _ in range(d - 1):
@@ -153,25 +151,17 @@ def enumerate_lines(arr: Arrangement, budget=DEFAULT_CONE_BUDGET):
                    for (z,) in flats.values()), key=normalize_form)
 
 
-def _integer_forms(f: RhoFunction):
-    """(forms, den) with f(Y) = Σ m |λ·Y| / den over the returned integer
-    forms λ, den being the lcm of the denominators of all of f's entries."""
-    den = lcm(*(x.denominator for lam, _ in f.forms for x in lam))
-    return [([x.numerator * (den // x.denominator) for x in lam], m)
-            for lam, m in f.forms], den
-
-
 def decide_dominance(f: RhoFunction, g: RhoFunction,
                      budget=DEFAULT_CONE_BUDGET) -> DominanceVerdict:
     """Decide f(Y) ≤ g(Y) for all Y, exactly.
 
     Both functions are even and linear on each cone, so the difference is
     checked once per line of the arrangement; any strict violation there is
-    an exact counterexample.  Each function's forms are scaled to integers
-    once and enumerate_lines gives each line as a primitive integer vector
-    y with first nonzero entry y0 > 0, so a line costs integer arithmetic,
-    one Fraction for the difference g − f at y/y0, and its normalized form
-    y/y0 for the certificate.
+    an exact counterexample.  Each function's forms are integers over its
+    den and enumerate_lines gives each line as a primitive integer vector
+    y with first nonzero entry y0 > 0, so a line costs integer arithmetic
+    (RhoFunction.scaled), one Fraction for the difference g − f at y/y0,
+    and its normalized form y/y0 for the certificate.
     The witness is the least violating half-line in lexicographic order,
     the negative of the greatest violating line.  With no forms at all both
     functions vanish identically and the verdict holds with margin 0 by
@@ -179,13 +169,11 @@ def decide_dominance(f: RhoFunction, g: RhoFunction,
     """
     ints = enumerate_lines(build_arrangement(f, g), budget)
     lines = tuple(map(normalize_form, ints))
-    (fi, fden), (gi, gden) = _integer_forms(f), _integer_forms(g)
     margin = None
     for line, y in zip(reversed(lines), reversed(ints)):
-        sf = sum(m * abs(sum(map(mul, lam, y))) for lam, m in fi)
-        sg = sum(m * abs(sum(map(mul, lam, y))) for lam, m in gi)
         y0 = next(x for x in y if x)
-        diff = Fraction(sg * fden - sf * gden, fden * gden * y0)
+        diff = Fraction(g.scaled(y) * f.den - f.scaled(y) * g.den,
+                        f.den * g.den * y0)
         if diff < 0:
             return DominanceVerdict(holds=False,
                                     witness=tuple(-x for x in line),
@@ -193,6 +181,6 @@ def decide_dominance(f: RhoFunction, g: RhoFunction,
         if margin is None or diff < margin:
             margin = diff
     if margin is None:
-        margin = ZERO
+        margin = Fraction(0)
     return DominanceVerdict(holds=True, witness=None, margin=margin,
                             lines=lines)

@@ -15,8 +15,11 @@ g ≅ h ⊕ g/h as torus modules.  No action on h or on g/h, and no complement,
 is built.
 
 Torus rows are exact vectors (nums, den) and weight spaces are rrefs of
-integer rows (`linalg.rref`); the weights λ are Fractions, the values a
-report writes.
+integer rows (`linalg.rref`).  A torus has one weight denominator, the lcm
+of the denominators of its ad(Y_i), and every weight λ is a tuple of ints
+over it, so weights sort and compare as ints.  A Fraction is formed only
+where a value is written: the result of `rho_eval` and the message of
+`quotient_weights`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .algebra import (
     LieAlgebra,
@@ -33,7 +37,6 @@ from .algebra import (
     bracket,
 )
 from .linalg import (
-    ZERO,
     IrrationalSpectrumError,
     NotDiagonalizableError,
     coordinate_split,
@@ -45,7 +48,6 @@ from .linalg import (
     rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     rref,
     vec,
-    vec_dot,
 )
 
 
@@ -81,12 +83,15 @@ class SplitTorus:
 
     rows are the chosen basis vectors of a in ambient g-coordinates, as
     exact vectors (nums, den); every linear functional on a is expressed in
-    this basis.  g_split is the (weights, spaces) pair of its weight system
+    this basis.  den is the weight denominator, the lcm of the denominators
+    of the ad(Y_i): a weight λ is a tuple of ints, its values on the rows
+    times den.  g_split is the (weights, spaces) pair of its weight system
     on g, kept from the joint split that validated it.
     """
 
     parent: SubalgebraEmbedding
     rows: tuple
+    den: int
     g_split: tuple = field(compare=False, repr=False)
 
     @property
@@ -128,33 +133,34 @@ def validate_torus(rows, h: SubalgebraEmbedding) -> SplitTorus:
             if any(bracket(g, rows[i], rows[j])[0]):
                 raise NotAbelian(
                     f"torus rows {i + 1} and {j + 1} do not commute")
-    return SplitTorus(parent=h, rows=tuple(rows),
-                      g_split=_weights_and_spaces(_torus_split(g, rows)))
+    blocks, den = _torus_split(g, rows)
+    return SplitTorus(parent=h, rows=tuple(rows), den=den,
+                      g_split=_weights_and_spaces(blocks))
 
 
 def _torus_split(g: LieAlgebra, rows):
-    """The joint eigenspaces of ad(Y) on g for the torus rows Y, as
-    _joint_eigensplit gives them.  When every ad(Y) is diagonal in g's
-    basis the split is the coordinate one, read from the diagonals."""
+    """(blocks, den): the joint eigenspaces of ad(Y) on g for the torus
+    rows Y, as _joint_eigensplit gives them, and their weight denominator.
+    When every ad(Y) is diagonal in g's basis the split is the coordinate
+    one, read from the diagonals, each scaled to the denominator."""
     ops = [ad_matrix(g, r) for r in rows]
+    den = lcm(*[D for _, D in ops])
     if all(c[0] == i for columns, _ in ops
            for i, col in enumerate(columns) for c in col):
-        keys = [tuple(columns[i][0][1] if columns[i] else 0
-                      for columns, _ in ops) for i in range(g.dim)]
-        weight = {key: tuple(Fraction(x, d) for x, (_, d) in zip(key, ops))
-                  for key in set(keys)}
-        return coordinate_split([weight[key] for key in keys])
-    return _joint_eigensplit(ops, g.dim)
+        return coordinate_split([tuple(
+            columns[i][0][1] * (den // D) if columns[i] else 0
+            for columns, D in ops) for i in range(g.dim)]), den
+    return _joint_eigensplit(ops, g.dim), den
 
 
 @dataclass(frozen=True)
 class WeightSystem:
     """Simultaneous eigenspace data of a torus acting on g or on h.
 
-    weights: sorted tuple of (λ, multiplicity) with λ a tuple of Fractions of
-    length rank (values on the torus basis).  spaces[i] holds the rref
-    (`linalg.rref`) of the λ_i weight space in g-coordinates, on either
-    space.
+    weights: sorted tuple of (λ, multiplicity) with λ a tuple of ints of
+    length rank, the values on the torus basis times torus.den.  spaces[i]
+    holds the rref (`linalg.rref`) of the λ_i weight space in
+    g-coordinates, on either space.
     """
 
     torus: SplitTorus
@@ -166,7 +172,8 @@ def _joint_eigensplit(ops, dim):
     """Joint eigenspaces of commuting operators on ℚ^dim, each given as
     `algebra.ad_matrix` gives ad(Y): (columns, D), the operator A/D with
     A[k][i] = c for (k, c) in columns[i].  Returns a list of (λ, rref rows)
-    with λ the tuple of eigenvalues, one per operator.  Raises
+    with λ the tuple of eigenvalues, one per operator, each times the lcm
+    of the D, so a tuple of ints.  Raises
     IrrationalWeights or NotSemisimpleElement naming the first operator
     that is not rationally diagonalizable.
 
@@ -180,7 +187,10 @@ def _joint_eigensplit(ops, dim):
     are B_j / B_j[p_j].  Over the lcm L of the B_j[p_j], the rows
     S_j = B_j·L/B_j[p_j] are L times the canonical rows, so the restriction
     is R/(D·L) with R[i][j] = (A S_j)[p_i], and an eigenvector k of R in
-    block coordinates is Σ_j k_j S_j up to a factor."""
+    block coordinates is Σ_j k_j S_j up to a factor.  R/L, A restricted to
+    the block, has integer eigenvalues, so each μ of R is a multiple of L
+    and the eigenvalue μ/(D·L) of A/D is (μ/L)·(den/D) over den."""
+    den = lcm(*[D for _, D in ops])
     blocks = [((), identity_rows(dim), list(range(dim)))] if dim else []
     for idx, (columns, D) in enumerate(ops):
         new = []
@@ -197,10 +207,12 @@ def _joint_eigensplit(ops, dim):
                         if k in at:
                             restricted[at[k]][j] += a * x
             parts = _split_restriction(restricted, D * L, idx)
+            scale = den // D
             if len(parts) == 1:  # the block is one eigenspace: it stays
-                new.append((lam_prefix + (parts[0][0],), rows, pivots))
+                new.append((lam_prefix + (parts[0][0] // L * scale,), rows,
+                            pivots))
                 continue
-            for lam, krows in parts:
+            for mu, krows in parts:
                 vecs = []
                 for kr in krows:
                     v = [0] * dim
@@ -209,7 +221,7 @@ def _joint_eigensplit(ops, dim):
                             for c, x in s:
                                 v[c] += k * x
                     vecs.append(v)
-                new.append((lam_prefix + (lam,), *rref(vecs)))
+                new.append((lam_prefix + (mu // L * scale,), *rref(vecs)))
         blocks = new
     return [(lam, rows) for lam, rows, _ in blocks]
 
@@ -305,8 +317,9 @@ def quotient_weights(ws_g: WeightSystem, ws_h: WeightSystem):
     m_g = dict(ws_g.weights)
     for lam, m in ws_h.weights:
         if m > m_g.get(lam, 0):
+            values = (str(Fraction(x, ws_g.torus.den)) for x in lam)
             raise ValidationError(
-                f"weight ({', '.join(str(x) for x in lam)}) has multiplicity "
+                f"weight ({', '.join(values)}) has multiplicity "
                 f"{m} on h but {m_g.get(lam, 0)} on g")
     m_h = dict(ws_h.weights)
     return tuple((lam, m - m_h.get(lam, 0)) for lam, m in ws_g.weights
@@ -315,21 +328,26 @@ def quotient_weights(ws_g: WeightSystem, ws_h: WeightSystem):
 
 @dataclass(frozen=True)
 class RhoFunction:
-    """rho(Y) = Σ m_i |λ_i(Y)|: convex, even, positively homogeneous.
+    """rho(Y) = Σ m_i |λ_i(Y)| / den: convex, even, positively homogeneous.
 
-    forms hold the nonzero weights only; a rho with no forms is identically
+    forms hold the nonzero weights only, each λ a tuple of ints over the
+    torus's weight denominator den; a rho with no forms is identically
     zero (e.g. any module over a rank-0 torus).
     """
 
     rank: int
-    forms: tuple  # tuple of (λ tuple, multiplicity)
+    forms: tuple  # tuple of (λ int tuple, multiplicity)
+    den: int
+
+    def scaled(self, y):
+        """den·rho(y) = Σ m |λ·y|: an int at an integer point y."""
+        return sum(m * abs(sum(map(mul, lam, y))) for lam, m in self.forms)
 
 
-def rho_from_weights(rank, weights) -> RhoFunction:
-    """rho of the module with these (λ, multiplicity) weights over a torus
-    of this rank."""
-    forms = tuple((lam, m) for lam, m in weights if any(x != 0 for x in lam))
-    return RhoFunction(rank=rank, forms=forms)
+def rho_from_weights(torus: SplitTorus, weights) -> RhoFunction:
+    """rho of the module with these (λ, multiplicity) weights of torus."""
+    forms = tuple((lam, m) for lam, m in weights if any(lam))
+    return RhoFunction(rank=torus.rank, forms=forms, den=torus.den)
 
 
 def rho_eval(f: RhoFunction, y) -> Fraction:
@@ -337,7 +355,4 @@ def rho_eval(f: RhoFunction, y) -> Fraction:
     if len(y) != f.rank:
         raise ValidationError(
             f"point has length {len(y)}, rho is defined on rank {f.rank}")
-    total = ZERO
-    for lam, m in f.forms:
-        total += m * abs(vec_dot(lam, y))
-    return total
+    return Fraction(f.scaled(y), f.den)

@@ -44,11 +44,11 @@ from liepair.linalg import (
     canonical_rows,
     fraction_row,
     integer_row,
-    is_zero_vec,
     vec,
 )
 from liepair.polyhedral import ConeBudgetExceeded, RankMismatch
 from liepair.weights import (
+    RhoFunction,
     TorusValidationError,
     quotient_weights,
     rho_eval,
@@ -224,6 +224,15 @@ def assert_rho_matches_numeric(torus, space, rho, y_coords, rtol=1e-9):
         f"exact {exact} vs numeric {numeric} at {y_coords}"
 
 
+def rho_of(rank, forms):
+    """The RhoFunction of forms (λ, m) with rational entries: each λ scaled
+    to ints over den, the lcm of the denominators of all the entries."""
+    forms = [(tuple(F(x) for x in lam), m) for lam, m in forms]
+    den = lcm(*(x.denominator for lam, _ in forms for x in lam))
+    return RhoFunction(rank=rank, den=den, forms=tuple(
+        (tuple(int(x * den) for x in lam), m) for lam, m in forms))
+
+
 def random_fraction(rng, num=9, den=9):
     return F(rng.randint(-num, num), rng.randint(1, den))
 
@@ -264,7 +273,7 @@ def solve_oracle(rows, targets):
     matrix [rows^T | targets]."""
     k = len(rows)
     if k == 0:
-        return [[] if is_zero_vec(t) else None for t in targets]
+        return [None if any(t) else [] for t in targets]
     aug = [[rows[i][r] for i in range(k)] + [t[r] for t in targets]
            for r in range(len(rows[0]))]
     red, piv = rref_oracle(aug, ncols=k)
@@ -392,12 +401,11 @@ def randomized_dominance_oracle(f, g, samples, seed):
     pts = [tuple(rng.randint(-9, 9) for _ in range(r)) for _ in range(samples)]
     if r == 0 or (not f.forms and not g.forms):
         return OracleOutcome(True, None, None, None, samples)
-    scale = 1
-    for lam, _ in tuple(f.forms) + tuple(g.forms):
-        for x in lam:
-            scale = lcm(scale, x.denominator)
+    # both functions over one denominator, the lcm of theirs
+    scale = lcm(f.den, g.den)
     def int_forms(fn):
-        return [([int(x * scale) for x in lam], m) for lam, m in fn.forms]
+        return [([x * (scale // fn.den) for x in lam], m)
+                for lam, m in fn.forms]
     fi, gi = int_forms(f), int_forms(g)
     max_coef = max((abs(c) for lam, _ in fi + gi for c in lam), default=0)
     mult_sum = sum(m for _, m in fi + gi)
@@ -463,10 +471,10 @@ def extend_torus_greedily(seed, h, candidate_pool):
             candidates = [v]
             if current.rank > 0:
                 proj = _zero_weight_component(current, v)
-                if proj is not None and not is_zero_vec(proj):
+                if proj is not None and any(proj):
                     candidates.append(proj)
             for cand in candidates:
-                if is_zero_vec(cand):
+                if not any(cand):
                     continue
                 rows = [fraction_row(r) for r in current.rows]
                 if len(rref_oracle(rows + [cand])[0]) == current.rank:

@@ -29,7 +29,6 @@ from liepair.report import (
     verdict_to_json,
 )
 from liepair.weights import (
-    RhoFunction,
     rho_eval,
     rho_from_weights,
 )
@@ -39,6 +38,7 @@ from conftest import (
     numeric_rho,
     random_fraction,
     randomized_dominance_oracle,
+    rho_of,
 )
 
 F = Fraction
@@ -62,7 +62,7 @@ def test_criterion_1_rho_definition_oracle():
         pair = build_fixture(name)
         r = pair.torus_h.rank
         rhos = {space: rho_from_weights(
-                    r, module_weights(pair.torus_h, space))
+                    pair.torus_h, module_weights(pair.torus_h, space))
                 for space in ("h", "g/h")}
         for _ in range(20):
             y = [random_fraction(rng) for _ in range(r)]
@@ -83,7 +83,7 @@ def _random_rho(rng, rank, max_forms=4, entry=3, max_mult=3):
         lam = tuple(F(rng.randint(-entry, entry)) for _ in range(rank))
         if any(x != 0 for x in lam):
             forms.append((lam, rng.randint(1, max_mult)))
-    return RhoFunction(rank=rank, forms=tuple(forms))
+    return rho_of(rank, forms)
 
 
 def _sweep_dominates(f, g, N=25):

@@ -944,18 +944,38 @@ def triple_sl2_open_orbit():
 @pytest.mark.parametrize("mutate", [
     _drop("t"), _drop("z"), _set_step("z", ["1", "0"]),
     _set_step("z", None), _set_step("t", "1/0"), _set_step("t", 0.5),
+    _set_step("t", True),
     lambda c: c.update(word="abc"), lambda c: c.update(word=[["1"]]),
     lambda c: c.pop("chamber"), lambda c: c.update(chamber=["0"] * len(c["chamber"])),
     lambda c: c.update(space="elsewhere"),
 ], ids=["no-t", "no-z", "short-z", "null-z", "zero-denominator", "float-t",
-        "word-string", "step-list", "no-chamber", "degenerate-chamber",
-        "unknown-space"])
+        "true-t", "word-string", "step-list", "no-chamber",
+        "degenerate-chamber", "unknown-space"])
 def test_malformed_open_orbit_certificate_fails(mutate):
     pair, text = triple_sl2_open_orbit()
     blob = json.loads(text)
     mutate(blob["certificate"])
     ok, detail = verify_certificate(pair, verdict_from_json(blob))
     assert not ok and "malformed open-orbit certificate" in detail
+
+
+@pytest.mark.parametrize("spec, kind, fields", [
+    ("diagonal_pair:sl2", "dominance", {"margin": 0.0}),
+    ("diagonal_pair:sl2", "dominance", {"margin": False}),
+    ("diagonal_pair:sl2", "dominance", {"lines": [[True]]}),
+    ("direct_sum:sl2:sl2", "dominance-violation",
+     {"rho_h": 4.0, "rho_quotient": 0.0}),
+], ids=["float-margin", "false-margin", "true-in-a-line", "float-rho_h"])
+def test_float_or_boolean_rational_field_fails(spec, kind, fields):
+    # each value equals the true one as a number, but a rational field holds
+    # a fraction string: a JSON float or boolean is not one
+    pair = construct_from_spec(spec)
+    blob = json.loads(json.dumps(verdict_to_json(check_tempered(pair))))
+    assert blob["certificate"]["kind"] == kind
+    assert verify_certificate(pair, verdict_from_json(blob))[0]
+    blob["certificate"].update(fields)
+    ok, detail = verify_certificate(pair, verdict_from_json(blob))
+    assert not ok and f"malformed {kind} certificate" in detail
 
 
 def test_non_terminating_word_step_fails():

@@ -239,6 +239,43 @@ def test_a_bad_complex_structure_with_denominators_exits_2(
     assert err == f"error: {message}\n"
 
 
+# so23_so22 with its torus rows B13, B24 rescaled to B13/2, B24/3, in both
+# torus blocks: its weights are not integers, and their denominator is 6
+RESCALED_TORUS = Path(__file__).parent / "data" / \
+    "so23_so22_rescaled_torus.pair"
+
+
+def test_fractional_weights_are_written_as_fractions(capsys):
+    text = RESCALED_TORUS.read_text(encoding="utf-8")
+    assert serialize_pair(parse_pair_text(text)) == text
+    code, out, _ = run(capsys, "rho", "--file", str(RESCALED_TORUS),
+                       "--space", "g")
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("weights (value on torus basis : multiplicity):")
+    end = lines.index("rho forms (nonzero weights):")
+    assert lines[start + 1:end] == [
+        "  (-1/2, -1/3) : 1", "  (-1/2, 0) : 1", "  (-1/2, 1/3) : 1",
+        "  (0, -1/3) : 1", "  (0, 0) : 2", "  (0, 1/3) : 1",
+        "  (1/2, -1/3) : 1", "  (1/2, 0) : 1", "  (1/2, 1/3) : 1"]
+
+
+def test_fractional_weights_decide_and_verify(tmp_path, capsys):
+    path = tmp_path / "rescaled_torus.json"
+    code, _, _ = run(capsys, "check", "--file", str(RESCALED_TORUS),
+                     "--format", "machine", "--output", str(path))
+    assert code == 0
+    tempered = json.loads(path.read_text())["verdicts"][0]
+    assert (tempered["question"], tempered["outcome"]) \
+        == ("tempered", "no_certified")
+    cert = tempered["certificate"]
+    assert (cert["ray"], cert["rho_h"], cert["rho_quotient"]) \
+        == (["-1", "0"], "2", "1")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 4
+
+
 @pytest.mark.parametrize("command", [("check", "--questions", "tempered"),
                                      ("rho", "--space", "g")])
 def test_a_pair_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):

@@ -5,8 +5,12 @@ Each module keeps its private helpers to itself, so a decision such as how
 a row is stored sits in the one module that owns it.  `integer_row` and
 `fraction_row` convert between values and exact vectors; they are called
 only where a value is read or written: the pair parser and serializer, the
-catalog, the certificate readers and writers of `checks`, and the weight
-forms of `polyhedral`.  The constructors take exact vectors.
+catalog, and the certificate readers and writers of `checks`.  The
+constructors take exact vectors.  The torus weights are ints over one
+denominator from the split to the report, so `weights` and `polyhedral`
+form a Fraction only in the functions that write a value: `rho_eval`, the
+message of `quotient_weights`, `normalize_form` and the margins of
+`decide_dominance`.
 """
 
 import ast
@@ -49,7 +53,7 @@ def test_the_check_finds_a_private_import(tmp_path):
 
 
 CONVERTERS = {"integer_row", "fraction_row"}
-BOUNDARY = {"pairfile", "catalog", "checks", "polyhedral"}
+BOUNDARY = {"pairfile", "catalog", "checks"}
 EXACT_CONSTRUCTORS = {"algebra": "SubalgebraEmbedding.create",
                       "weights": "validate_torus",
                       "checks": "Pair.create",
@@ -99,3 +103,41 @@ def test_the_check_finds_a_conversion():
     assert list(converter_calls(tree)) in ([4, 5], [5, 4])
     (node,) = [n for name, n in functions(tree) if name == "A.create"]
     assert list(converter_calls(node)) == [4]
+
+
+FRACTION_WRITERS = {"weights": {"rho_eval", "quotient_weights"},
+                    "polyhedral": {"normalize_form", "decide_dominance"}}
+
+
+def fraction_callers(tree):
+    """The qualified name of the function around each call of `Fraction`
+    in tree, by name or as an attribute; "<module>" for a call outside
+    every function."""
+    inside = {id(call): name for name, node in functions(tree)
+              for call in ast.walk(node) if isinstance(call, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else \
+                f.attr if isinstance(f, ast.Attribute) else None
+            if name == "Fraction":
+                yield inside.get(id(node), "<module>")
+
+
+def test_weights_are_fractions_only_where_they_are_written():
+    for module, writers in FRACTION_WRITERS.items():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        assert set(fraction_callers(tree)) <= writers, module
+
+
+def test_the_check_finds_a_fraction():
+    tree = ast.parse("from fractions import Fraction\n"
+                     "def rho_eval(f, y):\n"
+                     "    return Fraction(1, 2)\n"
+                     "def _torus_split(g, rows):\n"
+                     "    def key(x):\n"
+                     "        return fractions.Fraction(x, 2)\n"
+                     "    return key\n"
+                     "ZERO = Fraction(0)\n")
+    assert sorted(fraction_callers(tree)) \
+        == ["<module>", "_torus_split.key", "rho_eval"]

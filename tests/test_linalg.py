@@ -129,8 +129,10 @@ def test_diagonal_eigensplit_matches_kernels_and_uses_no_float(diag):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_krylov_minpoly", no_krylov)
-        got = eigensplit(*integer_matrix(D))
-        assert [(lam, canonical_fractions(rows)) for lam, rows in got] == want
+        M, d = integer_matrix(D)
+        got = eigensplit(M, d)
+        assert [(F(mu, d), canonical_fractions(rows)) for mu, rows in got] \
+            == want
 
 
 def matmul(A, B):
@@ -221,8 +223,10 @@ def test_eigensplit_of_a_conjugated_matrix(case):
     want = [(lam, rref_oracle([[S[k][i] for k in range(n)]
                                for i in range(n) if diag[i] == lam])[0])
             for lam in sorted(set(diag))]
-    got = eigensplit(*integer_matrix(A))
-    assert [(lam, canonical_fractions(rows)) for lam, rows in got] == want
+    M, d = integer_matrix(A)
+    got = eigensplit(M, d)
+    assert [(F(mu, d), canonical_fractions(rows)) for mu, rows in got] \
+        == want
 
 
 def poly_mul(p, q):
@@ -276,10 +280,10 @@ def test_scaled_so_4_4_torus_element_splits_quickly():
     parts = eigensplit(A, d)
     assert time.perf_counter() - t0 < 2
     assert sum(len(rows) for _, rows in parts) == g.dim == 28
-    assert len(parts) == 21 and max(lam for lam, _ in parts) == 22000
-    for lam, rows in parts:
+    assert len(parts) == 21 and max(mu for mu, _ in parts) == 22000
+    for mu, rows in parts:
         for v in rows:
-            assert mat_vec(A, list(v)) == [lam * d * x for x in v]
+            assert mat_vec(A, list(v)) == [mu * x for x in v]
 
 
 def test_eigensplit_rejects_rotation():

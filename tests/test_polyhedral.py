@@ -11,6 +11,7 @@ from conftest import (
     enumerate_lines_oracle,
     kernel_oracle,
     randomized_dominance_oracle,
+    rho_of,
     rref_oracle,
 )
 from liepair.polyhedral import (
@@ -20,14 +21,9 @@ from liepair.polyhedral import (
     enumerate_lines,
     normalize_form,
 )
-from liepair.weights import RhoFunction, rho_eval
+from liepair.weights import rho_eval
 
 F = Fraction
-
-
-def rf(rank, forms):
-    return RhoFunction(rank=rank, forms=tuple(
-        (tuple(F(x) for x in lam), m) for lam, m in forms))
 
 
 def random_rho(rng, rank, max_forms=4, entry=3, max_mult=3):
@@ -36,7 +32,7 @@ def random_rho(rng, rank, max_forms=4, entry=3, max_mult=3):
         lam = tuple(F(rng.randint(-entry, entry)) for _ in range(rank))
         if any(x != 0 for x in lam):
             forms.append((lam, rng.randint(1, max_mult)))
-    return RhoFunction(rank=rank, forms=tuple(forms))
+    return rho_of(rank, forms)
 
 
 def lines_of(arr, budget=10 ** 6):
@@ -57,23 +53,23 @@ def common_kernel(arr):
 # --- arrangement -----------------------------------------------------------
 
 def test_arrangement_dedup_modulo_scaling_and_sign():
-    f = rf(1, [((2,), 1)])
-    g = rf(1, [((2,), 1), ((-2,), 1)])
+    f = rho_of(1, [((2,), 1)])
+    g = rho_of(1, [((2,), 1), ((-2,), 1)])
     arr = build_arrangement(f, g)
     assert arr.forms == ((F(1),),)
     assert len(common_kernel(arr)) == 0
 
 
 def test_arrangement_empty():
-    arr = build_arrangement(rf(2, []), rf(2, []))
+    arr = build_arrangement(rho_of(2, []), rho_of(2, []))
     assert arr.forms == ()
     assert len(common_kernel(arr)) == 2
     assert lines_of(arr) == []
 
 
 def test_arrangement_three_forms_rank2():
-    arr = build_arrangement(rf(2, [((1, 0), 1), ((0, 1), 1)]),
-                            rf(2, [((1, 1), 2)]))
+    arr = build_arrangement(rho_of(2, [((1, 0), 1), ((0, 1), 1)]),
+                            rho_of(2, [((1, 1), 2)]))
     assert len(arr.forms) == 3
     assert len(common_kernel(arr)) == 0
 
@@ -82,20 +78,20 @@ def test_arrangement_three_forms_rank2():
 
 def test_rank1_two_cones():
     # the two cones of a rank-1 arrangement are the half-lines of its line
-    arr = build_arrangement(rf(1, [((2,), 1)]), rf(1, []))
+    arr = build_arrangement(rho_of(1, [((2,), 1)]), rho_of(1, []))
     assert lines_of(arr) == [(F(1),)]
 
 
 def test_quadrants():
-    arr = build_arrangement(rf(2, [((1, 0), 1), ((0, 1), 1)]), rf(2, []))
+    arr = build_arrangement(rho_of(2, [((1, 0), 1), ((0, 1), 1)]), rho_of(2, []))
     assert lines_of(arr) == [(F(0), F(1)), (F(1), F(0))]
 
 
 def test_quotient_of_rank_one_is_its_span_of_forms():
     # d = 1 inside rank 3: the one line is the span of the forms, not the
     # lineality plane
-    f = rf(3, [((2, 4, 0), 1), ((-1, -2, 0), 2)])
-    arr = build_arrangement(f, rf(3, []))
+    f = rho_of(3, [((2, 4, 0), 1), ((-1, -2, 0), 2)])
+    arr = build_arrangement(f, rho_of(3, []))
     assert len(common_kernel(arr)) == 2
     assert lines_of(arr) == [(F(1), F(2), F(0))]
 
@@ -119,8 +115,8 @@ def brute_force_region_count(forms, rank, grid=12):
 
 
 def test_six_cones_for_x_y_xplusy():
-    f = rf(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)])
-    arr = build_arrangement(f, rf(2, []))
+    f = rho_of(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)])
+    arr = build_arrangement(f, rho_of(2, []))
     lines = lines_of(arr)
     assert len(lines) == 3
     # in rank 2 every line bounds two of the cones and each cone has two
@@ -185,10 +181,8 @@ def arrangements(draw):
     forms = base + [[q * x for x in base[i]] for i, q in copies]
     sides = draw(st.lists(st.booleans(), min_size=len(forms),
                           max_size=len(forms)))
-    f = RhoFunction(rank=r, forms=tuple(
-        (tuple(lam), 1) for lam, s in zip(forms, sides) if s))
-    g = RhoFunction(rank=r, forms=tuple(
-        (tuple(lam), 2) for lam, s in zip(forms, sides) if not s))
+    f = rho_of(r, [(lam, 1) for lam, s in zip(forms, sides) if s])
+    g = rho_of(r, [(lam, 2) for lam, s in zip(forms, sides) if not s])
     return build_arrangement(f, g)
 
 
@@ -201,8 +195,8 @@ def lines_or_budget(enumerate_, arr, budget):
 
 @settings(max_examples=100, deadline=None)
 @given(arrangements())
-@example(build_arrangement(rf(3, [((1, 2, 0), 1), ((-2, -4, 0), 1)]),
-                           rf(3, [((F(1, 2), 1, 0), 3)])))
+@example(build_arrangement(rho_of(3, [((1, 2, 0), 1), ((-2, -4, 0), 1)]),
+                           rho_of(3, [((F(1, 2), 1, 0), 3)])))
 def test_lines_match_the_span_oracle_at_every_budget(arr):
     # the library at every budget from 1 up to the flat count, the first
     # budget it fits in; the oracle's count only grows, so it raises at
@@ -217,8 +211,8 @@ def test_lines_match_the_span_oracle_at_every_budget(arr):
 
 
 def test_cone_budget_exceeded():
-    f = rf(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)])
-    arr = build_arrangement(f, rf(2, []))
+    f = rho_of(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)])
+    arr = build_arrangement(f, rho_of(2, []))
     with pytest.raises(ConeBudgetExceeded):
         lines_of(arr, budget=2)
     # the whole plane and three lines: four flats, fewer than the six cones
@@ -228,20 +222,20 @@ def test_cone_budget_exceeded():
 # --- dominance -------------------------------------------------------------
 
 def test_dominance_zero_vs_anything():
-    g = rf(1, [((2,), 1)])
-    v = decide_dominance(rf(1, []), g)
+    g = rho_of(1, [((2,), 1)])
+    v = decide_dominance(rho_of(1, []), g)
     assert v.holds and v.margin == 2
 
 
 def test_dominance_equal_functions_margin_zero():
-    f = rf(1, [((2,), 1), ((-2,), 1)])
+    f = rho_of(1, [((2,), 1), ((-2,), 1)])
     v = decide_dominance(f, f)
     assert v.holds and v.margin == 0 and v.lines == ((F(1),),)
 
 
 def test_dominance_fails_with_exact_witness():
-    f = rf(1, [((2,), 1), ((-2,), 1)])   # 4|t|
-    g = rf(1, [((2,), 1)])               # 2|t|
+    f = rho_of(1, [((2,), 1), ((-2,), 1)])   # 4|t|
+    g = rho_of(1, [((2,), 1)])               # 2|t|
     v = decide_dominance(f, g)
     assert not v.holds
     assert rho_eval(f, list(v.witness)) > rho_eval(g, list(v.witness))
@@ -249,7 +243,7 @@ def test_dominance_fails_with_exact_witness():
 
 
 def test_dominance_empty_case():
-    v = decide_dominance(rf(3, []), rf(3, []))
+    v = decide_dominance(rho_of(3, []), rho_of(3, []))
     assert v.holds and v.margin == 0 and v.lines == ()
 
 
@@ -259,10 +253,10 @@ def test_dominance_empty_case():
 def test_margin_and_witness_match_rho_eval(seed, rank):
     rng = Random(seed)
     def rational_rho():
-        return RhoFunction(rank=rank, forms=tuple(
+        return rho_of(rank, [
             (tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
                    for _ in range(rank)), rng.randint(1, 3))
-            for _ in range(rng.randint(0, 4))))
+            for _ in range(rng.randint(0, 4))])
     f, g = rational_rho(), rational_rho()
     v = decide_dominance(f, g)
     assert v.lines == tuple(lines_of(build_arrangement(f, g)))
@@ -313,8 +307,8 @@ def test_dominance_vs_randomized_oracle_rank_le3():
 
 
 def test_oracle_violation_is_exact():
-    f = rf(1, [((2,), 1), ((-2,), 1)])
-    g = rf(1, [((2,), 1)])
+    f = rho_of(1, [((2,), 1), ((-2,), 1)])
+    g = rho_of(1, [((2,), 1)])
     out = randomized_dominance_oracle(f, g, samples=500, seed=0)
     assert not out.agrees
     y = list(out.counterexample)
@@ -338,10 +332,8 @@ def test_dominance_scaling_invariance(seed, q):
     rank = rng.randint(1, 2)
     f, g = random_rho(rng, rank), random_rho(rng, rank)
     base = decide_dominance(f, g)
-    fq = RhoFunction(rank=rank, forms=tuple(
-        (tuple(q * x for x in lam), m) for lam, m in f.forms))
-    gq = RhoFunction(rank=rank, forms=tuple(
-        (tuple(q * x for x in lam), m) for lam, m in g.forms))
+    fq = rho_of(rank, [(tuple(q * x for x in lam), m) for lam, m in f.forms])
+    gq = rho_of(rank, [(tuple(q * x for x in lam), m) for lam, m in g.forms])
     scaled = decide_dominance(fq, gq)
     assert scaled.holds == base.holds
     assert scaled.witness == base.witness
@@ -360,7 +352,7 @@ def test_adding_forms_preserves_dominance_direction(seed):
     rng = Random(seed)
     rank = rng.randint(1, 3)
     f, g = random_rho(rng, rank), random_rho(rng, rank)
-    combined = RhoFunction(rank=rank, forms=tuple(f.forms) + tuple(g.forms))
+    combined = rho_of(rank, f.forms + g.forms)
     assert decide_dominance(f, combined).holds
     if g.forms:
         assert not decide_dominance(combined, f).holds

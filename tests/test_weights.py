@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -33,7 +34,6 @@ from liepair.weights import (
     NotAbelian,
     NotInSubalgebra,
     NotSemisimpleElement,
-    RhoFunction,
     WeightSystem,
     _joint_eigensplit,
     quotient_weights,
@@ -53,6 +53,7 @@ from conftest import (
     module_weights,
     quotient_operators,
     random_fraction,
+    rho_of,
     rref_oracle,
 )
 
@@ -414,10 +415,10 @@ def test_weight_decomposition_takes_g_and_h_only(sl3):
         weight_decomposition(t, "g/h")
 
 
-def test_quotient_weights_reject_excess_on_h():
-    ws_g = WeightSystem(torus=None, weights=(((F(0),), 1), ((F(2),), 1)),
-                        spaces=())
-    ws_h = WeightSystem(torus=None, weights=(((F(2),), 2),), spaces=())
+def test_quotient_weights_reject_excess_on_h(sl2):
+    t = validate_torus([exact(sl2, "H1")], whole(sl2))
+    ws_g = WeightSystem(torus=t, weights=(((0,), 1), ((2,), 1)), spaces=())
+    ws_h = WeightSystem(torus=t, weights=(((2,), 2),), spaces=())
     with pytest.raises(ValidationError, match=r"\(2\) has multiplicity 2"):
         quotient_weights(ws_g, ws_h)
 
@@ -506,7 +507,7 @@ def test_refinement_split_agrees_with_coordinate_split(name, torus, space):
 
 def test_rho_sl2_adjoint_evaluation(sl2):
     t = validate_torus([exact(sl2, "H1")], whole(sl2))
-    rho = rho_from_weights(t.rank, weight_decomposition(t, "g").weights)
+    rho = rho_from_weights(t, weight_decomposition(t, "g").weights)
     assert rho_eval(rho, [F(3)]) == 12
     assert rho_eval(rho, [F(0)]) == 0
 
@@ -514,14 +515,14 @@ def test_rho_sl2_adjoint_evaluation(sl2):
 def test_rho_zero_for_rank_zero(sl2):
     h = SubalgebraEmbedding.create(sl2, [])
     t = validate_torus([], h)
-    rho = rho_from_weights(t.rank, weight_decomposition(t, "g").weights)
+    rho = rho_from_weights(t, weight_decomposition(t, "g").weights)
     assert rho.forms == ()
     assert rho_eval(rho, []) == 0
 
 
 def test_rho_drops_zero_forms(sl3):
     h, t = sl3_sl2_pair(sl3)
-    rho = rho_from_weights(t.rank, module_weights(t, "g/h"))
+    rho = rho_from_weights(t, module_weights(t, "g/h"))
     assert all(any(x != 0 for x in lam) for lam, _ in rho.forms)
     # two standard modules: rho_{g/h}(t) = 4|t|
     assert rho_eval(rho, [F(1)]) == 4
@@ -532,12 +533,50 @@ def test_rho_positive_root_consistency_sl3(sl3):
     # are (2,-1), (-1,2), (1,1); rho_ad = 2 * sum over positive roots in the
     # dominant chamber (evenness pairs each +-lambda)
     t = validate_torus([exact(sl3, "H1"), exact(sl3, "H2")], whole(sl3))
-    rho = rho_from_weights(t.rank, weight_decomposition(t, "g").weights)
+    rho = rho_from_weights(t, weight_decomposition(t, "g").weights)
     positive = [(F(2), F(-1)), (F(-1), F(2)), (F(1), F(1))]
     for y in ([F(1), F(1)], [F(2), F(1)], [F(1), F(3)]):
         if all(a * y[0] + b * y[1] >= 0 for a, b in positive):
             expected = 2 * sum(a * y[0] + b * y[1] for a, b in positive)
             assert rho_eval(rho, y) == expected
+
+
+RESCALED_TORUS = Path(__file__).parent / "data" / \
+    "so23_so22_rescaled_torus.pair"
+
+
+def assert_weights_rescaled(torus, base):
+    """torus has the two rows of base divided by 2 and by 3: each weight
+    (a, b) of base is (a/2, b/3) on torus, an int tuple over its den 6, in
+    the same order, and rho at y is base's rho at (y1/2, y2/3)."""
+    assert (torus.den, base.den) == (6, 1)
+    rng = Random(29)
+    for space in ("g", "h", "g/h"):
+        got = module_weights(torus, space)
+        want = module_weights(base, space)
+        assert [(tuple(F(x, 6) for x in lam), m) for lam, m in got] \
+            == [((F(a, 2), F(b, 3)), m) for (a, b), m in want]
+        rho = rho_from_weights(torus, got)
+        rho_base = rho_from_weights(base, want)
+        for _ in range(20):
+            y1, y2 = random_fraction(rng), random_fraction(rng)
+            assert rho_eval(rho, [y1, y2]) == rho_eval(rho_base, [y1 / 2, y2 / 3])
+
+
+def test_a_rescaled_torus_has_its_weights_over_one_denominator():
+    # so23_so22 with the torus rows B13/2, B24/3, which are not diagonal in
+    # the basis of so(2,3)
+    pair = parse_pair_text(RESCALED_TORUS.read_text(encoding="utf-8"))
+    assert_weights_rescaled(pair.torus_h,
+                            catalog.pair_so23_so22().torus_h)
+
+
+def test_a_rescaled_diagonal_torus_has_its_weights_over_one_denominator(sl3):
+    # H1/2 and H2/3 act diagonally on sl3's basis, with ad over 2 and 3
+    (h1, _), (h2, _) = exact(sl3, "H1"), exact(sl3, "H2")
+    assert_weights_rescaled(
+        validate_torus([(h1, 2), (h2, 3)], whole(sl3)),
+        validate_torus([(h1, 1), (h2, 1)], whole(sl3)))
 
 
 def test_rho_numeric_eigensolver_cross_check():
@@ -547,17 +586,16 @@ def test_rho_numeric_eigensolver_cross_check():
         pair = build_fixture(name)
         r = pair.torus_h.rank
         for space in ("h", "g/h"):
-            rho = rho_from_weights(r, module_weights(pair.torus_h, space))
+            rho = rho_from_weights(pair.torus_h,
+                                   module_weights(pair.torus_h, space))
             for _ in range(20):
                 y = [random_fraction(rng) for _ in range(r)]
                 assert_rho_matches_numeric(pair.torus_h, space, rho, y)
 
 
 rho_strategy = st.builds(
-    lambda rank, raw: RhoFunction(
-        rank=rank,
-        forms=tuple((tuple(lam[:rank]), m) for lam, m in raw
-                    if any(x != 0 for x in lam[:rank]))),
+    lambda rank, raw: rho_of(
+        rank, [(lam[:rank], m) for lam, m in raw if any(lam[:rank])]),
     st.shared(st.integers(min_value=1, max_value=3), key="rank"),
     st.lists(st.tuples(
         st.tuples(*([st.fractions(min_value=-4, max_value=4,
