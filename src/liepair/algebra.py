@@ -317,7 +317,6 @@ class Subspace:
 
     ambient: int
     rows: tuple
-    pivots: tuple
 
     @staticmethod
     def from_rows(ambient, rows):
@@ -326,8 +325,7 @@ class Subspace:
             if len(r) != ambient:
                 raise ValidationError(
                     f"ambient mismatch: expected length {ambient}, got {len(r)}")
-        red, piv = rref(rows)
-        return Subspace(ambient=ambient, rows=tuple(red), pivots=tuple(piv))
+        return Subspace(ambient=ambient, rows=tuple(rref(rows)[0]))
 
     @property
     def dim(self):

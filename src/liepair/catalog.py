@@ -436,8 +436,9 @@ def complexify_pair(pair: Pair) -> Pair:
     g ⊗ ℂ with h ⊗ ℂ, torus_h as its real split part and the split torus
     torus_g ⊕ i·(compact Cartan rows).  The pair's exact rows are padded
     with zeros."""
-    cdata = complexify(AlgebraData(algebra=pair.g,
-                                   split_rows=pair.torus_g.rows,
+    # nothing reads the realization of a complexified pair, so none is built
+    g = replace(pair.g, matrix_realization=None)
+    cdata = complexify(AlgebraData(algebra=g, split_rows=pair.torus_g.rows,
                                    compact_rows=pair.compact_cartan_rows))
     zero = (0,) * pair.g.dim
     hc = [(r + zero, den) for r, den in pair.h.rows] + \

@@ -17,6 +17,11 @@ with Z ad-nilpotent, so every matrix involved is an exact polynomial in
 rational parameters.  Openness of the orbit condition is Zariski-open, hence
 a single full-rank witness is a proof; failure at finitely many samples is
 evidence only, and is reported as probable_no, never as a certified no.
+
+Word times are pairs of ints, chambers and tempered lines integer vectors.
+A certificate writes each row with fraction_row; the verifier reads a row
+back with integer_row (the ray of a violation as the values rho_eval takes)
+and compares a span's rows and the tempered lines with their canonical_rows.
 """
 
 from __future__ import annotations
@@ -201,7 +206,7 @@ class Pair:
 class ParabolicSubalgebra:
     """Nonnegative-weight subalgebra for a chamber functional on torus_g:
     p = m ⊕ a ⊕ n with n the strictly positive weight spaces; a certificate
-    writes its canonical_rows."""
+    writes its canonical_rows.  The chamber functional is a tuple of ints."""
 
     chamber: tuple
     subspace: Subspace
@@ -217,8 +222,8 @@ class AdWord:
     raises NonTerminatingSeries.  So every applied step is a finite exact
     sum, equal to exp(t·ad Z)v.
 
-    Each z is an exact vector (nums, den) and each t a Fraction; to_json
-    writes z as Fractions and from_json reads it back.
+    A step is (z, (a, b)): z an exact vector (nums, den) and t = a/b, ints
+    in lowest terms with b > 0; to_json writes both as Fractions.
     apply_to_rows(g, rows) takes exact vectors (nums, den) and returns
     them in lowest terms with nums a list, so words compose.  The searches
     use the moved nums as they are, since scaling a row changes no span,
@@ -226,19 +231,21 @@ class AdWord:
     question already holds.
 
     inverse() is the word of Ad(w)⁻¹ = Ad(w⁻¹): the steps in reverse order,
-    each t negated, since exp(t·ad Z)⁻¹ = exp(−t·ad Z).  It keeps the same
+    each a negated, since exp(t·ad Z)⁻¹ = exp(−t·ad Z).  It keeps the same
     z objects, and an error names a step of it by the step's index in the
     word it inverts (the `inverted` flag)."""
 
-    steps: tuple  # tuple of (z exact vector, t Fraction)
+    steps: tuple  # tuple of (z exact vector, (a, b) ints)
     inverted: bool = False
 
     def to_json(self):
-        return [{"z": fraction_row(z), "t": t} for z, t in self.steps]
+        return [{"z": fraction_row(z), "t": Fraction(*t)}
+                for z, t in self.steps]
 
     @classmethod
     def from_json(cls, data):
-        return cls(steps=tuple((integer_row(s["z"]), frac(s["t"]))
+        return cls(steps=tuple((integer_row(s["z"]),
+                                frac(s["t"]).as_integer_ratio())
                                for s in data))
 
     def apply_to_rows(self, g: LieAlgebra, rows, ad=None):
@@ -248,9 +255,8 @@ class AdWord:
         ad = _AdColumns(g) if ad is None else ad
         out = list(rows)
         n = len(self.steps)
-        for index, (z, t) in reversed(list(enumerate(self.steps, start=1))):
+        for index, (z, (a, b)) in reversed(list(enumerate(self.steps, start=1))):
             cols, den = ad(z)
-            a, b = t.as_integer_ratio()
             if a == 0:
                 continue
             try:
@@ -261,7 +267,7 @@ class AdWord:
         return out
 
     def inverse(self) -> "AdWord":
-        steps = tuple((z, -t) for z, t in reversed(self.steps))
+        steps = tuple((z, (-a, b)) for z, (a, b) in reversed(self.steps))
         return AdWord(steps=steps, inverted=not self.inverted)
 
     @property
@@ -338,16 +344,17 @@ def minimal_parabolic(ws: WeightSystem, xi="generic", seed=0) -> ParabolicSubalg
     from the restricted weights ws = weight_decomposition(torus_g, "g"),
     which a question computes once and shares with nilpotent_pool.
 
-    A generic functional is drawn by exact rejection sampling so that no
-    nonzero restricted weight vanishes on it; a supplied functional that does
-    raises DegenerateFunctional (a larger, non-minimal parabolic would result).
+    A generic functional of ints is drawn by exact rejection sampling so
+    that no nonzero restricted weight vanishes on it; a supplied one, read
+    as the nums of its integer_row (the same signs on every weight), that
+    does raises DegenerateFunctional (a non-minimal parabolic would result).
     """
     r = ws.torus.rank
     nonzero = [lam for lam, _ in ws.weights if any(lam)]
     if xi == "generic":
         rng = Random(derive_seed(seed, "chamber"))
         for _ in range(10000):
-            cand = tuple(Fraction(rng.randint(-PARAM_BOUND, PARAM_BOUND))
+            cand = tuple(rng.randint(-PARAM_BOUND, PARAM_BOUND)
                          for _ in range(r))
             if all(sum(map(mul, lam, cand)) for lam in nonzero):
                 xi = cand
@@ -355,7 +362,7 @@ def minimal_parabolic(ws: WeightSystem, xi="generic", seed=0) -> ParabolicSubalg
         else:
             raise ValidationError("failed to sample a generic chamber functional")
     else:
-        xi = tuple(vec(xi))
+        xi, _ = integer_row(xi)
         if len(xi) != r:
             raise ValidationError(
                 f"chamber functional has length {len(xi)}, torus rank {r}")
@@ -369,7 +376,7 @@ def minimal_parabolic(ws: WeightSystem, xi="generic", seed=0) -> ParabolicSubalg
         if sum(map(mul, lam, xi)) >= 0:
             rows.extend(vecs_)
     sub = Subspace.from_rows(ws.torus.ambient.dim, rows)
-    return ParabolicSubalgebra(chamber=tuple(xi), subspace=sub)
+    return ParabolicSubalgebra(chamber=xi, subspace=sub)
 
 
 def nilpotent_pool(ws: WeightSystem):
@@ -384,8 +391,8 @@ def nilpotent_pool(ws: WeightSystem):
 def _sampled_words(pool, seed, label, samples):
     """The words a search applies: the identity, then (for a nonempty pool)
     up to samples - 1 words of 1 to MAX_WORD_LENGTH steps (Z from the pool,
-    t with |numerator|, denominator ≤ PARAM_BOUND), drawn lazily from
-    Random(derive_seed(seed, label))."""
+    t = a/b with |a|, b ≤ PARAM_BOUND drawn as ints and divided by their
+    gcd), drawn lazily from Random(derive_seed(seed, label))."""
     yield AdWord(steps=())
     if not pool:
         return
@@ -394,9 +401,10 @@ def _sampled_words(pool, seed, label, samples):
         steps = []
         for _ in range(rng.randint(1, MAX_WORD_LENGTH)):
             z = pool[rng.randrange(len(pool))]
-            t = Fraction(rng.randint(-PARAM_BOUND, PARAM_BOUND),
-                         rng.randint(1, PARAM_BOUND))
-            steps.append((z, t))
+            a = rng.randint(-PARAM_BOUND, PARAM_BOUND)
+            b = rng.randint(1, PARAM_BOUND)
+            common = gcd(a, b)
+            steps.append((z, (a // common, b // common)))
         yield AdWord(steps=tuple(steps))
 
 
@@ -505,7 +513,7 @@ def _check_open_orbit(pair: Pair, space: str, samples: int, seed: int) -> Verdic
             cert = {
                 "kind": "open-orbit",
                 "space": space,
-                "chamber": list(par.chamber),
+                "chamber": fraction_row((par.chamber, 1)),
                 "parabolic_rows": [fraction_row(r) for r in
                                    canonical_rows(par.subspace.rows)],
                 "word": word.to_json(),
@@ -575,7 +583,7 @@ def check_tempered(pair: Pair, cone_budget=DEFAULT_CONE_BUDGET) -> Verdict:
     if dom.holds:
         cert = {
             "kind": "dominance",
-            "lines": [list(line) for line in dom.lines],
+            "lines": [fraction_row(r) for r in canonical_rows(dom.lines)],
             "margin": dom.margin,
             "line_count": len(dom.lines),
         }
@@ -587,14 +595,14 @@ def check_tempered(pair: Pair, cone_budget=DEFAULT_CONE_BUDGET) -> Verdict:
                 f"rho_h ≤ rho_{{g/h}} on the split torus of h {margin_txt}: "
                 "L²(G/H) is tempered (Benoist-Kobayashi criterion).",),
             notes=notes)
-    wit = dom.witness
+    ray = fraction_row(dom.witness)
     cert = {
         "kind": "dominance-violation",
-        "ray": list(wit),
-        "rho_h": rho_eval(rho_h, list(wit)),
-        "rho_quotient": rho_eval(rho_q, list(wit)),
+        "ray": ray,
+        "rho_h": rho_eval(rho_h, ray),
+        "rho_quotient": rho_eval(rho_q, ray),
     }
-    ray_txt = "(" + ", ".join(str(x) for x in wit) + ")"
+    ray_txt = "(" + ", ".join(str(x) for x in ray) + ")"
     return Verdict(
         question="tempered", outcome="no_certified", certificate=cert,
         conclusions=(
@@ -659,7 +667,7 @@ def _is_abelian(g: LieAlgebra, sub: Subspace) -> bool:
                    for i in range(len(rows)) for j in range(i + 1, len(rows)))
 
 
-def stabilizer_verdict(pair: Pair, report: StabilizerReport) -> Verdict:
+def stabilizer_verdict(report: StabilizerReport) -> Verdict:
     cert = {
         "kind": "stabilizer",
         "word": report.word.to_json(),
@@ -690,7 +698,7 @@ def stabilizer_verdict(pair: Pair, report: StabilizerReport) -> Verdict:
 
 
 def check_generic_stabilizer(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Verdict:
-    return stabilizer_verdict(pair, generic_stabilizer(pair, samples, seed))
+    return stabilizer_verdict(generic_stabilizer(pair, samples, seed))
 
 
 @dataclass(frozen=True)
@@ -794,18 +802,18 @@ def _recheck(pair: Pair, cert):
     if kind == "dominance":
         lines = _stored_lines(cert, pair.torus_h.rank)
         stored = frac(cert["margin"])
-        if cert.get("line_count") != len(lines):
+        if _count(cert, "line_count") != len(lines):
             return False, (f"stored line_count {cert.get('line_count')!r} "
                            f"!= {len(lines)} stored lines")
         try:
             dom = decide_dominance(*rho_pair(pair))
         except ConeBudgetExceeded as e:
             return False, f"cannot re-enumerate the lines: {e}"
-        if [tuple(line) for line in lines] != list(dom.lines):
+        if lines != canonical_rows(dom.lines):
             return False, ("stored lines are not the lines of the "
                            "arrangement")
         if not dom.holds:
-            line = [-x for x in dom.witness]
+            line = [-x for x in fraction_row(dom.witness)]
             return False, f"stored line {line} violates dominance"
         if stored != dom.margin:
             return False, (f"stored margin {stored} != recomputed "
@@ -831,37 +839,45 @@ def _recheck(pair: Pair, cert):
         word = AdWord.from_json(cert["word"])
         par = minimal_parabolic(
             weight_decomposition(target.torus_g, "g"), xi=cert["chamber"])
-        if not _is_canonical_basis(cert["parabolic_rows"], par.subspace):
+        if not _is_canonical_basis(cert["parabolic_rows"], par.subspace.rows):
             return False, "stored parabolic rows do not match the chamber"
         sides = _orbit_sides(par.subspace, target.h)
         got = _orbit_rank(word, sides, _AdColumns(target.g))
-        if got != cert["rank_achieved"] or got != target.g.dim:
+        if got != _count(cert, "rank_achieved") or got != target.g.dim:
             return False, f"rank recomputation gives {got}, not {target.g.dim}"
         return True, f"open orbit re-verified at word of length {word.length}"
     # the one kind left is "stabilizer"
     word = AdWord.from_json(cert["word"])
     moved = word.apply_to_rows(pair.g, pair.h.rows)
     inter = _intersect(pair.h.subspace, moved)
-    if inter.dim != cert["dimension"]:
+    if inter.dim != _count(cert, "dimension"):
         return False, (f"intersection dimension {inter.dim} != stored "
                        f"{cert['dimension']}")
-    if not _is_canonical_basis(cert["rows"], inter):
+    if not _is_canonical_basis(cert["rows"], inter.rows):
         return False, "stored representative does not match recomputation"
     if _is_abelian(pair.g, inter) != cert["abelian"]:
         return False, "stored abelian flag does not match recomputation"
     return True, f"stabilizer re-verified at dimension {inter.dim}"
 
 
-def _is_canonical_basis(stored_rows, sub: Subspace) -> bool:
-    """Whether stored rows are exactly sub's reduced row echelon basis over
-    ℚ, as the decider writes them; no other basis of sub is accepted."""
-    return [integer_row(r) for r in stored_rows] == canonical_rows(sub.rows)
+def _is_canonical_basis(stored_rows, rows) -> bool:
+    """Whether stored rows are exactly the canonical_rows of the rref
+    `rows`, its reduced row echelon basis over ℚ, as the decider writes
+    them; no other basis of the span is accepted."""
+    return [integer_row(r) for r in stored_rows] == canonical_rows(rows)
+
+
+def _count(cert, key):
+    """The int stored at key: ValueError for a float or a boolean."""
+    if type(cert[key]) is not int:
+        raise ValueError(f"{key} {cert[key]!r} is not an integer")
+    return cert[key]
 
 
 def _stored_lines(cert, rank):
-    """A dominance certificate's lines as exact nonzero vectors of length
-    `rank`; raises KeyError, TypeError, ValueError or ZeroDivisionError
-    when they are missing or malformed."""
+    """A dominance certificate's lines as exact nonzero vectors (nums, den)
+    of length `rank`; raises KeyError, TypeError, ValueError or
+    ZeroDivisionError when they are missing or malformed."""
     lines = cert["lines"]
     if not isinstance(lines, list):
         raise ValueError("lines is not a list")
@@ -869,8 +885,8 @@ def _stored_lines(cert, rank):
     for i, line in enumerate(lines):
         if not isinstance(line, list) or len(line) != rank:
             raise ValueError(f"line {i} is not a list of {rank} rationals")
-        v = vec(line)
-        if not any(v):
+        v = integer_row(line)
+        if not any(v[0]):
             raise ValueError(f"line {i} is zero")
         out.append(v)
     return out

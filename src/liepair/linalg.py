@@ -10,8 +10,8 @@ and exact tables, so nothing converts a row back and forth inside it.
 
 A span is held by integer rows alone, since scaling a row changes no span.
 `rref` gives its canonical form: Gauss-Jordan elimination over ℚ done
-fraction-free (`_eliminate`), each row divided by the gcd of its entries
-and signed so that its pivot entry, its first nonzero entry, is positive.
+fraction-free (`_eliminate`), each row made `primitive` (divided by the gcd
+of its entries, its pivot entry, the first nonzero one, positive).
 Those rows are unique to the span, so equality of spans is literal
 equality of the rows; `canonical_rows` divides each by its pivot entry,
 which gives the reduced row echelon form over ℚ (pivot entries 1) as exact
@@ -147,16 +147,13 @@ def _eliminate(m, limit, clear_above):
     return piv_cols
 
 
-def _primitive_rows(m, piv):
-    """The first len(piv) rows of m, each divided by the gcd of its entries
-    and signed so that its entry at its pivot is positive, as tuples."""
-    out = []
-    for row, p in zip(m, piv):
-        g = gcd(*row)
-        if row[p] < 0:
-            g = -g
-        out.append(tuple(row) if g == 1 else tuple(x // g for x in row))
-    return out
+def primitive(v):
+    """A nonzero integer vector divided by the gcd of its entries and
+    signed so that its first nonzero entry is positive, as a tuple."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 def rref(rows):
@@ -170,7 +167,7 @@ def rref(rows):
     pivot entry is unique: equal spans give equal rows."""
     m = [list(r) for r in rows]
     piv = _eliminate(m, len(m[0]) if m else 0, True)
-    return _primitive_rows(m, piv), piv
+    return [primitive(row) for row in m[:len(piv)]], piv
 
 
 def rank(rows) -> int:

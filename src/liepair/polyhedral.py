@@ -15,20 +15,21 @@ themselves, as subspaces with integer bases, one rank at a time; no cone is
 ever built.  The covers of a flat come from one pass over the forms, grouped
 by their restriction to it, and each line is found as a primitive integer
 vector.  The forms are the integer weights of `weights`, over their torus's
-denominator, so the functions are evaluated at a line in integers, and a
-line costs one Fraction for its margin and its normalized form for the
-certificate.  Nothing here uses a float.
+denominator, so the functions are evaluated at a line in integers; a line
+stays an integer vector y, written as the exact vector (y, y0) with y0 its
+first nonzero entry, and the margin is the one Fraction.  No float is used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import mul
 from typing import Optional
 
 from .linalg import (
+    primitive,
     rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     rref,
 )
@@ -46,21 +47,10 @@ class RankMismatch(ValueError):
     pass
 
 
-def normalize_form(v):
-    """Canonical representative modulo positive scaling and global sign:
-    v divided by its first nonzero coordinate, which becomes +1, as a tuple
-    of Fractions (v may hold ints or Fractions).  Returns None for the zero
-    form."""
-    nz = next((x for x in v if x != 0), None)
-    if nz is None:
-        return None
-    return tuple(Fraction(x, nz) for x in v)
-
-
 @dataclass(frozen=True)
 class Arrangement:
     """Deduplicated union of the nonzero forms of two rho functions, each
-    the primitive integer vector of its line (see _primitive)."""
+    the primitive integer vector of its line (see linalg.primitive)."""
 
     rank: int
     forms: tuple  # sorted tuple of primitive int tuples
@@ -68,26 +58,21 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class DominanceVerdict:
+    """lines holds enumerate_lines's integer lines y, which a certificate
+    writes as their canonical_rows (y, y0); the witness of a violation is
+    the exact vector (−y, y0) of its half-line."""
+
     holds: bool
     witness: Optional[tuple]
     margin: Optional[Fraction]
-    lines: tuple  # the lines evaluated, enumerate_lines's by normalize_form
+    lines: tuple
 
 
 def build_arrangement(f: RhoFunction, g: RhoFunction) -> Arrangement:
     if f.rank != g.rank:
         raise RankMismatch(f"rho ranks differ: {f.rank} vs {g.rank}")
-    seen = {tuple(_primitive(lam)) for lam, _ in f.forms + g.forms if any(lam)}
+    seen = {primitive(lam) for lam, _ in f.forms + g.forms if any(lam)}
     return Arrangement(rank=f.rank, forms=tuple(sorted(seen)))
-
-
-def _primitive(v):
-    """A nonzero integer vector divided by the gcd of its entries and signed
-    so that its first nonzero entry is positive."""
-    g = gcd(*v)
-    if next(x for x in v if x) < 0:
-        g = -g
-    return v if g == 1 else [x // g for x in v]
 
 
 def _cut(basis, r):
@@ -96,7 +81,7 @@ def _cut(basis, r):
     first basis vector that r does not annihilate."""
     p = next(j for j, x in enumerate(r) if x)
     rp, pivot = r[p], basis[p]
-    return [_primitive([rp * a - rj * b for a, b in zip(v, pivot)])
+    return [primitive([rp * a - rj * b for a, b in zip(v, pivot)])
             for j, (v, rj) in enumerate(zip(basis, r)) if j != p]
 
 
@@ -104,8 +89,7 @@ def enumerate_lines(arr: Arrangement, budget=DEFAULT_CONE_BUDGET):
     """The 1-dimensional flats of the arrangement in the quotient by the
     common kernel of the forms, each as a direction in the span of the
     forms (a canonical complement of that kernel): the primitive integer
-    vector whose first nonzero entry is positive, sorted by its
-    normalize_form, the line a certificate writes.
+    vector whose first nonzero entry is positive, in _sorted_lines's order.
 
     The quotient has coordinates z ∈ ℚ^d, the pairings with the rref rows
     of the span of forms, where each form is a primitive integer vector.  A
@@ -124,7 +108,7 @@ def enumerate_lines(arr: Arrangement, budget=DEFAULT_CONE_BUDGET):
         return []
     span_rows, _ = rref(arr.forms)
     d = len(span_rows)
-    forms = [_primitive([sum(map(mul, lam, r)) for r in span_rows])
+    forms = [primitive([sum(map(mul, lam, r)) for r in span_rows])
              for lam in arr.forms]
     flats = {frozenset(): [[int(i == j) for j in range(d)] for i in range(d)]}
     count = 1
@@ -134,8 +118,8 @@ def enumerate_lines(arr: Arrangement, budget=DEFAULT_CONE_BUDGET):
             covers = {}
             for i, mu in enumerate(forms):
                 if i not in closure:
-                    r = _primitive([sum(map(mul, mu, v)) for v in basis])
-                    covers.setdefault(tuple(r), []).append(i)
+                    r = primitive([sum(map(mul, mu, v)) for v in basis])
+                    covers.setdefault(r, []).append(i)
             for r, group in covers.items():
                 key = closure.union(group)
                 if key not in grown:
@@ -147,8 +131,16 @@ def enumerate_lines(arr: Arrangement, budget=DEFAULT_CONE_BUDGET):
         flats = grown
     # back to the ambient coordinates
     columns = list(zip(*span_rows))
-    return sorted((_primitive([sum(map(mul, z, col)) for col in columns])
-                   for (z,) in flats.values()), key=normalize_form)
+    return _sorted_lines([primitive([sum(map(mul, z, col)) for col in columns])
+                          for (z,) in flats.values()])
+
+
+def _sorted_lines(lines):
+    """Primitive integer lines y in the order of y/y0, y0 the first nonzero
+    entry, by the integer key D·(y/y0), D the lcm of the y0."""
+    D = lcm(*[next(x for x in y if x) for y in lines])
+    return sorted(lines, key=lambda y: [x * (D // next(v for v in y if v))
+                                        for x in y])
 
 
 def decide_dominance(f: RhoFunction, g: RhoFunction,
@@ -160,27 +152,24 @@ def decide_dominance(f: RhoFunction, g: RhoFunction,
     an exact counterexample.  Each function's forms are integers over its
     den and enumerate_lines gives each line as a primitive integer vector
     y with first nonzero entry y0 > 0, so a line costs integer arithmetic
-    (RhoFunction.scaled), one Fraction for the difference g − f at y/y0,
-    and its normalized form y/y0 for the certificate.
+    (RhoFunction.scaled): g − f at y/y0 is num/(f.den·g.den·y0), and the
+    least num/y0 is kept as a pair of ints until the margin is formed.
     The witness is the least violating half-line in lexicographic order,
     the negative of the greatest violating line.  With no forms at all both
     functions vanish identically and the verdict holds with margin 0 by
     convention.
     """
-    ints = enumerate_lines(build_arrangement(f, g), budget)
-    lines = tuple(map(normalize_form, ints))
-    margin = None
-    for line, y in zip(reversed(lines), reversed(ints)):
+    lines = tuple(enumerate_lines(build_arrangement(f, g), budget))
+    least = (0, 1)
+    for k, y in enumerate(reversed(lines)):
         y0 = next(x for x in y if x)
-        diff = Fraction(g.scaled(y) * f.den - f.scaled(y) * g.den,
-                        f.den * g.den * y0)
-        if diff < 0:
+        num = g.scaled(y) * f.den - f.scaled(y) * g.den
+        if num < 0:
             return DominanceVerdict(holds=False,
-                                    witness=tuple(-x for x in line),
+                                    witness=(tuple(-x for x in y), y0),
                                     margin=None, lines=lines)
-        if margin is None or diff < margin:
-            margin = diff
-    if margin is None:
-        margin = Fraction(0)
+        if k == 0 or num * least[1] < least[0] * y0:
+            least = (num, y0)
+    margin = Fraction(least[0], f.den * g.den * least[1])
     return DominanceVerdict(holds=True, witness=None, margin=margin,
                             lines=lines)

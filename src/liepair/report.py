@@ -14,15 +14,19 @@ from fractions import Fraction
 
 from . import __version__
 from .algebra import ValidationError
+from .catalog import FIXTURES
 from .checks import (
     DEFAULT_SAMPLES,
     Interpretation,
+    MissingComplexData,
     Pair,
+    UnsupportedQuery,
     Verdict,
     interpret,
     run_question,
     verify_certificate,
 )
+from .pairfile import parse_pair_text, serialize_pair
 from .polyhedral import DEFAULT_CONE_BUDGET
 
 SCHEMA = "liepair.report/2"
@@ -62,8 +66,6 @@ def verdict_from_json(d: dict) -> Verdict:
 
 def build_report(pair: Pair, verdicts, interpretation: Interpretation,
                  questions, samples, seed, cone_budget) -> dict:
-    from .pairfile import serialize_pair
-
     return {
         "schema": SCHEMA,
         "tool": {"name": "liepair", "version": __version__},
@@ -147,8 +149,6 @@ def run_checks(pair: Pair, questions, samples=DEFAULT_SAMPLES, seed=0,
     with a diagnostic note instead of raising; that is the behaviour for the
     default run-everything mode of the CLI.
     """
-    from .checks import MissingComplexData, UnsupportedQuery
-
     verdicts = []
     for q in questions:
         try:
@@ -178,8 +178,6 @@ def run_fixture_suite(seed=0, samples=DEFAULT_SAMPLES,
     """One machine document covering every bundled fixture, running exactly
     the questions its expectations announce.  Deterministic for a fixed
     seed; the acceptance suite compares two runs byte for byte."""
-    from .catalog import FIXTURES
-
     reports = []
     mismatches = []
     for fx in FIXTURES:
@@ -220,11 +218,10 @@ def run_fixture_suite(seed=0, samples=DEFAULT_SAMPLES,
 
 def verify_report(report: dict):
     """Re-check every certificate embedded in a machine report, from the
-    serialized pair source alone.  Returns a list of (question, ok, detail).
-    A report of another schema, or one without a pair source or verdicts,
-    raises ValidationError."""
-    from .pairfile import parse_pair_text
-
+    serialized pair source alone.  Returns a list of (question, ok, detail),
+    ok None for an uncertified verdict without a certificate.  A report of
+    another schema, or one without a pair source or verdicts, raises
+    ValidationError."""
     schema = report.get("schema") if isinstance(report, dict) else None
     if schema != SCHEMA:
         raise ValidationError(
@@ -242,7 +239,7 @@ def verify_report(report: dict):
     pair = parse_pair_text(source)
     out = []
     for v in verdicts:
-        if v.certificate is None:
+        if v.certificate is None and v.outcome in ("probable_no", "unknown"):
             out.append((v.question, None, "no certificate (nothing to verify)"))
             continue
         ok, detail = verify_certificate(pair, v)

@@ -182,7 +182,7 @@ def quotient_operators(torus):
     of its reduced rows."""
     h = torus.parent
     g = h.ambient
-    pivots = set(h.subspace.pivots)
+    pivots = {next(i for i, x in enumerate(r) if x) for r in h.subspace.rows}
     comp = [unit_fractions(g, i) for i in range(g.dim) if i not in pivots]
     full = [fraction_row(r) for r in h.rows] + comp
     ops = []
@@ -300,6 +300,16 @@ def kernel_oracle(rows, n):
             v[p] = -row[free]
         basis.append(v)
     return rref_oracle(basis)[0] if basis else []
+
+
+def normalize_form(v):
+    """A nonzero vector of ints or Fractions divided by its first nonzero
+    entry, as a tuple of Fractions: the representative of its line with
+    first nonzero entry 1; None for the zero vector."""
+    nz = next((x for x in v if x != 0), None)
+    if nz is None:
+        return None
+    return tuple(Fraction(x, nz) for x in v)
 
 
 def canonical_fractions(rows):

@@ -20,6 +20,7 @@ from liepair.checks import (
     run_question,
     verify_certificate,
 )
+from liepair.linalg import fraction_row
 from liepair.pairfile import parse_pair_text, serialize_pair
 from liepair.polyhedral import decide_dominance
 from liepair.report import (
@@ -112,7 +113,7 @@ def test_criterion_2_dominance_correctness_small_rank():
         verdict = decide_dominance(f, g)
         assert verdict.holds == _sweep_dominates(f, g), (i, f, g)
         if not verdict.holds:
-            w = list(verdict.witness)
+            w = fraction_row(verdict.witness)
             assert rho_eval(f, w) > rho_eval(g, w)
     rng = Random(2024)
     for i in range(200):

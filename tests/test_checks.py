@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from unittest.mock import patch
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     canonical_fractions,
     exp_nilpotent_oracle,
     moved_fractions,
+    normalize_form,
     rref_oracle,
     solve_oracle,
 )
@@ -56,8 +58,8 @@ from liepair.linalg import (
 from liepair.polyhedral import (
     ConeBudgetExceeded,
     build_arrangement,
+    decide_dominance,
     enumerate_lines,
-    normalize_form,
 )
 from liepair.report import verdict_from_json, verdict_to_json
 from liepair.weights import rho_eval, weight_decomposition
@@ -162,6 +164,27 @@ def test_minimal_parabolic_compact_base_is_everything():
     pair = pair_trivial_h("so3")
     par = minimal_parabolic(g_weights(pair))
     assert par.subspace.dim == 3
+
+
+def test_word_times_chambers_and_lines_hold_ints():
+    pair = build_fixture("so23_so22")
+    ws = g_weights(pair)
+    par = minimal_parabolic(ws)
+    assert par.chamber and all(type(x) is int for x in par.chamber)
+    # a supplied chamber keeps the nums of its exact vector: a positive
+    # multiple, with the same parabolic
+    halves = minimal_parabolic(ws, xi=[F(x, 2) for x in par.chamber])
+    assert all(type(x) is int for x in halves.chamber)
+    assert halves.subspace == par.subspace
+    words = list(checks._sampled_words(nilpotent_pool(ws), 0, "w", 32))
+    times = [t for word in words for _, t in word.steps]
+    assert times and all(type(a) is int and type(b) is int and b > 0
+                         and gcd(a, b) == 1 for a, b in times)
+    dom = decide_dominance(*rho_pair(pair))
+    assert not dom.holds and dom.lines
+    assert all(type(x) is int for y in dom.lines for x in y)
+    nums, den = dom.witness
+    assert all(type(x) is int for x in nums) and type(den) is int
 
 
 def test_degenerate_functional_rejected():
@@ -393,8 +416,8 @@ def test_dominance_certificate_with_wrong_line_count_fails(count):
 
 def test_ad_word_json_round_trip():
     pair = build_fixture("sl2_point")
-    word = AdWord(steps=((integer_row(unit(pair.g, "E12")), F(-3, 2)),
-                         (integer_row(unit(pair.g, "E21")), F(2))))
+    word = AdWord(steps=((integer_row(unit(pair.g, "E12")), (-3, 2)),
+                         (integer_row(unit(pair.g, "E21")), (2, 1))))
     text = json.dumps(word.to_json(), default=str)
     assert AdWord.from_json(json.loads(text)) == word
 
@@ -402,7 +425,7 @@ def test_ad_word_json_round_trip():
 def test_word_application_is_exact():
     pair = build_fixture("sl2_point")
     g = pair.g
-    word = AdWord(steps=((integer_row(unit(g, "E12")), F(1, 2)),))
+    word = AdWord(steps=((integer_row(unit(g, "E12")), (1, 2)),))
     moved = word.apply_to_rows(g, [integer_row(unit(g, "H1"))])
     # Ad(exp(t ad E))H = H - 2tE for sl2
     assert moved_fractions(moved) == [[F(1), F(-1), F(0)]]
@@ -428,7 +451,8 @@ def word_on_pair(draw):
     pair, pool = pair_and_pool(draw(st.sampled_from(WORD_PAIRS)))
     steps = draw(st.lists(
         st.tuples(st.sampled_from(pool),
-                  st.fractions(min_value=-9, max_value=9, max_denominator=9)),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=9)
+                  .map(Fraction.as_integer_ratio)),
         min_size=1, max_size=4))
     return pair, AdWord(steps=tuple(steps))
 
@@ -442,7 +466,7 @@ def test_word_application_matches_dense_exponential(case):
         minimal_parabolic(g_weights(pair)).subspace.rows)]
     want = [list(r) for r in rows]
     for z, t in reversed(word.steps):
-        M = exp_nilpotent_oracle(ad_oracle(g, fraction_row(z)), t)
+        M = exp_nilpotent_oracle(ad_oracle(g, fraction_row(z)), F(*t))
         want = [mat_vec(M, r) for r in want]
     assert moved_fractions(
         word.apply_to_rows(g, [integer_row(r) for r in rows])) == want
@@ -464,13 +488,13 @@ def test_stabilizer_rank_shortcut_equals_intersection(case):
 def test_non_nilpotent_step_raises_a_validation_error():
     pair = build_fixture("sl2_split_torus")
     g = pair.g
-    word = AdWord(steps=((integer_row(unit(g, "E12")), F(1)),
-                         (pair.torus_g.rows[0], F(1, 3))))
+    word = AdWord(steps=((integer_row(unit(g, "E12")), (1, 1)),
+                         (pair.torus_g.rows[0], (1, 3))))
     with pytest.raises(NonTerminatingSeries, match="step 2") as err:
         word.apply_to_rows(g, [integer_row(unit(g, "E12"))])
     assert isinstance(err.value, ValidationError)
     with pytest.raises(ValidationError, match="length 2"):
-        AdWord(steps=((((1, 0), 1), F(1)),)).apply_to_rows(
+        AdWord(steps=((((1, 0), 1), (1, 1)),)).apply_to_rows(
             g, [integer_row(unit(g, "H1"))])
 
 
@@ -480,8 +504,8 @@ def test_shared_columns_still_name_the_failing_step():
     H = pair.torus_g.rows[0]
     ad = checks._AdColumns(g)
     # ad H is expanded here, on a row where its series stops at once ...
-    AdWord(steps=((H, F(1)),)).apply_to_rows(g, [H], ad=ad)
-    word = AdWord(steps=((integer_row(unit(g, "E12")), F(1)), (H, F(1, 3))))
+    AdWord(steps=((H, (1, 1)),)).apply_to_rows(g, [H], ad=ad)
+    word = AdWord(steps=((integer_row(unit(g, "E12")), (1, 1)), (H, (1, 3))))
     # ... and read back from the shared columns at step 2, where it does not
     with pytest.raises(NonTerminatingSeries, match="word step 2"):
         word.apply_to_rows(g, [integer_row(unit(g, "E12"))], ad=ad)
@@ -531,7 +555,8 @@ def orbit_word(draw):
     _, pool, _ = orbit_case(name)
     steps = draw(st.lists(
         st.tuples(st.sampled_from(pool),
-                  st.fractions(min_value=-9, max_value=9, max_denominator=9)),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=9)
+                  .map(Fraction.as_integer_ratio)),
         min_size=1, max_size=3))
     return name, AdWord(steps=tuple(steps))
 
@@ -546,7 +571,7 @@ def test_orbit_rank_equals_the_dense_rank_on_either_side(case):
     assert sides[2] == ORBIT_SIDES[name][2]
     want = [list(r) for r in canonical_fractions(parabolic.rows)]
     for z, t in reversed(word.steps):
-        M = exp_nilpotent_oracle(ad_oracle(g, fraction_row(z)), t)
+        M = exp_nilpotent_oracle(ad_oracle(g, fraction_row(z)), F(*t))
         want = [mat_vec(M, r) for r in want]
     dense = len(rref_oracle(want + [fraction_row(r)
                                     for r in target.h.rows])[0])
@@ -976,6 +1001,28 @@ def test_float_or_boolean_rational_field_fails(spec, kind, fields):
     blob["certificate"].update(fields)
     ok, detail = verify_certificate(pair, verdict_from_json(blob))
     assert not ok and f"malformed {kind} certificate" in detail
+
+
+@pytest.mark.parametrize("spec, check, key, value", [
+    ("diagonal_pair:sl2", check_generic_stabilizer, "dimension", 1.0),
+    ("diagonal_pair:sl2", check_generic_stabilizer, "dimension", True),
+    ("triple_diagonal:sl2", check_real_spherical, "rank_achieved", 9.0),
+    ("diagonal_pair:sl2", check_tempered, "line_count", 1.0),
+    ("diagonal_pair:sl2", check_tempered, "line_count", True),
+], ids=["float-dimension", "true-dimension", "float-rank_achieved",
+        "float-line_count", "true-line_count"])
+def test_float_or_boolean_integer_field_fails(spec, check, key, value):
+    # each value equals the stored int as a number, but an integer field
+    # holds a JSON integer: a float or a boolean is not one
+    pair = construct_from_spec(spec)
+    blob = json.loads(json.dumps(verdict_to_json(check(pair))))
+    assert blob["certificate"][key] == value
+    assert verify_certificate(pair, verdict_from_json(blob))[0]
+    blob["certificate"][key] = value
+    ok, detail = verify_certificate(pair, verdict_from_json(blob))
+    kind = blob["certificate"]["kind"]
+    assert not ok and detail == (f"malformed {kind} certificate: {key} "
+                                 f"{value!r} is not an integer")
 
 
 def test_non_terminating_word_step_fails():

@@ -403,6 +403,30 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert code == 1 and "FAIL" in out
 
 
+@pytest.mark.parametrize("question, outcome", [
+    ("real_spherical", "yes_certified"), ("tempered", "no_certified"),
+    ("tempered", "certified")])  # the last outcome is outside the schema
+def test_verify_fails_a_certified_verdict_without_a_certificate(
+        tmp_path, capsys, question, outcome):
+    rep_path = tmp_path / "report.json"
+    run(capsys, "check", "--family", "torus_pair:sl4", "--format", "machine",
+        "--output", str(rep_path), "--questions", "real-spherical,tempered")
+    rep = json.loads(rep_path.read_text())
+    outcomes = {v["question"]: v["outcome"] for v in rep["verdicts"]}
+    assert outcomes == {"tempered": "yes_certified",
+                        "real_spherical": "probable_no"}
+    (verdict,) = [v for v in rep["verdicts"] if v["question"] == question]
+    verdict.update(outcome=outcome, certificate=None)
+    rep_path.write_text(json.dumps(rep))
+    code, out, _ = run(capsys, "verify", str(rep_path))
+    assert code == 1
+    assert f"FAIL sl4 / Cartan [{question}]: no certificate attached" in out
+    if question == "tempered":
+        # a probable_no verdict carries no certificate, and has none to check
+        assert ("---- sl4 / Cartan [real_spherical]: no certificate "
+                "(nothing to verify)") in out
+
+
 def test_verify_rejects_an_old_schema(tmp_path, capsys):
     rep_path = tmp_path / "report.json"
     run(capsys, "check", "--family", "diagonal_pair:sl2", "--format",

@@ -314,13 +314,13 @@ def test_exp_nilpotent_polynomial(sl2):
     # basis H1, E12, E21: ad E12 sends E21 to H1 and H1 to -2 E12, so
     # exp(t ad E12) E21 = E21 + t H1 - t² E12, a polynomial in t
     E = [F(0), F(1), F(0)]
-    word = AdWord(steps=((integer_row(E), F(2)),))
+    word = AdWord(steps=((integer_row(E), (2, 1)),))
     moved = word.apply_to_rows(
         sl2, [integer_row([F(0), F(0), F(1)]), integer_row([F(1), F(0), F(0)])])
     assert moved_fractions(moved) == [[F(2), F(-4), F(1)], [F(1), F(-4), F(0)]]
     # ad H1 is not nilpotent: its series on E12 never stops, but on H1 it
     # stops at once, since the series only has to terminate on the rows moved
-    H = AdWord(steps=((integer_row([F(1), F(0), F(0)]), F(1)),))
+    H = AdWord(steps=((integer_row([F(1), F(0), F(0)]), (1, 1)),))
     assert moved_fractions(
         H.apply_to_rows(sl2, [integer_row([F(1), F(0), F(0)])])) \
         == [[F(1), F(0), F(0)]]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     enumerate_lines_oracle,
     kernel_oracle,
+    normalize_form,
     randomized_dominance_oracle,
     rho_of,
     rref_oracle,
@@ -19,8 +20,9 @@ from liepair.polyhedral import (
     build_arrangement,
     decide_dominance,
     enumerate_lines,
-    normalize_form,
 )
+from liepair import polyhedral
+from liepair.linalg import fraction_row, primitive
 from liepair.weights import rho_eval
 
 F = Fraction
@@ -238,8 +240,9 @@ def test_dominance_fails_with_exact_witness():
     g = rho_of(1, [((2,), 1)])               # 2|t|
     v = decide_dominance(f, g)
     assert not v.holds
-    assert rho_eval(f, list(v.witness)) > rho_eval(g, list(v.witness))
-    assert rho_eval(f, list(v.witness)) == 4
+    ray = fraction_row(v.witness)
+    assert rho_eval(f, ray) > rho_eval(g, ray)
+    assert rho_eval(f, ray) == 4
 
 
 def test_dominance_empty_case():
@@ -259,13 +262,14 @@ def test_margin_and_witness_match_rho_eval(seed, rank):
             for _ in range(rng.randint(0, 4))])
     f, g = rational_rho(), rational_rho()
     v = decide_dominance(f, g)
-    assert v.lines == tuple(lines_of(build_arrangement(f, g)))
+    lines = lines_of(build_arrangement(f, g))
+    assert list(map(normalize_form, v.lines)) == lines
     diffs = [rho_eval(g, list(line)) - rho_eval(f, list(line))
-             for line in v.lines]
-    violating = [line for line, d in zip(v.lines, diffs) if d < 0]
+             for line in lines]
+    violating = [line for line, d in zip(lines, diffs) if d < 0]
     if violating:
         assert not v.holds and v.margin is None
-        assert v.witness == tuple(-x for x in max(violating))
+        assert fraction_row(v.witness) == [-x for x in max(violating)]
     else:
         assert v.holds and v.witness is None
         assert v.margin == min(diffs, default=F(0))
@@ -343,6 +347,20 @@ def test_dominance_scaling_invariance(seed, q):
 def test_normalize_form_canonical():
     assert normalize_form([F(-2), F(4)]) == (F(1), F(-2))
     assert normalize_form([F(0), F(0)]) is None
+    assert primitive([-2, 4]) == (1, -2) == primitive((3, -6))
+    assert primitive((0, 3, -6)) == (0, 1, -2)
+
+
+primitive_lines = st.integers(1, 4).flatmap(lambda rank: st.lists(
+    st.lists(st.integers(-12, 12), min_size=rank, max_size=rank)
+    .filter(any).map(primitive), min_size=1, max_size=10, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(primitive_lines)
+def test_the_integer_line_key_orders_as_the_normalized_forms(lines):
+    # the certificate writes y/y0; the lines are sorted without forming it
+    assert polyhedral._sorted_lines(lines) == sorted(lines, key=normalize_form)
 
 
 @settings(max_examples=60, deadline=None)
