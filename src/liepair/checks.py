@@ -52,7 +52,6 @@ from .linalg import (
     integer_row,
     mat_vec,
     rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
-    vec,
 )
 from .polyhedral import (
     DEFAULT_CONE_BUDGET,
@@ -426,9 +425,15 @@ OPEN_ORBIT_SPACES = {
             "criterion).",
         ),
         "dimension_count": (
-            "dimension count dim p + dim h < dim g already precludes an open "
-            "orbit at every point; the outcome class remains probable_no "
-            "because the certified-no channel is reserved"),
+            "dimension count dim p + dim h < dim g precludes an open orbit "
+            "at every point, so no word is applied; the outcome class "
+            "remains probable_no because the certified-no channel is "
+            "reserved"),
+        "counted": (
+            "No minimal-parabolic orbit is open: dim p + dim h = {p} + {h} "
+            "< {g} = dim g; then some irreducible representation has "
+            "infinite multiplicity (Kobayashi-Oshima criterion, "
+            "contrapositive)."),
         "no": (
             "No open minimal-parabolic orbit was found after {tried} sampled "
             "words; if none exists, some irreducible representation has "
@@ -451,8 +456,13 @@ OPEN_ORBIT_SPACES = {
             "criterion).",
         ),
         "dimension_count": (
-            "dimension count dim b + dim h_C < dim g_C already precludes an "
-            "open orbit; outcome class remains probable_no"),
+            "dimension count dim b + dim h_C < dim g_C precludes an open "
+            "orbit, so no word is applied; outcome class remains "
+            "probable_no"),
+        "counted": (
+            "No Borel orbit on X_C is open: dim b + dim h_C = {p} + {h} < "
+            "{g} = dim g_C; then multiplicities are not uniformly bounded "
+            "(Kobayashi-Oshima boundedness criterion, contrapositive)."),
         "no": (
             "No open Borel orbit was found on X_C after {tried} sampled "
             "words; if none exists, multiplicities are not uniformly bounded "
@@ -494,7 +504,12 @@ def _check_open_orbit(pair: Pair, space: str, samples: int, seed: int) -> Verdic
     yes_certified at the first sampled word w with Ad(w)·p + h = g, p the
     minimal parabolic of a generic chamber (a Borel on the complexification),
     else probable_no.  When torus_g has no nonzero weight, p = g and the
-    identity word, which comes first, decides."""
+    identity word, which comes first, decides.
+
+    No word can give more than dim p + dim h, since dim(Ad(w)·p + h) ≤
+    dim Ad(w)·p + dim h.  So when dim p + dim h < dim g the question applies
+    no word: it answers probable_no with samples_used 0, and its conclusion
+    states the count."""
     target = _orbit_target(pair, space)
     if target is None:
         raise MissingComplexData(
@@ -502,10 +517,18 @@ def _check_open_orbit(pair: Pair, space: str, samples: int, seed: int) -> Verdic
     texts = OPEN_ORBIT_SPACES[space]
     ws = weight_decomposition(target.torus_g, "g")
     par = minimal_parabolic(ws, seed=seed)
-    words = _sampled_words(nilpotent_pool(ws), seed, "orbit-words", samples)
     notes = [texts["note"].format(dim=target.g.dim)] if texts["note"] else []
     if pair.h.dim == 0:
         notes.append(texts["trivial_h"])
+    counts = {"p": par.subspace.dim, "h": target.h.dim, "g": target.g.dim}
+    if counts["p"] + counts["h"] < counts["g"]:
+        notes.append(texts["dimension_count"])
+        return Verdict(
+            question=texts["question"], outcome="probable_no",
+            certificate=None, samples_used=0, seed=seed,
+            conclusions=(texts["counted"].format(**counts),),
+            notes=tuple(notes))
+    words = _sampled_words(nilpotent_pool(ws), seed, "orbit-words", samples)
     sides = _orbit_sides(par.subspace, target.h)
     ad = _AdColumns(target.g)
     for tried, word in enumerate(words, start=1):
@@ -523,8 +546,6 @@ def _check_open_orbit(pair: Pair, space: str, samples: int, seed: int) -> Verdic
                 question=texts["question"], outcome="yes_certified",
                 certificate=cert, samples_used=tried, seed=seed,
                 conclusions=texts["yes"], notes=tuple(notes))
-    if par.subspace.dim + target.h.dim < target.g.dim:
-        notes.append(texts["dimension_count"])
     return Verdict(
         question=texts["question"], outcome="probable_no",
         certificate=None, samples_used=tried, seed=seed,
@@ -533,7 +554,8 @@ def _check_open_orbit(pair: Pair, space: str, samples: int, seed: int) -> Verdic
 
 def check_real_spherical(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Verdict:
     """Certify real sphericity: an exact word witnessing an open orbit of the
-    minimal parabolic, or probable_no after the sample budget."""
+    minimal parabolic, or probable_no after the sample budget or at once
+    when a dimension count rules out every word."""
     return _check_open_orbit(pair, "g", samples, seed)
 
 
@@ -615,7 +637,8 @@ def check_tempered(pair: Pair, cone_budget=DEFAULT_CONE_BUDGET) -> Verdict:
 @dataclass(frozen=True)
 class StabilizerReport:
     """The scan's least stabilizer h ∩ Ad(w)h, at its word; samples_used is
-    the number of words applied before the scan stopped."""
+    the number of words applied before the scan stopped, and floor is
+    max(0, 2 dim h − dim g), below which no word goes."""
 
     dimension: int
     representative: Subspace
@@ -623,6 +646,7 @@ class StabilizerReport:
     word: AdWord
     samples_used: int
     seed: int
+    floor: int
 
 
 def generic_stabilizer(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> StabilizerReport:
@@ -631,27 +655,34 @@ def generic_stabilizer(pair: Pair, samples=DEFAULT_SAMPLES, seed=0) -> Stabilize
 
     By upper semicontinuity the sampled minimum is an exact upper bound for
     the generic stabilizer dimension, certified at its witness word; that it
-    is the generic value is Monte Carlo evidence.
+    is the generic value is Monte Carlo evidence, unless it is the floor
+    below, which makes it the generic value exactly.
+
+    Ad(w) is invertible, so dim(h ∩ Ad(w)h) = 2 dim h − dim(h + Ad(w)h),
+    which is at least the floor max(0, 2 dim h − dim g) for every w.  The
+    best word is replaced only on a strictly smaller dimension, so the scan
+    stops at the first word that reaches the floor with the report a full
+    scan would give, save samples_used.
     """
     pool = nilpotent_pool(weight_decomposition(pair.torus_g, "g"))
     h_space = pair.h.subspace
     fixed = list(h_space.rows)
+    floor = max(0, 2 * pair.h.dim - pair.g.dim)
     ad = _AdColumns(pair.g)
     best = None
     words = _sampled_words(pool, seed, "stabilizer-words", samples)
     for used, word in enumerate(words, start=1):
         moved = word.apply_to_rows(pair.g, pair.h.rows, ad=ad)
-        # Ad(w) is invertible, so dim(h ∩ Ad(w)h) = 2 dim h - dim(h + Ad(w)h)
         dim = 2 * pair.h.dim - integer_rank(fixed + [n for n, _ in moved])
         if best is None or dim < best[1].dim:
             best = (word, _intersect(h_space, moved))
-            if dim == 0:
+            if dim == floor:
                 break
     word, inter = best
     abelian = _is_abelian(pair.g, inter)
     return StabilizerReport(dimension=inter.dim, representative=inter,
                             abelian=abelian, word=word,
-                            samples_used=used, seed=seed)
+                            samples_used=used, seed=seed, floor=floor)
 
 
 def _intersect(h_space: Subspace, moved):
@@ -676,6 +707,12 @@ def stabilizer_verdict(report: StabilizerReport) -> Verdict:
                  canonical_rows(report.representative.rows)],
         "abelian": report.abelian,
     }
+    counted = ()
+    if report.dimension == report.floor:
+        counted = (
+            f"No word gives a smaller stabilizer: the dimension count "
+            f"max(0, 2 dim h − dim g) = {report.floor} is reached, so "
+            f"{report.dimension} is the generic dimension.",)
     if report.abelian:
         return Verdict(
             question="generic_stabilizer_abelian", outcome="yes_certified",
@@ -684,16 +721,17 @@ def stabilizer_verdict(report: StabilizerReport) -> Verdict:
             conclusions=(
                 f"The minimal sampled stabilizer h ∩ Ad(w)h has dimension "
                 f"{report.dimension} and is abelian (exact at the witness "
-                "word; genericity is Monte Carlo evidence).",),
+                "word; genericity is Monte Carlo evidence).",) + counted,
             notes=("abelian-ness certified at the stored word; density of "
                    "the abelian locus is inferred, not proven",))
+    smaller = ("" if counted else "; a smaller abelian generic stabilizer "
+               "was not excluded by sampling")
     return Verdict(
         question="generic_stabilizer_abelian", outcome="probable_no",
         certificate=cert, samples_used=report.samples_used, seed=report.seed,
         conclusions=(
             f"The minimal sampled stabilizer has dimension {report.dimension} "
-            "and is not abelian; a smaller abelian generic stabilizer was not "
-            "excluded by sampling.",),
+            f"and is not abelian{smaller}.",) + counted,
         notes=())
 
 
@@ -822,8 +860,7 @@ def _recheck(pair: Pair, cert):
                       f"{dom.margin}")
     if kind == "dominance-violation":
         rho_h, rho_q = rho_pair(pair)
-        ray = vec(cert["ray"])
-        vh, vq = rho_eval(rho_h, ray), rho_eval(rho_q, ray)
+        vh, vq = rho_eval(rho_h, cert["ray"]), rho_eval(rho_q, cert["ray"])
         if not (vh > vq):
             return False, "stored ray is not a strict violation"
         if vh != frac(cert["rho_h"]) or vq != frac(cert["rho_quotient"]):

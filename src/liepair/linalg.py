@@ -70,10 +70,6 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def vec(entries) -> list:
-    return [x if type(x) is Fraction else frac(x) for x in entries]
-
-
 def identity_rows(n):
     """The unit rows of ℚ^n as tuples of ints."""
     return [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]

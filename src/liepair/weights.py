@@ -44,10 +44,10 @@ from .linalg import (
     eigensplit,
     identity_rows,
     integer_rank,
+    integer_row,
     poly_str,
     rank,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     rref,
-    vec,
 )
 
 
@@ -351,8 +351,10 @@ def rho_from_weights(torus: SplitTorus, weights) -> RhoFunction:
 
 
 def rho_eval(f: RhoFunction, y) -> Fraction:
-    y = vec(y)
-    if len(y) != f.rank:
+    """rho at the row of values y, read as the exact vector (nums, d): rho
+    is positively homogeneous, so this is f.scaled(nums) over d·f.den."""
+    nums, d = integer_row(y)
+    if len(nums) != f.rank:
         raise ValidationError(
-            f"point has length {len(y)}, rho is defined on rank {f.rank}")
-    return Fraction(f.scaled(y), f.den)
+            f"point has length {len(nums)}, rho is defined on rank {f.rank}")
+    return Fraction(f.scaled(nums), d * f.den)

@@ -42,9 +42,9 @@ import pytest
 from liepair.algebra import LieAlgebra, ValidationError
 from liepair.linalg import (
     canonical_rows,
+    frac,
     fraction_row,
     integer_row,
-    vec,
 )
 from liepair.polyhedral import ConeBudgetExceeded, RankMismatch
 from liepair.weights import (
@@ -447,7 +447,7 @@ def _zero_weight_component(torus, v):
     """Component of v (in g-coordinates, v ∈ h) in the zero-weight space of
     the torus acting on h."""
     if solve_oracle([fraction_row(r) for r in torus.parent.rows],
-                    [vec(v)])[0] is None:
+                    [[frac(x) for x in v]])[0] is None:
         return None
     ws = weight_decomposition(torus, "h")
     all_rows = []
@@ -458,7 +458,7 @@ def _zero_weight_component(torus, v):
         all_rows.extend([F(x) for x in r] for r in rows)
     if zero_range is None:
         return None
-    in_blocks = solve_oracle(all_rows, [vec(v)])[0]
+    in_blocks = solve_oracle(all_rows, [[frac(x) for x in v]])[0]
     lo, hi = zero_range
     out = [F(0)] * torus.ambient.dim
     for c, row in zip(in_blocks[lo:hi], all_rows[lo:hi]):
@@ -473,7 +473,7 @@ def extend_torus_greedily(seed, h, candidate_pool):
     components) while all invariants survive.  Maximality is relative to the
     pool, not proven in general."""
     current = seed
-    pool = [vec(p) for p in candidate_pool]
+    pool = [[frac(x) for x in p] for p in candidate_pool]
     changed = True
     while changed:
         changed = False

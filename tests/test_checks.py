@@ -211,7 +211,7 @@ def test_triple_sl2_yes_triple_sl3_probable_no():
     p3 = build_fixture("triple_sl3")
     v3 = check_real_spherical(p3, samples=8, seed=0)
     assert v3.outcome == "probable_no"
-    assert v3.samples_used == 8
+    assert v3.samples_used == 0
     assert any("dimension count" in n for n in v3.notes)
 
 
@@ -608,12 +608,8 @@ def count_ad_columns(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("name, search", (
-    ("product_sl2_sl2_first", check_real_spherical),
-    ("group_sl2", generic_stabilizer)))
-def test_a_search_expands_each_step_once(monkeypatch, name, search):
-    pair = build_fixture(name)
-    seen = count_ad_columns(monkeypatch)
+def record_words(monkeypatch):
+    """Patch AdWord.apply_to_rows to record each word it applies."""
     applied = []
     apply = AdWord.apply_to_rows
 
@@ -622,6 +618,16 @@ def test_a_search_expands_each_step_once(monkeypatch, name, search):
         return apply(word, g, rows, ad=ad)
 
     monkeypatch.setattr(AdWord, "apply_to_rows", recording)
+    return applied
+
+
+@pytest.mark.parametrize("name, search", (
+    ("product_sl2_sl2_first", check_real_spherical),
+    ("group_sl2", generic_stabilizer)))
+def test_a_search_expands_each_step_once(monkeypatch, name, search):
+    pair = build_fixture(name)
+    seen = count_ad_columns(monkeypatch)
+    applied = record_words(monkeypatch)
     first = search(pair, samples=64, seed=0)
     steps = [z for word in applied for z, _ in word.steps]
     # all 64 words ran, and their steps repeat root vectors of the pool
@@ -649,7 +655,111 @@ def test_a_replayed_certificate_expands_each_distinct_step_once(
     assert len(seen) == len(set(seen)) == len(set(steps))
 
 
+# --- no word is applied that a dimension count refutes ----------------------
+
+COUNTED = (("triple_sl3", "g"), ("torus_pair:sl4", "g"),
+           ("torus_pair:sl3", "complexification"))
+
+
+def counted_pair(spec):
+    return construct_from_spec(spec) if ":" in spec else build_fixture(spec)
+
+
+@pytest.mark.parametrize("spec, space", COUNTED)
+def test_a_dimension_count_settles_an_open_orbit_with_no_word(
+        monkeypatch, spec, space):
+    pair = counted_pair(spec)
+    target = pair if space == "g" else pair.complexification
+    applied = record_words(monkeypatch)
+    v = checks._check_open_orbit(pair, space, samples=64, seed=0)
+    assert applied == []
+    assert v.outcome == "probable_no" and v.certificate is None
+    assert v.samples_used == 0
+    par = minimal_parabolic(g_weights(target), seed=0)
+    count = f"{par.subspace.dim} + {target.h.dim} < {target.g.dim}"
+    assert par.subspace.dim + target.h.dim < target.g.dim
+    (conclusion,) = v.conclusions
+    assert count in conclusion and "sampled words" not in conclusion
+    assert any("dimension count" in n for n in v.notes)
+
+
+@pytest.mark.parametrize("spec, space", COUNTED)
+@pytest.mark.parametrize("seed", range(5))
+def test_no_sampled_word_beats_the_dimension_count(spec, space, seed):
+    pair = counted_pair(spec)
+    target = pair if space == "g" else pair.complexification
+    ws = g_weights(target)
+    par = minimal_parabolic(ws, seed=seed)
+    sides = checks._orbit_sides(par.subspace, target.h)
+    ad = checks._AdColumns(target.g)
+    words = list(checks._sampled_words(nilpotent_pool(ws), seed,
+                                       "orbit-words", 16))
+    assert len(words) == 16
+    for word in words:
+        got = checks._orbit_rank(word, sides, ad)
+        assert got <= par.subspace.dim + target.h.dim < target.g.dim
+
+
+def test_a_stabilizer_scan_stops_at_its_floor():
+    # h = g, so every stabilizer is h itself: the floor 2·6 − 6 = 6 is
+    # reached by the identity word
+    pair = build_fixture("sl2c_full")
+    rep = generic_stabilizer(pair, samples=64, seed=0)
+    # the full scan, which keeps the first word of least dimension
+    pool = nilpotent_pool(g_weights(pair))
+    best = None
+    for used, word in enumerate(checks._sampled_words(
+            pool, 0, "stabilizer-words", 64), start=1):
+        inter = _intersect(pair.h.subspace,
+                           word.apply_to_rows(pair.g, pair.h.rows))
+        if best is None or inter.dim < best[1].dim:
+            best = (word, inter)
+    word, inter = best
+    assert used == 64 and rep.samples_used == 1
+    assert rep == checks.StabilizerReport(
+        dimension=inter.dim, representative=inter,
+        abelian=checks._is_abelian(pair.g, inter), word=word,
+        samples_used=1, seed=0, floor=6)
+    assert rep.dimension == 2 * pair.h.dim - pair.g.dim == 6
+    # the verdict says the count, not that sampling left a smaller one open
+    v = checks.stabilizer_verdict(rep)
+    assert v.outcome == "probable_no"
+    assert "not excluded by sampling" not in v.conclusions[0]
+    assert "max(0, 2 dim h − dim g) = 6 is reached" in v.conclusions[1]
+
+
+@pytest.mark.parametrize("spec", ("group_sl2", "group_sl2c",
+                                  "diagonal_pair:sp_4"))
+def test_a_stabilizer_scan_above_its_floor_uses_every_word(monkeypatch,
+                                                           spec):
+    pair = counted_pair(spec)
+    applied = record_words(monkeypatch)
+    rep = generic_stabilizer(pair, samples=64, seed=0)
+    assert rep.dimension > max(0, 2 * pair.h.dim - pair.g.dim)
+    assert len(applied) == rep.samples_used == 64
+
+
 # --- the verifier reads the claimed outcome and never raises ---------------
+
+def test_violation_ray_is_read_as_ints_over_its_denominator():
+    pair = build_fixture("so23_so22")
+    blob = json.loads(json.dumps(verdict_to_json(check_tempered(pair)),
+                                 default=str))
+    cert = blob["certificate"]
+    rho_h, rho_q = rho_pair(pair)
+    ray = [F(x) for x in cert["ray"]]
+    assert (F(cert["rho_h"]), F(cert["rho_quotient"])) \
+        == (rho_eval(rho_h, ray), rho_eval(rho_q, ray))
+    # the same half-line over a denominator: rho is positively homogeneous
+    cert["ray"] = [str(x / 6) for x in ray]
+    cert["rho_h"] = str(F(cert["rho_h"]) / 6)
+    cert["rho_quotient"] = str(F(cert["rho_quotient"]) / 6)
+    ok, detail = verify_certificate(pair, verdict_from_json(blob))
+    assert ok, detail
+    cert["ray"] = cert["ray"][:-1]
+    ok, detail = verify_certificate(pair, verdict_from_json(blob))
+    assert not ok and f"point has length {len(ray) - 1}" in detail, detail
+
 
 def test_violation_relabelled_yes_fails():
     pair = build_fixture("so23_so22")

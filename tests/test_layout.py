@@ -5,14 +5,17 @@ Each module keeps its private helpers to itself, so a decision such as how
 a row is stored sits in the one module that owns it.  `integer_row` and
 `fraction_row` convert between values and exact vectors; they are called
 only where a value is read or written: the pair parser and serializer, the
-catalog, and the certificate readers and writers of `checks`.  The
+catalog, the certificate readers and writers of `checks`, and `rho_eval`,
+which reads its point.  The
 constructors take exact vectors.  Between reading a value and writing one
 the interior modules compute on ints: weights over their torus's
 denominator, word times as pairs of ints, chambers and tempered lines as
 integer vectors.  So they form a Fraction only where a value is read or
 written: `frac` and `fraction_row`, the error polynomial of `eigensplit`,
 `rho_eval`, the message of `quotient_weights`, the margin of
-`decide_dominance` and the word times of `AdWord.to_json`.
+`decide_dominance` and the word times of `AdWord.to_json`.  A row of
+values is read as an exact vector with `integer_row`, never as a list of
+Fractions.
 """
 
 import ast
@@ -28,15 +31,23 @@ def is_private(name):
                                          and name.endswith("__"))
 
 
-def private_imports(path):
-    """`module:line name` for each private name that the module at `path`
-    imports from a module of the package."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def package_imports(tree):
+    """(line, name) of each name that tree imports from a module of the
+    package."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").split(".")[0] == "liepair"):
             for alias in node.names:
-                if is_private(alias.name):
-                    yield f"{path.name}:{node.lineno} {alias.name}"
+                yield node.lineno, alias.name
+
+
+def private_imports(path):
+    """`module:line name` for each private name that the module at `path`
+    imports from a module of the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for lineno, name in package_imports(tree):
+        if is_private(name):
+            yield f"{path.name}:{lineno} {name}"
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -56,6 +67,8 @@ def test_the_check_finds_a_private_import(tmp_path):
 
 CONVERTERS = {"integer_row", "fraction_row"}
 BOUNDARY = {"pairfile", "catalog", "checks"}
+# rho_eval reads the point it is given, a row of values, as an exact vector
+POINT_READERS = {"weights": "rho_eval"}
 EXACT_CONSTRUCTORS = {"algebra": "SubalgebraEmbedding.create",
                       "weights": "validate_torus",
                       "checks": "Pair.create",
@@ -89,7 +102,12 @@ def test_values_are_converted_only_at_the_boundary():
              for path in PACKAGE.glob("*.py")}
     callers = {name for name, tree in trees.items()
                if any(converter_calls(tree))}
-    assert callers <= BOUNDARY
+    assert callers <= BOUNDARY | set(POINT_READERS)
+    for module, qualified in POINT_READERS.items():
+        (node,) = [n for name, n in functions(trees[module])
+                   if name == qualified]
+        assert sorted(converter_calls(node)) \
+            == sorted(converter_calls(trees[module])), qualified
     for module, qualified in EXACT_CONSTRUCTORS.items():
         (node,) = [n for name, n in functions(trees[module])
                    if name == qualified]
@@ -146,3 +164,10 @@ def test_the_check_finds_a_fraction():
                      "ZERO = Fraction(0)\n")
     assert sorted(fraction_callers(tree)) \
         == ["<module>", "_torus_split.key", "rho_eval"]
+
+
+def test_no_module_reads_a_row_of_values_as_fractions():
+    readers = {path.stem for path in PACKAGE.glob("*.py")
+               if any(name == "vec" for _, name in package_imports(
+                   ast.parse(path.read_text(encoding="utf-8"))))}
+    assert readers == set()
