@@ -1,4 +1,5 @@
-"""Constructors for classical algebras and the bundled example pairs.
+"""Constructors for classical algebras, their pair families, and the list
+of bundled example pairs.
 
 Bases are Chevalley-style with integer structure constants so that every
 torus weight in the pipeline is rational.  Each base algebra comes with a
@@ -12,6 +13,9 @@ the complexification and the direct sum from the integer tables of their
 parts, and every row as an exact vector (nums, den) of `linalg`, so a pair
 reaches `Pair.create` with no value to convert.
 
+The bundled fixtures are not built here: each is defined by its shipped
+file `fixtures/<name>.pair`, read by the same parser as any user's file.
+
 Supported parameter ranges are small by design: these are desk-scale exact
 computations, not a classification engine.
 """
@@ -20,22 +24,22 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Callable, Optional
+from typing import Optional
 
 from .algebra import (
     LieAlgebra,
     SubalgebraEmbedding,
     ValidationError,
 )
-from .checks import Expectation, Pair
+from .checks import Pair
 from .linalg import (
     canonical_rows,
     coordinates,
     kernel,
 )
+from .pairfile import parse_pair_file
 from .weights import (
     validate_torus,
     weight_decomposition,
@@ -566,43 +570,6 @@ def pair_torus(spec: str) -> Pair:
                       provenance=f"catalog:torus_pair:{spec}")
 
 
-def pair_full(spec: str) -> Pair:
-    """(g, h = g): X is a point; tempered iff rho_g vanishes."""
-    gdata = base_algebra(spec)
-    alg = gdata.algebra
-    h_rows = [alg.basis_vector(i) for i in range(alg.dim)]
-    return _make_pair(gdata, h_rows, list(gdata.split_rows),
-                      name=f"{alg.name} / itself",
-                      provenance=f"catalog:full:{spec}")
-
-
-def pair_so23_so22() -> Pair:
-    """(so(2,3), so(2,2) on the first four coordinates): a rank-2 symmetric
-    pair.  The quotient is the standard module with weights ±e1, ±e2 while
-    the adjoint of h has roots ±e1±e2, so dominance fails at (±1, 0)."""
-    gdata = so_p_q(2, 3)
-    alg = gdata.algebra
-    idx = {l: i for i, l in enumerate(alg.basis_labels)}
-    keep = [l for l in alg.basis_labels if all(int(c) <= 4 for c in l[1:])]
-    rows = [alg.basis_vector(idx[l]) for l in keep]
-    torus_h = [alg.basis_vector(idx["B13"]), alg.basis_vector(idx["B24"])]
-    return _make_pair(gdata, rows, torus_h, name="so(2,3) / so(2,2)",
-                      provenance="catalog:custom:so23_so22")
-
-
-def pair_sl3_sl2_topleft() -> Pair:
-    """(sl3, top-left sl2): the quotient decomposes as two standard modules
-    plus a trivial line, giving rho_h = rho_{g/h} = 4|t|."""
-    gdata = sl_n_R(3)
-    alg = gdata.algebra
-    idx = {l: i for i, l in enumerate(alg.basis_labels)}
-    rows = [alg.basis_vector(idx["H1"]), alg.basis_vector(idx["E12"]),
-            alg.basis_vector(idx["E21"])]
-    torus_h = [alg.basis_vector(idx["H1"])]
-    return _make_pair(gdata, rows, torus_h, name="sl3 / sl2 (top-left)",
-                      provenance="catalog:custom:sl3_sl2_topleft")
-
-
 FAMILIES = {
     "sl_n_R": ("n (2..6)", lambda n: pair_trivial_h(f"sl{n}")),
     "so_p_q": ("p q (p+q <= 8)", lambda p, q: pair_trivial_h(f"so_{p}_{q}")),
@@ -651,165 +618,38 @@ def construct_from_spec(spec: str) -> Pair:
 
 @dataclass(frozen=True)
 class FixtureDef:
+    """A bundled fixture: the pair, its `expect` lines and its provenance
+    are the shipped file `fixtures/<name>.pair`, edited by hand.  The order
+    of FIXTURES is the order in which the fixture suite reports."""
+
     name: str
     description: str
-    build: Callable[[], Pair]
 
-
-def _exp(question, outcome, margin=None, dimension=None, source=""):
-    m = Fraction(margin) if margin is not None else None
-    return Expectation(question=question, outcome=outcome, margin=m,
-                       dimension=dimension, source=source)
-
-
-def _with_expect(pair: Pair, expectations) -> Pair:
-    return replace(pair, expectations=tuple(expectations))
+    def build(self) -> Pair:
+        return parse_pair_file(fixtures_dir() / f"{self.name}.pair")
 
 
 FIXTURES = (
-    FixtureDef(
-        "symmetric_sl2_so2",
-        "symmetric pair (sl2, so(2)); compact h",
-        lambda: _with_expect(pair_symmetric("sl2"), (
-            _exp("real_spherical", "yes_certified",
-                 source="symmetric spaces are real spherical"),
-            _exp("tempered", "yes_certified",
-                 source="compact h acts properly"),
-            _exp("complex_spherical", "yes_certified",
-                 source="complexified symmetric spaces are spherical"),
-        ))),
-    FixtureDef(
-        "symmetric_sl3_so3",
-        "symmetric pair (sl3, so(3))",
-        lambda: _with_expect(pair_symmetric("sl3"), (
-            _exp("real_spherical", "yes_certified",
-                 source="symmetric spaces are real spherical"),
-            _exp("tempered", "yes_certified",
-                 source="compact h acts properly"),
-            _exp("complex_spherical", "yes_certified",
-                 source="complexified symmetric spaces are spherical"),
-        ))),
-    FixtureDef(
-        "group_sl2",
-        "group case (sl2+sl2, diag): L2(G) itself",
-        lambda: _with_expect(pair_diagonal("sl2", 2), (
-            _exp("tempered", "yes_certified", margin=0,
-                 source="L2(G) is tempered by definition; adjoint "
-                        "isomorphism gives rho_h = rho_{g/h}"),
-            _exp("real_spherical", "yes_certified",
-                 source="(G x G)/diag G is a symmetric space"),
-            _exp("complex_spherical", "yes_certified",
-                 source="open Bruhat cell"),
-            _exp("generic_stabilizer_abelian", "yes_certified", dimension=1,
-                 source="centralizer of a regular element is a Cartan"),
-        ))),
-    FixtureDef(
-        "triple_sl2",
-        "triple space over sl2: real spherical (SO(2,1) factors)",
-        lambda: _with_expect(pair_diagonal("sl2", 3), (
-            _exp("real_spherical", "yes_certified",
-                 source="triple spaces are real spherical exactly for local "
-                        "products of compact factors and SO(n,1)"),
-        ))),
-    FixtureDef(
-        "triple_sl3",
-        "triple space over sl3: not real spherical",
-        lambda: _with_expect(pair_diagonal("sl3", 3), (
-            _exp("real_spherical", "probable_no",
-                 source="sl3 is not locally compact x SO(n,1); a dimension "
-                        "count already blocks an open orbit"),
-        ))),
-    FixtureDef(
-        "whittaker_sl3",
-        "Whittaker pair (sl3, maximal unipotent)",
-        lambda: _with_expect(pair_whittaker("sl3"), (
-            _exp("real_spherical", "yes_certified",
-                 source="Bruhat decomposition: G/N is real spherical"),
-            _exp("complex_spherical", "yes_certified",
-                 source="sl(3,R) is quasi-split, so G_C/N_C is spherical"),
-            _exp("tempered", "yes_certified",
-                 source="nilpotent h has zero split torus"),
-        ))),
-    FixtureDef(
-        "sl2_split_torus",
-        "(sl2, Cartan): hyperboloid-like quotient",
-        lambda: _with_expect(pair_torus("sl2"), (
-            _exp("tempered", "yes_certified",
-                 source="abelian h has rho_h = 0"),
-            _exp("real_spherical", "yes_certified",
-                 source="finitely many Borel orbits on the flag variety"),
-            _exp("complex_spherical", "yes_certified",
-                 source="open Bruhat cell in SL(2,C)/T_C"),
-        ))),
-    FixtureDef(
-        "sl2c_cartan",
-        "complex pair SL(2,C)/T_C, realified",
-        lambda: _with_expect(pair_torus("sl2C"), (
-            _exp("tempered", "yes_certified",
-                 source="abelian h has rho_h = 0"),
-            _exp("generic_stabilizer_abelian", "yes_certified", dimension=0,
-                 source="two generic Cartans of sl(2,C) meet at 0"),
-        ))),
-    FixtureDef(
-        "group_sl2c",
-        "complex group case (sl2C + sl2C, diag), realified",
-        lambda: _with_expect(pair_diagonal("sl2C", 2), (
-            _exp("tempered", "yes_certified", margin=0,
-                 source="L2(G_C) is tempered; margin 0 via the adjoint "
-                        "isomorphism"),
-            _exp("generic_stabilizer_abelian", "yes_certified", dimension=2,
-                 source="centralizer of a regular element is the complex "
-                        "Cartan (real dim 2)"),
-        ))),
-    FixtureDef(
-        "sl2c_full",
-        "complex pair (sl2C, sl2C): X is a point, not tempered",
-        lambda: _with_expect(pair_full("sl2C"), (
-            _exp("tempered", "no_certified",
-                 source="rho_h = 8|t| > 0 = rho_{g/h}; the trivial "
-                        "representation of a nonamenable group is not "
-                        "tempered"),
-            _exp("generic_stabilizer_abelian", "probable_no", dimension=6,
-                 source="the stabilizer is all of h, which is not abelian"),
-        ))),
-    FixtureDef(
-        "sl3_sl2_topleft",
-        "(sl3, top-left sl2): rho_h = rho_{g/h} = 4|t|",
-        lambda: _with_expect(pair_sl3_sl2_topleft(), (
-            _exp("tempered", "yes_certified", margin=0,
-                 source="quotient = two standard modules + trivial line"),
-        ))),
-    FixtureDef(
-        "product_sl2_sl2_first",
-        "((sl2+sl2), first factor): h acts trivially on g/h",
-        lambda: _with_expect(pair_direct_sum(["sl2", "sl2"]), (
-            _exp("tempered", "no_certified",
-                 source="rho_h = 4|t|, rho_{g/h} = 0"),
-            _exp("real_spherical", "probable_no",
-                 source="the minimal parabolic of the second factor has no "
-                        "open orbit on it"),
-        ))),
-    FixtureDef(
-        "sl2_point",
-        "(sl2, trivial h): the group manifold",
-        lambda: _with_expect(pair_trivial_h("sl2"), (
-            _exp("tempered", "yes_certified",
-                 source="L2(G) is tempered by definition"),
-            _exp("generic_stabilizer_abelian", "yes_certified", dimension=0,
-                 source="trivial stabilizer"),
-        ))),
-    FixtureDef(
-        "so23_so22",
-        "symmetric pair (so(2,3), so(2,2)): rank 2, not tempered",
-        lambda: _with_expect(pair_so23_so22(), (
-            _exp("tempered", "no_certified",
-                 source="rho_h = 2|t1-t2| + 2|t1+t2| majorizes "
-                        "rho_{g/h} = 2|t1| + 2|t2| strictly at (1, 0)"),
-            _exp("real_spherical", "yes_certified",
-                 source="symmetric spaces are real spherical"),
-            _exp("complex_spherical", "yes_certified",
-                 source="complexified symmetric spaces are spherical"),
-        ))),
+    FixtureDef("symmetric_sl2_so2", "symmetric pair (sl2, so(2)); compact h"),
+    FixtureDef("symmetric_sl3_so3", "symmetric pair (sl3, so(3))"),
+    FixtureDef("group_sl2", "group case (sl2+sl2, diag): L2(G) itself"),
+    FixtureDef("triple_sl2",
+               "triple space over sl2: real spherical (SO(2,1) factors)"),
+    FixtureDef("triple_sl3", "triple space over sl3: not real spherical"),
+    FixtureDef("whittaker_sl3", "Whittaker pair (sl3, maximal unipotent)"),
+    FixtureDef("sl2_split_torus", "(sl2, Cartan): hyperboloid-like quotient"),
+    FixtureDef("sl2c_cartan", "complex pair SL(2,C)/T_C, realified"),
+    FixtureDef("group_sl2c",
+               "complex group case (sl2C + sl2C, diag), realified"),
+    FixtureDef("sl2c_full",
+               "complex pair (sl2C, sl2C): X is a point, not tempered"),
+    FixtureDef("sl3_sl2_topleft",
+               "(sl3, top-left sl2): rho_h = rho_{g/h} = 4|t|"),
+    FixtureDef("product_sl2_sl2_first",
+               "((sl2+sl2), first factor): h acts trivially on g/h"),
+    FixtureDef("sl2_point", "(sl2, trivial h): the group manifold"),
+    FixtureDef("so23_so22",
+               "symmetric pair (so(2,3), so(2,2)): rank 2, not tempered"),
 )
 
 
@@ -828,15 +668,3 @@ def fixtures_dir():
     import pathlib
 
     return pathlib.Path(__file__).resolve().parent / "fixtures"
-
-
-def load_fixture_file(name: str) -> Pair:
-    """Parse a bundled fixture from its shipped pair file (the external,
-    file-format-level interface; build_fixture constructs the same pair
-    in memory)."""
-    from .pairfile import parse_pair_file
-
-    path = fixtures_dir() / f"{name}.pair"
-    if not path.exists():
-        raise UnsupportedParams(f"no bundled fixture file {name!r}")
-    return parse_pair_file(path)

@@ -223,7 +223,12 @@ def _parse_expect(line, lineno):
     dimension = None
     source = ""
     rest = line.split(None, 3)[3] if len(toks) > 3 else ""
+    seen = set()
     while rest:
+        key = rest.partition("=")[0]
+        if key in seen:
+            raise _err(lineno, f"{key} given twice")
+        seen.add(key)
         if rest.startswith("margin="):
             tok, _, rest = rest[len("margin="):].partition(" ")
             margin = _parse_fraction(tok, lineno)
@@ -234,6 +239,8 @@ def _parse_expect(line, lineno):
                 dimension = int(tok)
             except ValueError:
                 raise _err(lineno, f"bad dimension {tok!r}") from None
+            if dimension < 0:
+                raise _err(lineno, "dim must be at least 0")
             rest = rest.strip()
         elif rest.startswith("source="):
             source = rest[len("source="):].strip()

@@ -194,9 +194,9 @@ def run_fixture_suite(seed=0, samples=DEFAULT_SAMPLES,
                 problems.append(f"outcome {got['outcome']} != {e.outcome}")
             if e.margin is not None:
                 cert = got.get("certificate") or {}
-                if Fraction(cert.get("margin", "0")) != e.margin:
-                    problems.append(
-                        f"margin {cert.get('margin')} != {e.margin}")
+                margin = cert.get("margin")
+                if margin is None or Fraction(margin) != e.margin:
+                    problems.append(f"margin {margin} != {e.margin}")
             if e.dimension is not None:
                 cert = got.get("certificate") or {}
                 if cert.get("dimension") != e.dimension:

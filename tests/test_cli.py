@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -494,6 +495,23 @@ def test_fixtures_subcommand_human(capsys):
     code, out, _ = run(capsys, "fixtures", "--samples", "16")
     assert code == 0
     assert "all matched" in out
+
+
+def test_fixtures_fails_an_expected_margin_that_the_certificate_lacks(
+        capsys, monkeypatch):
+    # the tempered certificate of sl2_point is rank-zero-torus, which
+    # carries no margin
+    text = (fixtures_dir() / "sl2_point.pair").read_text()
+    old = "expect tempered yes_certified source="
+    assert old in text
+    pair = parse_pair_text(text.replace(
+        old, "expect tempered yes_certified margin=0 source="))
+    monkeypatch.setattr("liepair.report.FIXTURES",
+                        (SimpleNamespace(name="sl2_point", build=lambda: pair),))
+    code, out, _ = run(capsys, "fixtures", "--samples", "16")
+    assert code == 1
+    assert "MISMATCH sl2_point/tempered: margin None != 0" in out
+    assert "expectations: 1 mismatches" in out
 
 
 def test_verify_accepts_suite_reports(tmp_path, capsys):

@@ -129,7 +129,8 @@ FRACTION_WRITERS = {"linalg": {"frac", "fraction_row", "eigensplit"},
                     "weights": {"rho_eval", "quotient_weights"},
                     "polyhedral": {"decide_dominance"},
                     "checks": {"AdWord.to_json"},
-                    "algebra": set()}
+                    "algebra": set(),
+                    "catalog": set()}
 
 
 def fraction_callers(tree):

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from liepair import catalog
 from liepair.algebra import ValidationError, bracket
 from liepair.catalog import (
+    FAMILIES,
     build_fixture,
+    construct_from_spec,
     fixture_names,
     fixtures_dir,
-    load_fixture_file,
 )
 from liepair.checks import check_complex_spherical, check_tempered
 from liepair.linalg import frac
@@ -71,11 +72,42 @@ def test_round_trip_every_fixture_in_memory():
         assert reparsed == pair, name
 
 
-def test_shipped_fixture_files_match_catalog():
-    for name in fixture_names():
-        from_file = load_fixture_file(name)
-        built = build_fixture(name)
-        assert from_file == built, name
+def test_every_shipped_pair_file_is_a_fixture():
+    assert set(fixture_names()) \
+        == {path.stem for path in fixtures_dir().glob("*.pair")}
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_a_fixture_serializes_to_its_file_byte_for_byte(name):
+    # a report's pair source is then the shipped file itself
+    text = (fixtures_dir() / f"{name}.pair").read_text(encoding="utf-8")
+    assert serialize_pair(build_fixture(name)) == text
+
+
+def family_spec(provenance):
+    """The construct_from_spec spec a `catalog:<spec>` provenance names,
+    or None; `catalog:sl2:trivial-h` is the family sl_n_R:2."""
+    if provenance == "catalog:sl2:trivial-h":
+        return "sl_n_R:2"
+    spec = provenance.removeprefix("catalog:")
+    return spec if spec.split(":")[0] in FAMILIES else None
+
+
+FAMILY_FIXTURES = [name for name in fixture_names()
+                   if family_spec(build_fixture(name).provenance)]
+
+
+def test_every_fixture_outside_a_family_is_named():
+    assert set(fixture_names()) - set(FAMILY_FIXTURES) \
+        == {"sl2c_full", "sl3_sl2_topleft", "so23_so22"}
+
+
+@pytest.mark.parametrize("name", FAMILY_FIXTURES)
+def test_a_family_fixture_is_its_family_pair_plus_expectations(name):
+    pair = build_fixture(name)
+    assert pair.expectations
+    assert replace(pair, expectations=()) \
+        == construct_from_spec(family_spec(pair.provenance))
 
 
 def test_unicode_minus_accepted():
@@ -193,6 +225,23 @@ def test_expect_line_outside_the_grammar_is_a_parse_error(line, message):
     lineno = len(text.splitlines())
     with pytest.raises(ParseError, match=rf"^line {lineno}: {message}; "
                        "expected one of "):
+        parse_pair_text(text)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("expect tempered yes_certified margin=1 margin=2", "margin given twice"),
+    ("expect generic_stabilizer_abelian yes_certified dim=2 dim=3",
+     "dim given twice"),
+    ("expect tempered yes_certified margin=0 dim=1 margin=0 source=x",
+     "margin given twice"),
+    ("expect generic_stabilizer_abelian yes_certified dim=-1",
+     "dim must be at least 0"),
+], ids=["margin-twice", "dim-twice", "margin-twice-apart", "dim-negative"])
+def test_expect_attribute_given_twice_or_negative_is_a_parse_error(
+        line, message):
+    text = SL2_TORUS_FILE + line + "\n"
+    lineno = len(text.splitlines())
+    with pytest.raises(ParseError, match=rf"^line {lineno}: {message}$"):
         parse_pair_text(text)
 
 

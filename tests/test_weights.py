@@ -568,7 +568,7 @@ def test_a_rescaled_torus_has_its_weights_over_one_denominator():
     # the basis of so(2,3)
     pair = parse_pair_text(RESCALED_TORUS.read_text(encoding="utf-8"))
     assert_weights_rescaled(pair.torus_h,
-                            catalog.pair_so23_so22().torus_h)
+                            build_fixture("so23_so22").torus_h)
 
 
 def test_a_rescaled_diagonal_torus_has_its_weights_over_one_denominator(sl3):
