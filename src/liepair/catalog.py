@@ -570,6 +570,32 @@ def pair_torus(spec: str) -> Pair:
                       provenance=f"catalog:torus_pair:{spec}")
 
 
+def pair_block(n: str, m: str) -> Pair:
+    """(sl_n, sl_m) with h the top-left block sl_m, torus_h its diagonal
+    H_1..H_{m-1} and torus_g the diagonal of sl_n.
+
+    On torus_h, with coordinates y_1..y_m summing to 0, the weights give
+    rho_h(y) = 2·Σ_{i<j} |y_i − y_j| and rho_{g/h}(y) = 2(n − m)·Σ |y_i|.
+    So the pair is tempered exactly when n ≥ 2m − 1: |y_i − y_j| ≤
+    |y_i| + |y_j| gives rho_h ≤ 2(m − 1)·Σ |y_i| ≤ rho_{g/h}, while for
+    n ≤ 2m − 2 the point y = e_1 − e_m gives rho_h = 4(m − 1) > 4(n − m) =
+    rho_{g/h}."""
+    if not (str(n).isdigit() and str(m).isdigit()
+            and 2 <= int(m) < int(n) <= 6):
+        raise UnsupportedParams(
+            f"block_pair supports 2 <= m < n <= 6, got n={n!r} m={m!r}")
+    n, m = int(n), int(m)
+    gdata = sl_n_R(n)
+    alg = gdata.algebra
+    torus_h = gdata.split_rows[:m - 1]
+    h_rows = list(torus_h) + [
+        alg.basis_vector(alg.basis_labels.index(f"E{i + 1}{j + 1}"))
+        for i in range(m) for j in range(m) if i != j]
+    return _make_pair(gdata, h_rows, torus_h,
+                      name=f"sl{n} / sl{m} (top-left)",
+                      provenance=f"catalog:block_pair:{n}:{m}")
+
+
 FAMILIES = {
     "sl_n_R": ("n (2..6)", lambda n: pair_trivial_h(f"sl{n}")),
     "so_p_q": ("p q (p+q <= 8)", lambda p, q: pair_trivial_h(f"so_{p}_{q}")),
@@ -587,6 +613,8 @@ FAMILIES = {
                                     pair_symmetric),
     "whittaker_nilradical": ("base spec", pair_whittaker),
     "torus_pair": ("base spec", pair_torus),
+    "block_pair": ("n m (2 <= m < n <= 6); (sl_n, top-left sl_m)",
+                   pair_block),
 }
 
 

@@ -57,6 +57,7 @@ from .polyhedral import (
     DEFAULT_CONE_BUDGET,
     ConeBudgetExceeded,
     decide_dominance,
+    termwise_dominance,
 )
 from .weights import (
     SplitTorus,
@@ -579,10 +580,12 @@ def check_tempered(pair: Pair, cone_budget=DEFAULT_CONE_BUDGET) -> Verdict:
     """Decide temperedness of L²(G/H) via the piecewise-linear criterion
     rho_h ≤ rho_{g/h} on the split torus of h (Benoist-Kobayashi criterion).
 
-    Shortcut: a rank-0 torus_h makes both sides functions on the zero space,
-    so the inequality holds trivially; for compact H this is the proper-action
-    case.  The verdict relies on torus_h being maximal split in h, which is a
-    recorded assertion of the input.
+    The inequality is first tried term by term (termwise_dominance), which
+    enumerates no line: it proves abelian h (rho_h = 0), the group cases
+    (rho_h = rho_{g/h}) and a rank-0 torus_h (both sides vanish; for compact
+    H this is the proper-action case).  Only where it says nothing are the
+    lines of the arrangement enumerated.  The verdict relies on torus_h
+    being maximal split in h, which is a recorded assertion of the input.
     """
     if not pair.torus_h_asserted_maximal:
         raise UnsupportedQuery(
@@ -590,17 +593,21 @@ def check_tempered(pair: Pair, cone_budget=DEFAULT_CONE_BUDGET) -> Verdict:
             "tempered criterion needs a maximal split torus")
     notes = ("temperedness criterion evaluated on the designated torus_h; "
              "its maximality inside h is an input assertion",)
-    if pair.torus_h.rank == 0:
-        cert = {"kind": "rank-zero-torus"}
+    rho_h, rho_q = rho_pair(pair)
+    equal = termwise_dominance(rho_h, rho_q)
+    if equal is not None:
+        cert = {"kind": "termwise"}
+        if equal:
+            cert["margin"] = "0"
+        how = ("are equal (margin 0)" if equal else
+               "are at most those of rho_{g/h}")
         return Verdict(
             question="tempered", outcome="yes_certified", certificate=cert,
             conclusions=(
-                "rho_h vanishes identically (h has no split torus), so "
-                "rho_h ≤ rho_{g/h} holds trivially: L²(G/H) is tempered "
-                "(Benoist-Kobayashi criterion; for compact H this is the "
-                "proper-action case).",),
+                f"the coefficients of rho_h along each direction {how}, so "
+                "rho_h ≤ rho_{g/h} holds term by term: L²(G/H) is tempered "
+                "(Benoist-Kobayashi criterion).",),
             notes=notes)
-    rho_h, rho_q = rho_pair(pair)
     dom = decide_dominance(rho_h, rho_q, budget=cone_budget)
     if dom.holds:
         cert = {
@@ -813,7 +820,7 @@ def _supported_claim(cert):
     unknown kind.  A stabilizer certificate supports the outcome that its
     abelian flag implies."""
     kind = cert.get("kind")
-    if kind in ("rank-zero-torus", "dominance"):
+    if kind in ("termwise", "dominance"):
         return "tempered", "yes_certified"
     if kind == "dominance-violation":
         return "tempered", "no_certified"
@@ -834,9 +841,17 @@ def _recheck(pair: Pair, cert):
     raises KeyError, TypeError, ValueError or ZeroDivisionError on
     malformed data."""
     kind = cert["kind"]
-    if kind == "rank-zero-torus":
-        ok = pair.torus_h.rank == 0
-        return ok, "torus_h rank is 0" if ok else "torus_h rank is nonzero"
+    if kind == "termwise":
+        equal = termwise_dominance(*rho_pair(pair))
+        if equal is None:
+            return False, ("some coefficient of rho_h exceeds that of "
+                           "rho_{g/h} along its direction")
+        if equal != ("margin" in cert) or cert.get("margin", "0") != "0":
+            return False, (f"stored margin {cert.get('margin')!r}: the "
+                           "margin is \"0\" exactly when the coefficients "
+                           f"are equal, and they are{'' if equal else ' not'}")
+        return True, ("rho_h ≤ rho_{g/h} re-proven term by term"
+                      + (", margin 0" if equal else ""))
     if kind == "dominance":
         lines = _stored_lines(cert, pair.torus_h.rank)
         stored = frac(cert["margin"])

@@ -87,7 +87,7 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
     name = ""
     provenance = origin
     notes = []
-    expectations = []
+    expectations = {}  # question -> (line, Expectation)
     complexify_auto = False
     torus_h_maximal = True
     alg_block = None
@@ -127,7 +127,9 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
                 raise _err(lineno, "only 'complexify auto' is supported")
             complexify_auto = True
         elif head == "expect":
-            expectations.append(_parse_expect(line, lineno))
+            e = _parse_expect(line, lineno)
+            _put_once(expectations, e.question, lineno, e,
+                      f"expect {e.question}")
         elif toks[:2] == ["begin", "algebra"]:
             block = alg_block = _AlgebraBlock()
         elif toks[:2] == ["begin", "subalgebra"]:
@@ -166,7 +168,8 @@ def parse_pair_text(text: str, origin="<string>") -> Pair:
                        complex_structure=J, name=name, provenance=provenance,
                        compact_cartan_rows=compact,
                        torus_h_asserted_maximal=torus_h_maximal,
-                       notes=tuple(notes), expectations=tuple(expectations))
+                       notes=tuple(notes),
+                       expectations=tuple(e for _, e in expectations.values()))
 
 
 def _check_complex_structure(g: LieAlgebra, J):

@@ -18,13 +18,17 @@ vector.  The forms are the integer weights of `weights`, over their torus's
 denominator, so the functions are evaluated at a line in integers; a line
 stays an integer vector y, written as the exact vector (y, y0) with y0 its
 first nonzero entry, and the margin is the one Fraction.  No float is used.
+
+Often no line is needed: termwise_dominance proves f ≤ g summand by
+summand when, along every primitive direction of the forms, f's coefficient
+is at most g's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
@@ -141,6 +145,36 @@ def _sorted_lines(lines):
     D = lcm(*[next(x for x in y if x) for y in lines])
     return sorted(lines, key=lambda y: [x * (D // next(v for v in y if v))
                                         for x in y])
+
+
+def direction_table(f: RhoFunction) -> dict:
+    """den·rho(y) = Σ_d c(d)|d·y| over primitive directions d: a form
+    λ = k·d with multiplicity m adds m·|k| to c(d)."""
+    table = {}
+    for lam, m in f.forms:
+        d = primitive(lam)
+        table[d] = table.get(d, 0) + m * gcd(*lam)
+    return table
+
+
+def termwise_dominance(f: RhoFunction, g: RhoFunction) -> Optional[bool]:
+    """f ≤ g proven summand by summand, with no line enumerated.
+
+    With c_f and c_g the direction_tables, g − f =
+    Σ_d (c_g(d)·f.den − c_f(d)·g.den)|d·y| / (f.den·g.den), which is ≥ 0
+    everywhere when c_f(d)·g.den ≤ c_g(d)·f.den for every d.  Returns None
+    when some d breaks that, where the rule says nothing; otherwise f ≤ g
+    holds, and the value says whether the two scaled tables are equal,
+    that is whether f = g (then decide_dominance's margin is 0).  Two rank-0
+    functions have empty tables, so they are equal.
+    """
+    if f.rank != g.rank:
+        raise RankMismatch(f"rho ranks differ: {f.rank} vs {g.rank}")
+    cf, cg = direction_table(f), direction_table(g)
+    if any(c * g.den > cg.get(d, 0) * f.den for d, c in cf.items()):
+        return None
+    # every direction of f is one of g, so g's directions cover both
+    return all(c * f.den == cf.get(d, 0) * g.den for d, c in cg.items())
 
 
 def decide_dominance(f: RhoFunction, g: RhoFunction,

@@ -29,8 +29,8 @@ from .checks import (
 from .pairfile import parse_pair_text, serialize_pair
 from .polyhedral import DEFAULT_CONE_BUDGET
 
-SCHEMA = "liepair.report/2"
-SUITE_SCHEMA = "liepair.report-suite/2"
+SCHEMA = "liepair.report/3"
+SUITE_SCHEMA = "liepair.report-suite/3"
 
 
 def _jsonable(x):

@@ -142,7 +142,7 @@ def test_criterion_3_temperedness_fixtures():
         produced.append((pair, v))
     pair = build_fixture("group_sl2")
     v = check_tempered(pair)
-    assert v.outcome == "yes_certified" and v.certificate["margin"] == 0
+    assert v.outcome == "yes_certified" and v.certificate["margin"] == "0"
     produced.append((pair, v))
     pair = build_fixture("sl2_split_torus")
     v = check_tempered(pair)

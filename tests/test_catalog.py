@@ -16,6 +16,7 @@ from liepair.catalog import (
     so_p_q,
     su_p_q,
 )
+from liepair.checks import check_tempered, verify_certificate
 from liepair.linalg import fraction_row
 from liepair.pairfile import parse_pair_text, serialize_pair
 from liepair.weights import validate_torus
@@ -229,3 +230,36 @@ def test_su_p_q_has_no_compact_cartan_data():
         construct_from_spec("torus_pair:su_1_2")
     assert construct_from_spec("direct_sum:sl2:su_1_1").complexification \
         is None
+
+
+# --- the block family (sl_n, top-left sl_m) ---------------------------------
+
+BLOCK_PAIRS = [(n, m) for n in range(3, 7) for m in range(2, n)]
+
+
+@pytest.mark.parametrize("n, m", BLOCK_PAIRS)
+def test_block_pair_is_tempered_exactly_when_n_is_at_least_2m_minus_1(n, m):
+    # the hand proof in the docstring of catalog.pair_block: rho_h ≤
+    # rho_{g/h} by |y_i − y_j| ≤ |y_i| + |y_j| when n ≥ 2m − 1, and a strict
+    # violation at y = e_1 − e_m when n ≤ 2m − 2
+    pair = construct_from_spec(f"block_pair:{n}:{m}")
+    assert (pair.g.dim, pair.h.dim) == (n * n - 1, m * m - 1)
+    assert (pair.torus_h.rank, pair.torus_g.rank) == (m - 1, n - 1)
+    v = check_tempered(pair)
+    assert v.outcome == ("yes_certified" if n >= 2 * m - 1
+                         else "no_certified")
+    assert verify_certificate(pair, v)[0]
+    # sl_2 has one direction, so m = 2 is decided term by term; for m ≥ 3
+    # the directions y_i − y_j of rho_h are not among those of rho_{g/h}
+    kind = v.certificate["kind"]
+    assert (kind == "termwise") == (m == 2)
+    # the margin is 0 exactly at n = 2m − 1: (sl3, sl2) and (sl5, sl3)
+    if v.outcome == "yes_certified":
+        assert (str(v.certificate.get("margin")) == "0") == (n == 2 * m - 1)
+
+
+@pytest.mark.parametrize("params", [("3", "3"), ("7", "2"), (4, 1),
+                                    ("x", "2"), ("5", "-3")])
+def test_block_pair_out_of_range_is_refused(params):
+    with pytest.raises(UnsupportedParams, match="block_pair supports"):
+        construct("block_pair", params)

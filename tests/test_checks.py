@@ -255,23 +255,34 @@ def test_missing_complex_data():
 # --- temperedness ----------------------------------------------------------
 
 def test_tempered_trivial_h_group_case():
+    # rank 0: both direction tables are empty, hence equal
     v = check_tempered(build_fixture("sl2_point"))
     assert v.outcome == "yes_certified"
-    assert v.certificate["kind"] == "rank-zero-torus"
+    assert v.certificate == {"kind": "termwise", "margin": "0"}
 
 
 def test_tempered_group_case_margin_exactly_zero():
     pair = build_fixture("group_sl2")
     v = check_tempered(pair)
     assert v.outcome == "yes_certified"
-    assert v.certificate["margin"] == 0
+    assert v.certificate == {"kind": "termwise", "margin": "0"}
     ok, detail = verify_certificate(pair, v)
     assert ok, detail
 
 
 def test_tempered_sl2_mod_torus():
+    # abelian h: rho_h = 0 has an empty table, rho_{g/h} does not
     v = check_tempered(build_fixture("sl2_split_torus"))
     assert v.outcome == "yes_certified"
+    assert v.certificate == {"kind": "termwise"}
+
+
+def test_tempered_block_pair_margin_over_its_lines():
+    # (sl6, sl3): 6 ≥ 2·3 − 1, and rho_h's directions y_i − y_j are not
+    # among rho_{g/h}'s, so the lines are enumerated
+    v = check_tempered(construct_from_spec("block_pair:6:3"))
+    assert v.outcome == "yes_certified"
+    assert v.certificate["kind"] == "dominance"
     assert v.certificate["margin"] == 4
 
 
@@ -382,7 +393,7 @@ def test_tampered_certificates_fail_verification():
 
 
 def _tampered_dominance(mutate):
-    pair = build_fixture("triple_sl3")
+    pair = construct_from_spec("block_pair:5:3")
     blob = verdict_to_json(check_tempered(pair))
     assert blob["certificate"]["kind"] == "dominance"
     mutate(blob["certificate"])
@@ -402,10 +413,10 @@ def test_dominance_certificate_with_malformed_lines_fails(lines):
     assert not ok and "malformed" in detail
 
 
-@pytest.mark.parametrize("count", [None, 0, 4, "3"])
+@pytest.mark.parametrize("count", [None, 0, 4, "6"])
 def test_dominance_certificate_with_wrong_line_count_fails(count):
     def mutate(cert):
-        assert cert["line_count"] == 3
+        assert cert["line_count"] == 6
         if count is None:
             cert.pop("line_count")
         else:
@@ -792,7 +803,7 @@ def test_forged_dominance_certificate_with_a_subset_of_lines_fails():
 
 
 def test_dominance_recheck_over_the_budget_fails():
-    pair = build_fixture("triple_sl3")
+    pair = construct_from_spec("block_pair:6:3")
     v = check_tempered(pair)
     assert v.certificate["kind"] == "dominance"
     with patch("liepair.polyhedral.enumerate_lines",
@@ -804,9 +815,9 @@ def test_dominance_recheck_over_the_budget_fails():
 # --- mutated tempered certificates ------------------------------------------
 
 TEMPERED_PAIRS = {
-    "triple_sl3": lambda: build_fixture("triple_sl3"),
+    "block_pair:5:3": lambda: construct_from_spec("block_pair:5:3"),
     "so23_so22": lambda: build_fixture("so23_so22"),
-    "torus_pair:sl4": lambda: construct_from_spec("torus_pair:sl4"),
+    "block_pair:6:3": lambda: construct_from_spec("block_pair:6:3"),
 }
 DELTAS = (1, -1, F(1, 7), F(-1, 7))
 
@@ -883,6 +894,82 @@ def test_every_mutated_tempered_certificate_fails(case):
     ok, detail = verify_certificate(pair, verdict_from_json(blob))
     assert not ok, f"{name}: a mutated certificate verified: {detail}"
     assert isinstance(detail, str) and detail
+
+
+# --- termwise certificates ---------------------------------------------------
+
+def _verify_json(pair, verdict):
+    """verify_certificate on the verdict as liepair verify reads it."""
+    return verify_certificate(pair, verdict_from_json(json.loads(json.dumps(
+        verdict_to_json(verdict)))))
+
+
+def _termwise(**margin):
+    return Verdict(question="tempered", outcome="yes_certified",
+                   certificate={"kind": "termwise", **margin})
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: build_fixture("so23_so22"),
+    lambda: construct_from_spec("block_pair:5:3")], ids=["so23_so22",
+                                                         "block_pair:5:3"])
+@pytest.mark.parametrize("margin", [{}, {"margin": "0"}], ids=["none", "0"])
+def test_forged_termwise_certificate_where_a_coefficient_exceeds_fails(
+        pair, margin):
+    # so23_so22 is not tempered and (sl5, sl3) is, with margin 0; on both,
+    # rho_h has a direction y_i ± y_j that rho_{g/h} lacks
+    pair = pair()
+    ok, detail = _verify_json(pair, _termwise(**margin))
+    assert not ok and "exceeds" in detail
+
+
+@pytest.mark.parametrize("name, margin", [
+    ("group_sl2", {}), ("sl3_sl2_topleft", {}),
+    ("group_sl2", {"margin": "0/1"}), ("group_sl2", {"margin": "1"}),
+    ("group_sl2", {"margin": 0}), ("group_sl2", {"margin": 0.0}),
+    ("group_sl2", {"margin": False}), ("group_sl2", {"margin": None}),
+    ("sl2_point", {"margin": "-0"}),
+    ("sl2_split_torus", {"margin": "0"}), ("sl2_split_torus", {"margin": "4"}),
+    ("sl2_split_torus", {"margin": None}),
+], ids=["missing-on-group", "missing-on-topleft", "0/1", "1", "int-0",
+        "float-0", "false", "null", "minus-0-on-rank-0", "0-on-strict",
+        "4-on-strict", "null-on-strict"])
+def test_termwise_certificate_with_a_wrong_margin_fails(name, margin):
+    pair = build_fixture(name)
+    assert check_tempered(pair).certificate["kind"] == "termwise"
+    ok, detail = _verify_json(pair, _termwise(**margin))
+    assert not ok and "stored margin" in detail
+
+
+# the fixtures whose tempered certificate is termwise, and the yes jobs of
+# the tempered ladder (its sixth, direct_sum:sl4:sl2, is a violation)
+TERMWISE_FIXTURES = (
+    "symmetric_sl2_so2", "symmetric_sl3_so3", "group_sl2", "triple_sl2",
+    "triple_sl3", "whittaker_sl3", "sl2_split_torus", "sl2c_cartan",
+    "group_sl2c", "sl3_sl2_topleft", "sl2_point")
+TERMWISE_LADDER = LADDER_SPECS[:5]
+ENUMERATED = ("product_sl2_sl2_first", "sl2c_full", "so23_so22",
+              "direct_sum:sl4:sl2")
+
+
+def test_termwise_pairs_check_and_verify_with_no_line():
+    def pair(name):
+        return build_fixture(name) if name in fixture_names() \
+            else construct_from_spec(name)
+
+    assert sorted(TERMWISE_FIXTURES + ENUMERATED[:3]) \
+        == sorted(fixture_names())
+    with patch("liepair.polyhedral.enumerate_lines",
+               side_effect=AssertionError("a line was enumerated")):
+        for name in TERMWISE_FIXTURES + TERMWISE_LADDER:
+            p = pair(name)
+            v = check_tempered(p)
+            assert v.certificate["kind"] == "termwise", name
+            ok, detail = _verify_json(p, v)
+            assert ok, (name, detail)
+        for name in ENUMERATED:
+            with pytest.raises(AssertionError, match="a line was enumerated"):
+                check_tempered(pair(name))
 
 
 # --- mutated open-orbit and stabilizer certificates -------------------------
@@ -1095,9 +1182,11 @@ def test_malformed_open_orbit_certificate_fails(mutate):
 
 
 @pytest.mark.parametrize("spec, kind, fields", [
-    ("diagonal_pair:sl2", "dominance", {"margin": 0.0}),
-    ("diagonal_pair:sl2", "dominance", {"margin": False}),
-    ("diagonal_pair:sl2", "dominance", {"lines": [[True]]}),
+    ("block_pair:5:3", "dominance", {"margin": 0.0}),
+    ("block_pair:5:3", "dominance", {"margin": False}),
+    ("block_pair:5:3", "dominance", {"lines": [
+        ["0", True], ["1", "-1"], ["1", "0"], ["1", "1/2"], ["1", "1"],
+        ["1", "2"]]}),
     ("direct_sum:sl2:sl2", "dominance-violation",
      {"rho_h": 4.0, "rho_quotient": 0.0}),
 ], ids=["float-margin", "false-margin", "true-in-a-line", "float-rho_h"])
@@ -1117,10 +1206,9 @@ def test_float_or_boolean_rational_field_fails(spec, kind, fields):
     ("diagonal_pair:sl2", check_generic_stabilizer, "dimension", 1.0),
     ("diagonal_pair:sl2", check_generic_stabilizer, "dimension", True),
     ("triple_diagonal:sl2", check_real_spherical, "rank_achieved", 9.0),
-    ("diagonal_pair:sl2", check_tempered, "line_count", 1.0),
-    ("diagonal_pair:sl2", check_tempered, "line_count", True),
+    ("block_pair:5:3", check_tempered, "line_count", 6.0),
 ], ids=["float-dimension", "true-dimension", "float-rank_achieved",
-        "float-line_count", "true-line_count"])
+        "float-line_count"])
 def test_float_or_boolean_integer_field_fails(spec, check, key, value):
     # each value equals the stored int as a number, but an integer field
     # holds a JSON integer: a float or a boolean is not one
@@ -1133,6 +1221,18 @@ def test_float_or_boolean_integer_field_fails(spec, check, key, value):
     kind = blob["certificate"]["kind"]
     assert not ok and detail == (f"malformed {kind} certificate: {key} "
                                  f"{value!r} is not an integer")
+
+
+def test_boolean_line_count_fails():
+    # a dominance certificate has at least 2 lines (one line means every
+    # form has one direction, which termwise_dominance decides), so no
+    # boolean equals its count; it is refused as a boolean all the same
+    pair = construct_from_spec("block_pair:5:3")
+    blob = json.loads(json.dumps(verdict_to_json(check_tempered(pair))))
+    blob["certificate"]["line_count"] = True
+    ok, detail = verify_certificate(pair, verdict_from_json(blob))
+    assert not ok and detail == ("malformed dominance certificate: "
+                                 "line_count True is not an integer")
 
 
 def test_non_terminating_word_step_fails():

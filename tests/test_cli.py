@@ -9,8 +9,10 @@ import pytest
 
 import liepair
 from liepair.catalog import FAMILIES, construct_from_spec, fixtures_dir
+from liepair.checks import rho_pair
 from liepair.cli import main
 from liepair.pairfile import parse_pair_text, serialize_pair
+from liepair.polyhedral import decide_dominance
 
 
 def run(capsys, *argv):
@@ -42,7 +44,7 @@ def test_check_machine_output_is_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     report = json.loads(out1)
-    assert report["schema"] == "liepair.report/2"
+    assert report["schema"] == "liepair.report/3"
     assert report["settings"]["seed"] == 7
 
 
@@ -68,6 +70,24 @@ def test_check_file_with_an_unknown_expect_question_exits_2(tmp_path, capsys):
     assert f"line {at + 1}: unknown question 'frobnicate'" in err
 
 
+def test_check_file_with_a_second_expect_for_a_question_exits_2(tmp_path,
+                                                                capsys):
+    # sl2_point expects tempered yes_certified; a contradicting second line
+    # for the same question is refused, not run and reported as a mismatch
+    text = (fixtures_dir() / "sl2_point.pair").read_text()
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.startswith("expect tempered "))
+    lines.append("expect tempered no_certified")
+    src = tmp_path / "two_expects.pair"
+    src.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "check", "--file", str(src),
+                         "--questions", "tempered")
+    assert code == 2 and out == ""
+    assert err == (f"error: line {len(lines)}: expect tempered repeats "
+                   f"line {at + 1}\n")
+
+
 def test_check_requires_source(capsys):
     code, _, err = run(capsys, "check")
     assert code == 2 and "required" in err
@@ -88,7 +108,7 @@ WRONG_PARAMETER_COUNTS = [
     "symmetric_pair_fixed_points",
     "symmetric_pair_fixed_points:sl2:neg_transpose:extra",
     "whittaker_nilradical", "whittaker_nilradical:sl3:sl3", "torus_pair",
-    "torus_pair:sl2:sl2"]
+    "torus_pair:sl2:sl2", "block_pair:5", "block_pair:5:3:2"]
 
 
 def test_wrong_parameter_counts_cover_every_family():
@@ -211,9 +231,13 @@ def test_a_pair_with_denominators_checks_and_verifies(tmp_path, capsys):
     ours = json.loads(path.read_text())["verdicts"][0]
     theirs = json.loads(out)["verdicts"][0]
     assert ours["question"] == theirs["question"] == "tempered"
-    assert (ours["outcome"], ours["certificate"]["margin"]) \
-        == (theirs["outcome"], theirs["certificate"]["margin"]) \
-        == ("yes_certified", "8")
+    assert (ours["outcome"], ours["certificate"]) \
+        == (theirs["outcome"], theirs["certificate"]) \
+        == ("yes_certified", {"kind": "termwise"})
+    # abelian h is decided term by term, with no margin; the lines agree
+    assert decide_dominance(*rho_pair(parse_pair_text(RESCALED.read_text(
+        encoding="utf-8")))).margin == decide_dominance(*rho_pair(
+            construct_from_spec("torus_pair:sl2C"))).margin == 8
 
 
 @pytest.mark.parametrize("edits, message", [
@@ -329,8 +353,9 @@ print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "sympy"}))
 
 
 def test_cone_budget_exit_3(capsys):
-    # the roots of sl3 cut the plane along 3 lines: 4 flats with the plane
-    code, _, err = run(capsys, "check", "--family", "torus_pair:sl3",
+    # on the diagonal of (sl5, sl3) the forms y_i − y_j and y_i cut the
+    # plane along 6 lines: 7 flats with the plane
+    code, _, err = run(capsys, "check", "--family", "block_pair:5:3",
                        "--questions", "tempered", "--cone-budget", "2")
     assert code == 3 and "budget" in err
 
@@ -469,13 +494,13 @@ def test_verify_rejects_a_file_that_is_not_json(tmp_path, capsys, content):
 
 
 @pytest.mark.parametrize("report", [
-    {"schema": "liepair.report/2"},
-    {"schema": "liepair.report/2", "pair": {"source": "SL2"}},
-    {"schema": "liepair.report/2", "pair": "SL2", "verdicts": []},
-    {"schema": "liepair.report/2", "pair": {"source": 1}, "verdicts": []},
-    {"schema": "liepair.report/2", "pair": {"source": "SL2"},
+    {"schema": "liepair.report/3"},
+    {"schema": "liepair.report/3", "pair": {"source": "SL2"}},
+    {"schema": "liepair.report/3", "pair": "SL2", "verdicts": []},
+    {"schema": "liepair.report/3", "pair": {"source": 1}, "verdicts": []},
+    {"schema": "liepair.report/3", "pair": {"source": "SL2"},
      "verdicts": [1]},
-    {"schema": "liepair.report-suite/2"},
+    {"schema": "liepair.report-suite/3"},
 ], ids=["no-pair", "no-verdicts", "pair-string", "source-number",
         "verdict-number", "suite-without-reports"])
 def test_verify_rejects_a_report_without_its_fields(tmp_path, capsys, report):
@@ -499,18 +524,19 @@ def test_fixtures_subcommand_human(capsys):
 
 def test_fixtures_fails_an_expected_margin_that_the_certificate_lacks(
         capsys, monkeypatch):
-    # the tempered certificate of sl2_point is rank-zero-torus, which
-    # carries no margin
-    text = (fixtures_dir() / "sl2_point.pair").read_text()
+    # the tempered certificate of sl2_split_torus is termwise with unequal
+    # tables (rho_h = 0), which carries no margin; the lines give margin 4
+    text = (fixtures_dir() / "sl2_split_torus.pair").read_text()
     old = "expect tempered yes_certified source="
     assert old in text
     pair = parse_pair_text(text.replace(
-        old, "expect tempered yes_certified margin=0 source="))
-    monkeypatch.setattr("liepair.report.FIXTURES",
-                        (SimpleNamespace(name="sl2_point", build=lambda: pair),))
+        old, "expect tempered yes_certified margin=4 source="))
+    monkeypatch.setattr(
+        "liepair.report.FIXTURES",
+        (SimpleNamespace(name="sl2_split_torus", build=lambda: pair),))
     code, out, _ = run(capsys, "fixtures", "--samples", "16")
     assert code == 1
-    assert "MISMATCH sl2_point/tempered: margin None != 0" in out
+    assert "MISMATCH sl2_split_torus/tempered: margin None != 4" in out
     assert "expectations: 1 mismatches" in out
 
 

@@ -14,7 +14,7 @@ from liepair.catalog import (
     fixture_names,
     fixtures_dir,
 )
-from liepair.checks import check_complex_spherical, check_tempered
+from liepair.checks import check_complex_spherical, check_tempered, rho_pair
 from liepair.linalg import frac
 from liepair.pairfile import (
     ParseError,
@@ -22,6 +22,7 @@ from liepair.pairfile import (
     parse_pair_text,
     serialize_pair,
 )
+from liepair.polyhedral import decide_dominance
 
 F = Fraction
 
@@ -60,8 +61,12 @@ def test_parse_minimal_file_and_run():
     assert pair.g.dim == 3 and pair.h.dim == 1
     e = pair.expectations[0]
     assert e.question == "tempered" and e.margin == 4
+    # abelian h is decided term by term, which states no margin; the lines
+    # give the margin of the expect line
     v = check_tempered(pair)
-    assert v.outcome == "yes_certified" and v.certificate["margin"] == 4
+    assert v.outcome == "yes_certified"
+    assert v.certificate == {"kind": "termwise"}
+    assert decide_dominance(*rho_pair(pair)).margin == 4
 
 
 def test_round_trip_every_fixture_in_memory():
@@ -108,6 +113,16 @@ def test_a_family_fixture_is_its_family_pair_plus_expectations(name):
     assert pair.expectations
     assert replace(pair, expectations=()) \
         == construct_from_spec(family_spec(pair.provenance))
+
+
+def test_sl3_sl2_topleft_is_the_block_pair_3_2_plus_expectations():
+    # its provenance is a custom label, so only that field differs; the
+    # name, the basis, h, both tori and the complexification data agree
+    pair = build_fixture("sl3_sl2_topleft")
+    assert pair.expectations
+    block = construct_from_spec("block_pair:3:2")
+    assert replace(pair, expectations=(), provenance=block.provenance) \
+        == block
 
 
 def test_unicode_minus_accepted():

@@ -19,7 +19,9 @@ from liepair.polyhedral import (
     ConeBudgetExceeded,
     build_arrangement,
     decide_dominance,
+    direction_table,
     enumerate_lines,
+    termwise_dominance,
 )
 from liepair import polyhedral
 from liepair.linalg import fraction_row, primitive
@@ -248,6 +250,64 @@ def test_dominance_fails_with_exact_witness():
 def test_dominance_empty_case():
     v = decide_dominance(rho_of(3, []), rho_of(3, []))
     assert v.holds and v.margin == 0 and v.lines == ()
+
+
+# --- the term-by-term rule --------------------------------------------------
+
+def test_direction_table_adds_multiples_of_a_direction():
+    # 2|2t1 − 4t2| + |−t1 + 2t2| + 3|t2| = 5|t1 − 2t2| + 3|t2|
+    f = rho_of(2, [((2, -4), 2), ((-1, 2), 1), ((0, 1), 3)])
+    assert direction_table(f) == {(1, -2): 5, (0, 1): 3}
+
+
+def test_termwise_compares_over_both_denominators():
+    f = rho_of(1, [((F(1, 2),), 2)])      # |t|, over den 2
+    g = rho_of(1, [((3,), 1)])            # 3|t|
+    assert (f.den, g.den) == (2, 1)
+    assert termwise_dominance(f, g) is False
+    assert termwise_dominance(g, f) is None
+    assert termwise_dominance(f, rho_of(1, [((1,), 1)])) is True
+
+
+def test_termwise_equal_rank_zero_tables():
+    assert termwise_dominance(rho_of(0, []), rho_of(0, [])) is True
+
+
+@st.composite
+def rho_pairs(draw):
+    """(f, g) of rank 1 to 3 with small integer forms over dens 1 to 3; g
+    is drawn independently, or as f's forms rescaled with more added, so
+    that the term-by-term rule applies in a good share of the cases."""
+    rank = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    lam = st.lists(entry, min_size=rank, max_size=rank).filter(any)
+    forms = st.lists(st.tuples(lam, st.integers(1, 3)), max_size=4)
+    f_forms = draw(forms)
+    if draw(st.booleans()):
+        g_forms = draw(forms)
+    else:
+        g_forms = [([k * x for x in v], m + draw(st.integers(0, 1)))
+                   for v, m in f_forms
+                   for k in [draw(st.sampled_from((1, -1)))]] + draw(forms)
+    den_f, den_g = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return (rho_of(rank, [([F(x, den_f) for x in v], m) for v, m in f_forms]),
+            rho_of(rank, [([F(x, den_g) for x in v], m) for v, m in g_forms]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho_pairs())
+@example((rho_of(2, [((1, 1), 1)]), rho_of(2, [((1, 0), 1), ((0, 1), 1)])))
+def test_termwise_answers_are_exact(fg):
+    f, g = fg
+    equal = termwise_dominance(f, g)
+    if equal is None:
+        return
+    dom = decide_dominance(f, g)
+    assert dom.holds
+    # the rule states the margin 0 only for equal tables, where the
+    # functions are equal and the reverse inequality holds too
+    if equal:
+        assert dom.margin == 0 and decide_dominance(g, f).holds
 
 
 @settings(max_examples=100, deadline=None)
